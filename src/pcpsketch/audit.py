@@ -23,7 +23,7 @@ from .guarantees import Certificate, certify_matrix_approx, certify_spectral
 from .linalg import Projection, as_matrix, frob2, haar_subspace, projection_cost, svd
 from .rng import Stream, derive_seed, rng_for
 from .sketch import Sketch, SketchParams, make_sketch
-from .solvers import cluster_indicator_projection, lloyd_kmeans, partitions
+from .solvers import cluster_indicator_projection, lloyd_kmeans, partition_costs, partitions
 
 __all__ = [
     "ProbeSet",
@@ -48,24 +48,29 @@ _PROBE_LLOYD_ITERS = 25
 
 @dataclass(frozen=True)
 class ProbeSet:
-    """Rank-<=k probe projections with their provenance tags."""
+    """Rank-<=k probe projections with their provenance tags, plus an
+    optional table of row partitions, each one cluster-indicator probe."""
 
     probes: list
     k: int
     provenance: list
     seed: int
+    partitions: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.probes:
+        if len(self) == 0:
             raise InvalidInputError("probe set must be nonempty")
         if len(self.probes) != len(self.provenance):
             raise InvalidInputError("one provenance tag per probe required")
         for p in self.probes:
             if p.rank > self.k:
                 raise InvalidInputError("probe rank exceeds k")
+        if self.partitions is not None and self.partitions.max(initial=0) >= self.k:
+            raise InvalidInputError("partition probe has more than k blocks")
 
     def __len__(self) -> int:
-        return len(self.probes)
+        extra = 0 if self.partitions is None else len(self.partitions)
+        return len(self.probes) + extra
 
 
 @dataclass(frozen=True)
@@ -129,7 +134,7 @@ def generate_probes(
     heaviest rows), cluster indicators from seeded Lloyd runs on the rows of
     both matrices, and the rank-0 probe.  ``n_random`` Haar subspaces are
     appended, and ``exhaustive`` adds every cluster indicator over
-    partitions into at most k blocks (n <= 12 only).
+    partitions into at most k blocks (n <= 12 only, else TooLargeError).
     """
     a = as_matrix(a)
     at = as_matrix(a_tilde, "a_tilde")
@@ -185,20 +190,10 @@ def generate_probes(
             )
             add(cluster_indicator_projection(cl.assignment, kk, n), f"kmeans-sketch-{run}")
 
-    if exhaustive:
-        if n > 12:
-            raise InvalidInputError("exhaustive cluster probes need n <= 12")
-        for labels in partitions(n, kk):
-            blocks = max(labels) + 1
-            add(
-                cluster_indicator_projection(np.array(labels), kk, n),
-                "partition-" + "".join(str(x) for x in labels) + f"-{blocks}blocks",
-            )
-
     for i in range(n_random):
         add(haar_subspace(n, kk, derive_seed(seed, Stream.PROBE_HAAR, i)), f"haar-{i}")
 
-    return ProbeSet(probes, k, tags, seed)
+    return ProbeSet(probes, k, tags, seed, partitions(n, kk) if exhaustive else None)
 
 
 def pcp_error_on_probe(a, a_tilde, c: float, p: Projection) -> float:
@@ -223,21 +218,25 @@ def pcp_report(a, a_tilde, c: float, probes: ProbeSet, eps_target: float) -> Pcp
         raise DimensionError("matrix and sketch must have the same number of rows")
     if eps_target <= 0.0:
         raise InvalidInputError(f"eps_target must be positive, got {eps_target}")
+    cost_a = np.array([projection_cost(a, p) for p in probes.probes])
+    cost_s = np.array([projection_cost(at, p) for p in probes.probes])
+    tags = list(probes.provenance)
+    if probes.partitions is not None:
+        cost_a = np.concatenate([cost_a, partition_costs(a, probes.partitions)])
+        cost_s = np.concatenate([cost_s, partition_costs(at, probes.partitions)])
+        tags += [
+            "partition-" + "".join(map(str, row)) + f"-{max(row) + 1}blocks"
+            for row in probes.partitions.tolist()
+        ]
     total = frob2(a)
-    zero_floor = ZERO_COST_REL * total
-    zero_tol = ZERO_CHECK_REL * total
-    results = []
-    worst = 0.0
-    for probe, tag in zip(probes.probes, probes.provenance):
-        cost_a = projection_cost(a, probe)
-        cost_s = projection_cost(at, probe)
-        if cost_a <= zero_floor:
-            err = 0.0 if abs(cost_s + c) <= zero_tol else inf
-            results.append(ProbeResult(tag, cost_a, cost_s, err, zero_cost=True))
-        else:
-            err = (cost_s + c - cost_a) / cost_a
-            results.append(ProbeResult(tag, cost_a, cost_s, err))
-        worst = max(worst, abs(err))
+    zero = cost_a <= ZERO_COST_REL * total
+    zero_err = np.where(np.abs(cost_s + c) <= ZERO_CHECK_REL * total, 0.0, inf)
+    err = np.where(zero, zero_err, (cost_s + c - cost_a) / np.where(zero, 1.0, cost_a))
+    results = [
+        ProbeResult(tag, ca, cs, e, zero_cost=z)
+        for tag, ca, cs, e, z in zip(tags, cost_a.tolist(), cost_s.tolist(), err.tolist(), zero.tolist())
+    ]
+    worst = float(np.max(np.abs(err)))
     return PcpReport(results, worst, eps_target, worst <= eps_target)
 
 
@@ -366,29 +365,29 @@ def implication_harness(
 
 
 def approx_transfer_check(
-    a, a_tilde, c: float, k: int, eps: float, candidates: list, gamma: float = 1.0
+    a, a_tilde, c: float, eps: float, costs_a, costs_sketch, gamma: float = 1.0
 ) -> TransferCheck:
     """Check the cost bound transferred by a gamma-approximate sketch solver.
 
-    Among candidates whose sketch cost is within gamma of the best sketch
-    cost, the one costing the most on A is the adversarial choice P_tilde;
-    the bound |A - P_tilde A|_F^2 <= (1+eps) gamma / (1-eps) * min cost on A
-    + (1-gamma) c / (1-eps) must hold for it (hence for every eligible
-    choice).
+    ``costs_a[i]`` and ``costs_sketch[i]`` are the costs of candidate
+    solution i on A and on the sketch.  Among candidates whose sketch cost
+    is within gamma of the best sketch cost, the one costing the most on A
+    is the adversarial choice P_tilde; the bound |A - P_tilde A|_F^2 <=
+    (1+eps) gamma / (1-eps) * min cost on A + (1-gamma) c / (1-eps) must
+    hold for it (hence for every eligible choice).
     """
     a = as_matrix(a)
     at = as_matrix(a_tilde, "a_tilde")
-    if not candidates:
-        raise InvalidInputError("need at least one candidate projection")
+    a_costs = np.asarray(costs_a, dtype=float)
+    sketch_costs = np.asarray(costs_sketch, dtype=float)
+    if a_costs.ndim != 1 or a_costs.size == 0:
+        raise InvalidInputError("need at least one candidate cost")
+    if sketch_costs.shape != a_costs.shape:
+        raise InvalidInputError("one sketch cost per candidate required")
     if gamma < 1.0:
         raise InvalidInputError(f"gamma must be >= 1, got {gamma}")
     if not 0.0 < eps < 1.0:
         raise InvalidInputError(f"eps must be in (0, 1), got {eps}")
-    for p in candidates:
-        if p.rank > k:
-            raise InvalidInputError("candidate rank exceeds k")
-    sketch_costs = np.array([projection_cost(at, p) for p in candidates])
-    a_costs = np.array([projection_cost(a, p) for p in candidates])
     eligible_cut = gamma * float(sketch_costs.min()) + 1e-12 * (frob2(at) + 1.0)
     eligible = np.nonzero(sketch_costs <= eligible_cut)[0]
     chosen = int(eligible[np.argmax(a_costs[eligible])])

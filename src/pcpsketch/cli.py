@@ -22,6 +22,7 @@ from . import audit, solvers
 from .errors import ConfigError, Error
 from .generators import gen_synthetic, parse_generator_spec
 from .guarantees import certify_matrix_approx, certify_spectral, jl_moment_estimate
+from .linalg import projection_cost
 from .matio import load_matrix, save_matrix
 from .rng import Stream, derive_seed
 from .sketch import METHODS, SketchParams, make_sketch, with_seed
@@ -290,17 +291,15 @@ def _cmd_solve(args) -> int:
     }
     if result.gamma is not None:
         if args.task == "lowrank":
-            candidates = [
-                result.projection,
-                solvers.best_rank_k_projection(a, args.k),
-            ]
+            best = solvers.best_rank_k_projection(a, args.k)
+            costs_a = [result.cost_on_a, projection_cost(a, best)]
+            costs_sketch = [result.cost_on_sketch, projection_cost(sk.a_tilde, best)]
         else:
-            candidates = [
-                solvers.cluster_indicator_projection(labels, args.k, a.shape[0])
-                for labels in solvers.partitions(a.shape[0], min(args.k, a.shape[0]))
-            ]
+            labels = solvers.partitions(a.shape[0], args.k)
+            costs_a = solvers.partition_costs(a, labels)
+            costs_sketch = solvers.partition_costs(sk.a_tilde, labels)
         check = audit.approx_transfer_check(
-            a, sk.a_tilde, sk.c_const, args.k, args.eps, candidates, gamma=result.gamma
+            a, sk.a_tilde, sk.c_const, args.eps, costs_a, costs_sketch, gamma=result.gamma
         )
         transfer.update(lhs=check.lhs, rhs=check.rhs, holds=check.bound_holds)
     report = _base_report(sk, args, seed)

@@ -229,40 +229,36 @@ def projection_cost(a, p: Projection) -> float:
 
 
 def orthonormal_columns(g, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Orthonormalize the columns of ``g`` by modified Gram-Schmidt.
+    """Orthonormalize the columns of ``g`` by Householder QR.
 
-    One re-orthogonalization pass keeps the result orthonormal to machine
-    precision.  A numerically dependent column is redrawn from ``rng`` when
-    one is supplied, otherwise it is an error.
+    The signs of ``diag(R)`` are moved into Q, which makes the factorization
+    unique, so a standard-normal ``g`` gives a Haar-distributed basis
+    (Mezzadri, arXiv:math-ph/0609050).  Numerically dependent columns
+    (``|R_jj|`` at or below 1e-12 * sqrt(n)) are redrawn from ``rng`` when
+    one is supplied, at most 50 times; otherwise they are an error.
     """
     q = np.array(g, dtype=float, copy=True)
     if q.ndim != 2 or q.shape[1] > q.shape[0]:
         raise InvalidMatrixError("need a tall 2-D array to orthonormalize")
     n = q.shape[0]
     floor = 1e-12 * np.sqrt(n)
-    for j in range(q.shape[1]):
-        for attempt in range(50):
-            v = q[:, j]
-            for _ in range(2):
-                if j > 0:
-                    v = v - q[:, :j] @ (q[:, :j].T @ v)
-            norm = float(np.linalg.norm(v))
-            if norm > floor:
-                q[:, j] = v / norm
-                break
-            if rng is None:
-                raise InvalidInputError("columns are numerically dependent")
-            q[:, j] = rng.standard_normal(n)
-        else:
-            raise InvalidInputError("could not orthonormalize column")
-    return q
+    for _ in range(50):
+        basis, r = np.linalg.qr(q)
+        diag = np.diag(r)
+        dependent = np.abs(diag) <= floor
+        if not dependent.any():
+            return basis * np.sign(diag)
+        if rng is None:
+            raise InvalidInputError("columns are numerically dependent")
+        q[:, dependent] = rng.standard_normal((n, int(dependent.sum())))
+    raise InvalidInputError("could not orthonormalize columns")
 
 
 def haar_subspace(n: int, k: int, seed: int = 0) -> Projection:
     """Rank-``k`` projection onto a Haar-random subspace of R^n.
 
-    The basis is the modified Gram-Schmidt orthonormalization of an n x k
-    standard-normal draw; deterministic per seed.
+    The basis is the sign-corrected QR orthonormalization of an n x k
+    standard-normal draw (``orthonormal_columns``); deterministic per seed.
     """
     if not 1 <= k <= n:
         raise InvalidRankError(f"need 1 <= k <= n, got k={k}, n={n}")

@@ -1,9 +1,11 @@
 """Matrix files: text CSV and the binary PCPM container.
 
 CSV is one matrix row per line, '.' decimal, 17 significant digits (enough
-for exact float64 round trips), with an optional leading ``# n d`` comment.
+for exact float64 round trips), with an optional leading ``# n d`` comment
+that must match the data when present.
 The binary format is the 4-byte magic "PCPM", a little-endian u32 version
-(currently 1), u64 row and column counts, then row-major float64 data.
+(currently 1), u64 row and column counts, then exactly n * d row-major
+float64 values.
 Loading sniffs the magic, so either format can sit behind any extension;
 saving picks the binary format for paths ending in .pcpm.
 """
@@ -45,9 +47,9 @@ def load_binary(path) -> np.ndarray:
             raise InvalidInputError(f"{path}: unsupported version {version}")
         data = fh.read()
     expected = 8 * n * d
-    if len(data) < expected:
+    if len(data) != expected:
         raise InvalidInputError(f"{path}: expected {expected} data bytes, got {len(data)}")
-    a = np.frombuffer(data[:expected], dtype="<f8").reshape(n, d)
+    a = np.frombuffer(data, dtype="<f8").reshape(n, d)
     return as_matrix(a, str(path))
 
 
@@ -62,12 +64,20 @@ def save_csv(path, a) -> None:
 
 
 def load_csv(path) -> np.ndarray:
+    """Read a CSV matrix; a ``# n d`` comment before the first row must match the data."""
     rows = []
     width = None
+    header = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if not line or line.startswith("#"):
+            if not line:
+                continue
+            if line.startswith("#"):
+                fields = line[1:].split()
+                is_shape = len(fields) == 2 and all(f.isdigit() for f in fields)
+                if is_shape and header is None and not rows:
+                    header = (int(fields[0]), int(fields[1]))
                 continue
             try:
                 row = [float(x) for x in line.split(",")]
@@ -82,6 +92,10 @@ def load_csv(path) -> np.ndarray:
             rows.append(row)
     if not rows:
         raise InvalidMatrixError(f"{path}: no data rows")
+    if header is not None and header != (len(rows), width):
+        raise InvalidInputError(
+            f"{path}: header says {header[0]} x {header[1]}, data is {len(rows)} x {width}"
+        )
     return as_matrix(np.array(rows), str(path))
 
 

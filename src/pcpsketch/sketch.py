@@ -223,14 +223,11 @@ def _indices_from_uniforms(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     positive = probs > 0.0
     if not positive.all():
         # next_pos[i] = smallest j >= i with probs[j] > 0 (last positive past the end)
-        next_pos = np.full(probs.shape[0], -1, dtype=np.int64)
+        d = probs.shape[0]
+        own = np.where(positive, np.arange(d), d)
+        next_pos = np.minimum.accumulate(own[::-1])[::-1]
         last = int(np.nonzero(positive)[0][-1])
-        cur = last
-        for i in range(probs.shape[0] - 1, -1, -1):
-            if positive[i]:
-                cur = i
-            next_pos[i] = cur
-        idx = next_pos[idx]
+        idx = np.minimum(next_pos, last)[idx]
     return idx.astype(np.int64)
 
 

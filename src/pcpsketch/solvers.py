@@ -8,7 +8,6 @@ the compressed matrix and evaluates the solution on the original.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -25,9 +24,12 @@ __all__ = [
     "kmeans_cost",
     "lloyd_kmeans",
     "partitions",
+    "partition_costs",
     "exhaustive_kmeans",
     "sketch_and_solve",
 ]
+
+MAX_EXHAUSTIVE_ROWS = 12
 
 
 @dataclass(frozen=True)
@@ -171,93 +173,76 @@ def lloyd_kmeans(m, k: int, iters: int = 50, seed: int = 0, trace: list | None =
     return Clustering(assignment, k, kmeans_cost(m, assignment))
 
 
-def partitions(n: int, max_blocks: int) -> Iterator[tuple[int, ...]]:
+def partitions(n: int, max_blocks: int) -> np.ndarray:
     """All partitions of range(n) into at most ``max_blocks`` nonempty blocks.
 
-    Yielded as restricted growth strings (canonical labels), in lexicographic
-    order.
+    One int8 row per partition, a restricted growth string (first label 0,
+    each label at most one above the largest before it), in lexicographic
+    order.  Capped at n <= 12 rows (Bell(12) is about 4.2 million).
     """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     if max_blocks < 1:
         raise InvalidInputError(f"max_blocks must be >= 1, got {max_blocks}")
-    labels = [0] * n
+    if n > MAX_EXHAUSTIVE_ROWS:
+        raise TooLargeError(f"exhaustive search capped at {MAX_EXHAUSTIVE_ROWS} rows, got {n}")
+    max_blocks = min(max_blocks, n)
+    labels = np.zeros((1, 1), dtype=np.int8)
+    for _ in range(1, n):
+        # row r extends by each label 0 .. min(max(row r) + 1, max_blocks - 1), in order
+        fanout = np.minimum(labels.max(axis=1) + 2, max_blocks)
+        parent = np.repeat(np.arange(len(labels), dtype=np.int32), fanout)
+        first = np.repeat(np.cumsum(fanout, dtype=np.int32) - fanout, fanout)
+        # column-major, so that each column is one contiguous array
+        grown = np.empty((parent.size, labels.shape[1] + 1), dtype=np.int8, order="F")
+        for i in range(labels.shape[1]):
+            grown[:, i] = labels[parent, i]
+        grown[:, -1] = np.arange(parent.size, dtype=np.int32) - first
+        labels = grown
+    return labels
 
-    def rec(i: int, used: int):
-        if i == n:
-            yield tuple(labels)
-            return
-        top = min(used + 1, max_blocks)
-        for lab in range(top):
-            labels[i] = lab
-            yield from rec(i + 1, max(used, lab + 1))
 
-    yield from rec(1, 1)
+def partition_costs(m, labels) -> np.ndarray:
+    """k-means cost of ``m``'s rows under each row of ``labels``.
+
+    A clustering into blocks T_j costs |M|_F^2 - sum_j q[T_j] / |T_j|, where
+    q[T] sums the Gram matrix M M^T over T x T, tabulated once for all 2^n
+    row subsets (n <= 12).  Equals ``projection_cost`` of the clustering's
+    ``cluster_indicator_projection`` up to rounding, clamped at zero alike.
+    """
+    m = as_matrix(m)
+    labels = np.asarray(labels)
+    n = m.shape[0]
+    if labels.ndim != 2 or labels.shape[1] != n or (labels.size and labels.min() < 0):
+        raise InvalidInputError(f"labels must be a nonnegative (count, {n}) table")
+    if n > MAX_EXHAUSTIVE_ROWS:
+        raise TooLargeError(f"exhaustive search capped at {MAX_EXHAUSTIVE_ROWS} rows, got {n}")
+    member = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+    q = np.sum((member @ (m @ m.T)) * member, axis=1)
+    explained_by = q / np.maximum(member.sum(axis=1), 1.0)  # q = 0 for the empty block
+    explained = np.zeros(labels.shape[0])
+    for j in range(int(labels.max(initial=-1)) + 1):
+        # bitmask of block j, one column at a time: no (count, n) temporaries
+        mask = np.zeros(labels.shape[0], dtype=np.int16)
+        for i in range(n):
+            mask |= (labels[:, i] == j).astype(np.int16) << i
+        explained += explained_by[mask]
+    return np.maximum(frob2(m) - explained, 0.0)
 
 
 def exhaustive_kmeans(m, k: int) -> Clustering:
     """Globally optimal k-means over all partitions into at most k clusters.
 
-    Capped at n <= 12 rows (Bell(12) is about 4.2 million partitions); cost
-    ties keep the lexicographically smallest assignment.  Uses a subset-Gram
-    table so each partition costs O(k) to score.
+    Capped at n <= 12 rows; cost ties (within 1e-12 * (|M|_F^2 + 1)) keep
+    the lexicographically smallest assignment.
     """
     m = as_matrix(m)
-    n = m.shape[0]
     if k < 1:
         raise InvalidRankError(f"k must be >= 1, got {k}")
-    if n > 12:
-        raise TooLargeError(f"exhaustive search capped at 12 rows, got {n}")
-    gram = m @ m.T
-    total = float(np.trace(gram))
-    # q[T] = sum of gram over the index pairs of subset T, built by low-bit DP
-    size = 1 << n
-    q = np.zeros(size)
-    dots = [np.zeros(size) for _ in range(n)]
-    for i in range(n):
-        di = dots[i]
-        gi = gram[i]
-        for t in range(1, size):
-            low = t & -t
-            j = low.bit_length() - 1
-            di[t] = di[t ^ low] + gi[j]
-    for t in range(1, size):
-        low = t & -t
-        i = low.bit_length() - 1
-        prev = t ^ low
-        q[t] = q[prev] + gram[i, i] + 2.0 * dots[i][prev]
-    popcount = np.zeros(size, dtype=np.int64)
-    for t in range(1, size):
-        popcount[t] = popcount[t >> 1] + (t & 1)
-
-    best_explained = -1.0
-    best = None
-    masks = [0] * k
-    labels = [0] * n
-
-    def rec(i: int, used: int):
-        nonlocal best_explained, best
-        if i == n:
-            explained = 0.0
-            for j in range(used):
-                t = masks[j]
-                explained += q[t] / popcount[t]
-            if explained > best_explained + 1e-12 * (abs(total) + 1.0):
-                best_explained = explained
-                best = tuple(labels)
-            return
-        top = min(used + 1, k)
-        bit = 1 << i
-        for lab in range(top):
-            labels[i] = lab
-            masks[lab] |= bit
-            rec(i + 1, max(used, lab + 1))
-            masks[lab] &= ~bit
-
-    labels[0] = 0
-    masks[0] = 1
-    rec(1, 1)
-    assignment = np.array(best, dtype=np.int64)
+    labels = partitions(m.shape[0], k)
+    costs = partition_costs(m, labels)
+    tied = costs <= costs.min() + 1e-12 * (frob2(m) + 1.0)
+    assignment = labels[int(np.argmax(tied))].astype(np.int64)
     return Clustering(assignment, k, kmeans_cost(m, assignment))
 
 

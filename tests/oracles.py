@@ -110,6 +110,23 @@ def partitions_reference(n, max_blocks):
     return out
 
 
+def indices_from_uniforms_loop(probs, u):
+    """Inverse-CDF column lookup with the next-positive table built by a
+    reversed Python loop: each hit moves to the first positive-probability
+    column at or after it, or to the last positive column past the end."""
+    probs = np.asarray(probs, dtype=float)
+    cum = np.cumsum(probs)
+    idx = np.minimum(np.searchsorted(cum, u, side="left"), probs.shape[0] - 1)
+    positive = probs > 0.0
+    next_pos = np.full(probs.shape[0], -1, dtype=np.int64)
+    cur = int(np.nonzero(positive)[0][-1])
+    for i in range(probs.shape[0] - 1, -1, -1):
+        if positive[i]:
+            cur = i
+        next_pos[i] = cur
+    return next_pos[idx]
+
+
 def min_eig_sym(sym):
     w, _ = jacobi_eigh(sym)
     return float(w[0])

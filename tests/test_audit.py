@@ -13,9 +13,9 @@ from pcpsketch.audit import (
     pcp_report,
 )
 from pcpsketch.errors import InvalidInputError
-from pcpsketch.linalg import Projection, frob2, haar_subspace, svd
+from pcpsketch.linalg import Projection, frob2, haar_subspace, projection_cost, svd
 from pcpsketch.sketch import SketchParams, gaussian_sketch, orthogonal_sketch, svd_sketch
-from pcpsketch.solvers import cluster_indicator_projection, partitions
+from pcpsketch.solvers import cluster_indicator_projection, partition_costs, partitions
 
 from oracles import partitions_reference, variance_kmeans_cost
 
@@ -52,10 +52,10 @@ class TestGenerateProbes:
     def test_exhaustive_bipartition_count(self):
         a = rand(2, (4, 6))
         probes = generate_probes(a, a.copy(), 2, 0, seed=0, exhaustive=True)
-        two_block = [
-            tag for tag in probes.provenance if tag.startswith("partition-") and tag.endswith("-2blocks")
-        ]
+        tags = [r.probe for r in pcp_report(a, a.copy(), 0.0, probes, 0.5).per_probe]
+        two_block = [tag for tag in tags if tag.startswith("partition-") and tag.endswith("-2blocks")]
         assert len(two_block) == 7  # Stirling count for 4 rows in 2 blocks
+        assert len(probes) == len(tags)
 
     def test_probe_ranks_bounded(self):
         a = rand(3, (6, 11))
@@ -110,8 +110,6 @@ class TestPcpErrorOnProbe:
 
 
 def projection_cost_positive(a, p):
-    from pcpsketch.linalg import projection_cost
-
     return projection_cost(a, p) > 1e-12 * frob2(a)
 
 
@@ -155,6 +153,37 @@ class TestPcpReport:
         r_small = pcp_report(a, at, 0.0, sub, 0.5)
         r_big = pcp_report(a, at, 0.0, full, 0.5)
         assert r_big.max_abs_rel_err >= r_small.max_abs_rel_err
+
+    def test_exhaustive_probes_match_one_projection_each(self):
+        # rows i and i + 3 are duplicates, so a partition costs nothing on A;
+        # the exact sketch keeps it at zero and the perturbed one does not
+        a = np.tile(rand(19, (3, 5)), (2, 1))
+        rot, _ = np.linalg.qr(rand(20, (5, 5)))
+        for at, c in ((a @ rot, 0.0), (a[:, :3] + 0.01 * rand(21, (6, 3)), 0.5)):
+            probes = generate_probes(a, at, 3, 2, seed=5, exhaustive=True)
+            one_by_one = ProbeSet(
+                probes=probes.probes
+                + [cluster_indicator_projection(row, 3, 6) for row in probes.partitions],
+                k=3,
+                provenance=probes.provenance
+                + [
+                    "partition-" + "".join(str(x) for x in row) + f"-{max(row) + 1}blocks"
+                    for row in probes.partitions.tolist()
+                ],
+                seed=probes.seed,
+            )
+            assert len(probes) == len(one_by_one)
+            got = pcp_report(a, at, c, probes, 0.3)
+            ref = pcp_report(a, at, c, one_by_one, 0.3)
+            scale = frob2(a)
+            assert any(r.zero_cost and r.probe.startswith("partition-") for r in ref.per_probe)
+            for r, e in zip(got.per_probe, ref.per_probe, strict=True):
+                assert (r.probe, r.zero_cost) == (e.probe, e.zero_cost)
+                assert r.cost_a == pytest.approx(e.cost_a, abs=1e-10 * scale)
+                assert r.cost_sketch == pytest.approx(e.cost_sketch, abs=1e-10 * scale)
+                assert r.signed_rel_err == pytest.approx(e.signed_rel_err, rel=1e-8, abs=1e-10)
+            assert got.max_abs_rel_err == pytest.approx(ref.max_abs_rel_err, rel=1e-8)
+            assert got.passed == ref.passed
 
     def test_zero_cost_violation_is_infinite(self):
         # rank-1 A whose column space probe has zero cost on A but the
@@ -206,12 +235,20 @@ class TestImplicationHarness:
             implication_harness(trials=0)
 
 
+def costs_on_both(a, a_tilde, candidates):
+    return (
+        [projection_cost(a, p) for p in candidates],
+        [projection_cost(a_tilde, p) for p in candidates],
+    )
+
+
 class TestApproxTransferCheck:
     def test_exact_sketch_exact_minimizer(self):
         a = rand(17, (7, 9))
         eps = 0.4
         candidates = [haar_subspace(7, 2, seed=s) for s in range(6)]
-        check = approx_transfer_check(a, a.copy(), 0.0, 2, eps, candidates, gamma=1.0)
+        costs_a, costs_s = costs_on_both(a, a.copy(), candidates)
+        check = approx_transfer_check(a, a.copy(), 0.0, eps, costs_a, costs_s, gamma=1.0)
         assert check.bound_holds
         assert check.lhs == pytest.approx(check.optimum, rel=1e-12)
         assert check.lhs == pytest.approx(check.rhs * (1 - eps) / (1 + eps), rel=1e-9)
@@ -219,11 +256,16 @@ class TestApproxTransferCheck:
     def test_collinear_points_force_zero_cost_clustering(self):
         a = np.array([[0.0], [0.0], [10.0], [10.0]])
         sk = svd_sketch(a, SketchParams(k=2, eps=0.5, m_override=1))
-        candidates = [
-            cluster_indicator_projection(np.asarray(labels), 2, 4)
-            for labels in partitions(4, 2)
-        ]
-        check = approx_transfer_check(a, sk.a_tilde, sk.c_const, 2, 0.5, candidates, gamma=1.0)
+        labels = partitions(4, 2)
+        check = approx_transfer_check(
+            a,
+            sk.a_tilde,
+            sk.c_const,
+            0.5,
+            partition_costs(a, labels),
+            partition_costs(sk.a_tilde, labels),
+            gamma=1.0,
+        )
         assert check.bound_holds
         assert check.lhs <= 1e-8  # misclustering would cost 100
 
@@ -233,11 +275,16 @@ class TestApproxTransferCheck:
         a = centers[np.arange(8) % 2] + 0.4 * rng.standard_normal((8, 6))
         sk = svd_sketch(a, SketchParams(k=2, eps=0.5))
         assert sk.m == 4
-        candidates = [
-            cluster_indicator_projection(np.asarray(labels), 2, 8)
-            for labels in partitions(8, 2)
-        ]
-        check = approx_transfer_check(a, sk.a_tilde, sk.c_const, 2, 0.5, candidates, gamma=1.0)
+        labels = partitions(8, 2)
+        check = approx_transfer_check(
+            a,
+            sk.a_tilde,
+            sk.c_const,
+            0.5,
+            partition_costs(a, labels),
+            partition_costs(sk.a_tilde, labels),
+            gamma=1.0,
+        )
         ref = min(variance_kmeans_cost(a, labels) for labels in partitions_reference(8, 2))
         assert check.optimum == pytest.approx(ref, rel=1e-10)
         assert check.bound_holds
@@ -245,10 +292,10 @@ class TestApproxTransferCheck:
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(InvalidInputError):
-            approx_transfer_check(np.eye(3), np.eye(3), 0.0, 1, 0.5, [], gamma=1.0)
+            approx_transfer_check(np.eye(3), np.eye(3), 0.0, 0.5, [], [], gamma=1.0)
+        with pytest.raises(InvalidInputError):
+            approx_transfer_check(np.eye(3), np.eye(3), 0.0, 0.5, [1.0, 2.0], [1.0], gamma=1.0)
 
     def test_gamma_below_one_rejected(self):
         with pytest.raises(InvalidInputError):
-            approx_transfer_check(
-                np.eye(3), np.eye(3), 0.0, 1, 0.5, [axis_probe(3, 0)], gamma=0.5
-            )
+            approx_transfer_check(np.eye(3), np.eye(3), 0.0, 0.5, [2.0], [2.0], gamma=0.5)

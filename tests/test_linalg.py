@@ -14,6 +14,7 @@ from pcpsketch.linalg import (
     frob2,
     haar_subspace,
     head_tail_split,
+    orthonormal_columns,
     projection_cost,
     svd,
     tail_index_p,
@@ -198,6 +199,25 @@ class TestProjection:
         a = random_matrix(4, n=3, d=5)
         p = Projection(np.eye(3), "custom")
         assert np.allclose(p.apply(a), a)
+
+
+class TestOrthonormalColumns:
+    def test_positive_diagonal_factorization(self):
+        g = random_matrix(5, n=7, d=4)
+        q = orthonormal_columns(g)
+        assert np.max(np.abs(q.T @ q - np.eye(4))) <= 1e-12
+        r = q.T @ g  # g = q r with r upper triangular, positive diagonal
+        assert np.max(np.abs(np.tril(r, -1))) <= 1e-12
+        assert np.all(np.diag(r) > 0.0)
+
+    def test_dependent_columns(self):
+        g = random_matrix(6, n=6, d=3)
+        g[:, 2] = g[:, 0] - 2.0 * g[:, 1]
+        with pytest.raises(InvalidInputError):
+            orthonormal_columns(g)
+        q = orthonormal_columns(g, rng_for(0))
+        assert np.max(np.abs(q.T @ q - np.eye(3))) <= 1e-12
+        assert np.allclose(q[:, :2], orthonormal_columns(g[:, :2]), atol=1e-12)
 
 
 class TestHaarSubspace:

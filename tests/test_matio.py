@@ -62,6 +62,14 @@ class TestBinary:
             load_binary(path)
 
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "bad.pcpm"
+        save_binary(path, np.eye(3))
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(InvalidInputError, match="72"):
+            load_binary(path)
+
+
 class TestCsv:
     def test_round_trip_exact(self, tmp_path):
         # 17 significant digits reproduce doubles exactly
@@ -79,6 +87,15 @@ class TestCsv:
         path = tmp_path / "gaps.csv"
         path.write_text("# 2 2\n1,2\n\n3,4\n")
         assert np.array_equal(load_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_header_must_match_data(self, tmp_path):
+        path = tmp_path / "commented.csv"
+        path.write_text("# exported matrix\n# 2 2\n# 2 columns\n1,2\n3,4\n")
+        assert np.array_equal(load_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+        for header in ("# 3 2", "# 2 3"):
+            path.write_text(header + "\n1,2\n3,4\n")
+            with pytest.raises(InvalidInputError, match="header"):
+                load_csv(path)
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"

@@ -16,6 +16,7 @@ from pcpsketch.errors import (
 from pcpsketch.linalg import frob2, svd
 from pcpsketch.sketch import (
     METHODS,
+    _indices_from_uniforms,
     SketchParams,
     gaussian_sketch,
     gaussian_width,
@@ -29,7 +30,7 @@ from pcpsketch.sketch import (
     with_seed,
 )
 
-from oracles import gram_eigenvalues
+from oracles import gram_eigenvalues, indices_from_uniforms_loop
 
 
 def params(**kw):
@@ -313,3 +314,17 @@ class TestSamplingPatternInvariants:
                 assert np.allclose(a @ dense, sk.a_tilde, atol=1e-12)
                 checked += 1
         assert checked == 1000
+
+
+class TestIndicesFromUniforms:
+    def test_matches_loop_reference(self):
+        # zero-probability columns at the start, in the middle and after the
+        # last positive column; uniforms on every CDF boundary and around it
+        probs = np.array([0.0, 0.0, 0.25, 0.0, 0.0, 0.125, 0.375, 0.0, 0.25, 0.0, 0.0])
+        cum = np.cumsum(probs)
+        rng = np.random.default_rng(0)
+        u = np.concatenate([[0.0, 1.0], cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0), rng.random(200)])
+        got = _indices_from_uniforms(probs, u)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, indices_from_uniforms_loop(probs, u))
+        assert np.all(probs[got] > 0.0)

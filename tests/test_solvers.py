@@ -13,6 +13,7 @@ from pcpsketch.solvers import (
     exhaustive_kmeans,
     kmeans_cost,
     lloyd_kmeans,
+    partition_costs,
     partitions,
     sketch_and_solve,
 )
@@ -134,11 +135,19 @@ class TestPartitions:
         assert sum(1 for p in got if max(p) == 1) == 7
 
     def test_matches_reference_enumeration(self):
+        # same rows in the same (lexicographic) order
         for n in (1, 2, 3, 5, 7):
-            for kmax in (1, 2, 3):
-                ours = {tuple(p) for p in partitions(n, kmax)}
-                ref = set(partitions_reference(n, kmax))
-                assert ours == ref
+            for kmax in (1, 2, 3, 9):
+                ours = partitions(n, kmax)
+                assert ours.dtype == np.int8
+                assert np.array_equal(ours, np.array(partitions_reference(n, kmax)).reshape(-1, n))
+
+    def test_count_n12_k3(self):
+        assert len(partitions(12, 3)) == 88_574  # S(12,1) + S(12,2) + S(12,3)
+
+    def test_too_large(self):
+        with pytest.raises(TooLargeError):
+            partitions(13, 2)
 
     def test_restricted_growth_canonical(self):
         for p in partitions(6, 3):
@@ -147,6 +156,27 @@ class TestPartitions:
             for x in p[1:]:
                 assert x <= running_max + 1
                 running_max = max(running_max, x)
+
+
+class TestPartitionCosts:
+    def test_equals_cluster_indicator_projection_cost(self):
+        rng = np.random.default_rng(12)
+        for n in range(1, 8):
+            m = rng.standard_normal((n, 3))
+            m[n // 2] = m[0]  # a duplicate row gives zero-cost blocks
+            scale = frob2(m)
+            for k in (1, 2, 3):
+                labels = partitions(n, k)
+                costs = partition_costs(m, labels)
+                ref = [projection_cost(m, cluster_indicator_projection(row, k, n)) for row in labels]
+                assert np.max(np.abs(costs - ref)) <= 1e-10 * scale
+
+    def test_rejects_bad_labels(self):
+        m = rand(13, (4, 2))
+        with pytest.raises(InvalidInputError):
+            partition_costs(m, np.zeros((3, 5), dtype=np.int8))
+        with pytest.raises(InvalidInputError):
+            partition_costs(m, np.array([[0, -1, 0, 1]]))
 
 
 class TestExhaustive:
