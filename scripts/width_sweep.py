@@ -13,12 +13,9 @@ from pcpsketch import (
     GeneratorSpec,
     SketchParams,
     WidthNotReducingWarning,
-    certify_matrix_approx,
-    certify_spectral,
+    factor,
     gen_synthetic,
-    generate_probes,
-    make_sketch,
-    pcp_report,
+    verify_sketch,
 )
 
 
@@ -35,9 +32,10 @@ def main():
     ap.add_argument("--widths", type=int, nargs="+", default=None)
     args = ap.parse_args()
 
-    a = gen_synthetic(
+    # factored once, for every width
+    a = factor(gen_synthetic(
         GeneratorSpec("lowrank", n=args.n, d=args.d, rank=args.rank, noise=args.noise, seed=args.seed)
-    )
+    ))
     widths = args.widths or [4, 8, 16, 32, 64, 128, 256]
     widths = [w for w in widths if w <= args.d] or [args.d]
 
@@ -47,14 +45,10 @@ def main():
         params = SketchParams(k=args.k, eps=args.eps, seed=args.seed, m_override=m)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WidthNotReducingWarning)
-            sk = make_sketch(a, args.method, params)
-        s = sk.operator_matrix()
-        t1 = certify_matrix_approx(a, s, args.k, args.eps)
-        t2 = certify_spectral(a, s, args.k, args.eps)
-        probes = generate_probes(a, sk.a_tilde, args.k, 50, seed=args.seed + m)
-        rep = pcp_report(a, sk.a_tilde, sk.c_const, probes, args.eps)
+            v = verify_sketch(a, args.method, params, 50, args.seed + m)
+        rep = v.report
         print(
-            f"{sk.m:>6} {str(t1.holds):>5} {str(t2.holds):>5} "
+            f"{v.sketch.m:>6} {str(v.certificate_t1.holds):>5} {str(v.certificate_t2.holds):>5} "
             f"{rep.max_abs_rel_err:>14.3e} {'pass' if rep.passed else 'FAIL':>6}"
         )
 

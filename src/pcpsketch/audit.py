@@ -7,6 +7,13 @@ directions, random subspaces, coordinate axes, cluster indicators), scores
 the signed relative error on each, ties certificates to the observed
 errors (implication_test and the randomized harness around it), and checks
 the transfer bound for approximate minimizers found on the sketch.
+
+A and the sketch are ``Factored`` instances (arrays are wrapped at the
+entry).  Probe costs and the Lloyd probes run on their n x r cores
+B = U Sigma, which have the same row Gram matrix, and so the same costs
+and row distances, as the matrices themselves.  ``verify_sketch`` is the
+one sketch -> certify -> probe -> score sequence behind ``pcp verify``,
+``pcp bench`` and ``implication_harness``.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import numpy as np
 from .errors import DimensionError, InvalidInputError, WidthNotReducingWarning
 from .generators import GeneratorSpec, gen_synthetic
 from .guarantees import Certificate, certify_matrix_approx, certify_spectral
-from .linalg import Projection, as_matrix, frob2, haar_subspace, projection_cost, svd
+from .linalg import Projection, as_matrix, factor, frob2, haar_subspace, projection_cost, svd
 from .rng import Stream, derive_seed, rng_for
 from .sketch import Sketch, SketchParams, make_sketch
 from .solvers import cluster_indicator_projection, lloyd_kmeans, partition_costs, partitions
@@ -32,12 +39,14 @@ __all__ = [
     "ImplicationResult",
     "TransferCheck",
     "HarnessSummary",
+    "Verification",
     "generate_probes",
     "pcp_error_on_probe",
     "pcp_report",
     "implication_test",
     "implication_harness",
     "approx_transfer_check",
+    "verify_sketch",
 ]
 
 ZERO_COST_REL = 1e-12
@@ -135,9 +144,11 @@ def generate_probes(
     both matrices, and the rank-0 probe.  ``n_random`` Haar subspaces are
     appended, and ``exhaustive`` adds every cluster indicator over
     partitions into at most k blocks (n <= 12 only, else TooLargeError).
+    The residual and Lloyd probes are computed on the cores of A and of
+    the sketch; the heaviest rows are A's own.
     """
-    a = as_matrix(a)
-    at = as_matrix(a_tilde, "a_tilde")
+    a = factor(a)
+    at = factor(a_tilde, "a_tilde")
     if at.shape[0] != a.shape[0]:
         raise DimensionError("matrix and sketch must have the same number of rows")
     if k < 1:
@@ -156,8 +167,8 @@ def generate_probes(
 
     add(Projection(np.zeros((n, 0)), kind="custom"), "zero-rank")
 
-    fa = svd(a)
-    fs = svd(at)
+    fa = a.fact
+    fs = at.fact
     for j in range(1, kk + 1):
         if j <= fa.rank:
             add(_top_subspace(fa, j, n, "top-singular-of-A"), f"top-a-{j}")
@@ -166,24 +177,24 @@ def generate_probes(
 
     if fs.rank > 0:
         q = fs.u[:, : min(kk, fs.rank)]
-        residual = a - q @ (q.T @ a)
-        fr = svd(residual)
+        b = a.core
+        fr = svd(b - q @ (q.T @ b))
         if fr.rank > 0:
             add(Projection(fr.u[:, : min(kk, fr.rank)], kind="custom"), "residual-top")
 
     eye = np.eye(n)
     add(Projection(eye[:, :kk], kind="basis-axes"), "axes-first")
-    heavy = np.argsort(-np.sum(a * a, axis=1), kind="stable")[:kk]
+    heavy = np.argsort(-np.sum(a.a * a.a, axis=1), kind="stable")[:kk]
     add(Projection(eye[:, np.sort(heavy)], kind="basis-axes"), "axes-heavy")
 
     if n >= kk:
         for run in range(_PROBE_LLOYD_RUNS):
             cl = lloyd_kmeans(
-                a, kk, iters=_PROBE_LLOYD_ITERS, seed=derive_seed(seed, Stream.PROBE_LLOYD_A, run)
+                a.core, kk, iters=_PROBE_LLOYD_ITERS, seed=derive_seed(seed, Stream.PROBE_LLOYD_A, run)
             )
             add(cluster_indicator_projection(cl.assignment, kk, n), f"kmeans-a-{run}")
             cl = lloyd_kmeans(
-                at,
+                at.core,
                 kk,
                 iters=_PROBE_LLOYD_ITERS,
                 seed=derive_seed(seed, Stream.PROBE_LLOYD_SKETCH, run),
@@ -197,38 +208,40 @@ def generate_probes(
 
 
 def pcp_error_on_probe(a, a_tilde, c: float, p: Projection) -> float:
-    """Signed relative cost error (cost_sketch + c - cost_a) / cost_a."""
-    a = as_matrix(a)
-    at = as_matrix(a_tilde, "a_tilde")
+    """Signed relative cost error (cost_sketch + c - cost_a) / cost_a, with
+    both costs on the cores, as ``pcp_report`` scores the probe."""
+    a = factor(a)
+    at = factor(a_tilde, "a_tilde")
     if at.shape[0] != a.shape[0]:
         raise DimensionError("matrix and sketch must have the same number of rows")
-    cost_a = projection_cost(a, p)
-    if cost_a <= ZERO_COST_REL * frob2(a):
+    cost_a = projection_cost(a.coordinates, p)
+    if cost_a <= ZERO_COST_REL * a.frob2:
         raise InvalidInputError(
             "probe cost on A is (numerically) zero; use the absolute zero check"
         )
-    return (projection_cost(at, p) + c - cost_a) / cost_a
+    return (projection_cost(at.coordinates, p) + c - cost_a) / cost_a
 
 
 def pcp_report(a, a_tilde, c: float, probes: ProbeSet, eps_target: float) -> PcpReport:
-    """Score every probe; pass iff max |signed error| <= eps_target."""
-    a = as_matrix(a)
-    at = as_matrix(a_tilde, "a_tilde")
+    """Score every probe on the cores; pass iff max |signed error| <= eps_target."""
+    a = factor(a)
+    at = factor(a_tilde, "a_tilde")
     if at.shape[0] != a.shape[0]:
         raise DimensionError("matrix and sketch must have the same number of rows")
     if eps_target <= 0.0:
         raise InvalidInputError(f"eps_target must be positive, got {eps_target}")
-    cost_a = np.array([projection_cost(a, p) for p in probes.probes])
-    cost_s = np.array([projection_cost(at, p) for p in probes.probes])
+    b, bt = a.coordinates, at.coordinates
+    cost_a = np.array([projection_cost(b, p) for p in probes.probes])
+    cost_s = np.array([projection_cost(bt, p) for p in probes.probes])
     tags = list(probes.provenance)
     if probes.partitions is not None:
-        cost_a = np.concatenate([cost_a, partition_costs(a, probes.partitions)])
-        cost_s = np.concatenate([cost_s, partition_costs(at, probes.partitions)])
+        cost_a = np.concatenate([cost_a, partition_costs(b, probes.partitions)])
+        cost_s = np.concatenate([cost_s, partition_costs(bt, probes.partitions)])
         tags += [
             "partition-" + "".join(map(str, row)) + f"-{max(row) + 1}blocks"
             for row in probes.partitions.tolist()
         ]
-    total = frob2(a)
+    total = a.frob2
     zero = cost_a <= ZERO_COST_REL * total
     zero_err = np.where(np.abs(cost_s + c) <= ZERO_CHECK_REL * total, 0.0, inf)
     err = np.where(zero, zero_err, (cost_s + c - cost_a) / np.where(zero, 1.0, cost_a))
@@ -256,9 +269,9 @@ def implication_test(
     by a passing report.  A false implication here would be a bug, not
     noise: the certificates are sufficient conditions.
     """
-    a = as_matrix(a)
+    a = factor(a)
     s = as_matrix(s, "operator")
-    a_tilde = a @ s
+    a_tilde = factor(a.a @ s, "a_tilde")
     t1 = certify_matrix_approx(a, s, k, eps)
     t2 = certify_spectral(a, s, k, eps)
     if probes is None:
@@ -266,6 +279,32 @@ def implication_test(
     report = pcp_report(a, a_tilde, 0.0, probes, eps)
     consistent = (not t1.holds or report.passed) and (not t2.holds or report.passed)
     return ImplicationResult(t1, t2, report, consistent)
+
+
+@dataclass(frozen=True)
+class Verification:
+    """A sketch with both certificates on its operator and its probe audit."""
+
+    sketch: Sketch
+    certificate_t1: Certificate
+    certificate_t2: Certificate
+    report: PcpReport
+
+
+def verify_sketch(
+    a, method: str, params: SketchParams, n_random: int, probe_seed: int, exhaustive: bool = False
+) -> Verification:
+    """Sketch ``a`` by ``method``, certify the operator by both routes and
+    audit the sketch over ``generate_probes(..., n_random, probe_seed,
+    exhaustive)`` at eps = params.eps.  A is factored at most once."""
+    a = factor(a)
+    sk = make_sketch(a, method, params)
+    t1 = certify_matrix_approx(a, sk.operator, params.k, params.eps)
+    t2 = certify_spectral(a, sk.operator, params.k, params.eps)
+    at = factor(sk.a_tilde, "a_tilde")
+    probes = generate_probes(a, at, params.k, n_random, seed=probe_seed, exhaustive=exhaustive)
+    report = pcp_report(a, at, sk.c_const, probes, params.eps)
+    return Verification(sk, t1, t2, report)
 
 
 @dataclass(frozen=True)
@@ -337,14 +376,10 @@ def implication_harness(
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WidthNotReducingWarning)
-            sk = make_sketch(a, method, params)
-        s = sk.operator_matrix()
-        probes = generate_probes(
-            a, sk.a_tilde, k, n_random_probes, derive_seed(seed, Stream.HARNESS, t, 3)
-        )
-        t1 = certify_matrix_approx(a, s, k, eps)
-        t2 = certify_spectral(a, s, k, eps)
-        report = pcp_report(a, sk.a_tilde, sk.c_const, probes, eps)
+            v = verify_sketch(
+                a, method, params, n_random_probes, derive_seed(seed, Stream.HARNESS, t, 3)
+            )
+        t1, t2, report = v.certificate_t1, v.certificate_t2, v.report
         t1_holds += t1.holds
         t2_holds += t2.holds
         worst = max(worst, report.max_abs_rel_err)
@@ -376,7 +411,7 @@ def approx_transfer_check(
     (1+eps) gamma / (1-eps) * min cost on A + (1-gamma) c / (1-eps) must
     hold for it (hence for every eligible choice).
     """
-    a = as_matrix(a)
+    a = factor(a)
     at = as_matrix(a_tilde, "a_tilde")
     a_costs = np.asarray(costs_a, dtype=float)
     sketch_costs = np.asarray(costs_sketch, dtype=float)
@@ -394,5 +429,5 @@ def approx_transfer_check(
     lhs = float(a_costs[chosen])
     optimum = float(a_costs.min())
     rhs = (1.0 + eps) * gamma / (1.0 - eps) * optimum + (1.0 - gamma) * c / (1.0 - eps)
-    holds = lhs <= rhs + 1e-8 * max(1.0, frob2(a))
+    holds = lhs <= rhs + 1e-8 * max(1.0, a.frob2)
     return TransferCheck(holds, lhs, rhs, gamma, chosen, optimum)

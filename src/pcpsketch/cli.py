@@ -14,15 +14,15 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import audit, solvers
 from .errors import ConfigError, Error
 from .generators import gen_synthetic, parse_generator_spec
 from .guarantees import certify_matrix_approx, certify_spectral, jl_moment_estimate
-from .linalg import projection_cost
+from .linalg import factor, projection_cost
 from .matio import load_matrix, save_matrix
 from .rng import Stream, derive_seed
 from .sketch import METHODS, SketchParams, make_sketch, with_seed
@@ -77,10 +77,11 @@ def _resolve_seed(args) -> int:
 
 
 def _load_source(args, seed: int):
+    """The input matrix as a ``Factored`` instance, factored on first use."""
     if args.input is not None:
-        return load_matrix(args.input)
+        return factor(load_matrix(args.input))
     spec = parse_generator_spec(args.gen, seed=seed)
-    return gen_synthetic(spec)
+    return factor(gen_synthetic(spec))
 
 
 def _params(args, seed: int) -> SketchParams:
@@ -94,7 +95,23 @@ def _params(args, seed: int) -> SketchParams:
     )
 
 
+class _Rows(list):
+    """Report rows already JSON-safe: flat dicts with the same first key,
+    of str, bool and finite float values, non-finite floats spelled "inf",
+    "-inf" or "nan"."""
+
+
+def _json_float(x: float):
+    if math.isfinite(x):
+        return x
+    if math.isnan(x):
+        return "nan"
+    return "inf" if x > 0 else "-inf"
+
+
 def _json_safe(obj):
+    if isinstance(obj, _Rows):
+        return obj
     if isinstance(obj, dict):
         return {str(k): _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -103,11 +120,42 @@ def _json_safe(obj):
         return obj
     if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
         obj = obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        if math.isnan(obj):
-            return "nan"
-        return "inf" if obj > 0 else "-inf"
+    if isinstance(obj, float):
+        return _json_float(obj)
     return obj
+
+
+_ROWS_STUB = re.compile(r'^( *)(.*)"\\u0000(\d+)"', re.MULTILINE)
+
+
+def _dumps(report: dict) -> str:
+    """Indent-2 JSON of a JSON-safe report, except that each ``_Rows`` list
+    holds one row per line, all encoded in one call of the C encoder."""
+    blocks: list = []
+
+    def stub(obj):
+        if isinstance(obj, _Rows):
+            blocks.append(obj)
+            return f"\x00{len(blocks) - 1}"
+        if isinstance(obj, dict):
+            return {k: stub(v) for k, v in obj.items()}
+        if isinstance(obj, list):
+            return [stub(v) for v in obj]
+        return obj
+
+    def expand(match) -> str:
+        pad, head, rows = match.group(1), match.group(2), blocks[int(match.group(3))]
+        if not rows:
+            return f"{pad}{head}[]"
+        # an unescaped quote only bounds a string, so '}, {"' followed by the
+        # first key occurs only between two rows
+        first = json.dumps(next(iter(rows[0])))
+        body = json.dumps(rows, allow_nan=False)[1:-1]
+        body = body.replace("}, {" + first, "},\n" + pad + "  {" + first)
+        return f"{pad}{head}[\n{pad}  {body}\n{pad}]"
+
+    text = json.dumps(stub(report), indent=2, allow_nan=False)
+    return _ROWS_STUB.sub(expand, text) if blocks else text
 
 
 def _flatten(obj, prefix: str, out: dict) -> None:
@@ -124,7 +172,7 @@ def _flatten(obj, prefix: str, out: dict) -> None:
 def _emit(report: dict, args) -> None:
     report = _json_safe(report)
     if args.format == "json":
-        text = json.dumps(report, indent=2, allow_nan=False)
+        text = _dumps(report)
     else:
         flat: dict = {}
         _flatten(report, "", flat)
@@ -159,16 +207,16 @@ def _pcp_block(report) -> dict:
         "n_probes": len(report.per_probe),
         "eps_target": report.eps_target,
         "pass": report.passed,
-        "per_probe": [
+        "per_probe": _Rows(
             {
-                "probe": r.probe,
-                "cost_a": r.cost_a,
-                "cost_sketch": r.cost_sketch,
-                "signed_rel_err": r.signed_rel_err,
-                "zero_cost": r.zero_cost,
+                "probe": str(r.probe),
+                "cost_a": _json_float(float(r.cost_a)),
+                "cost_sketch": _json_float(float(r.cost_sketch)),
+                "signed_rel_err": _json_float(float(r.signed_rel_err)),
+                "zero_cost": bool(r.zero_cost),
             }
             for r in report.per_probe
-        ],
+        ),
     }
 
 
@@ -229,9 +277,8 @@ def _cmd_certify(args) -> int:
     a = _load_source(args, seed)
     start = time.perf_counter()
     sk = make_sketch(a, args.method, _params(args, seed))
-    s = sk.operator_matrix()
-    t1 = certify_matrix_approx(a, s, args.k, args.eps)
-    t2 = certify_spectral(a, s, args.k, args.eps)
+    t1 = certify_matrix_approx(a, sk.operator, args.k, args.eps)
+    t2 = certify_spectral(a, sk.operator, args.k, args.eps)
     report = _base_report(sk, args, seed)
     report["certificate_t1"] = _certificate_block(t1)
     report["certificate_t2"] = _certificate_block(t2)
@@ -246,32 +293,20 @@ def _cmd_certify(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def _verify_once(a, method, params, n_random, exhaustive, probe_seed):
-    sk = make_sketch(a, method, params)
-    s = sk.operator_matrix()
-    t1 = certify_matrix_approx(a, s, params.k, params.eps)
-    t2 = certify_spectral(a, s, params.k, params.eps)
-    probes = audit.generate_probes(
-        a, sk.a_tilde, params.k, n_random, seed=probe_seed, exhaustive=exhaustive
-    )
-    report = audit.pcp_report(a, sk.a_tilde, sk.c_const, probes, params.eps)
-    return sk, t1, t2, report
-
-
 def _cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     a = _load_source(args, seed)
     start = time.perf_counter()
-    sk, t1, t2, pcp = _verify_once(
-        a, args.method, _params(args, seed), args.n_random, args.exhaustive_probes, seed
+    v = audit.verify_sketch(
+        a, args.method, _params(args, seed), args.n_random, seed, exhaustive=args.exhaustive_probes
     )
-    report = _base_report(sk, args, seed)
-    report["certificate_t1"] = _certificate_block(t1)
-    report["certificate_t2"] = _certificate_block(t2)
-    report["pcp"] = _pcp_block(pcp)
+    report = _base_report(v.sketch, args, seed)
+    report["certificate_t1"] = _certificate_block(v.certificate_t1)
+    report["certificate_t2"] = _certificate_block(v.certificate_t2)
+    report["pcp"] = _pcp_block(v.report)
     report["timing_ms"] = 1e3 * (time.perf_counter() - start)
     _emit(report, args)
-    return EXIT_PASS if pcp.passed else EXIT_FAIL
+    return EXIT_PASS if v.report.passed else EXIT_FAIL
 
 
 def _cmd_solve(args) -> int:
@@ -330,26 +365,19 @@ def _cmd_bench(args) -> int:
         spec = parse_generator_spec(args.gen, seed=trial_seed)
         a = gen_synthetic(spec)
         t0 = time.perf_counter()
-        sk, t1, t2, pcp = _verify_once(
-            a, args.method, with_seed(base, trial_seed), args.n_random, False, trial_seed
-        )
+        v = audit.verify_sketch(a, args.method, with_seed(base, trial_seed), args.n_random, trial_seed)
         return {
             "trial": i,
             "seed": trial_seed,
-            "m": sk.m,
-            "max_abs_rel_err": pcp.max_abs_rel_err,
-            "pass": pcp.passed,
-            "t1_holds": t1.holds,
-            "t2_holds": t2.holds,
+            "m": v.sketch.m,
+            "max_abs_rel_err": v.report.max_abs_rel_err,
+            "pass": v.report.passed,
+            "t1_holds": v.certificate_t1.holds,
+            "t2_holds": v.certificate_t2.holds,
             "timing_ms": 1e3 * (time.perf_counter() - t0),
         }
 
-    indices = range(args.trials)
-    if args.parallel:
-        with ThreadPoolExecutor(max_workers=min(args.trials, os.cpu_count() or 1)) as pool:
-            rows = list(pool.map(one_trial, indices))  # map preserves index order
-    else:
-        rows = [one_trial(i) for i in indices]
+    rows = [one_trial(i) for i in range(args.trials)]
     pass_count = sum(r["pass"] for r in rows)
     errs = [r["max_abs_rel_err"] for r in rows]
     report = {
@@ -357,7 +385,6 @@ def _cmd_bench(args) -> int:
         "method": args.method,
         "gen": args.gen,
         "trials": args.trials,
-        "parallel": args.parallel,
         "seed": seed,
         "pass_count": pass_count,
         "pass_rate": pass_count / args.trials,
@@ -435,7 +462,6 @@ def build_parser() -> _Parser:
     p.add_argument("--gen", required=True)
     _add_sketch_args(p)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--parallel", action="store_true")
     p.add_argument("--n-random", type=int, default=20)
     p.add_argument("--min-pass-rate", type=float, default=1.0)
     _add_output_args(p)

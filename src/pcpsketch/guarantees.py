@@ -8,6 +8,13 @@ checkable sufficient conditions for the cost-preservation guarantee at a
 given (k, eps): one through matrix-approximation conditions on the rank-k
 head and tail, one through the regularized spectral route.  Certificates
 never have false positives up to floating point; they may be conservative.
+
+An operator S is a dense d x m array or a ``SamplingPattern``, applied as
+a column gather.  The certifiers factor A once and evaluate the
+functionals in A's n x r coordinates: the core B = A V = U Sigma in place
+of A, and W = V^T S in place of S.  Every functional depends on A only
+through A A^T and on S through V^T S, so the values are those of the
+original coordinates up to rounding.
 """
 
 from __future__ import annotations
@@ -24,8 +31,17 @@ from .errors import (
     UnsupportedFamilyError,
     ZeroMatrixError,
 )
-from .linalg import as_matrix, frob2, head_tail_split, svd, tail_index_p
+from .linalg import (
+    Factored,
+    SvdFactorization,
+    as_matrix,
+    factor,
+    frob2,
+    head_tail_split,
+    tail_index_p,
+)
 from .rng import Stream, rng_for
+from .sketch import SamplingPattern, apply_operator
 
 __all__ = [
     "Certificate",
@@ -70,12 +86,14 @@ class JlMomentEstimate:
     stderr: float
 
 
-def _check_operator(m: np.ndarray, s) -> np.ndarray:
-    s = as_matrix(s, "operator")
-    if s.shape[0] != m.shape[1]:
-        raise DimensionError(
-            f"operator has {s.shape[0]} rows, matrix has {m.shape[1]} columns"
-        )
+def _check_operator(m, s):
+    if isinstance(s, SamplingPattern):
+        rows = s.probs.shape[0]
+    else:
+        s = as_matrix(s, "operator")
+        rows = s.shape[0]
+    if rows != m.shape[1]:
+        raise DimensionError(f"operator has {rows} rows, matrix has {m.shape[1]} columns")
     return s
 
 
@@ -85,12 +103,12 @@ def subspace_embedding_error(m, s) -> float:
     Equals |V^T S S^T V - I|_2 for V an orthonormal basis of the row space;
     computed exactly by a symmetric eigensolve.  Zero matrix is an error.
     """
-    m = as_matrix(m)
+    m = factor(m)
     s = _check_operator(m, s)
-    fact = svd(m)
+    fact = m.fact
     if fact.rank == 0:
         raise ZeroMatrixError("subspace embedding error undefined for the zero matrix")
-    w = fact.v.T @ s
+    w = apply_operator(fact.v.T, s)
     g = w @ w.T
     return float(np.max(np.abs(np.linalg.eigvalsh(g - np.eye(fact.rank)))))
 
@@ -108,18 +126,18 @@ def amm_error(m, n, s) -> float:
     denom = math.sqrt(frob2(m)) * math.sqrt(frob2(n))
     if denom == 0.0:
         return 0.0
-    diff = m @ n - (m @ s) @ (s.T @ n)
+    diff = m @ n - apply_operator(m, s) @ apply_operator(n.T, s).T
     return math.sqrt(frob2(diff)) / denom
 
 
 def frobenius_preservation_error(m, s) -> float:
     """Relative loss of squared Frobenius mass, | |M|_F^2 - |M S|_F^2 | / |M|_F^2."""
-    m = as_matrix(m)
+    m = factor(m)
     s = _check_operator(m, s)
-    total = frob2(m)
+    total = m.frob2
     if total == 0.0:
         return 0.0
-    return abs(total - frob2(m @ s)) / total
+    return abs(total - frob2(apply_operator(m.a, s))) / total
 
 
 def spectral_approx_error(a, s, lam: float) -> float:
@@ -128,15 +146,15 @@ def spectral_approx_error(a, s, lam: float) -> float:
     The sandwich binds only on the column space of A, where it reduces to
     two symmetric eigenproblems in the SVD basis; solved exactly.
     """
-    a = as_matrix(a)
+    a = factor(a)
     s = _check_operator(a, s)
     if lam < 0.0 or not math.isfinite(lam):
         raise InvalidInputError(f"lam must be finite and >= 0, got {lam}")
-    fact = svd(a)
+    fact = a.fact
     if fact.rank == 0:
         raise ZeroMatrixError("spectral approximation error undefined for the zero matrix")
     sigma = fact.sigma
-    w = fact.v.T @ s
+    w = apply_operator(fact.v.T, s)
     g = w @ w.T
     # D = U^T (A S S^T A^T - A A^T) U restricted to the column space
     d_r = sigma[:, None] * g * sigma[None, :]
@@ -152,6 +170,27 @@ def _holds(measured: dict, thresholds: dict) -> bool:
     return all(measured[name] <= thresholds[name] + HOLDS_TOL for name in thresholds)
 
 
+def _validated(a, s, k: int, eps: float) -> tuple[Factored, object]:
+    a = factor(a)
+    s = _check_operator(a, s)
+    if k < 1:
+        raise InvalidRankError(f"k must be >= 1, got {k}")
+    if not 0.0 < eps < 1.0:
+        raise InvalidInputError(f"eps must be in (0, 1), got {eps}")
+    return a, s
+
+
+def _core_split(a: Factored, r: int):
+    """Head and tail of A's core B at rank r, and W's basis I_r[:, :r] as
+    ``split.v_r``.  The head keeps the SVD it inherits from B,
+    (U_r, Sigma_r, I_r[:, :r]), so no functional factors it again."""
+    b = a.coordinates
+    split = head_tail_split(b.fact, b.a, r)
+    f = b.fact
+    head = Factored(split.head, SvdFactorization(split.u_r, f.sigma[: split.r], split.v_r, split.r, f.tol))
+    return head, split
+
+
 def certify_matrix_approx(a, s, k: int, eps: float) -> Certificate:
     """Sufficient conditions on S via matrix-approximation primitives.
 
@@ -161,25 +200,21 @@ def certify_matrix_approx(a, s, k: int, eps: float) -> Certificate:
     A S preserves every rank-<=k projection cost within relative eps with a
     zero additive constant.
     """
-    a = as_matrix(a)
-    s = _check_operator(a, s)
-    if k < 1:
-        raise InvalidRankError(f"k must be >= 1, got {k}")
-    if not 0.0 < eps < 1.0:
-        raise InvalidInputError(f"eps must be in (0, 1), got {eps}")
-    fact = svd(a)
-    split = head_tail_split(fact, a, k)
+    a, s = _validated(a, s, k, eps)
+    fact = a.fact
     if fact.rank == 0:
         se = amm_tt = amm_tv = frob_t = 0.0
-    elif fact.rank <= k:
-        # tail is structurally zero
-        se = subspace_embedding_error(split.head, s)
-        amm_tt = amm_tv = frob_t = 0.0
     else:
-        se = subspace_embedding_error(split.head, s)
-        amm_tt = amm_error(split.tail, split.tail.T, s)
-        amm_tv = amm_error(split.tail, split.v_r, s)
-        frob_t = frobenius_preservation_error(split.tail, s)
+        w = apply_operator(fact.v.T, s)
+        head, split = _core_split(a, k)
+        se = subspace_embedding_error(head, w)
+        if fact.rank <= k:
+            # tail is structurally zero
+            amm_tt = amm_tv = frob_t = 0.0
+        else:
+            amm_tt = amm_error(split.tail, split.tail.T, w)
+            amm_tv = amm_error(split.tail, split.v_r, w)
+            frob_t = frobenius_preservation_error(split.tail, w)
     measured = {
         "se_err": se,
         "amm_tail_tail": amm_tt,
@@ -206,13 +241,8 @@ def certify_spectral(a, s, k: int, eps: float) -> Certificate:
     (eps/12) |A - A_k|_F^2 / |A - A_p|_F^2; the p-tail condition is vacuous
     when that tail is zero.
     """
-    a = as_matrix(a)
-    s = _check_operator(a, s)
-    if k < 1:
-        raise InvalidRankError(f"k must be >= 1, got {k}")
-    if not 0.0 < eps < 1.0:
-        raise InvalidInputError(f"eps must be in (0, 1), got {eps}")
-    fact = svd(a)
+    a, s = _validated(a, s, k, eps)
+    fact = a.fact
     sigma2 = fact.sigma * fact.sigma
     tail2_k = float(np.sum(sigma2[k:]))
     lam = eps * tail2_k / (24.0 * k)
@@ -220,13 +250,14 @@ def certify_spectral(a, s, k: int, eps: float) -> Certificate:
     if fact.rank == 0:
         spectral = 0.0
     else:
-        spectral = spectral_approx_error(a, s, lam)
+        w = apply_operator(fact.v.T, s)
+        spectral = spectral_approx_error(a.coordinates, w, lam)
     if fact.rank <= p:
         frob_tp = 0.0
         frob_budget = math.inf
     else:
-        split_p = head_tail_split(fact, a, p)
-        frob_tp = frobenius_preservation_error(split_p.tail, s)
+        _, split_p = _core_split(a, p)
+        frob_tp = frobenius_preservation_error(split_p.tail, w)
         tail2_p = float(np.sum(sigma2[p:]))
         frob_budget = (eps / 12.0) * tail2_k / tail2_p
     measured = {

@@ -1,6 +1,7 @@
 """Dense linear-algebra kernel.
 
-Matrices are plain 2-D float64 numpy arrays (row-major); this module owns
+Matrices are plain 2-D float64 numpy arrays (row-major), or ``Factored``
+instances that keep one with its SVD; this module owns the instance and
 the SVD with relative-rank truncation, head/tail spectral splits, the tail
 index used by the spectral certificate, projection costs, and seeded
 random subspaces.  Everything here is deterministic for fixed inputs
@@ -22,11 +23,13 @@ from .errors import (
 from .rng import Stream, rng_for
 
 __all__ = [
+    "Factored",
     "SvdFactorization",
     "HeadTailSplit",
     "Projection",
     "PROJECTION_KINDS",
     "as_matrix",
+    "factor",
     "frob2",
     "svd",
     "head_tail_split",
@@ -49,7 +52,13 @@ PROJECTION_KINDS = frozenset(
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return `a` as a 2-D float64 array with finite entries."""
+    """Validate and return `a` as a 2-D float64 array with finite entries.
+
+    A ``Factored`` instance was validated when it was made; its array is
+    returned as it is.
+    """
+    if isinstance(a, Factored):
+        return a.a
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise InvalidMatrixError(f"{name} must be 2-D, got ndim={a.ndim}")
@@ -181,6 +190,72 @@ def svd(a, tol: float = 1e-10) -> SvdFactorization:
     return SvdFactorization(u[:, :rank], s[:rank], vt[:rank].T, rank, tol)
 
 
+class Factored:
+    """A validated n x d matrix with its SVD, core and squared Frobenius norm.
+
+    Each of ``fact`` (the ``svd`` at the default tolerance), ``core`` and
+    ``frob2`` is computed on first use and kept, so a matrix that passes
+    through sketching, both certificates, the probes and a solve is
+    factored at most once.  The array must not change afterwards.
+
+    Every quantity of A that depends only on A A^T (costs |A - PA|_F^2
+    of left projections P, distances between rows, the certificate
+    functionals) is the same on the core ``B = A V = U Sigma``, which is
+    n x r for rank r, as on A.  ``coordinates`` is B as an instance whose
+    SVD is known, ``(U, Sigma, I_r)``; an operator S acts there as
+    ``V^T S``.  A zero matrix has the n x 1 zero core, so that it stays a
+    matrix.  Make instances with ``factor``, which validates the array.
+    """
+
+    def __init__(self, a: np.ndarray, fact: SvdFactorization | None = None):
+        self.a = a
+        self._fact = fact
+        self._frob2: float | None = None
+        self._coordinates: Factored | None = None
+
+    @property
+    def shape(self) -> tuple:
+        return self.a.shape
+
+    @property
+    def fact(self) -> SvdFactorization:
+        if self._fact is None:
+            self._fact = svd(self.a)
+        return self._fact
+
+    @property
+    def frob2(self) -> float:
+        if self._frob2 is None:
+            self._frob2 = frob2(self.a)
+        return self._frob2
+
+    @property
+    def coordinates(self) -> "Factored":
+        if self._coordinates is None:
+            f = self.fact
+            if f.rank == 0:
+                core = np.zeros((self.shape[0], 1))
+                v = np.zeros((1, 0))
+            else:
+                core = f.u * f.sigma
+                v = np.eye(f.rank)
+            coords = Factored(core, SvdFactorization(f.u, f.sigma, v, f.rank, f.tol))
+            coords._coordinates = coords
+            self._coordinates = coords
+        return self._coordinates
+
+    @property
+    def core(self) -> np.ndarray:
+        return self.coordinates.a
+
+
+def factor(a, name: str = "matrix") -> Factored:
+    """``a`` as a ``Factored`` instance, validated once; instances pass through."""
+    if isinstance(a, Factored):
+        return a
+    return Factored(as_matrix(a, name))
+
+
 def head_tail_split(fact: SvdFactorization, m_original, r: int) -> HeadTailSplit:
     """Split ``m_original`` into its best rank-``r`` approximation and the rest.
 
@@ -220,11 +295,11 @@ def projection_cost(a, p: Projection) -> float:
 
     Computed as ``|a|_F^2 - |Q^T a|_F^2`` (Pythagoras), clamped at zero.
     """
-    a = as_matrix(a)
+    a = factor(a)
     q = p.basis
     if q.shape[0] != a.shape[0]:
         raise DimensionError(f"projection on {q.shape[0]} rows, matrix has {a.shape[0]}")
-    cost = frob2(a) - frob2(q.T @ a)
+    cost = a.frob2 - frob2(q.T @ a.a)
     return max(cost, 0.0)
 
 

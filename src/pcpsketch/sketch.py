@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedFamilyError,
     WidthNotReducingWarning,
 )
-from .linalg import as_matrix, frob2, head_tail_split, orthonormal_columns, svd
+from .linalg import factor, frob2, head_tail_split, orthonormal_columns, svd
 from .rng import Stream, rng_for
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "Sketch",
     "RidgeScores",
     "METHODS",
+    "apply_operator",
     "DEFAULT_CONST",
     "gaussian_sketch",
     "orthogonal_sketch",
@@ -122,6 +123,18 @@ class SamplingPattern:
         s[self.indices, np.arange(self.m)] = self.weights
         return s
 
+    def apply(self, x) -> np.ndarray:
+        """``x @ dense()`` as a gather of x's columns, rescaled."""
+        return np.asarray(x)[:, self.indices] * self.weights
+
+
+def apply_operator(x, operator) -> np.ndarray:
+    """``x @ S`` for a sketch operator: a column gather for a
+    ``SamplingPattern``, a matrix product for a dense d x m array."""
+    if isinstance(operator, SamplingPattern):
+        return operator.apply(x)
+    return np.asarray(x) @ operator
+
 
 @dataclass(frozen=True)
 class Sketch:
@@ -133,6 +146,10 @@ class Sketch:
     method: str
     params: SketchParams
     m: int
+
+    def apply(self, x) -> np.ndarray:
+        """``x @ S`` for any x with d columns, without a dense sampling operator."""
+        return apply_operator(x, self.operator)
 
     def operator_matrix(self) -> np.ndarray:
         """The operator as a dense d x m matrix."""
@@ -175,23 +192,23 @@ def gaussian_sketch(a, params: SketchParams) -> Sketch:
     Width m = ceil(const * (k + ln(1/delta)) / eps^2) unless overridden;
     the additive constant is zero.
     """
-    a = as_matrix(a)
+    a = factor(a)
     d = a.shape[1]
     m = params.m_override if params.m_override is not None else gaussian_width(params)
     _warn_if_not_reducing(m, d, "gaussian")
     rng = rng_for(params.seed, Stream.GAUSSIAN_SKETCH)
     s = rng.standard_normal((d, m)) / math.sqrt(m)
-    return Sketch(a @ s, s, 0.0, "gaussian", params, m)
+    return Sketch(a.a @ s, s, 0.0, "gaussian", params, m)
 
 
 def orthogonal_sketch(a, params: SketchParams) -> Sketch:
     """Square seeded orthogonal rotation; lossless, for control experiments."""
-    a = as_matrix(a)
+    a = factor(a)
     d = a.shape[1]
     rng = rng_for(params.seed, Stream.ORTHOGONAL_SKETCH)
     s = orthonormal_columns(rng.standard_normal((d, d)), rng)
     _warn_if_not_reducing(d, d, "orthogonal")
-    return Sketch(a @ s, s, 0.0, "orthogonal", params, d)
+    return Sketch(a.a @ s, s, 0.0, "orthogonal", params, d)
 
 
 def non_oblivious_rp(a, params: SketchParams) -> Sketch:
@@ -199,9 +216,10 @@ def non_oblivious_rp(a, params: SketchParams) -> Sketch:
 
     Pi is an m' x n Gaussian with m' = ceil(const * k / eps); the operator is
     an orthonormal basis Z of the row space of Pi A and the sketch is A Z, so
-    the final width is rank(Pi A) <= m'.
+    the final width is rank(Pi A) <= m'.  A zero matrix gets the one-column
+    zero sketch.
     """
-    a = as_matrix(a)
+    a = factor(a).a
     n, d = a.shape
     c = params.const_for("nonoblivious")
     m_pi = params.m_override if params.m_override is not None else math.ceil(
@@ -210,6 +228,8 @@ def non_oblivious_rp(a, params: SketchParams) -> Sketch:
     rng = rng_for(params.seed, Stream.NON_OBLIVIOUS)
     pi = rng.standard_normal((m_pi, n))
     z = svd(pi @ a).v
+    if z.shape[1] == 0:
+        z = np.zeros((d, 1))
     _warn_if_not_reducing(z.shape[1], d, "nonoblivious")
     return Sketch(a @ z, np.array(z), 0.0, "nonoblivious", params, z.shape[1])
 
@@ -234,9 +254,8 @@ def _indices_from_uniforms(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _sample_columns(a: np.ndarray, probs: np.ndarray, m: int, rng) -> tuple[np.ndarray, SamplingPattern]:
     u = rng.random(m)
     idx = _indices_from_uniforms(probs, u)
-    weights = 1.0 / np.sqrt(m * probs[idx])
-    a_tilde = a[:, idx] * weights
-    return a_tilde, SamplingPattern(idx, weights, probs)
+    pattern = SamplingPattern(idx, 1.0 / np.sqrt(m * probs[idx]), probs)
+    return pattern.apply(a), pattern
 
 
 def leverage_width(params: SketchParams) -> int:
@@ -251,13 +270,13 @@ def leverage_residual_sample(a, params: SketchParams) -> Sketch:
     with a zero residual the probabilities fall back to pure leverage.
     Draws are i.i.d. with replacement, rescaled by 1 / sqrt(m p_i).
     """
-    a = as_matrix(a)
+    a = factor(a)
     d = a.shape[1]
     if d < 2:
         raise InvalidInputError("column sampling needs at least 2 columns")
     k = params.k
-    fact = svd(a)
-    split = head_tail_split(fact, a, k)
+    fact = a.fact
+    split = head_tail_split(fact, a.a, k)
     lev = np.sum(split.v_r * split.v_r, axis=1)
     if fact.rank > k:
         res2 = np.sum(split.tail * split.tail, axis=0)
@@ -269,7 +288,7 @@ def leverage_residual_sample(a, params: SketchParams) -> Sketch:
     probs = probs / probs.sum()
     m = params.m_override if params.m_override is not None else leverage_width(params)
     _warn_if_not_reducing(m, d, "leverage")
-    a_tilde, pattern = _sample_columns(a, probs, m, rng_for(params.seed, Stream.LEVERAGE_SAMPLE))
+    a_tilde, pattern = _sample_columns(a.a, probs, m, rng_for(params.seed, Stream.LEVERAGE_SAMPLE))
     return Sketch(a_tilde, pattern, 0.0, "leverage", params, m)
 
 
@@ -280,10 +299,10 @@ def ridge_scores(a, k: int) -> RidgeScores:
     basis; at lam = 0 (rank <= k) this is the plain column leverage.  The
     spectral sum sum_j sigma_j^2 / (sigma_j^2 + lam) never exceeds 2k.
     """
-    a = as_matrix(a)
+    a = factor(a)
     if k < 1:
         raise InvalidRankError(f"k must be >= 1, got {k}")
-    fact = svd(a)
+    fact = a.fact
     sigma2 = fact.sigma * fact.sigma
     tail2 = float(np.sum(sigma2[k:]))
     lam = tail2 / k
@@ -305,7 +324,7 @@ def ridge_leverage_sample(a, params: SketchParams, tau_over=None) -> Sketch:
     ``tau_over``, when given, must dominate the true scores entrywise; the
     draw count scales linearly with its sum.
     """
-    a = as_matrix(a)
+    a = factor(a)
     d = a.shape[1]
     if d < 2:
         raise InvalidInputError("column sampling needs at least 2 columns")
@@ -329,7 +348,7 @@ def ridge_leverage_sample(a, params: SketchParams, tau_over=None) -> Sketch:
         probs = tau / total
     t = params.m_override if params.m_override is not None else ridge_width(params, total)
     _warn_if_not_reducing(t, d, "ridge")
-    a_tilde, pattern = _sample_columns(a, probs, t, rng_for(params.seed, Stream.RIDGE_SAMPLE))
+    a_tilde, pattern = _sample_columns(a.a, probs, t, rng_for(params.seed, Stream.RIDGE_SAMPLE))
     return Sketch(a_tilde, pattern, 0.0, "ridge", params, t)
 
 
@@ -338,17 +357,18 @@ def svd_sketch(a, params: SketchParams) -> Sketch:
 
     With m = ceil(k / eps) (capped at the rank), A_tilde = A V_m = U_m S_m and
     the additive constant is the discarded mass |A - A_m|_F^2, so
-    |A_tilde|_F^2 + c = |A|_F^2 holds exactly.
+    |A_tilde|_F^2 + c = |A|_F^2 holds exactly.  A zero matrix (rank 0) gets
+    the one-column zero sketch with c = 0.
     """
-    a = as_matrix(a)
+    a = factor(a)
     m_req = params.m_override if params.m_override is not None else math.ceil(
         params.k / params.eps
     )
-    fact = svd(a)
-    m = min(m_req, fact.rank)
-    v_m = fact.v[:, :m]
-    a_tilde = a @ v_m
-    c_const = max(frob2(a) - frob2(a_tilde), 0.0)
+    fact = a.fact
+    m = max(min(m_req, fact.rank), 1)
+    v_m = fact.v[:, :m] if fact.rank else np.zeros((a.shape[1], 1))
+    a_tilde = a.a @ v_m
+    c_const = max(a.frob2 - frob2(a_tilde), 0.0)
     if m >= a.shape[1]:
         _warn_if_not_reducing(m, a.shape[1], "svd")
     return Sketch(a_tilde, np.array(v_m), c_const, "svd", params, m)
@@ -367,14 +387,14 @@ METHODS = tuple(sorted(_CONSTRUCTORS))
 
 
 def make_sketch(a, method: str, params: SketchParams) -> Sketch:
-    """Build a sketch of ``a`` by method tag."""
+    """Build a sketch of ``a`` (an array or a ``Factored`` instance) by method tag."""
     try:
         ctor = _CONSTRUCTORS[method]
     except KeyError:
         raise UnsupportedFamilyError(
             f"unknown sketch method {method!r}; choose from {METHODS}"
         ) from None
-    return ctor(a, params)
+    return ctor(factor(a), params)
 
 
 def with_seed(params: SketchParams, seed: int) -> SketchParams:

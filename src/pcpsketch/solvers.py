@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidRankError, TooLargeError
-from .linalg import Projection, as_matrix, frob2, projection_cost, svd
+from .linalg import Projection, as_matrix, factor, frob2, projection_cost
 from .rng import Stream, rng_for
 from .sketch import Sketch
 
@@ -69,11 +69,12 @@ class SolveResult:
 
 
 def best_rank_k_projection(m, k: int, kind: str = "top-singular-of-A") -> Projection:
-    """Projection onto the top-k left singular subspace of ``m``."""
-    m = as_matrix(m)
+    """Projection onto the top-k left singular subspace of ``m`` (an array,
+    or a ``Factored`` instance whose SVD is reused)."""
+    m = factor(m)
     if k < 1:
         raise InvalidRankError(f"k must be >= 1, got {k}")
-    fact = svd(m)
+    fact = m.fact
     return Projection(fact.u[:, : min(k, fact.rank)], kind=kind)
 
 
@@ -259,9 +260,10 @@ def sketch_and_solve(
     For "lowrank" the solution is the top-k subspace of the sketch (gamma 1);
     for "kmeans" rows of the sketch are clustered exhaustively (gamma 1) or
     with Lloyd (no certified gamma).  The certified ratio, when gamma is
-    known, is (1 + eps) * gamma / (1 - eps).
+    known, is (1 + eps) * gamma / (1 - eps).  ``a`` may be a ``Factored``
+    instance; the costs on it use its array and cached Frobenius norm.
     """
-    a = as_matrix(a)
+    a = factor(a)
     at = sk.a_tilde
     if at.shape[0] != a.shape[0]:
         raise InvalidInputError("sketch row count does not match the matrix")

@@ -1,10 +1,10 @@
 """Independent reference computations used to check the library.
 
-Everything here deliberately avoids np.linalg so that spectral
-quantities are confirmed through a second, unrelated route: a
-hand-rolled cyclic Jacobi eigensolver, direct entrywise residual
-sums, and brute-force enumeration.  Slow is fine; these only see
-desk-scale inputs.
+Everything here except ``certify_dense_measured`` deliberately avoids
+np.linalg so that spectral quantities are confirmed through a second,
+unrelated route: a hand-rolled cyclic Jacobi eigensolver, direct
+entrywise residual sums, and brute-force enumeration.  Slow is fine;
+these only see desk-scale inputs.
 """
 
 from __future__ import annotations
@@ -151,3 +151,49 @@ def spectral_sandwich_sides(a, s, lam, eps):
     upper = q.T @ (base - e) @ q
     lower = q.T @ (base + e) @ q
     return min_eig_sym(upper), min_eig_sym(lower)
+
+
+def certify_dense_measured(a, s, k, eps):
+    """Both certificates' measured values by the dense-operator formulas:
+    the functionals on A's own n x d head and tail and the d x m operator S,
+    each head factored again.  Unlike the rest of this module this reuses
+    the library's SVD and functionals; it pins the original coordinates
+    that the certifiers now leave for A's n x r core.
+
+    Returns (T1 measured, T2 measured, T2 frob_tail_p threshold)."""
+    from pcpsketch.guarantees import (
+        amm_error,
+        frobenius_preservation_error,
+        spectral_approx_error,
+        subspace_embedding_error,
+    )
+    from pcpsketch.linalg import head_tail_split, svd, tail_index_p
+
+    a = np.asarray(a, dtype=float)
+    s = np.asarray(s, dtype=float)
+    fact = svd(a)
+    split = head_tail_split(fact, a, k)
+    if fact.rank == 0:
+        se = amm_tt = amm_tv = frob_t = 0.0
+    elif fact.rank <= k:
+        se = subspace_embedding_error(split.head, s)
+        amm_tt = amm_tv = frob_t = 0.0
+    else:
+        se = subspace_embedding_error(split.head, s)
+        amm_tt = amm_error(split.tail, split.tail.T, s)
+        amm_tv = amm_error(split.tail, split.v_r, s)
+        frob_t = frobenius_preservation_error(split.tail, s)
+    t1 = {"se_err": se, "amm_tail_tail": amm_tt, "amm_tail_vk": amm_tv, "frob_tail": frob_t}
+
+    sigma2 = fact.sigma * fact.sigma
+    tail2_k = float(np.sum(sigma2[k:]))
+    lam = eps * tail2_k / (24.0 * k)
+    p = tail_index_p(fact, k)
+    spectral = 0.0 if fact.rank == 0 else spectral_approx_error(a, s, lam)
+    if fact.rank <= p:
+        frob_tp, budget = 0.0, float("inf")
+    else:
+        frob_tp = frobenius_preservation_error(head_tail_split(fact, a, p).tail, s)
+        budget = (eps / 12.0) * tail2_k / float(np.sum(sigma2[p:]))
+    t2 = {"spectral_eps": spectral, "frob_tail_p": frob_tp, "lambda_used": lam, "p_used": float(p)}
+    return t1, t2, budget

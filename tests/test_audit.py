@@ -11,11 +11,14 @@ from pcpsketch.audit import (
     implication_test,
     pcp_error_on_probe,
     pcp_report,
+    verify_sketch,
 )
 from pcpsketch.errors import InvalidInputError
-from pcpsketch.linalg import Projection, frob2, haar_subspace, projection_cost, svd
-from pcpsketch.sketch import SketchParams, gaussian_sketch, orthogonal_sketch, svd_sketch
-from pcpsketch.solvers import cluster_indicator_projection, partition_costs, partitions
+from pcpsketch.guarantees import certify_matrix_approx, certify_spectral
+from pcpsketch.linalg import Projection, factor, frob2, haar_subspace, projection_cost, svd
+from pcpsketch.rng import Stream, derive_seed
+from pcpsketch.sketch import SketchParams, gaussian_sketch, make_sketch, orthogonal_sketch, svd_sketch
+from pcpsketch.solvers import cluster_indicator_projection, lloyd_kmeans, partition_costs, partitions
 
 from oracles import partitions_reference, variance_kmeans_cost
 
@@ -299,3 +302,67 @@ class TestApproxTransferCheck:
     def test_gamma_below_one_rejected(self):
         with pytest.raises(InvalidInputError):
             approx_transfer_check(np.eye(3), np.eye(3), 0.0, 0.5, [2.0], [2.0], gamma=0.5)
+
+
+def projector(p):
+    return p.basis @ p.basis.T
+
+
+class TestProbesInCoordinates:
+    """Probes and costs computed on the cores B = U Sigma agree with the
+    same families computed on A and the sketch themselves."""
+
+    def instances(self):
+        a = rand(30, (9, 60))
+        yield a, gaussian_sketch(a, SketchParams(k=3, eps=0.5, seed=2, m_override=25)).a_tilde
+        dup = np.tile(rand(31, (4, 12)), (2, 1))  # duplicate rows: ties in Lloyd and row norms
+        yield dup, svd_sketch(dup, SketchParams(k=3, eps=0.5)).a_tilde
+
+    def test_tags_and_costs_match_the_array_path(self):
+        for a, at in self.instances():
+            k, n = 3, a.shape[0]
+            probes = generate_probes(factor(a), factor(at), k, 5, seed=4)
+            assert probes.provenance == generate_probes(a, at, k, 5, seed=4).provenance
+            # the data-driven families, rebuilt on A and the sketch directly
+            fs = svd(at)
+            q = fs.u[:, :k]
+            resid = svd(a - q @ (q.T @ a)).u[:, :k]
+            expected = {"residual-top": resid}
+            for run in range(5):
+                for tag, m, stream in (("a", a, Stream.PROBE_LLOYD_A), ("sketch", at, Stream.PROBE_LLOYD_SKETCH)):
+                    cl = lloyd_kmeans(m, k, iters=25, seed=derive_seed(4, stream, run))
+                    expected[f"kmeans-{tag}-{run}"] = cluster_indicator_projection(cl.assignment, k, n).basis
+            for tag, p in zip(probes.provenance, probes.probes):
+                if tag in expected:
+                    assert np.allclose(projector(p), expected[tag] @ expected[tag].T, atol=1e-10), tag
+            report = pcp_report(factor(a), factor(at), 0.2, probes, 0.5)
+            scale = frob2(a)
+            for r, p in zip(report.per_probe, probes.probes):
+                assert r.cost_a == pytest.approx(projection_cost(a, p), abs=1e-12 * scale)
+                assert r.cost_sketch == pytest.approx(projection_cost(at, p), abs=1e-12 * scale)
+
+    def test_partition_costs_match_the_array_path(self):
+        a = np.tile(rand(32, (3, 7)), (2, 1))
+        at = a[:, :4] + 0.01 * rand(33, (6, 4))
+        probes = generate_probes(a, at, 3, 0, seed=1, exhaustive=True)
+        report = pcp_report(a, at, 0.0, probes, 0.5)
+        rows = report.per_probe[len(probes.probes):]
+        scale = frob2(a)
+        want_a = partition_costs(a, probes.partitions)
+        want_s = partition_costs(at, probes.partitions)
+        assert len(rows) == len(want_a)
+        assert np.allclose([r.cost_a for r in rows], want_a, rtol=0, atol=1e-12 * scale)
+        assert np.allclose([r.cost_sketch for r in rows], want_s, rtol=0, atol=1e-12 * scale)
+
+
+class TestVerifySketch:
+    def test_matches_the_steps_it_runs(self):
+        a = rand(34, (8, 30))
+        params = SketchParams(k=2, eps=0.5, seed=3, m_override=20)
+        v = verify_sketch(a, "ridge", params, 4, probe_seed=5)
+        sk = make_sketch(a, "ridge", params)
+        assert np.array_equal(v.sketch.a_tilde, sk.a_tilde)
+        assert v.certificate_t1 == certify_matrix_approx(a, sk.operator, 2, 0.5)
+        assert v.certificate_t2 == certify_spectral(a, sk.operator, 2, 0.5)
+        probes = generate_probes(a, sk.a_tilde, 2, 4, seed=5)
+        assert v.report == pcp_report(a, sk.a_tilde, sk.c_const, probes, 0.5)

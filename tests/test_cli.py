@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from pcpsketch.cli import _json_safe, main
+from pcpsketch import audit
+from pcpsketch.cli import _dumps, _json_safe, _pcp_block, _Rows, main
 from pcpsketch.generators import gen_synthetic, parse_generator_spec
 from pcpsketch.guarantees import certify_matrix_approx, certify_spectral, jl_moment_estimate
 from pcpsketch.matio import load_matrix, save_matrix
-from pcpsketch.sketch import SketchParams, make_sketch
+from pcpsketch.sketch import METHODS, SketchParams, make_sketch
 
 REPORT_KEYS = {
     "method",
@@ -244,19 +245,6 @@ class TestBenchCmd:
         seeds = [t["seed"] for t in payload["per_trial"]]
         assert len(set(seeds)) == 3
 
-    def test_parallel_matches_serial(self, capsys):
-        args = (
-            "bench", "--gen", "powerlaw:n=8,d=18,alpha=1", "--method", "gaussian",
-            "--k", "2", "--eps", "0.5", "--m", "40", "--trials", "4",
-            "--n-random", "3", "--seed", "6",
-        )
-        code1, serial = run_json(capsys, *args)
-        code2, parallel = run_json(capsys, *args, "--parallel")
-        assert code1 == code2 == 0
-        for s, p in zip(serial["per_trial"], parallel["per_trial"]):
-            assert s["seed"] == p["seed"]
-            assert s["max_abs_rel_err"] == p["max_abs_rel_err"]
-
     def test_min_pass_rate_gate(self, capsys):
         code, payload = run_json(
             capsys,
@@ -370,3 +358,112 @@ class TestJsonSafety:
         )
         assert code == 0
         assert payload["certificate_t2"]["thresholds"]["frob_tail_p"] == "inf"
+
+
+class TestZeroMatrix:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_defined_exit_codes(self, tmp_path, capsys, method):
+        a_path = tmp_path / "zero.csv"
+        save_matrix(a_path, np.zeros((6, 20)))
+        base = ["--input", str(a_path), "--method", method, "--k", "2", "--eps", "0.5"]
+        for cmd in (
+            ["certify"],
+            ["verify", "--n-random", "3"],
+            ["solve", "--task", "lowrank"],
+            ["solve", "--task", "kmeans"],
+        ):
+            code, out, err = run(capsys, *cmd, *base)
+            assert code in (0, 2), (cmd, err)
+            assert json.loads(out)
+
+
+class TestOneFactorization:
+    """The input is factored once per command; the orthogonal control is
+    left out, since its sketch is as wide as the input and is factored too."""
+
+    @pytest.fixture
+    def svd_shapes(self, monkeypatch):
+        shapes = []
+        real = np.linalg.svd
+
+        def counting(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        return shapes
+
+    @pytest.mark.parametrize("method", ["gaussian", "leverage", "ridge", "svd", "nonoblivious"])
+    def test_one_svd_of_the_input(self, tmp_path, capsys, svd_shapes, method):
+        n, d, m = 10, 60, 12
+        a_path = tmp_path / "a.pcpm"
+        save_matrix(a_path, np.random.default_rng(12).standard_normal((n, d)))
+        base = ["--input", str(a_path), "--method", method, "--k", "2", "--eps", "0.5", "--m", str(m)]
+        # nonoblivious also factors Pi A, m x d
+        want = sorted([(n, d)] + ([(m, d)] if method == "nonoblivious" else []))
+        for cmd in (["certify"], ["verify", "--n-random", "3"], ["solve", "--task", "lowrank"]):
+            svd_shapes.clear()
+            code, _, err = run(capsys, *cmd, *base)
+            assert code in (0, 2), err
+            assert sorted(s for s in svd_shapes if s[1] == d) == want, (cmd, svd_shapes)
+
+    def test_gaussian_sketch_runs_no_svd(self, tmp_path, capsys, svd_shapes):
+        a_path = tmp_path / "a.pcpm"
+        save_matrix(a_path, np.random.default_rng(13).standard_normal((10, 60)))
+        code, _, _ = run(
+            capsys, "sketch", "--input", str(a_path), "--method", "gaussian",
+            "--k", "2", "--eps", "0.5", "--out", str(tmp_path / "at.pcpm"),
+        )
+        assert code == 0
+        assert svd_shapes == []
+
+
+class TestReportWriting:
+    def test_matches_the_generic_encoder(self):
+        # duplicate rows: some partition probes cost 0 on A but not on the
+        # perturbed sketch, so their errors are +inf ("inf" in the report)
+        a = np.tile(np.random.default_rng(14).standard_normal((3, 5)), (2, 1))
+        at = a[:, :3] + 0.01 * np.random.default_rng(15).standard_normal((6, 3))
+        probes = audit.generate_probes(a, at, 3, 2, seed=5, exhaustive=True)
+        rep = audit.pcp_report(a, at, 0.5, probes, 0.3)
+        block = _pcp_block(rep)
+        # the rows as they were built before: raw floats, made safe by _json_safe
+        raw = [
+            {
+                "probe": r.probe,
+                "cost_a": r.cost_a,
+                "cost_sketch": r.cost_sketch,
+                "signed_rel_err": r.signed_rel_err,
+                "zero_cost": r.zero_cost,
+            }
+            for r in rep.per_probe
+        ]
+        assert any(math.isinf(r["signed_rel_err"]) for r in raw)
+        head = {"method": "svd", "params": {"k": 3, "const_c": None}, "c_const": math.inf}
+        tail = {"transfer": None, "timing_ms": 1.5}
+        old = json.dumps(
+            _json_safe({**head, "pcp": {**block, "per_probe": raw}, **tail}), indent=2, allow_nan=False
+        )
+        new = _dumps(_json_safe({**head, "pcp": block, **tail}))
+        assert json.loads(new) == json.loads(old)
+        lines = new.splitlines()
+        assert sum('"probe": ' in line for line in lines) == len(raw)  # one row per line
+        assert lines[0] == "{" and lines[-1] == "}"
+
+    def test_empty_rows(self):
+        text = _dumps({"pcp": {"per_probe": _Rows(), "n_probes": 0}})
+        assert json.loads(text) == {"pcp": {"per_probe": [], "n_probes": 0}}
+
+    def test_exhaustive_verify_report(self, tmp_path, capsys):
+        a_path = tmp_path / "a.csv"
+        save_matrix(a_path, np.random.default_rng(16).standard_normal((6, 9)))
+        report = tmp_path / "r.json"
+        code, _, _ = run(
+            capsys, "verify", "--input", str(a_path), "--method", "svd", "--k", "2",
+            "--eps", "0.5", "--n-random", "2", "--exhaustive-probes", "--report-out", str(report),
+        )
+        payload = json.loads(report.read_text())
+        assert code == (0 if payload["pcp"]["pass"] else 2)
+        rows = payload["pcp"]["per_probe"]
+        assert payload["pcp"]["n_probes"] == len(rows) > 31  # 31 partitions of 6 rows into <= 2 blocks
+        assert set(rows[0]) == {"probe", "cost_a", "cost_sketch", "signed_rel_err", "zero_cost"}

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from pcpsketch.errors import (
     DimensionError,
     InvalidInputError,
     UnsupportedFamilyError,
+    WidthNotReducingWarning,
     ZeroMatrixError,
 )
 from pcpsketch.guarantees import (
@@ -20,12 +22,20 @@ from pcpsketch.guarantees import (
     jl_moment_estimate,
     spectral_approx_error,
     subspace_embedding_error,
+    _core_split,
     _holds,
 )
-from pcpsketch.linalg import frob2, head_tail_split, svd, tail_index_p
+from pcpsketch.linalg import factor, frob2, head_tail_split, svd, tail_index_p
 from pcpsketch.rng import Stream, rng_for
-from pcpsketch.sketch import SketchParams, gaussian_sketch, orthogonal_sketch, ridge_leverage_sample
+from pcpsketch.sketch import (
+    SketchParams,
+    gaussian_sketch,
+    make_sketch,
+    orthogonal_sketch,
+    ridge_leverage_sample,
+)
 
+from oracles import certify_dense_measured as oracle_certify_dense
 from oracles import spectral_sandwich_sides
 
 
@@ -195,13 +205,25 @@ class TestCertifyMatrixApprox:
         s = gaussian_sketch(a, SketchParams(k=2, eps=0.5, seed=1, m_override=40)).operator_matrix()
         k = 2
         cert = certify_matrix_approx(a, s, k, 0.5)
+        # bit for bit: the functionals in A's coordinates, core B and W = V^T S
+        inst = factor(a)
+        w = inst.fact.v.T @ s
+        head, core_split = _core_split(inst, k)
+        assert cert.measured["se_err"] == subspace_embedding_error(head, w)
+        assert cert.measured["amm_tail_tail"] == amm_error(core_split.tail, core_split.tail.T, w)
+        assert cert.measured["amm_tail_vk"] == amm_error(core_split.tail, core_split.v_r, w)
+        assert cert.measured["frob_tail"] == frobenius_preservation_error(core_split.tail, w)
+        # to rounding: the same functionals on A's own head and tail and S
         f = svd(a)
         split = head_tail_split(f, a, k)
         head_basis = f.v[:, :k]
-        assert cert.measured["se_err"] == subspace_embedding_error(split.head, s)
-        assert cert.measured["amm_tail_tail"] == amm_error(split.tail, split.tail.T, s)
-        assert cert.measured["amm_tail_vk"] == amm_error(split.tail, head_basis, s)
-        assert cert.measured["frob_tail"] == frobenius_preservation_error(split.tail, s)
+        dense = {
+            "se_err": subspace_embedding_error(split.head, s),
+            "amm_tail_tail": amm_error(split.tail, split.tail.T, s),
+            "amm_tail_vk": amm_error(split.tail, head_basis, s),
+            "frob_tail": frobenius_preservation_error(split.tail, s),
+        }
+        assert cert.measured == pytest.approx(dense, rel=1e-10)
 
     def test_rank_at_most_k_degenerate(self):
         rng = np.random.default_rng(20)
@@ -248,10 +270,19 @@ class TestCertifySpectral:
         cert = certify_spectral(a, s, 2, 0.5)
         f = svd(a)
         lam = 0.5 * float((f.sigma[2:] ** 2).sum()) / (24 * 2)
-        assert cert.measured["spectral_eps"] == spectral_approx_error(a, s, lam)
         p = tail_index_p(f, 2)
+        # bit for bit: the functionals in A's coordinates, core B and W = V^T S
+        inst = factor(a)
+        w = inst.fact.v.T @ s
+        assert cert.measured["spectral_eps"] == spectral_approx_error(inst.coordinates, w, lam)
+        _, core_split = _core_split(inst, p)
+        assert cert.measured["frob_tail_p"] == frobenius_preservation_error(core_split.tail, w)
+        # to rounding: the same functionals on A, its own p-tail and S
         split = head_tail_split(f, a, p)
-        assert cert.measured["frob_tail_p"] == frobenius_preservation_error(split.tail, s)
+        assert cert.measured["spectral_eps"] == pytest.approx(spectral_approx_error(a, s, lam), rel=1e-10)
+        assert cert.measured["frob_tail_p"] == pytest.approx(
+            frobenius_preservation_error(split.tail, s), rel=1e-10
+        )
 
     def test_never_holds_beyond_tolerance(self):
         # compositional guard: holds=true requires every measured value
@@ -306,3 +337,74 @@ class TestJlMoment:
             jl_moment_estimate("gaussian", 5, 20, 2, 99, seed=0)
         with pytest.raises(InvalidInputError):
             jl_moment_estimate("gaussian", 5, 20, 1, 300, seed=0)
+
+
+def _rank4(seed, d):
+    # at k = 3 the one tail value clears the cut sigma_4^2 / 3, so p = rank = 4
+    q, _ = np.linalg.qr(rand(seed, (d, 4)))
+    return np.diag([3.0, 2.0, 1.5, 1.0]) @ q.T
+
+
+CERT_INSTANCES = {
+    "generic": (lambda: rand(30, (6, 14)), 2),
+    "rank<k": (lambda: np.outer(rand(31, (6,)), rand(32, (14,))), 2),
+    "rank=k": (lambda: rand(33, (6, 2)) @ rand(34, (2, 14)), 2),
+    "rank<=p": (lambda: _rank4(35, 12), 3),
+    "zero-tail": (lambda: np.diag([3.0, 2.0, 0.0, 0.0]) @ rand(36, (4, 10)), 3),
+    "duplicate-rows": (lambda: np.tile(rand(37, (3, 9)), (2, 1)), 2),
+    "zero": (lambda: np.zeros((5, 8)), 2),
+}
+
+
+class TestCoordinatesMatchDenseOracle:
+    """The certificates evaluated on A's core B and W = V^T S equal the
+    dense-operator formulas on A and S."""
+
+    @pytest.mark.parametrize("case", sorted(CERT_INSTANCES))
+    @pytest.mark.parametrize("method", ["gaussian", "orthogonal", "leverage", "ridge"])
+    def test_matches_dense_formulas(self, case, method):
+        make, k = CERT_INSTANCES[case]
+        a = make()
+        eps = 0.4
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WidthNotReducingWarning)
+            sk = make_sketch(a, method, SketchParams(k=k, eps=eps, seed=3, m_override=3 * a.shape[1]))
+        dense = sk.operator_matrix()
+        want1, want2, budget = oracle_certify_dense(a, dense, k, eps)
+        rank, p = svd(a).rank, int(want2["p_used"])
+        assert {
+            "rank<k": rank < k,
+            "rank=k": rank == k,
+            "rank<=p": k < rank <= p,
+            "zero-tail": 0 < rank <= k,
+            "zero": rank == 0,
+        }.get(case, rank > k)
+        # a sampling pattern is passed as it is, a dense operator as its array
+        for op in (sk.operator, dense):
+            t1 = certify_matrix_approx(a, op, k, eps)
+            t2 = certify_spectral(a, op, k, eps)
+            for got, want in ((t1.measured, want1), (t2.measured, want2)):
+                assert set(got) == set(want)
+                for key in want:
+                    # values that are exactly 0 come out at rounding level either way
+                    assert got[key] == pytest.approx(want[key], rel=1e-10, abs=1e-12), (case, key)
+            assert t2.thresholds["frob_tail_p"] == pytest.approx(budget, rel=1e-12)
+            assert t1.holds == _holds(want1, t1.thresholds)
+            assert t2.holds == _holds(want2, t2.thresholds)
+
+    def test_sampling_pattern_equals_its_dense_operator(self):
+        a = rand(38, (7, 20))
+        sk = ridge_leverage_sample(a, SketchParams(k=2, eps=0.5, seed=4, m_override=30))
+        for certify in (certify_matrix_approx, certify_spectral):
+            c1 = certify(a, sk.operator, 2, 0.5)
+            c2 = certify(a, sk.operator_matrix(), 2, 0.5)
+            assert c1.measured == pytest.approx(c2.measured, rel=1e-12, abs=1e-15)
+
+    def test_operator_rows_checked(self):
+        a = rand(39, (4, 9))
+        pattern = ridge_leverage_sample(rand(40, (4, 8)), SketchParams(k=1, eps=0.5, m_override=5)).operator
+        for certify in (certify_matrix_approx, certify_spectral):
+            with pytest.raises(DimensionError):
+                certify(a, pattern, 1, 0.5)
+            with pytest.raises(DimensionError):
+                certify(a, np.ones((8, 3)), 1, 0.5)

@@ -11,6 +11,8 @@ from pcpsketch.errors import (
 )
 from pcpsketch.linalg import (
     Projection,
+    as_matrix,
+    factor,
     frob2,
     haar_subspace,
     head_tail_split,
@@ -241,3 +243,40 @@ class TestHaarSubspace:
             haar_subspace(3, 4, seed=0)
         with pytest.raises(InvalidRankError):
             haar_subspace(3, 0, seed=0)
+
+
+class TestFactored:
+    def test_lazy_and_computed_once(self, monkeypatch):
+        a = random_matrix(40, n=5, d=9)
+        inst = factor(a)
+        assert factor(inst) is inst
+        calls = []
+        real = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *ar, **kw: calls.append(1) or real(*ar, **kw))
+        assert inst.frob2 == frob2(a)
+        assert calls == []
+        assert inst.fact is inst.fact
+        assert inst.coordinates is inst.coordinates.coordinates
+        assert len(calls) == 1
+
+    def test_core_has_the_row_gram_and_known_svd(self):
+        a = random_matrix(41, n=5, d=9)
+        inst = factor(a)
+        b = inst.coordinates
+        assert b.shape == (5, inst.fact.rank)
+        assert np.allclose(b.a @ b.a.T, a @ a.T, atol=1e-12)
+        assert np.array_equal(b.fact.v, np.eye(inst.fact.rank))
+        assert np.array_equal(b.fact.sigma, inst.fact.sigma)
+        p = haar_subspace(5, 2, seed=3)
+        assert projection_cost(b, p) == pytest.approx(projection_cost(a, p), abs=1e-12 * frob2(a))
+
+    def test_zero_matrix_has_one_zero_column_core(self):
+        inst = factor(np.zeros((4, 6)))
+        assert inst.fact.rank == 0
+        assert inst.core.shape == (4, 1) and not inst.core.any()
+
+    def test_validated_once_at_entry(self):
+        with pytest.raises(InvalidMatrixError):
+            factor(np.array([[1.0, np.nan]]))
+        inst = factor([[1.0, 2.0]])
+        assert as_matrix(inst) is inst.a

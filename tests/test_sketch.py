@@ -13,7 +13,7 @@ from pcpsketch.errors import (
     UnsupportedFamilyError,
     WidthNotReducingWarning,
 )
-from pcpsketch.linalg import frob2, svd
+from pcpsketch.linalg import factor, frob2, svd
 from pcpsketch.sketch import (
     METHODS,
     _indices_from_uniforms,
@@ -328,3 +328,42 @@ class TestIndicesFromUniforms:
         assert got.dtype == np.int64
         assert np.array_equal(got, indices_from_uniforms_loop(probs, u))
         assert np.all(probs[got] > 0.0)
+
+
+class TestOperatorApply:
+    def test_sampling_pattern_apply_equals_dense_product(self):
+        a = wide_matrix(20, n=5, d=30)
+        for ctor in (leverage_residual_sample, ridge_leverage_sample):
+            pattern = ctor(a, params(m_override=17)).operator
+            x = np.random.default_rng(21).standard_normal((9, 30))
+            assert np.allclose(pattern.apply(x), x @ pattern.dense(), rtol=1e-14, atol=1e-14)
+
+    def test_every_method_applies_its_operator(self):
+        a = wide_matrix(22, n=5, d=30)
+        x = np.random.default_rng(23).standard_normal((4, 30))
+        for method in METHODS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", WidthNotReducingWarning)
+                sk = make_sketch(a, method, params(m_override=12))
+            assert np.allclose(sk.apply(x), x @ sk.operator_matrix(), atol=1e-12), method
+            assert np.allclose(sk.apply(a), sk.a_tilde, atol=1e-12), method
+
+
+class TestFactoredInput:
+    def test_instance_and_array_give_identical_sketches(self):
+        a = wide_matrix(24, n=6, d=40)
+        for method in METHODS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", WidthNotReducingWarning)
+                s1 = make_sketch(a, method, params(seed=5))
+                s2 = make_sketch(factor(a), method, params(seed=5))
+            assert np.array_equal(s1.a_tilde, s2.a_tilde), method
+            assert s1.c_const == s2.c_const, method
+
+    @pytest.mark.parametrize("ctor", [svd_sketch, non_oblivious_rp])
+    def test_zero_matrix_one_column_zero_sketch(self, ctor):
+        sk = ctor(np.zeros((6, 20)), params())
+        assert sk.m == 1
+        assert sk.a_tilde.shape == (6, 1) and not sk.a_tilde.any()
+        assert sk.operator_matrix().shape == (20, 1)
+        assert sk.c_const == 0.0
