@@ -125,13 +125,6 @@ class TransferCheck:
     optimum: float
 
 
-def _top_subspace(fact, j: int, n: int, kind: str) -> Projection | None:
-    width = min(j, fact.rank)
-    if width == 0:
-        return None
-    return Projection(fact.u[:, :width], kind=kind)
-
-
 def generate_probes(
     a, a_tilde, k: int, n_random: int, seed: int = 0, exhaustive: bool = False
 ) -> ProbeSet:
@@ -160,32 +153,31 @@ def generate_probes(
     probes: list[Projection] = []
     tags: list[str] = []
 
-    def add(p: Projection | None, tag: str):
-        if p is not None:
-            probes.append(p)
-            tags.append(tag)
+    def add(p: Projection, tag: str):
+        probes.append(p)
+        tags.append(tag)
 
-    add(Projection(np.zeros((n, 0)), kind="custom"), "zero-rank")
+    add(Projection(np.zeros((n, 0))), "zero-rank")
 
     fa = a.fact
     fs = at.fact
     for j in range(1, kk + 1):
         if j <= fa.rank:
-            add(_top_subspace(fa, j, n, "top-singular-of-A"), f"top-a-{j}")
+            add(Projection(fa.u[:, :j]), f"top-a-{j}")
         if j <= fs.rank:
-            add(_top_subspace(fs, j, n, "top-singular-of-sketch"), f"top-sketch-{j}")
+            add(Projection(fs.u[:, :j]), f"top-sketch-{j}")
 
     if fs.rank > 0:
         q = fs.u[:, : min(kk, fs.rank)]
         b = a.core
         fr = svd(b - q @ (q.T @ b))
         if fr.rank > 0:
-            add(Projection(fr.u[:, : min(kk, fr.rank)], kind="custom"), "residual-top")
+            add(Projection(fr.u[:, : min(kk, fr.rank)]), "residual-top")
 
     eye = np.eye(n)
-    add(Projection(eye[:, :kk], kind="basis-axes"), "axes-first")
+    add(Projection(eye[:, :kk]), "axes-first")
     heavy = np.argsort(-np.sum(a.a * a.a, axis=1), kind="stable")[:kk]
-    add(Projection(eye[:, np.sort(heavy)], kind="basis-axes"), "axes-heavy")
+    add(Projection(eye[:, np.sort(heavy)]), "axes-heavy")
 
     if n >= kk:
         for run in range(_PROBE_LLOYD_RUNS):
@@ -214,12 +206,12 @@ def pcp_error_on_probe(a, a_tilde, c: float, p: Projection) -> float:
     at = factor(a_tilde, "a_tilde")
     if at.shape[0] != a.shape[0]:
         raise DimensionError("matrix and sketch must have the same number of rows")
-    cost_a = projection_cost(a.coordinates, p)
+    cost_a = projection_cost(factor(a.core), p)
     if cost_a <= ZERO_COST_REL * a.frob2:
         raise InvalidInputError(
             "probe cost on A is (numerically) zero; use the absolute zero check"
         )
-    return (projection_cost(at.coordinates, p) + c - cost_a) / cost_a
+    return (projection_cost(factor(at.core), p) + c - cost_a) / cost_a
 
 
 def pcp_report(a, a_tilde, c: float, probes: ProbeSet, eps_target: float) -> PcpReport:
@@ -230,7 +222,7 @@ def pcp_report(a, a_tilde, c: float, probes: ProbeSet, eps_target: float) -> Pcp
         raise DimensionError("matrix and sketch must have the same number of rows")
     if eps_target <= 0.0:
         raise InvalidInputError(f"eps_target must be positive, got {eps_target}")
-    b, bt = a.coordinates, at.coordinates
+    b, bt = factor(a.core), factor(at.core)
     cost_a = np.array([projection_cost(b, p) for p in probes.probes])
     cost_s = np.array([projection_cost(bt, p) for p in probes.probes])
     tags = list(probes.provenance)

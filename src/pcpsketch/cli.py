@@ -11,6 +11,7 @@ and per-command --seed; every report echoes the seeds it used.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from .guarantees import certify_matrix_approx, certify_spectral, jl_moment_estim
 from .linalg import factor, projection_cost
 from .matio import load_matrix, save_matrix
 from .rng import Stream, derive_seed
-from .sketch import METHODS, SketchParams, make_sketch, with_seed
+from .sketch import METHODS, SketchParams, make_sketch
 
 __all__ = ["main", "entry"]
 
@@ -365,7 +366,8 @@ def _cmd_bench(args) -> int:
         spec = parse_generator_spec(args.gen, seed=trial_seed)
         a = gen_synthetic(spec)
         t0 = time.perf_counter()
-        v = audit.verify_sketch(a, args.method, with_seed(base, trial_seed), args.n_random, trial_seed)
+        params = dataclasses.replace(base, seed=trial_seed)
+        v = audit.verify_sketch(a, args.method, params, args.n_random, trial_seed)
         return {
             "trial": i,
             "seed": trial_seed,

@@ -10,11 +10,14 @@ head and tail, one through the regularized spectral route.  Certificates
 never have false positives up to floating point; they may be conservative.
 
 An operator S is a dense d x m array or a ``SamplingPattern``, applied as
-a column gather.  The certifiers factor A once and evaluate the
-functionals in A's n x r coordinates: the core B = A V = U Sigma in place
-of A, and W = V^T S in place of S.  Every functional depends on A only
-through A A^T and on S through V^T S, so the values are those of the
-original coordinates up to rounding.
+a column gather.  Every functional depends on A only through A A^T and on
+S only through how S acts on A's row space, so with A = U Sigma V^T of
+rank r the certifiers read each measured value off the singular values
+sigma and the r x r Gram G = (V^T S)(V^T S)^T, formed once per certifier.
+With tau_q = sum_{j>=q} sigma_j^2 and t the tail indices j >= k:
+se_err = |G[:k, :k] - I|_2, amm_tail_tail = |Sigma_t (G_tt - I) Sigma_t|_F / tau_k,
+amm_tail_vk = |Sigma_t G[k:, :k]|_F / sqrt(tau_k k), and the Frobenius tails
+|sum_{j>=q} sigma_j^2 (G_jj - 1)| / tau_q at q = k and q = p.
 """
 
 from __future__ import annotations
@@ -31,15 +34,7 @@ from .errors import (
     UnsupportedFamilyError,
     ZeroMatrixError,
 )
-from .linalg import (
-    Factored,
-    SvdFactorization,
-    as_matrix,
-    factor,
-    frob2,
-    head_tail_split,
-    tail_index_p,
-)
+from .linalg import as_matrix, factor, frob2, tail_index_p
 from .rng import Stream, rng_for
 from .sketch import SamplingPattern, apply_operator
 
@@ -108,9 +103,7 @@ def subspace_embedding_error(m, s) -> float:
     fact = m.fact
     if fact.rank == 0:
         raise ZeroMatrixError("subspace embedding error undefined for the zero matrix")
-    w = apply_operator(fact.v.T, s)
-    g = w @ w.T
-    return float(np.max(np.abs(np.linalg.eigvalsh(g - np.eye(fact.rank)))))
+    return _embedding_error(_row_space_gram(fact, s))
 
 
 def amm_error(m, n, s) -> float:
@@ -153,24 +146,43 @@ def spectral_approx_error(a, s, lam: float) -> float:
     fact = a.fact
     if fact.rank == 0:
         raise ZeroMatrixError("spectral approximation error undefined for the zero matrix")
-    sigma = fact.sigma
+    return _sandwich_error(fact.sigma, _row_space_gram(fact, s), lam)
+
+
+def _row_space_gram(fact, s) -> np.ndarray:
+    """G = (V^T S)(V^T S)^T, how S acts on the row space of the factored matrix."""
     w = apply_operator(fact.v.T, s)
-    g = w @ w.T
+    return w @ w.T
+
+
+def _embedding_error(g: np.ndarray) -> float:
+    """|G - I|_2 by a symmetric eigensolve."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(g - np.eye(g.shape[0])))))
+
+
+def _sandwich_error(sigma: np.ndarray, g: np.ndarray, lam: float) -> float:
+    """``spectral_approx_error`` from sigma and G: two eigenproblems on the column space."""
     # D = U^T (A S S^T A^T - A A^T) U restricted to the column space
     d_r = sigma[:, None] * g * sigma[None, :]
     np.fill_diagonal(d_r, np.diagonal(d_r) - sigma * sigma)
     scale = np.outer(sigma, sigma)
-    lam_eye = lam * np.eye(fact.rank)
+    lam_eye = lam * np.eye(sigma.shape[0])
     hi = float(np.max(np.linalg.eigvalsh((d_r - lam_eye) / scale)))
     lo = float(np.max(np.linalg.eigvalsh((-d_r - lam_eye) / scale)))
     return max(0.0, hi, lo)
+
+
+def _frob_tail_error(sigma2: np.ndarray, g: np.ndarray, q: int) -> float:
+    """``frobenius_preservation_error`` of the rank-q tail, from sigma^2 and G."""
+    tail2 = sigma2[q:]
+    return abs(float(tail2 @ (np.diagonal(g)[q:] - 1.0))) / float(np.sum(tail2))
 
 
 def _holds(measured: dict, thresholds: dict) -> bool:
     return all(measured[name] <= thresholds[name] + HOLDS_TOL for name in thresholds)
 
 
-def _validated(a, s, k: int, eps: float) -> tuple[Factored, object]:
+def _validated(a, s, k: int, eps: float):
     a = factor(a)
     s = _check_operator(a, s)
     if k < 1:
@@ -180,17 +192,6 @@ def _validated(a, s, k: int, eps: float) -> tuple[Factored, object]:
     return a, s
 
 
-def _core_split(a: Factored, r: int):
-    """Head and tail of A's core B at rank r, and W's basis I_r[:, :r] as
-    ``split.v_r``.  The head keeps the SVD it inherits from B,
-    (U_r, Sigma_r, I_r[:, :r]), so no functional factors it again."""
-    b = a.coordinates
-    split = head_tail_split(b.fact, b.a, r)
-    f = b.fact
-    head = Factored(split.head, SvdFactorization(split.u_r, f.sigma[: split.r], split.v_r, split.r, f.tol))
-    return head, split
-
-
 def certify_matrix_approx(a, s, k: int, eps: float) -> Certificate:
     """Sufficient conditions on S via matrix-approximation primitives.
 
@@ -198,23 +199,24 @@ def certify_matrix_approx(a, s, k: int, eps: float) -> Certificate:
     errors involving the tail, and the tail Frobenius preservation; if all
     four fall under their budgets (eps/3, eps/(6 sqrt k) twice, eps/6), then
     A S preserves every rank-<=k projection cost within relative eps with a
-    zero additive constant.
+    zero additive constant.  Each value is read off sigma and G.
     """
     a, s = _validated(a, s, k, eps)
     fact = a.fact
-    if fact.rank == 0:
-        se = amm_tt = amm_tv = frob_t = 0.0
-    else:
-        w = apply_operator(fact.v.T, s)
-        head, split = _core_split(a, k)
-        se = subspace_embedding_error(head, w)
-        if fact.rank <= k:
-            # tail is structurally zero
-            amm_tt = amm_tv = frob_t = 0.0
-        else:
-            amm_tt = amm_error(split.tail, split.tail.T, w)
-            amm_tv = amm_error(split.tail, split.v_r, w)
-            frob_t = frobenius_preservation_error(split.tail, w)
+    # a tail that is structurally zero (rank <= k) passes every tail check
+    se = amm_tt = amm_tv = frob_t = 0.0
+    if fact.rank > 0:
+        g = _row_space_gram(fact, s)
+        head = min(k, fact.rank)
+        se = _embedding_error(g[:head, :head])
+        if fact.rank > k:
+            sigma_t = fact.sigma[k:, None]
+            sigma2 = fact.sigma * fact.sigma
+            tail2 = float(np.sum(sigma2[k:]))
+            g_tt = g[k:, k:] - np.eye(fact.rank - k)
+            amm_tt = float(np.linalg.norm(sigma_t * g_tt * sigma_t.T)) / tail2
+            amm_tv = float(np.linalg.norm(sigma_t * g[k:, :k])) / math.sqrt(tail2 * k)
+            frob_t = _frob_tail_error(sigma2, g, k)
     measured = {
         "se_err": se,
         "amm_tail_tail": amm_tt,
@@ -239,7 +241,7 @@ def certify_spectral(a, s, k: int, eps: float) -> Certificate:
     mass |A - A_k|_F^2 / k).  Requires the spectral sandwich within eps/24
     and Frobenius preservation of the rank-p tail within
     (eps/12) |A - A_k|_F^2 / |A - A_p|_F^2; the p-tail condition is vacuous
-    when that tail is zero.
+    when that tail is zero.  Both values are read off sigma and G.
     """
     a, s = _validated(a, s, k, eps)
     fact = a.fact
@@ -247,19 +249,14 @@ def certify_spectral(a, s, k: int, eps: float) -> Certificate:
     tail2_k = float(np.sum(sigma2[k:]))
     lam = eps * tail2_k / (24.0 * k)
     p = tail_index_p(fact, k)
-    if fact.rank == 0:
-        spectral = 0.0
-    else:
-        w = apply_operator(fact.v.T, s)
-        spectral = spectral_approx_error(a.coordinates, w, lam)
-    if fact.rank <= p:
-        frob_tp = 0.0
-        frob_budget = math.inf
-    else:
-        _, split_p = _core_split(a, p)
-        frob_tp = frobenius_preservation_error(split_p.tail, w)
-        tail2_p = float(np.sum(sigma2[p:]))
-        frob_budget = (eps / 12.0) * tail2_k / tail2_p
+    spectral = frob_tp = 0.0
+    frob_budget = math.inf
+    if fact.rank > 0:
+        g = _row_space_gram(fact, s)
+        spectral = _sandwich_error(fact.sigma, g, lam)
+        if fact.rank > p:
+            frob_tp = _frob_tail_error(sigma2, g, p)
+            frob_budget = (eps / 12.0) * tail2_k / float(np.sum(sigma2[p:]))
     measured = {
         "spectral_eps": spectral,
         "frob_tail_p": frob_tp,

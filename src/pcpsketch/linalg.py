@@ -27,7 +27,6 @@ __all__ = [
     "SvdFactorization",
     "HeadTailSplit",
     "Projection",
-    "PROJECTION_KINDS",
     "as_matrix",
     "factor",
     "frob2",
@@ -38,18 +37,6 @@ __all__ = [
     "haar_subspace",
     "orthonormal_columns",
 ]
-
-PROJECTION_KINDS = frozenset(
-    [
-        "random-subspace",
-        "top-singular-of-A",
-        "top-singular-of-sketch",
-        "cluster-indicator",
-        "basis-axes",
-        "custom",
-    ]
-)
-
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return `a` as a 2-D float64 array with finite entries.
@@ -132,7 +119,6 @@ class Projection:
     """
 
     basis: np.ndarray
-    kind: str = "custom"
 
     def __post_init__(self):
         basis = np.asarray(self.basis, dtype=float)
@@ -140,8 +126,6 @@ class Projection:
             raise InvalidMatrixError("projection basis must be 2-D")
         if not np.isfinite(basis).all():
             raise InvalidMatrixError("projection basis contains non-finite entries")
-        if self.kind not in PROJECTION_KINDS:
-            raise InvalidInputError(f"unknown projection kind {self.kind!r}")
         if basis.shape[1] > 0:
             gram = basis.T @ basis
             if np.max(np.abs(gram - np.eye(basis.shape[1]))) > 1e-8:
@@ -151,17 +135,6 @@ class Projection:
     @property
     def rank(self) -> int:
         return self.basis.shape[1]
-
-    def apply(self, a: np.ndarray) -> np.ndarray:
-        """P @ a for a matrix with matching row count."""
-        a = as_matrix(a)
-        if a.shape[0] != self.basis.shape[0]:
-            raise DimensionError(
-                f"projection on {self.basis.shape[0]} rows applied to {a.shape[0]}"
-            )
-        if self.basis.shape[1] == 0:
-            return np.zeros_like(a)
-        return self.basis @ (self.basis.T @ a)
 
 
 def svd(a, tol: float = 1e-10) -> SvdFactorization:
@@ -199,19 +172,19 @@ class Factored:
     factored at most once.  The array must not change afterwards.
 
     Every quantity of A that depends only on A A^T (costs |A - PA|_F^2
-    of left projections P, distances between rows, the certificate
-    functionals) is the same on the core ``B = A V = U Sigma``, which is
-    n x r for rank r, as on A.  ``coordinates`` is B as an instance whose
-    SVD is known, ``(U, Sigma, I_r)``; an operator S acts there as
-    ``V^T S``.  A zero matrix has the n x 1 zero core, so that it stays a
-    matrix.  Make instances with ``factor``, which validates the array.
+    of left projections P, distances between rows) is the same on the
+    core ``B = A V = U Sigma``, which is n x r for rank r, as on A; the
+    certificates need only ``sigma`` and how an operator S acts on the
+    row space, ``V^T S``.  A zero matrix has the n x 1 zero core, so that
+    it stays a matrix.  Make instances with ``factor``, which validates
+    the array.
     """
 
-    def __init__(self, a: np.ndarray, fact: SvdFactorization | None = None):
+    def __init__(self, a: np.ndarray):
         self.a = a
-        self._fact = fact
+        self._fact: SvdFactorization | None = None
         self._frob2: float | None = None
-        self._coordinates: Factored | None = None
+        self._core: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple:
@@ -230,23 +203,11 @@ class Factored:
         return self._frob2
 
     @property
-    def coordinates(self) -> "Factored":
-        if self._coordinates is None:
-            f = self.fact
-            if f.rank == 0:
-                core = np.zeros((self.shape[0], 1))
-                v = np.zeros((1, 0))
-            else:
-                core = f.u * f.sigma
-                v = np.eye(f.rank)
-            coords = Factored(core, SvdFactorization(f.u, f.sigma, v, f.rank, f.tol))
-            coords._coordinates = coords
-            self._coordinates = coords
-        return self._coordinates
-
-    @property
     def core(self) -> np.ndarray:
-        return self.coordinates.a
+        if self._core is None:
+            f = self.fact
+            self._core = f.u * f.sigma if f.rank else np.zeros((self.shape[0], 1))
+        return self._core
 
 
 def factor(a, name: str = "matrix") -> Factored:
@@ -339,4 +300,4 @@ def haar_subspace(n: int, k: int, seed: int = 0) -> Projection:
         raise InvalidRankError(f"need 1 <= k <= n, got k={k}, n={n}")
     rng = rng_for(seed, Stream.HAAR)
     basis = orthonormal_columns(rng.standard_normal((n, k)), rng)
-    return Projection(basis, kind="random-subspace")
+    return Projection(basis)

@@ -12,6 +12,7 @@ saving picks the binary format for paths ending in .pcpm.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from pathlib import Path
 
@@ -63,40 +64,41 @@ def save_csv(path, a) -> None:
             fh.write("\n")
 
 
+def _data_lines(fh, header: list):
+    """The data rows of a CSV file, without blank and comment lines; the
+    first ``# n d`` comment before any row is appended to ``header``."""
+    seen_row = False
+    for line in fh:
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            fields = line[1:].split()
+            is_shape = len(fields) == 2 and all(f.isdigit() for f in fields)
+            if is_shape and not header and not seen_row:
+                header.append((int(fields[0]), int(fields[1])))
+            continue
+        seen_row = True
+        yield line
+
+
 def load_csv(path) -> np.ndarray:
     """Read a CSV matrix; a ``# n d`` comment before the first row must match the data."""
-    rows = []
-    width = None
-    header = None
+    header: list = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                fields = line[1:].split()
-                is_shape = len(fields) == 2 and all(f.isdigit() for f in fields)
-                if is_shape and header is None and not rows:
-                    header = (int(fields[0]), int(fields[1]))
-                continue
-            try:
-                row = [float(x) for x in line.split(",")]
-            except ValueError:
-                raise InvalidInputError(f"{path}:{lineno}: unparseable row") from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise InvalidInputError(
-                    f"{path}:{lineno}: row has {len(row)} values, expected {width}"
-                )
-            rows.append(row)
-    if not rows:
-        raise InvalidMatrixError(f"{path}: no data rows")
-    if header is not None and header != (len(rows), width):
+        lines = _data_lines(fh, header)
+        first = next(lines, None)
+        if first is None:
+            raise InvalidMatrixError(f"{path}: no data rows")
+        try:
+            a = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: {exc}") from None
+    if header and header[0] != a.shape:
         raise InvalidInputError(
-            f"{path}: header says {header[0]} x {header[1]}, data is {len(rows)} x {width}"
+            f"{path}: header says {header[0][0]} x {header[0][1]}, data is {a.shape[0]} x {a.shape[1]}"
         )
-    return as_matrix(np.array(rows), str(path))
+    return as_matrix(a, str(path))
 
 
 def save_matrix(path, a) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedFamilyError,
     WidthNotReducingWarning,
 )
-from .linalg import factor, frob2, head_tail_split, orthonormal_columns, svd
+from .linalg import factor, frob2, orthonormal_columns, svd
 from .rng import Stream, rng_for
 
 __all__ = [
@@ -147,10 +147,6 @@ class Sketch:
     params: SketchParams
     m: int
 
-    def apply(self, x) -> np.ndarray:
-        """``x @ S`` for any x with d columns, without a dense sampling operator."""
-        return apply_operator(x, self.operator)
-
     def operator_matrix(self) -> np.ndarray:
         """The operator as a dense d x m matrix."""
         if isinstance(self.operator, SamplingPattern):
@@ -268,7 +264,9 @@ def leverage_residual_sample(a, params: SketchParams) -> Sketch:
 
     p_i = |(V_k)_i|^2 / (2k) + |(A - A_k)_{:,i}|^2 / (2 |A - A_k|_F^2);
     with a zero residual the probabilities fall back to pure leverage.
-    Draws are i.i.d. with replacement, rescaled by 1 / sqrt(m p_i).
+    Both terms are read off the SVD: the residual mass of column i is
+    sum_{j>k} sigma_j^2 V_ij^2.  Draws are i.i.d. with replacement,
+    rescaled by 1 / sqrt(m p_i).
     """
     a = factor(a)
     d = a.shape[1]
@@ -276,10 +274,10 @@ def leverage_residual_sample(a, params: SketchParams) -> Sketch:
         raise InvalidInputError("column sampling needs at least 2 columns")
     k = params.k
     fact = a.fact
-    split = head_tail_split(fact, a.a, k)
-    lev = np.sum(split.v_r * split.v_r, axis=1)
+    v2 = fact.v * fact.v
+    lev = np.sum(v2[:, :k], axis=1)
     if fact.rank > k:
-        res2 = np.sum(split.tail * split.tail, axis=0)
+        res2 = v2[:, k:] @ (fact.sigma[k:] * fact.sigma[k:])
         probs = lev / (2.0 * k) + res2 / (2.0 * float(np.sum(res2)))
     elif fact.rank > 0:
         probs = lev
@@ -396,7 +394,3 @@ def make_sketch(a, method: str, params: SketchParams) -> Sketch:
         ) from None
     return ctor(factor(a), params)
 
-
-def with_seed(params: SketchParams, seed: int) -> SketchParams:
-    """Copy of ``params`` with a different seed (for trial sweeps)."""
-    return replace(params, seed=seed)

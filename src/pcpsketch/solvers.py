@@ -68,14 +68,14 @@ class SolveResult:
     task: str
 
 
-def best_rank_k_projection(m, k: int, kind: str = "top-singular-of-A") -> Projection:
+def best_rank_k_projection(m, k: int) -> Projection:
     """Projection onto the top-k left singular subspace of ``m`` (an array,
     or a ``Factored`` instance whose SVD is reused)."""
     m = factor(m)
     if k < 1:
         raise InvalidRankError(f"k must be >= 1, got {k}")
     fact = m.fact
-    return Projection(fact.u[:, : min(k, fact.rank)], kind=kind)
+    return Projection(fact.u[:, : min(k, fact.rank)])
 
 
 def cluster_indicator_projection(assignment, k: int, n: int) -> Projection:
@@ -101,7 +101,7 @@ def cluster_indicator_projection(assignment, k: int, n: int) -> Projection:
         col[members] = 1.0 / np.sqrt(size)
         cols.append(col)
     basis = np.column_stack(cols) if cols else np.zeros((n, 0))
-    return Projection(basis, kind="cluster-indicator")
+    return Projection(basis)
 
 
 def kmeans_cost(m, assignment) -> float:
@@ -269,7 +269,7 @@ def sketch_and_solve(
         raise InvalidInputError("sketch row count does not match the matrix")
     k, eps = sk.params.k, sk.params.eps
     if task == "lowrank":
-        proj = best_rank_k_projection(at, k, kind="top-singular-of-sketch")
+        proj = best_rank_k_projection(at, k)
         solution: object = proj
         gamma: float | None = 1.0
     elif task == "kmeans":

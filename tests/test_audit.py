@@ -30,7 +30,7 @@ def rand(seed, shape):
 def axis_probe(n, j):
     basis = np.zeros((n, 1))
     basis[j, 0] = 1.0
-    return Projection(basis, "basis-axes")
+    return Projection(basis)
 
 
 class TestGenerateProbes:
@@ -101,13 +101,13 @@ class TestPcpErrorOnProbe:
         at = a @ rand(7, (9, 5)) / math.sqrt(5)
         q = haar_subspace(6, 3, seed=11).basis
         rot, _ = np.linalg.qr(rand(8, (3, 3)))
-        e1 = pcp_error_on_probe(a, at, 0.3, Projection(q, "custom"))
-        e2 = pcp_error_on_probe(a, at, 0.3, Projection(q @ rot, "custom"))
+        e1 = pcp_error_on_probe(a, at, 0.3, Projection(q))
+        e2 = pcp_error_on_probe(a, at, 0.3, Projection(q @ rot))
         assert e1 == pytest.approx(e2, abs=1e-10)
 
     def test_zero_cost_probe_rejected_as_ratio(self):
         a = np.array([[1.0, 0.0], [1.0, 0.0]])
-        span = Projection(np.array([[1.0], [1.0]]) / math.sqrt(2.0), "custom")
+        span = Projection(np.array([[1.0], [1.0]]) / math.sqrt(2.0))
         with pytest.raises(InvalidInputError):
             pcp_error_on_probe(a, a.copy(), 0.0, span)
 
@@ -193,7 +193,7 @@ class TestPcpReport:
         # mismatched sketch leaves visible energy there
         a = np.array([[1.0, 0.0], [1.0, 0.0]])
         at = np.array([[1.0], [0.0]])
-        span = Projection(np.array([[1.0], [1.0]]) / math.sqrt(2.0), "custom")
+        span = Projection(np.array([[1.0], [1.0]]) / math.sqrt(2.0))
         probes = ProbeSet(probes=[span], k=1, provenance=["custom"], seed=0)
         rep = pcp_report(a, at, 0.0, probes, 100.0)
         assert math.isinf(rep.max_abs_rel_err)

@@ -22,10 +22,9 @@ from pcpsketch.guarantees import (
     jl_moment_estimate,
     spectral_approx_error,
     subspace_embedding_error,
-    _core_split,
     _holds,
 )
-from pcpsketch.linalg import factor, frob2, head_tail_split, svd, tail_index_p
+from pcpsketch.linalg import frob2, head_tail_split, svd, tail_index_p
 from pcpsketch.rng import Stream, rng_for
 from pcpsketch.sketch import (
     SketchParams,
@@ -205,15 +204,7 @@ class TestCertifyMatrixApprox:
         s = gaussian_sketch(a, SketchParams(k=2, eps=0.5, seed=1, m_override=40)).operator_matrix()
         k = 2
         cert = certify_matrix_approx(a, s, k, 0.5)
-        # bit for bit: the functionals in A's coordinates, core B and W = V^T S
-        inst = factor(a)
-        w = inst.fact.v.T @ s
-        head, core_split = _core_split(inst, k)
-        assert cert.measured["se_err"] == subspace_embedding_error(head, w)
-        assert cert.measured["amm_tail_tail"] == amm_error(core_split.tail, core_split.tail.T, w)
-        assert cert.measured["amm_tail_vk"] == amm_error(core_split.tail, core_split.v_r, w)
-        assert cert.measured["frob_tail"] == frobenius_preservation_error(core_split.tail, w)
-        # to rounding: the same functionals on A's own head and tail and S
+        # to rounding: the functionals on A's own head and tail and S
         f = svd(a)
         split = head_tail_split(f, a, k)
         head_basis = f.v[:, :k]
@@ -271,15 +262,10 @@ class TestCertifySpectral:
         f = svd(a)
         lam = 0.5 * float((f.sigma[2:] ** 2).sum()) / (24 * 2)
         p = tail_index_p(f, 2)
-        # bit for bit: the functionals in A's coordinates, core B and W = V^T S
-        inst = factor(a)
-        w = inst.fact.v.T @ s
-        assert cert.measured["spectral_eps"] == spectral_approx_error(inst.coordinates, w, lam)
-        _, core_split = _core_split(inst, p)
-        assert cert.measured["frob_tail_p"] == frobenius_preservation_error(core_split.tail, w)
-        # to rounding: the same functionals on A, its own p-tail and S
+        # bit for bit: the sandwich is one shared computation on sigma and G
+        assert cert.measured["spectral_eps"] == spectral_approx_error(a, s, lam)
+        # to rounding: the Frobenius functional on A's own p-tail and S
         split = head_tail_split(f, a, p)
-        assert cert.measured["spectral_eps"] == pytest.approx(spectral_approx_error(a, s, lam), rel=1e-10)
         assert cert.measured["frob_tail_p"] == pytest.approx(
             frobenius_preservation_error(split.tail, s), rel=1e-10
         )

@@ -161,13 +161,13 @@ class TestTailIndexP:
 
 class TestProjectionCost:
     def test_axis_on_identity(self):
-        p = Projection(np.array([[1.0], [0.0]]), "basis-axes")
+        p = Projection(np.array([[1.0], [0.0]]))
         assert projection_cost(np.eye(2), p) == pytest.approx(1.0, abs=1e-12)
 
     def test_column_space_containment(self):
         a = random_matrix(9, n=5, d=3)
         f = svd(a)
-        assert projection_cost(a, Projection(f.u, "custom")) <= 1e-10 * frob2(a)
+        assert projection_cost(a, Projection(f.u)) <= 1e-10 * frob2(a)
 
     def test_matches_direct_residual(self):
         a = np.random.default_rng(2).standard_normal((5, 4))
@@ -191,16 +191,8 @@ class TestProjectionCost:
 class TestProjection:
     def test_validates_orthonormality(self):
         with pytest.raises(InvalidMatrixError):
-            Projection(np.array([[1.0], [1.0]]), "custom")
+            Projection(np.array([[1.0], [1.0]]))
 
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(InvalidInputError):
-            Projection(np.array([[1.0], [0.0]]), "whatever")
-
-    def test_apply(self):
-        a = random_matrix(4, n=3, d=5)
-        p = Projection(np.eye(3), "custom")
-        assert np.allclose(p.apply(a), a)
 
 
 class TestOrthonormalColumns:
@@ -256,17 +248,19 @@ class TestFactored:
         assert inst.frob2 == frob2(a)
         assert calls == []
         assert inst.fact is inst.fact
-        assert inst.coordinates is inst.coordinates.coordinates
+        assert inst.core is inst.core
         assert len(calls) == 1
 
     def test_core_has_the_row_gram_and_known_svd(self):
         a = random_matrix(41, n=5, d=9)
         inst = factor(a)
-        b = inst.coordinates
+        b = inst.core
         assert b.shape == (5, inst.fact.rank)
-        assert np.allclose(b.a @ b.a.T, a @ a.T, atol=1e-12)
-        assert np.array_equal(b.fact.v, np.eye(inst.fact.rank))
-        assert np.array_equal(b.fact.sigma, inst.fact.sigma)
+        assert np.allclose(b @ b.T, a @ a.T, atol=1e-12)
+        # B = U Sigma I_r: its own SVD has A's singular values and V = I_r up to signs
+        fb = factor(b).fact
+        assert np.allclose(fb.sigma, inst.fact.sigma, rtol=1e-12)
+        assert np.allclose(np.abs(fb.v), np.eye(inst.fact.rank), atol=1e-12)
         p = haar_subspace(5, 2, seed=3)
         assert projection_cost(b, p) == pytest.approx(projection_cost(a, p), abs=1e-12 * frob2(a))
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,34 @@ class TestCsv:
         path.write_text("")
         with pytest.raises(InvalidMatrixError):
             load_csv(path)
+
+    def test_comment_only_file_without_warning(self, tmp_path):
+        path = tmp_path / "comments.csv"
+        path.write_text("# 2 2\n# nothing here\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidMatrixError, match="no data rows"):
+                load_csv(path)
+
+    def test_trailing_comment_on_a_row_rejected(self, tmp_path):
+        path = tmp_path / "trailing.csv"
+        path.write_text("1,2 # note\n3,4\n")
+        with pytest.raises(InvalidInputError, match="trailing.csv"):
+            load_csv(path)
+
+    def test_comments_between_rows_ignored(self, tmp_path):
+        path = tmp_path / "between.csv"
+        path.write_text("# 2 2\n1,2\n# 9 9\n  # indented note\n3,4\n")
+        assert np.array_equal(load_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_one_row_and_one_column_stay_2d(self, tmp_path):
+        path = tmp_path / "thin.csv"
+        path.write_text("# 1 3\n1,2,3\n")
+        assert load_csv(path).shape == (1, 3)
+        path.write_text("# 3 1\n1\n2\n3\n")
+        assert np.array_equal(load_csv(path), [[1.0], [2.0], [3.0]])
+        path.write_text("5\n")
+        assert load_csv(path).shape == (1, 1)
 
 
 class TestDispatch:

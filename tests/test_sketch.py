@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -13,11 +14,12 @@ from pcpsketch.errors import (
     UnsupportedFamilyError,
     WidthNotReducingWarning,
 )
-from pcpsketch.linalg import factor, frob2, svd
+from pcpsketch.linalg import factor, frob2, head_tail_split, svd
 from pcpsketch.sketch import (
     METHODS,
     _indices_from_uniforms,
     SketchParams,
+    apply_operator,
     gaussian_sketch,
     gaussian_width,
     leverage_residual_sample,
@@ -27,7 +29,6 @@ from pcpsketch.sketch import (
     ridge_leverage_sample,
     ridge_scores,
     svd_sketch,
-    with_seed,
 )
 
 from oracles import gram_eigenvalues, indices_from_uniforms_loop
@@ -157,6 +158,28 @@ class TestLeverageResidual:
         col2 = (a**2).sum(axis=0)
         assert np.allclose(sk.operator.probs, col2 / col2.sum(), atol=1e-12)
 
+    @pytest.mark.parametrize("rank", [None, 1, 2, 0])
+    def test_probs_match_head_tail_formula(self, rank):
+        # generic, rank < k, rank = k and zero inputs at k = 2, against the
+        # formula on A's own rank-k split
+        rng = np.random.default_rng(30)
+        a = rng.standard_normal((6, 25))
+        if rank is not None:
+            a = rng.standard_normal((6, rank)) @ rng.standard_normal((rank, 25))
+        k = 2
+        probs = leverage_residual_sample(a, params(k=k, m_override=10)).operator.probs
+        fact = svd(a)
+        split = head_tail_split(fact, a, k)
+        if fact.rank > k:
+            res2 = np.sum(split.tail**2, axis=0)
+            expected = np.sum(split.v_r**2, axis=1) / (2 * k) + res2 / (2 * res2.sum())
+        elif fact.rank > 0:
+            expected = np.sum(split.v_r**2, axis=1)
+        else:
+            expected = np.ones(25)
+        expected /= expected.sum()
+        assert np.allclose(probs, expected, rtol=1e-12, atol=0.0)
+
 
 class TestRidgeScores:
     def test_identity(self):
@@ -266,7 +289,7 @@ class TestDispatchAndDeterminism:
         a = wide_matrix(13)
         for method in ("gaussian", "nonoblivious", "leverage", "ridge"):
             s1 = make_sketch(a, method, params(seed=1))
-            s2 = make_sketch(a, method, with_seed(params(seed=1), 2))
+            s2 = make_sketch(a, method, dataclasses.replace(params(seed=1), seed=2))
             assert not np.array_equal(s1.a_tilde, s2.a_tilde), method
 
     def test_methods_use_distinct_streams(self):
@@ -285,12 +308,6 @@ class TestDispatchAndDeterminism:
     def test_unknown_method(self):
         with pytest.raises(UnsupportedFamilyError):
             make_sketch(np.eye(3), "countsketch", params())
-
-    def test_with_seed_preserves_other_fields(self):
-        p = params(k=3, eps=0.25, delta=0.05, const_c=4.0, m_override=9)
-        q = with_seed(p, 123)
-        assert (q.k, q.eps, q.delta, q.const_c, q.m_override) == (3, 0.25, 0.05, 4.0, 9)
-        assert q.seed == 123
 
 
 class TestSamplingPatternInvariants:
@@ -345,8 +362,9 @@ class TestOperatorApply:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", WidthNotReducingWarning)
                 sk = make_sketch(a, method, params(m_override=12))
-            assert np.allclose(sk.apply(x), x @ sk.operator_matrix(), atol=1e-12), method
-            assert np.allclose(sk.apply(a), sk.a_tilde, atol=1e-12), method
+            dense = sk.operator_matrix()
+            assert np.allclose(apply_operator(x, sk.operator), x @ dense, atol=1e-12), method
+            assert np.allclose(apply_operator(a, sk.operator), sk.a_tilde, atol=1e-12), method
 
 
 class TestFactoredInput:
