@@ -19,7 +19,7 @@ one sketch -> certify -> probe -> score sequence behind ``pcp verify``,
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import inf
 
 import numpy as np
@@ -34,7 +34,6 @@ from .solvers import cluster_indicator_projection, lloyd_kmeans, partition_costs
 
 __all__ = [
     "ProbeSet",
-    "ProbeResult",
     "PcpReport",
     "ImplicationResult",
     "TransferCheck",
@@ -82,29 +81,34 @@ class ProbeSet:
         return len(self.probes) + extra
 
 
-@dataclass(frozen=True)
-class ProbeResult:
-    probe: str
-    cost_a: float
-    cost_sketch: float
-    signed_rel_err: float
-    zero_cost: bool = False
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PcpReport:
     """Signed relative errors over a probe set; passes iff the max is under target.
 
-    Probes with cost_a below 1e-12 * |A|_F^2 are scored by the absolute
-    check |cost_sketch + c| <= 1e-8 * |A|_F^2 instead of a ratio (their
-    signed error is recorded as 0, or +inf on failure, so the pass rule
-    stays a single max comparison).
+    One entry per probe in each column: its provenance tag, its costs on A
+    and on the sketch, its signed error and whether it was scored as a
+    zero-cost probe.  Probes with cost_a below 1e-12 * |A|_F^2 are scored
+    by the absolute check |cost_sketch + c| <= 1e-8 * |A|_F^2 instead of a
+    ratio (their signed error is recorded as 0, or +inf on failure, so the
+    pass rule stays a single max comparison).  ``worst_index`` is the first
+    probe whose |signed error| is the max.  Two reports are equal when
+    every field is, arrays entry for entry.
     """
 
-    per_probe: list
+    tags: np.ndarray
+    cost_a: np.ndarray
+    cost_sketch: np.ndarray
+    signed_rel_err: np.ndarray
+    zero_cost: np.ndarray
     max_abs_rel_err: float
+    worst_index: int
     eps_target: float
     passed: bool
+
+    def __eq__(self, other):
+        if not isinstance(other, PcpReport):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -225,24 +229,29 @@ def pcp_report(a, a_tilde, c: float, probes: ProbeSet, eps_target: float) -> Pcp
     b, bt = factor(a.core), factor(at.core)
     cost_a = np.array([projection_cost(b, p) for p in probes.probes])
     cost_s = np.array([projection_cost(bt, p) for p in probes.probes])
-    tags = list(probes.provenance)
+    tags = np.array(probes.provenance, dtype=str)
     if probes.partitions is not None:
         cost_a = np.concatenate([cost_a, partition_costs(b, probes.partitions)])
         cost_s = np.concatenate([cost_s, partition_costs(bt, probes.partitions)])
-        tags += [
-            "partition-" + "".join(map(str, row)) + f"-{max(row) + 1}blocks"
-            for row in probes.partitions.tolist()
-        ]
+        tags = np.concatenate([tags, _partition_tags(probes.partitions)])
     total = a.frob2
     zero = cost_a <= ZERO_COST_REL * total
     zero_err = np.where(np.abs(cost_s + c) <= ZERO_CHECK_REL * total, 0.0, inf)
     err = np.where(zero, zero_err, (cost_s + c - cost_a) / np.where(zero, 1.0, cost_a))
-    results = [
-        ProbeResult(tag, ca, cs, e, zero_cost=z)
-        for tag, ca, cs, e, z in zip(tags, cost_a.tolist(), cost_s.tolist(), err.tolist(), zero.tolist())
-    ]
-    worst = float(np.max(np.abs(err)))
-    return PcpReport(results, worst, eps_target, worst <= eps_target)
+    worst = int(np.argmax(np.abs(err)))
+    worst_err = abs(float(err[worst]))
+    return PcpReport(tags, cost_a, cost_s, err, zero, worst_err, worst, eps_target, worst_err <= eps_target)
+
+
+def _partition_tags(labels: np.ndarray) -> np.ndarray:
+    """``partition-<labels>-<b>blocks`` for each row of a label table, built
+    one column at a time from the decimal text of each label."""
+    digits = np.array([str(j) for j in range(int(labels.max(initial=0)) + 1)])
+    tags = np.full(len(labels), "partition-")
+    for column in labels.T:
+        tags = np.strings.add(tags, digits[column])
+    blocks = np.array([f"-{b}blocks" for b in range(1, len(digits) + 1)])
+    return np.strings.add(tags, blocks[labels.max(axis=1)])
 
 
 def implication_test(

@@ -18,6 +18,10 @@ import os
 import re
 import sys
 import time
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from . import audit, solvers
 from .errors import ConfigError, Error
@@ -96,18 +100,41 @@ def _params(args, seed: int) -> SketchParams:
     )
 
 
-class _Rows(list):
-    """Report rows already JSON-safe: flat dicts with the same first key,
-    of str, bool and finite float values, non-finite floats spelled "inf",
-    "-inf" or "nan"."""
+class _Rows:
+    """Report rows held as columns, one array of str, float or bool cells
+    per key.  JSON writes them one row per line and CSV one dotted key per
+    cell; each renders every cell's text once, from the columns."""
 
+    def __init__(self, **columns):
+        self.columns = columns
 
-def _json_float(x: float):
-    if math.isfinite(x):
-        return x
-    if math.isnan(x):
-        return "nan"
-    return "inf" if x > 0 else "-inf"
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def cells(self, quote) -> list:
+        """Each column's cell texts: floats by ``float.__repr__`` (the
+        spelling of the JSON encoder), booleans as true/false and strings
+        through ``quote``, which also spells the non-finite floats JSON has
+        no number for."""
+        out = []
+        for column in self.columns.values():
+            if column.dtype == bool:
+                out.append(np.where(column, "true", "false").tolist())
+            elif column.dtype.kind == "f":
+                text = list(map(float.__repr__, column.tolist()))
+                for i in np.flatnonzero(~np.isfinite(column)).tolist():
+                    text[i] = quote(text[i])
+                out.append(text)
+            else:
+                out.append(list(map(quote, column.tolist())))
+        return out
+
+    def json_lines(self) -> list:
+        """One JSON object per row, as ``json.dumps`` writes a flat dict."""
+        parts = []
+        for i, (key, cells) in enumerate(zip(self.columns, self.cells(encode_basestring_ascii))):
+            parts += [repeat(("{" if i == 0 else ", ") + encode_basestring_ascii(key) + ": "), cells]
+        return list(map("".join, zip(*parts, repeat("}"))))
 
 
 def _json_safe(obj):
@@ -121,8 +148,8 @@ def _json_safe(obj):
         return obj
     if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
         obj = obj.item()
-    if isinstance(obj, float):
-        return _json_float(obj)
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
     return obj
 
 
@@ -130,8 +157,8 @@ _ROWS_STUB = re.compile(r'^( *)(.*)"\\u0000(\d+)"', re.MULTILINE)
 
 
 def _dumps(report: dict) -> str:
-    """Indent-2 JSON of a JSON-safe report, except that each ``_Rows`` list
-    holds one row per line, all encoded in one call of the C encoder."""
+    """Indent-2 JSON of a JSON-safe report, except that each ``_Rows`` block
+    holds one row per line."""
     blocks: list = []
 
     def stub(obj):
@@ -148,11 +175,7 @@ def _dumps(report: dict) -> str:
         pad, head, rows = match.group(1), match.group(2), blocks[int(match.group(3))]
         if not rows:
             return f"{pad}{head}[]"
-        # an unescaped quote only bounds a string, so '}, {"' followed by the
-        # first key occurs only between two rows
-        first = json.dumps(next(iter(rows[0])))
-        body = json.dumps(rows, allow_nan=False)[1:-1]
-        body = body.replace("}, {" + first, "},\n" + pad + "  {" + first)
+        body = f",\n{pad}  ".join(rows.json_lines())
         return f"{pad}{head}[\n{pad}  {body}\n{pad}]"
 
     text = json.dumps(stub(report), indent=2, allow_nan=False)
@@ -160,7 +183,11 @@ def _dumps(report: dict) -> str:
 
 
 def _flatten(obj, prefix: str, out: dict) -> None:
-    if isinstance(obj, dict):
+    if isinstance(obj, _Rows):
+        for i, row in enumerate(zip(*obj.cells(str))):
+            for key, cell in zip(obj.columns, row):
+                out[f"{prefix}.{i}.{key}"] = cell
+    elif isinstance(obj, dict):
         for key, value in obj.items():
             _flatten(value, f"{prefix}.{key}" if prefix else str(key), out)
     elif isinstance(obj, list):
@@ -205,18 +232,16 @@ def _certificate_block(cert) -> dict:
 def _pcp_block(report) -> dict:
     return {
         "max_abs_rel_err": report.max_abs_rel_err,
-        "n_probes": len(report.per_probe),
+        "worst_probe": str(report.tags[report.worst_index]),
+        "n_probes": len(report.tags),
         "eps_target": report.eps_target,
         "pass": report.passed,
         "per_probe": _Rows(
-            {
-                "probe": str(r.probe),
-                "cost_a": _json_float(float(r.cost_a)),
-                "cost_sketch": _json_float(float(r.cost_sketch)),
-                "signed_rel_err": _json_float(float(r.signed_rel_err)),
-                "zero_cost": bool(r.zero_cost),
-            }
-            for r in report.per_probe
+            probe=report.tags,
+            cost_a=report.cost_a,
+            cost_sketch=report.cost_sketch,
+            signed_rel_err=report.signed_rel_err,
+            zero_cost=report.zero_cost,
         ),
     }
 

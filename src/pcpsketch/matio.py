@@ -65,10 +65,11 @@ def save_csv(path, a) -> None:
 
 
 def _data_lines(fh, header: list):
-    """The data rows of a CSV file, without blank and comment lines; the
-    first ``# n d`` comment before any row is appended to ``header``."""
+    """The data rows of a CSV file with their line numbers, without blank
+    and comment lines; the first ``# n d`` comment before any row is
+    appended to ``header``."""
     seen_row = False
-    for line in fh:
+    for lineno, line in enumerate(fh, 1):
         line = line.strip()
         if not line:
             continue
@@ -79,21 +80,40 @@ def _data_lines(fh, header: list):
                 header.append((int(fields[0]), int(fields[1])))
             continue
         seen_row = True
-        yield line
+        yield lineno, line
+
+
+def _first_bad_row(rows) -> str | None:
+    """The file line and fault of the first row that does not parse, or
+    that has a different number of values than the first row."""
+    width = None
+    for lineno, line in rows:
+        try:
+            count = np.loadtxt([line], delimiter=",", comments=None, ndmin=2).shape[1]
+        except ValueError:
+            return f"{lineno}: unparseable row"
+        width = count if width is None else width
+        if count != width:
+            return f"{lineno}: row has {count} values, expected {width}"
+    return None
 
 
 def load_csv(path) -> np.ndarray:
     """Read a CSV matrix; a ``# n d`` comment before the first row must match the data."""
     header: list = []
     with open(path) as fh:
-        lines = _data_lines(fh, header)
-        first = next(lines, None)
+        rows = _data_lines(fh, header)
+        first = next(rows, None)
         if first is None:
             raise InvalidMatrixError(f"{path}: no data rows")
+        lines = (line for _, line in itertools.chain([first], rows))
         try:
-            a = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None, ndmin=2)
+            a = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         except ValueError as exc:
-            raise InvalidInputError(f"{path}: {exc}") from None
+            # loadtxt counts data rows, not file lines: find the line again
+            fh.seek(0)
+            where = _first_bad_row(_data_lines(fh, []))
+            raise InvalidInputError(f"{path}:{where}" if where else f"{path}: {exc}") from None
     if header and header[0] != a.shape:
         raise InvalidInputError(
             f"{path}: header says {header[0][0]} x {header[0][1]}, data is {a.shape[0]} x {a.shape[1]}"

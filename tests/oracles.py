@@ -1,15 +1,19 @@
 """Independent reference computations used to check the library.
 
-Everything here except ``certify_dense_measured`` deliberately avoids
-np.linalg so that spectral quantities are confirmed through a second,
-unrelated route: a hand-rolled cyclic Jacobi eigensolver, direct
-entrywise residual sums, and brute-force enumeration.  Slow is fine;
-these only see desk-scale inputs.
+Everything here except ``certify_dense_measured`` and the report writers
+at the end deliberately avoids np.linalg so that spectral quantities are
+confirmed through a second, unrelated route: a hand-rolled cyclic Jacobi
+eigensolver, direct entrywise residual sums, and brute-force enumeration.
+The report writers are the plain row-by-row encoders that the CLI's
+columnar writer must agree with.  Slow is fine; these only see
+desk-scale inputs.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import math
 
 import numpy as np
 
@@ -197,3 +201,64 @@ def certify_dense_measured(a, s, k, eps):
         budget = (eps / 12.0) * tail2_k / float(np.sum(sigma2[p:]))
     t2 = {"spectral_eps": spectral, "frob_tail_p": frob_tp, "lambda_used": lam, "p_used": float(p)}
     return t1, t2, budget
+
+
+def probe_rows(report):
+    """One dict per probe of a ``PcpReport``, keyed as a report row."""
+    return [
+        {"probe": t, "cost_a": ca, "cost_sketch": cs, "signed_rel_err": e, "zero_cost": z}
+        for t, ca, cs, e, z in zip(
+            report.tags.tolist(),
+            report.cost_a.tolist(),
+            report.cost_sketch.tolist(),
+            report.signed_rel_err.tolist(),
+            report.zero_cost.tolist(),
+        )
+    ]
+
+
+def json_safe(obj):
+    """``obj`` with numpy scalars unwrapped and non-finite floats spelled
+    "inf", "-inf" or "nan", one value at a time."""
+    if isinstance(obj, dict):
+        return {str(k): json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_safe(v) for v in obj]
+    if isinstance(obj, bool):
+        return obj
+    if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    return obj
+
+
+def json_report_text(report: dict) -> str:
+    """The report made JSON-safe, then encoded by one ``json.dumps(indent=2)``."""
+    return json.dumps(json_safe(report), indent=2, allow_nan=False)
+
+
+def csv_report_text(report: dict) -> str:
+    """The report flattened to dotted keys (list items by index), a header
+    line and a value line: None empty, booleans true/false, else ``str``."""
+    flat = {}
+
+    def walk(obj, prefix):
+        if isinstance(obj, dict):
+            for key, value in obj.items():
+                walk(value, f"{prefix}.{key}" if prefix else str(key))
+        elif isinstance(obj, list):
+            for i, value in enumerate(obj):
+                walk(value, f"{prefix}.{i}")
+        else:
+            flat[prefix] = obj
+
+    def cell(v):
+        if v is None:
+            return ""
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return str(v)
+
+    walk(json_safe(report), "")
+    return ",".join(flat) + "\n" + ",".join(cell(v) for v in flat.values())

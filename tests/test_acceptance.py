@@ -255,10 +255,10 @@ def test_criterion_9_svd_sketch_band():
         sk = svd_sketch(a, SketchParams(k=k, eps=eps))
         probes = generate_probes(a, sk.a_tilde, k, 50, seed=i)
         rep = pcp_report(a, sk.a_tilde, sk.c_const, probes, eps + 1e-6)
-        for r in rep.per_probe:
-            if not (-eps - 1e-6 <= r.signed_rel_err <= eps + 1e-6):
+        for err in rep.signed_rel_err.tolist():
+            if not (-eps - 1e-6 <= err <= eps + 1e-6):
                 ok = False
-            overshoot = max(abs(r.signed_rel_err) - eps, 0.0)
+            overshoot = max(abs(err) - eps, 0.0)
             worst_overshoot = max(worst_overshoot, overshoot)
     elapsed = time.perf_counter() - start
     record(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -40,8 +41,8 @@ class TestGenerateProbes:
         ranks = [p.rank for p in probes.probes]
         assert 3 in ranks
         report = pcp_report(a, a.copy(), 0.0, probes, 0.5)
-        full = [r for r in report.per_probe if r.zero_cost]
-        assert full and all(r.signed_rel_err == 0.0 for r in full)
+        full = report.signed_rel_err[report.zero_cost]
+        assert full.size and np.all(full == 0.0)
 
     def test_deterministic(self):
         a = rand(1, (5, 9))
@@ -55,7 +56,7 @@ class TestGenerateProbes:
     def test_exhaustive_bipartition_count(self):
         a = rand(2, (4, 6))
         probes = generate_probes(a, a.copy(), 2, 0, seed=0, exhaustive=True)
-        tags = [r.probe for r in pcp_report(a, a.copy(), 0.0, probes, 0.5).per_probe]
+        tags = pcp_report(a, a.copy(), 0.0, probes, 0.5).tags.tolist()
         two_block = [tag for tag in tags if tag.startswith("partition-") and tag.endswith("-2blocks")]
         assert len(two_block) == 7  # Stirling count for 4 rows in 2 blocks
         assert len(probes) == len(tags)
@@ -130,9 +131,9 @@ class TestPcpReport:
         probes = generate_probes(a, at, 2, 5, seed=2)
         rep = pcp_report(a, at, 0.0, probes, 0.5)
         assert not rep.passed
-        positive = [r for r in rep.per_probe if not r.zero_cost]
+        positive = rep.signed_rel_err[~rep.zero_cost].tolist()
         assert positive
-        assert all(r.signed_rel_err == pytest.approx(-1.0, abs=1e-12) for r in positive)
+        assert all(e == pytest.approx(-1.0, abs=1e-12) for e in positive)
 
     def test_max_matches_recomputation(self):
         a = rand(11, (8, 40))
@@ -179,12 +180,12 @@ class TestPcpReport:
             got = pcp_report(a, at, c, probes, 0.3)
             ref = pcp_report(a, at, c, one_by_one, 0.3)
             scale = frob2(a)
-            assert any(r.zero_cost and r.probe.startswith("partition-") for r in ref.per_probe)
-            for r, e in zip(got.per_probe, ref.per_probe, strict=True):
-                assert (r.probe, r.zero_cost) == (e.probe, e.zero_cost)
-                assert r.cost_a == pytest.approx(e.cost_a, abs=1e-10 * scale)
-                assert r.cost_sketch == pytest.approx(e.cost_sketch, abs=1e-10 * scale)
-                assert r.signed_rel_err == pytest.approx(e.signed_rel_err, rel=1e-8, abs=1e-10)
+            assert np.any(ref.zero_cost & np.strings.startswith(ref.tags, "partition-"))
+            assert got.tags.tolist() == ref.tags.tolist()
+            assert np.array_equal(got.zero_cost, ref.zero_cost)
+            assert got.cost_a == pytest.approx(ref.cost_a, rel=0, abs=1e-10 * scale)
+            assert got.cost_sketch == pytest.approx(ref.cost_sketch, rel=0, abs=1e-10 * scale)
+            assert got.signed_rel_err == pytest.approx(ref.signed_rel_err, rel=1e-8, abs=1e-10)
             assert got.max_abs_rel_err == pytest.approx(ref.max_abs_rel_err, rel=1e-8)
             assert got.passed == ref.passed
 
@@ -198,6 +199,72 @@ class TestPcpReport:
         rep = pcp_report(a, at, 0.0, probes, 100.0)
         assert math.isinf(rep.max_abs_rel_err)
         assert not rep.passed
+
+
+    def test_tags_of_labels_past_nine(self):
+        # hand-built 12-row partitions into up to 12 blocks: labels 10 and 11
+        # take two digits each
+        rows = [
+            list(range(12)),
+            [0, 1, 0, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+            [0] * 12,
+            [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 10],
+            [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5],
+        ]
+        a = rand(40, (12, 15))
+        probes = ProbeSet(
+            probes=[axis_probe(12, 0)],
+            k=12,
+            provenance=["axis"],
+            seed=0,
+            partitions=np.array(rows, dtype=np.int8),
+        )
+        rep = pcp_report(a, a.copy(), 0.0, probes, 0.5)
+        want = ["partition-" + "".join(map(str, row)) + f"-{max(row) + 1}blocks" for row in rows]
+        assert rep.tags.tolist() == ["axis"] + want
+        assert want[0] == "partition-01234567891011-12blocks"
+
+    def test_worst_probe_is_the_first_max(self):
+        a = rand(41, (5, 8))
+        at = a[:, :4] * 1.3
+        probes = generate_probes(a, at, 2, 6, seed=3)
+        rep = pcp_report(a, at, 0.0, probes, 0.5)
+        i = rep.worst_index
+        assert abs(rep.signed_rel_err[i]) == rep.max_abs_rel_err == np.max(np.abs(rep.signed_rel_err))
+        assert np.all(np.abs(rep.signed_rel_err[:i]) < rep.max_abs_rel_err)
+        # a tie: the same probes twice, so every max appears again later
+        twice = ProbeSet(probes.probes * 2, 2, probes.provenance * 2, probes.seed)
+        assert pcp_report(a, at, 0.0, twice, 0.5).worst_index == i
+
+    def test_worst_probe_when_every_error_is_infinite(self):
+        a = np.array([[1.0, 0.0], [1.0, 0.0]])
+        at = np.array([[1.0], [0.0]])
+        span = Projection(np.array([[1.0], [1.0]]) / math.sqrt(2.0))
+        probes = ProbeSet(probes=[span, span, span], k=1, provenance=["p", "q", "r"], seed=0)
+        rep = pcp_report(a, at, 0.0, probes, 100.0)
+        assert np.all(np.isinf(rep.signed_rel_err)) and np.all(rep.zero_cost)
+        assert rep.worst_index == 0 and rep.tags[rep.worst_index] == "p"
+
+    def test_equality_compares_every_column_exactly(self):
+        a = rand(42, (5, 8))
+        at = a[:, :4].copy()
+        probes = generate_probes(a, at, 2, 3, seed=1)
+        rep = pcp_report(a, at, 0.1, probes, 0.5)
+        assert rep == pcp_report(a, at, 0.1, probes, 0.5)
+        assert rep != pcp_report(a, at, 0.1, probes, 0.6)
+        # the last entry of one column changed, floats by one ulp
+        last = {
+            "tags": "x",
+            "cost_a": np.nextafter(rep.cost_a[-1], np.inf),
+            "cost_sketch": np.nextafter(rep.cost_sketch[-1], np.inf),
+            "signed_rel_err": np.nextafter(rep.signed_rel_err[-1], np.inf),
+            "zero_cost": not rep.zero_cost[-1],
+        }
+        for name, value in last.items():
+            column = getattr(rep, name).copy()
+            column[-1] = value
+            assert rep != dataclasses.replace(rep, **{name: column}), name
+        assert rep != "report"
 
 
 class TestImplicationTest:
@@ -337,22 +404,22 @@ class TestProbesInCoordinates:
                     assert np.allclose(projector(p), expected[tag] @ expected[tag].T, atol=1e-10), tag
             report = pcp_report(factor(a), factor(at), 0.2, probes, 0.5)
             scale = frob2(a)
-            for r, p in zip(report.per_probe, probes.probes):
-                assert r.cost_a == pytest.approx(projection_cost(a, p), abs=1e-12 * scale)
-                assert r.cost_sketch == pytest.approx(projection_cost(at, p), abs=1e-12 * scale)
+            for cost_a, cost_s, p in zip(report.cost_a.tolist(), report.cost_sketch.tolist(), probes.probes):
+                assert cost_a == pytest.approx(projection_cost(a, p), abs=1e-12 * scale)
+                assert cost_s == pytest.approx(projection_cost(at, p), abs=1e-12 * scale)
 
     def test_partition_costs_match_the_array_path(self):
         a = np.tile(rand(32, (3, 7)), (2, 1))
         at = a[:, :4] + 0.01 * rand(33, (6, 4))
         probes = generate_probes(a, at, 3, 0, seed=1, exhaustive=True)
         report = pcp_report(a, at, 0.0, probes, 0.5)
-        rows = report.per_probe[len(probes.probes):]
+        rows = slice(len(probes.probes), None)
         scale = frob2(a)
         want_a = partition_costs(a, probes.partitions)
         want_s = partition_costs(at, probes.partitions)
-        assert len(rows) == len(want_a)
-        assert np.allclose([r.cost_a for r in rows], want_a, rtol=0, atol=1e-12 * scale)
-        assert np.allclose([r.cost_sketch for r in rows], want_s, rtol=0, atol=1e-12 * scale)
+        assert len(report.cost_a[rows]) == len(want_a)
+        assert np.allclose(report.cost_a[rows], want_a, rtol=0, atol=1e-12 * scale)
+        assert np.allclose(report.cost_sketch[rows], want_s, rtol=0, atol=1e-12 * scale)
 
 
 class TestVerifySketch:

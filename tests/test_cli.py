@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -5,11 +6,13 @@ import numpy as np
 import pytest
 
 from pcpsketch import audit
-from pcpsketch.cli import _dumps, _json_safe, _pcp_block, _Rows, main
+from pcpsketch.cli import _dumps, _emit, _json_safe, _pcp_block, _Rows, main
 from pcpsketch.generators import gen_synthetic, parse_generator_spec
 from pcpsketch.guarantees import certify_matrix_approx, certify_spectral, jl_moment_estimate
 from pcpsketch.matio import load_matrix, save_matrix
 from pcpsketch.sketch import METHODS, SketchParams, make_sketch
+
+import oracles
 
 REPORT_KEYS = {
     "method",
@@ -419,40 +422,65 @@ class TestOneFactorization:
 
 
 class TestReportWriting:
-    def test_matches_the_generic_encoder(self):
+    def test_matches_the_generic_encoder(self, tmp_path):
         # duplicate rows: some partition probes cost 0 on A but not on the
         # perturbed sketch, so their errors are +inf ("inf" in the report)
         a = np.tile(np.random.default_rng(14).standard_normal((3, 5)), (2, 1))
         at = a[:, :3] + 0.01 * np.random.default_rng(15).standard_normal((6, 3))
         probes = audit.generate_probes(a, at, 3, 2, seed=5, exhaustive=True)
         rep = audit.pcp_report(a, at, 0.5, probes, 0.3)
+        rows = oracles.probe_rows(rep)
+        assert any(math.isinf(r["signed_rel_err"]) for r in rows)
+        assert any(r["zero_cost"] for r in rows) and not all(r["zero_cost"] for r in rows)
         block = _pcp_block(rep)
-        # the rows as they were built before: raw floats, made safe by _json_safe
-        raw = [
-            {
-                "probe": r.probe,
-                "cost_a": r.cost_a,
-                "cost_sketch": r.cost_sketch,
-                "signed_rel_err": r.signed_rel_err,
-                "zero_cost": r.zero_cost,
-            }
-            for r in rep.per_probe
-        ]
-        assert any(math.isinf(r["signed_rel_err"]) for r in raw)
         head = {"method": "svd", "params": {"k": 3, "const_c": None}, "c_const": math.inf}
         tail = {"transfer": None, "timing_ms": 1.5}
-        old = json.dumps(
-            _json_safe({**head, "pcp": {**block, "per_probe": raw}, **tail}), indent=2, allow_nan=False
-        )
+        old = oracles.json_report_text({**head, "pcp": {**block, "per_probe": rows}, **tail})
         new = _dumps(_json_safe({**head, "pcp": block, **tail}))
         assert json.loads(new) == json.loads(old)
         lines = new.splitlines()
-        assert sum('"probe": ' in line for line in lines) == len(raw)  # one row per line
         assert lines[0] == "{" and lines[-1] == "}"
+        # one row per line, each as json.dumps writes the row's dict
+        row_lines = [line.strip().rstrip(",") for line in lines if '"probe": ' in line]
+        assert row_lines == [json.dumps(row) for row in oracles.json_safe(rows)]
+        out = tmp_path / "r.csv"
+        _emit({**head, "pcp": block, **tail}, argparse.Namespace(format="csv", report_out=str(out)))
+        assert out.read_text() == oracles.csv_report_text({**head, "pcp": {**block, "per_probe": rows}, **tail}) + "\n"
+
+    def test_float_cells_match_the_encoder(self):
+        values = np.array([1.5, -0.0, 1e-300, 2.0**60, 0.1 + 0.2, math.inf, -math.inf, math.nan])
+        rows = _Rows(x=values, flag=values > 1.0)
+        want = [{"x": x, "flag": bool(x > 1.0)} for x in values.tolist()]
+        assert rows.json_lines() == [json.dumps(row) for row in oracles.json_safe(want)]
 
     def test_empty_rows(self):
-        text = _dumps({"pcp": {"per_probe": _Rows(), "n_probes": 0}})
+        text = _dumps({"pcp": {"per_probe": _Rows(probe=np.array([], dtype=str)), "n_probes": 0}})
         assert json.loads(text) == {"pcp": {"per_probe": [], "n_probes": 0}}
+
+    def test_csv_matches_the_flattened_oracle(self, tmp_path, capsys):
+        # the same seeded verify written as JSON and as CSV; the CSV must be
+        # the JSON payload flattened cell by cell, all but the run time
+        a_path = tmp_path / "a.csv"
+        save_matrix(a_path, np.tile(np.random.default_rng(17).standard_normal((3, 9)), (2, 1)))
+        base = [
+            "verify", "--input", str(a_path), "--method", "gaussian", "--k", "3", "--eps", "0.5",
+            "--m", "4", "--n-random", "2", "--exhaustive-probes",
+        ]
+        texts = {}
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"r.{fmt}"
+            code, _, err = run(capsys, *base, "--format", fmt, "--report-out", str(out))
+            assert code in (0, 2), err
+            texts[fmt] = out.read_text()
+        payload = json.loads(texts["json"])
+        assert any(r["zero_cost"] for r in payload["pcp"]["per_probe"])
+
+        def cells(text):
+            keys, values = text.splitlines()
+            return [kv for kv in zip(keys.split(","), values.split(","), strict=True) if kv[0] != "timing_ms"]
+
+        assert texts["csv"].endswith("\n") and texts["csv"].count("\n") == 2
+        assert cells(texts["csv"]) == cells(oracles.csv_report_text(payload))
 
     def test_exhaustive_verify_report(self, tmp_path, capsys):
         a_path = tmp_path / "a.csv"

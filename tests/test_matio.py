@@ -145,6 +145,27 @@ class TestCsv:
         path.write_text("5\n")
         assert load_csv(path).shape == (1, 1)
 
+    def test_errors_name_the_file_line(self, tmp_path):
+        # a header, comments and a blank line before the bad row: the
+        # message names the line an editor shows, not the data row
+        path = tmp_path / "lines.csv"
+        path.write_text("# 3 2\n# exported\n1,2\n\n# more\n3,x\n5,6\n")
+        with pytest.raises(InvalidInputError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}:6: unparseable row"
+        path.write_text("# 3 2\n1,2\n# note\n\n3,4,5\n6,7\n")
+        with pytest.raises(InvalidInputError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}:5: row has 3 values, expected 2"
+        path.write_text("1,2\n# a comment\n3,1_000\n")
+        with pytest.raises(InvalidInputError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}:3: unparseable row"
+        path.write_text("# a comment\n1,2 # note\n3,4\n")
+        with pytest.raises(InvalidInputError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}:2: unparseable row"
+
 
 class TestDispatch:
     def test_suffix_selects_format(self, tmp_path):
