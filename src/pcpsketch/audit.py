@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInputError, WidthNotReducingWarning
 from .generators import GeneratorSpec, gen_synthetic
-from .guarantees import Certificate, certify_matrix_approx, certify_spectral
+from .guarantees import Certificate, _certify_both
 from .linalg import Projection, as_matrix, factor, frob2, haar_subspace, projection_cost, svd
 from .rng import Stream, derive_seed, rng_for
 from .sketch import Sketch, SketchParams, make_sketch
@@ -178,10 +178,9 @@ def generate_probes(
         if fr.rank > 0:
             add(Projection(fr.u[:, : min(kk, fr.rank)]), "residual-top")
 
-    eye = np.eye(n)
-    add(Projection(eye[:, :kk]), "axes-first")
+    add(_axes(n, np.arange(kk)), "axes-first")
     heavy = np.argsort(-np.sum(a.a * a.a, axis=1), kind="stable")[:kk]
-    add(Projection(eye[:, np.sort(heavy)]), "axes-heavy")
+    add(_axes(n, np.sort(heavy)), "axes-heavy")
 
     if n >= kk:
         for run in range(_PROBE_LLOYD_RUNS):
@@ -201,6 +200,13 @@ def generate_probes(
         add(haar_subspace(n, kk, derive_seed(seed, Stream.PROBE_HAAR, i)), f"haar-{i}")
 
     return ProbeSet(probes, k, tags, seed, partitions(n, kk) if exhaustive else None)
+
+
+def _axes(n: int, rows: np.ndarray) -> Projection:
+    """Projection onto the standard basis vectors e_i, i in ``rows``."""
+    basis = np.zeros((n, len(rows)))
+    basis[rows, np.arange(len(rows))] = 1.0
+    return Projection(basis)
 
 
 def pcp_error_on_probe(a, a_tilde, c: float, p: Projection) -> float:
@@ -273,8 +279,7 @@ def implication_test(
     a = factor(a)
     s = as_matrix(s, "operator")
     a_tilde = factor(a.a @ s, "a_tilde")
-    t1 = certify_matrix_approx(a, s, k, eps)
-    t2 = certify_spectral(a, s, k, eps)
+    t1, t2 = _certify_both(a, s, k, eps)
     if probes is None:
         probes = generate_probes(a, a_tilde, k, n_random, seed)
     report = pcp_report(a, a_tilde, 0.0, probes, eps)
@@ -300,8 +305,7 @@ def verify_sketch(
     exhaustive)`` at eps = params.eps.  A is factored at most once."""
     a = factor(a)
     sk = make_sketch(a, method, params)
-    t1 = certify_matrix_approx(a, sk.operator, params.k, params.eps)
-    t2 = certify_spectral(a, sk.operator, params.k, params.eps)
+    t1, t2 = _certify_both(a, sk.operator, params.k, params.eps)
     at = factor(sk.a_tilde, "a_tilde")
     probes = generate_probes(a, at, params.k, n_random, seed=probe_seed, exhaustive=exhaustive)
     report = pcp_report(a, at, sk.c_const, probes, params.eps)

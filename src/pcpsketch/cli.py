@@ -26,7 +26,7 @@ import numpy as np
 from . import audit, solvers
 from .errors import ConfigError, Error
 from .generators import gen_synthetic, parse_generator_spec
-from .guarantees import certify_matrix_approx, certify_spectral, jl_moment_estimate
+from .guarantees import _certify_both, jl_moment_estimate
 from .linalg import factor, projection_cost
 from .matio import load_matrix, save_matrix
 from .rng import Stream, derive_seed
@@ -303,8 +303,7 @@ def _cmd_certify(args) -> int:
     a = _load_source(args, seed)
     start = time.perf_counter()
     sk = make_sketch(a, args.method, _params(args, seed))
-    t1 = certify_matrix_approx(a, sk.operator, args.k, args.eps)
-    t2 = certify_spectral(a, sk.operator, args.k, args.eps)
+    t1, t2 = _certify_both(a, sk.operator, args.k, args.eps)
     report = _base_report(sk, args, seed)
     report["certificate_t1"] = _certificate_block(t1)
     report["certificate_t2"] = _certificate_block(t2)
@@ -356,9 +355,8 @@ def _cmd_solve(args) -> int:
             costs_a = [result.cost_on_a, projection_cost(a, best)]
             costs_sketch = [result.cost_on_sketch, projection_cost(sk.a_tilde, best)]
         else:
-            labels = solvers.partitions(a.shape[0], args.k)
+            labels, costs_sketch = result._partition_table
             costs_a = solvers.partition_costs(a, labels)
-            costs_sketch = solvers.partition_costs(sk.a_tilde, labels)
         check = audit.approx_transfer_check(
             a, sk.a_tilde, sk.c_const, args.eps, costs_a, costs_sketch, gamma=result.gamma
         )

@@ -13,7 +13,8 @@ An operator S is a dense d x m array or a ``SamplingPattern``, applied as
 a column gather.  Every functional depends on A only through A A^T and on
 S only through how S acts on A's row space, so with A = U Sigma V^T of
 rank r the certifiers read each measured value off the singular values
-sigma and the r x r Gram G = (V^T S)(V^T S)^T, formed once per certifier.
+sigma and the r x r Gram G = (V^T S)(V^T S)^T, formed once per certifier
+(once for both, where a caller runs the two on one operator).
 With tau_q = sum_{j>=q} sigma_j^2 and t the tail indices j >= k:
 se_err = |G[:k, :k] - I|_2, amm_tail_tail = |Sigma_t (G_tt - I) Sigma_t|_F / tau_k,
 amm_tail_vk = |Sigma_t G[k:, :k]|_F / sqrt(tau_k k), and the Frobenius tails
@@ -202,11 +203,35 @@ def certify_matrix_approx(a, s, k: int, eps: float) -> Certificate:
     zero additive constant.  Each value is read off sigma and G.
     """
     a, s = _validated(a, s, k, eps)
-    fact = a.fact
+    return _matrix_approx(a.fact, _row_space_gram(a.fact, s), k, eps)
+
+
+def certify_spectral(a, s, k: int, eps: float) -> Certificate:
+    """Sufficient conditions on S via the regularized spectral route.
+
+    Uses the regularizer lam = eps |A - A_k|_F^2 / (24 k) and the tail index
+    p (largest index whose squared singular value reaches the mean tail
+    mass |A - A_k|_F^2 / k).  Requires the spectral sandwich within eps/24
+    and Frobenius preservation of the rank-p tail within
+    (eps/12) |A - A_k|_F^2 / |A - A_p|_F^2; the p-tail condition is vacuous
+    when that tail is zero.  Both values are read off sigma and G.
+    """
+    a, s = _validated(a, s, k, eps)
+    return _spectral(a.fact, _row_space_gram(a.fact, s), k, eps)
+
+
+def _certify_both(a, s, k: int, eps: float) -> tuple[Certificate, Certificate]:
+    """``certify_matrix_approx`` and ``certify_spectral`` of one operator,
+    reading both off one G."""
+    a, s = _validated(a, s, k, eps)
+    g = _row_space_gram(a.fact, s)
+    return _matrix_approx(a.fact, g, k, eps), _spectral(a.fact, g, k, eps)
+
+
+def _matrix_approx(fact, g, k: int, eps: float) -> Certificate:
     # a tail that is structurally zero (rank <= k) passes every tail check
     se = amm_tt = amm_tv = frob_t = 0.0
     if fact.rank > 0:
-        g = _row_space_gram(fact, s)
         head = min(k, fact.rank)
         se = _embedding_error(g[:head, :head])
         if fact.rank > k:
@@ -233,18 +258,7 @@ def certify_matrix_approx(a, s, k: int, eps: float) -> Certificate:
     return Certificate("T1", measured, thresholds, _holds(measured, thresholds))
 
 
-def certify_spectral(a, s, k: int, eps: float) -> Certificate:
-    """Sufficient conditions on S via the regularized spectral route.
-
-    Uses the regularizer lam = eps |A - A_k|_F^2 / (24 k) and the tail index
-    p (largest index whose squared singular value reaches the mean tail
-    mass |A - A_k|_F^2 / k).  Requires the spectral sandwich within eps/24
-    and Frobenius preservation of the rank-p tail within
-    (eps/12) |A - A_k|_F^2 / |A - A_p|_F^2; the p-tail condition is vacuous
-    when that tail is zero.  Both values are read off sigma and G.
-    """
-    a, s = _validated(a, s, k, eps)
-    fact = a.fact
+def _spectral(fact, g, k: int, eps: float) -> Certificate:
     sigma2 = fact.sigma * fact.sigma
     tail2_k = float(np.sum(sigma2[k:]))
     lam = eps * tail2_k / (24.0 * k)
@@ -252,7 +266,6 @@ def certify_spectral(a, s, k: int, eps: float) -> Certificate:
     spectral = frob_tp = 0.0
     frob_budget = math.inf
     if fact.rank > 0:
-        g = _row_space_gram(fact, s)
         spectral = _sandwich_error(fact.sigma, g, lam)
         if fact.rank > p:
             frob_tp = _frob_tail_error(sigma2, g, p)

@@ -151,16 +151,25 @@ def svd(a, tol: float = 1e-10) -> SvdFactorization:
     -------
     SvdFactorization
         Factors with exactly ``rank`` columns / entries kept.
+
+    A wide matrix (n < d) is factored through its transpose,
+    ``A^T = V Sigma U^T``, with the factors swapped: LAPACK's path for tall
+    inputs is the faster one, and the singular values are the same.
     """
     a = as_matrix(a)
     if not 0.0 <= tol < 1.0:
         raise InvalidInputError(f"tol must be in [0, 1), got {tol}")
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    if a.shape[0] < a.shape[1]:
+        v, s, ut = np.linalg.svd(a.T, full_matrices=False)
+        u = ut.T
+    else:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        v = vt.T
     if s.size == 0 or s[0] <= 0.0:
         rank = 0
     else:
         rank = int(np.sum(s > tol * s[0]))
-    return SvdFactorization(u[:, :rank], s[:rank], vt[:rank].T, rank, tol)
+    return SvdFactorization(u[:, :rank], s[:rank], v[:, :rank], rank, tol)
 
 
 class Factored:

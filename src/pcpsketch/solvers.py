@@ -7,7 +7,7 @@ the compressed matrix and evaluates the solution on the original.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,6 +66,9 @@ class SolveResult:
     certified_ratio: float | None
     gamma: float | None
     task: str
+    # (labels, sketch costs) of every partition the exhaustive k-means
+    # search scored, for the transfer check; None for the other solvers
+    _partition_table: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def best_rank_k_projection(m, k: int) -> Projection:
@@ -139,7 +142,10 @@ def lloyd_kmeans(m, k: int, iters: int = 50, seed: int = 0, trace: list | None =
 
     Empty clusters are reseeded with the point farthest from its current
     center, so the objective never increases across iterations (appended to
-    ``trace`` when a list is passed).
+    ``trace`` when a list is passed).  Each iteration is two matrix
+    products: squared distances ``max(|x|^2 - 2 x c^T + |c|^2, 0)``, with
+    the row norms computed once, and the cluster sums (indicators times
+    rows) for the new centers.
     """
     m = as_matrix(m)
     n = m.shape[0]
@@ -152,23 +158,30 @@ def lloyd_kmeans(m, k: int, iters: int = 50, seed: int = 0, trace: list | None =
     rng = rng_for(seed, Stream.LLOYD)
     centers = _plusplus_init(m, k, rng)
     assignment = np.zeros(n, dtype=np.int64)
+    minus_2m = -2.0 * m
+    row_norm2 = (m * m).sum(axis=1)[:, None]
     for _ in range(iters):
-        d2 = ((m[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = minus_2m @ centers.T
+        d2 += row_norm2
+        d2 += (centers * centers).sum(axis=1)
+        np.maximum(d2, 0.0, out=d2)
         new_assignment = np.argmin(d2, axis=1)
-        point_d2 = d2[np.arange(n), new_assignment]
-        for j in range(k):
-            if not (new_assignment == j).any():
-                far = int(np.argmax(point_d2))
-                new_assignment[far] = j
-                point_d2[far] = 0.0
+        counts = np.bincount(new_assignment, minlength=k)
+        if counts.min() == 0:
+            point_d2 = d2[np.arange(n), new_assignment]
+            for j in range(k):
+                if not (new_assignment == j).any():
+                    far = int(np.argmax(point_d2))
+                    new_assignment[far] = j
+                    point_d2[far] = 0.0
+            counts = np.bincount(new_assignment, minlength=k)
         if trace is not None:
             trace.append(kmeans_cost(m, new_assignment))
         unchanged = np.array_equal(new_assignment, assignment)
         assignment = new_assignment
-        for j in range(k):
-            members = assignment == j
-            if members.any():
-                centers[j] = m[members].mean(axis=0)
+        filled = counts > 0
+        sums = (assignment == np.arange(k)[:, None]) @ m
+        centers[filled] = sums[filled] / counts[filled, None]
         if unchanged:
             break
     return Clustering(assignment, k, kmeans_cost(m, assignment))
@@ -237,6 +250,12 @@ def exhaustive_kmeans(m, k: int) -> Clustering:
     Capped at n <= 12 rows; cost ties (within 1e-12 * (|M|_F^2 + 1)) keep
     the lexicographically smallest assignment.
     """
+    return _exhaustive_search(m, k)[0]
+
+
+def _exhaustive_search(m, k: int) -> tuple:
+    """``exhaustive_kmeans`` with the partition table it searched and the
+    cost of each row: (clustering, labels, costs)."""
     m = as_matrix(m)
     if k < 1:
         raise InvalidRankError(f"k must be >= 1, got {k}")
@@ -244,7 +263,7 @@ def exhaustive_kmeans(m, k: int) -> Clustering:
     costs = partition_costs(m, labels)
     tied = costs <= costs.min() + 1e-12 * (frob2(m) + 1.0)
     assignment = labels[int(np.argmax(tied))].astype(np.int64)
-    return Clustering(assignment, k, kmeans_cost(m, assignment))
+    return Clustering(assignment, k, kmeans_cost(m, assignment)), labels, costs
 
 
 def sketch_and_solve(
@@ -268,13 +287,15 @@ def sketch_and_solve(
     if at.shape[0] != a.shape[0]:
         raise InvalidInputError("sketch row count does not match the matrix")
     k, eps = sk.params.k, sk.params.eps
+    table = None
     if task == "lowrank":
         proj = best_rank_k_projection(at, k)
         solution: object = proj
         gamma: float | None = 1.0
     elif task == "kmeans":
         if solver == "exhaustive":
-            clustering = exhaustive_kmeans(at, k)
+            clustering, labels, costs = _exhaustive_search(at, k)
+            table = (labels, costs)
             gamma = 1.0
         elif solver == "lloyd":
             clustering = lloyd_kmeans(at, k, iters=iters, seed=seed)
@@ -294,4 +315,5 @@ def sketch_and_solve(
         certified_ratio=ratio,
         gamma=gamma,
         task=task,
+        _partition_table=table,
     )

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pcpsketch import audit
+from pcpsketch import audit, solvers
 from pcpsketch.cli import _dumps, _emit, _json_safe, _pcp_block, _Rows, main
 from pcpsketch.generators import gen_synthetic, parse_generator_spec
 from pcpsketch.guarantees import certify_matrix_approx, certify_spectral, jl_moment_estimate
@@ -222,6 +222,24 @@ class TestSolveCmd:
         assert payload["transfer"]["holds"] is True
         assert len(payload["solution"]["assignment"]) == 8
 
+    def test_kmeans_exhaustive_transfer_from_its_own_tables(self, tmp_path, capsys):
+        # the solver's partition table is reused; the transfer check must be
+        # the one computed from both matrices' tables built afresh
+        a = np.random.default_rng(16).standard_normal((7, 9))
+        a_path = tmp_path / "a.pcpm"
+        save_matrix(a_path, a)
+        args = ["--input", str(a_path), "--method", "gaussian", "--k", "3", "--eps", "0.5", "--m", "5", "--seed", "2"]
+        code, payload = run_json(capsys, "solve", *args, "--task", "kmeans")
+        sk = make_sketch(a, "gaussian", SketchParams(k=3, eps=0.5, seed=2, m_override=5))
+        labels = solvers.partitions(7, 3)
+        check = audit.approx_transfer_check(
+            a, sk.a_tilde, sk.c_const, 0.5,
+            solvers.partition_costs(a, labels), solvers.partition_costs(sk.a_tilde, labels),
+        )
+        t = payload["transfer"]
+        assert (t["lhs"], t["rhs"], t["holds"]) == (check.lhs, check.rhs, check.bound_holds)
+        assert code == (0 if check.bound_holds else 2)
+
     def test_lloyd_makes_no_assertion(self, capsys):
         code, payload = run_json(
             capsys,
@@ -382,7 +400,10 @@ class TestZeroMatrix:
 
 class TestOneFactorization:
     """The input is factored once per command; the orthogonal control is
-    left out, since its sketch is as wide as the input and is factored too."""
+    left out, since its sketch is as wide as the input and is factored too.
+    A wide matrix is factored through its transpose, so a factorization is
+    counted by its shape either way round, and every one LAPACK sees is tall
+    or square."""
 
     @pytest.fixture
     def svd_shapes(self, monkeypatch):
@@ -403,12 +424,14 @@ class TestOneFactorization:
         save_matrix(a_path, np.random.default_rng(12).standard_normal((n, d)))
         base = ["--input", str(a_path), "--method", method, "--k", "2", "--eps", "0.5", "--m", str(m)]
         # nonoblivious also factors Pi A, m x d
-        want = sorted([(n, d)] + ([(m, d)] if method == "nonoblivious" else []))
+        want = sorted([(d, n)] + ([(d, m)] if method == "nonoblivious" else []))
         for cmd in (["certify"], ["verify", "--n-random", "3"], ["solve", "--task", "lowrank"]):
             svd_shapes.clear()
             code, _, err = run(capsys, *cmd, *base)
             assert code in (0, 2), err
-            assert sorted(s for s in svd_shapes if s[1] == d) == want, (cmd, svd_shapes)
+            assert all(rows >= cols for rows, cols in svd_shapes), (cmd, svd_shapes)
+            factored = sorted(tuple(sorted(s, reverse=True)) for s in svd_shapes if d in s)
+            assert factored == want, (cmd, svd_shapes)
 
     def test_gaussian_sketch_runs_no_svd(self, tmp_path, capsys, svd_shapes):
         a_path = tmp_path / "a.pcpm"

@@ -15,6 +15,7 @@ from pcpsketch.errors import (
 )
 from pcpsketch.guarantees import (
     HOLDS_TOL,
+    _certify_both,
     amm_error,
     certify_matrix_approx,
     certify_spectral,
@@ -280,6 +281,24 @@ class TestCertifySpectral:
                 if cert.holds:
                     for key, thr in cert.thresholds.items():
                         assert cert.measured[key] <= thr + HOLDS_TOL
+
+
+class TestCertifyBoth:
+    """Both certificates read off one G equal the two public certifiers,
+    value for value: full rank, rank <= k, the zero matrix, and a sampling
+    pattern as well as a dense operator."""
+
+    @pytest.mark.parametrize("method", ["gaussian", "leverage"])
+    def test_equals_the_public_certifiers(self, method):
+        rng = np.random.default_rng(26)
+        low = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 15))
+        for a in (rand(25, (6, 15)), low, np.ones((6, 15)), np.zeros((6, 15))):
+            if not a.any() and method == "leverage":
+                continue
+            s = make_sketch(a, method, SketchParams(k=2, eps=0.5, seed=3, m_override=10)).operator
+            t1, t2 = _certify_both(a, s, 2, 0.5)
+            assert t1 == certify_matrix_approx(a, s, 2, 0.5)
+            assert t2 == certify_spectral(a, s, 2, 0.5)
 
 
 class TestHoldsTolerance:

@@ -80,6 +80,51 @@ class TestSvd:
             svd(np.eye(2), tol=1.0)
 
 
+def svd_cases() -> dict:
+    rng = np.random.default_rng(50)
+    low = rng.standard_normal((7, 2)) @ rng.standard_normal((2, 30))
+    return {
+        "wide": rng.standard_normal((6, 40)),
+        "tall": rng.standard_normal((40, 6)),
+        "square": rng.standard_normal((9, 9)),
+        "row": rng.standard_normal((1, 25)),
+        "column": rng.standard_normal((25, 1)),
+        "zero": np.zeros((4, 11)),
+        "rank-deficient wide": low,
+        "rank-deficient tall": low.T,
+    }
+
+
+class TestSvdAgainstDirect:
+    """``svd`` factors wide inputs through their transpose; every shape must
+    give what the direct ``np.linalg.svd`` of the input gives, up to the
+    signs of singular vector pairs."""
+
+    @pytest.mark.parametrize("name", list(svd_cases()))
+    def test_matches_direct_svd(self, name):
+        a = svd_cases()[name]
+        f = svd(a)
+        _, s, _ = np.linalg.svd(a, full_matrices=False)
+        direct_rank = int(np.sum(s > 1e-10 * s[0])) if s[0] > 0 else 0
+        assert f.rank == direct_rank
+        assert f.u.shape == (a.shape[0], f.rank) and f.v.shape == (a.shape[1], f.rank)
+        assert np.allclose(f.sigma, s[: f.rank], rtol=1e-13, atol=0)
+        assert np.allclose(f.u.T @ f.u, np.eye(f.rank), atol=1e-12)
+        assert np.allclose(f.v.T @ f.v, np.eye(f.rank), atol=1e-12)
+        scale = max(np.linalg.norm(a), 1.0)
+        assert np.linalg.norm(f.u @ np.diag(f.sigma) @ f.v.T - a) <= 1e-12 * scale
+        for arr in (f.u, f.sigma, f.v):
+            assert not arr.flags.writeable
+
+    def test_lapack_sees_only_tall_or_square(self, monkeypatch):
+        shapes = []
+        real = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda x, *ar, **kw: shapes.append(np.shape(x)) or real(x, *ar, **kw))
+        for a in svd_cases().values():
+            svd(a)
+        assert shapes and all(rows >= cols for rows, cols in shapes)
+
+
 class TestHeadTailSplit:
     def test_diagonal_r1(self):
         a = np.diag([3.0, 2.0, 1.0])

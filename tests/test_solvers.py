@@ -116,6 +116,18 @@ class TestLloyd:
             diffs = np.diff(np.asarray(trace))
             assert np.all(diffs <= 1e-12)
 
+    def test_gemm_distances_assign_as_the_broadcast_formula(self):
+        # separated clusters: every point is far nearer one center than the rest
+        rng = np.random.default_rng(6)
+        centers = 30.0 * rng.standard_normal((4, 20))
+        m = centers[np.arange(60) % 4] + rng.standard_normal((60, 20))
+        res = lloyd_kmeans(m, 4, seed=2)
+        means = np.array([m[res.assignment == j].mean(axis=0) for j in range(4)])
+        broadcast = ((m[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+        assert np.array_equal(res.assignment, np.argmin(broadcast, axis=1))
+        assert np.array_equal(res.assignment[:4], res.assignment[4:8])
+        assert len(set(res.assignment[:4].tolist())) == 4
+
     def test_deterministic(self):
         m = rand(5, (10, 2))
         r1 = lloyd_kmeans(m, 3, seed=9)
