@@ -5,8 +5,15 @@ within a relative eps for every rank-<=k projection P.  This module builds
 adversarial probe sets (singular subspaces of both matrices, residual
 directions, random subspaces, coordinate axes, cluster indicators), scores
 the signed relative error on each, ties certificates to the observed
-errors (implication_test and the randomized harness around it), and checks
-the transfer bound for approximate minimizers found on the sketch.
+errors (the randomized implication harness), and checks the transfer
+bound for approximate minimizers found on the sketch.
+
+A probe set is columnar: a ``ProbeSet`` holds every basis in one
+(count, n, min(k, n)) array, zero-padded past each probe's rank, beside
+an array of tags, and is checked by one stacked Gram product.
+``generate_probes`` fills the array a family at a time (the Lloyd runs on
+each core as one batch, the Haar bases from one stacked QR), and
+``pcp_report`` scores all of it with one matrix product per core.
 
 A and the sketch are ``Factored`` instances (arrays are wrapped at the
 entry).  Probe costs and the Lloyd probes run on their n x r cores
@@ -24,25 +31,22 @@ from math import inf
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInputError, WidthNotReducingWarning
+from .errors import DimensionError, InvalidInputError, InvalidMatrixError, WidthNotReducingWarning
 from .generators import GeneratorSpec, gen_synthetic
 from .guarantees import Certificate, _certify_both
-from .linalg import Projection, as_matrix, factor, frob2, haar_subspace, projection_cost, svd
+from .linalg import _haar_bases, as_matrix, factor, frob2, svd
 from .rng import Stream, derive_seed, rng_for
 from .sketch import Sketch, SketchParams, make_sketch
-from .solvers import cluster_indicator_projection, lloyd_kmeans, partition_costs, partitions
+from .solvers import _lloyd_assignments, partition_costs, partitions
 
 __all__ = [
     "ProbeSet",
     "PcpReport",
-    "ImplicationResult",
     "TransferCheck",
     "HarnessSummary",
     "Verification",
     "generate_probes",
-    "pcp_error_on_probe",
     "pcp_report",
-    "implication_test",
     "implication_harness",
     "approx_transfer_check",
     "verify_sketch",
@@ -54,31 +58,51 @@ _PROBE_LLOYD_RUNS = 5
 _PROBE_LLOYD_ITERS = 25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbeSet:
-    """Rank-<=k probe projections with their provenance tags, plus an
-    optional table of row partitions, each one cluster-indicator probe."""
+    """Rank-<=k probe projections as one array, with their provenance tags,
+    plus an optional table of row partitions, each one cluster-indicator
+    probe.
 
-    probes: list
+    ``bases[i]`` is an n x w orthonormal basis of probe i (w <= k), whose
+    columns past the probe's rank are zero; ``tags[i]`` names its family.
+    One stacked Gram matrix checks every basis at once, to the tolerance
+    of ``Projection``: finite entries, and each column of unit or zero norm
+    and orthogonal to the others within 1e-8.
+    """
+
+    bases: np.ndarray
+    tags: np.ndarray
     k: int
-    provenance: list
     seed: int
     partitions: np.ndarray | None = None
 
     def __post_init__(self):
+        bases = np.array(self.bases, dtype=float)
+        tags = np.asarray(self.tags, dtype=str)
+        if bases.ndim != 3:
+            raise InvalidMatrixError("probe bases must be a (count, n, width) array")
+        if tags.shape != bases.shape[:1]:
+            raise InvalidInputError("one provenance tag per probe required")
         if len(self) == 0:
             raise InvalidInputError("probe set must be nonempty")
-        if len(self.probes) != len(self.provenance):
-            raise InvalidInputError("one provenance tag per probe required")
-        for p in self.probes:
-            if p.rank > self.k:
-                raise InvalidInputError("probe rank exceeds k")
+        if bases.shape[2] > self.k:
+            raise InvalidInputError("probe rank exceeds k")
+        if not np.isfinite(bases).all():
+            raise InvalidMatrixError("probe basis contains non-finite entries")
+        gram = bases.transpose(0, 2, 1) @ bases
+        unit = np.diagonal(gram, axis1=1, axis2=2) > 0.5
+        if gram.size and np.max(np.abs(gram - unit[:, :, None] * np.eye(bases.shape[2]))) > 1e-8:
+            raise InvalidMatrixError("probe basis columns are not orthonormal")
         if self.partitions is not None and self.partitions.max(initial=0) >= self.k:
             raise InvalidInputError("partition probe has more than k blocks")
+        bases.setflags(write=False)
+        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "tags", tags)
 
     def __len__(self) -> int:
         extra = 0 if self.partitions is None else len(self.partitions)
-        return len(self.probes) + extra
+        return len(self.tags) + extra
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,14 +136,6 @@ class PcpReport:
 
 
 @dataclass(frozen=True)
-class ImplicationResult:
-    certificate_t1: Certificate
-    certificate_t2: Certificate
-    report: PcpReport
-    consistent: bool
-
-
-@dataclass(frozen=True)
 class TransferCheck:
     bound_holds: bool
     lhs: float
@@ -142,7 +158,9 @@ def generate_probes(
     appended, and ``exhaustive`` adds every cluster indicator over
     partitions into at most k blocks (n <= 12 only, else TooLargeError).
     The residual and Lloyd probes are computed on the cores of A and of
-    the sketch; the heaviest rows are A's own.
+    the sketch; the heaviest rows are A's own.  The bases are filled into
+    one array a family at a time: the Lloyd runs on each core go as one
+    batch, and the Haar bases share one stacked QR.
     """
     a = factor(a)
     at = factor(a_tilde, "a_tilde")
@@ -154,88 +172,75 @@ def generate_probes(
         raise InvalidInputError(f"n_random must be >= 0, got {n_random}")
     n = a.shape[0]
     kk = min(k, n)
-    probes: list[Projection] = []
-    tags: list[str] = []
-
-    def add(p: Projection, tag: str):
-        probes.append(p)
-        tags.append(tag)
-
-    add(Projection(np.zeros((n, 0))), "zero-rank")
 
     fa = a.fact
     fs = at.fact
-    for j in range(1, kk + 1):
-        if j <= fa.rank:
-            add(Projection(fa.u[:, :j]), f"top-a-{j}")
-        if j <= fs.rank:
-            add(Projection(fs.u[:, :j]), f"top-sketch-{j}")
-
+    spans = [
+        (f"top-{name}-{j}", f.u[:, :j])
+        for j in range(1, kk + 1)
+        for name, f in (("a", fa), ("sketch", fs))
+        if j <= f.rank
+    ]
     if fs.rank > 0:
         q = fs.u[:, : min(kk, fs.rank)]
         b = a.core
         fr = svd(b - q @ (q.T @ b))
         if fr.rank > 0:
-            add(Projection(fr.u[:, : min(kk, fr.rank)]), "residual-top")
-
-    add(_axes(n, np.arange(kk)), "axes-first")
+            spans.append(("residual-top", fr.u[:, : min(kk, fr.rank)]))
     heavy = np.argsort(-np.sum(a.a * a.a, axis=1), kind="stable")[:kk]
-    add(_axes(n, np.sort(heavy)), "axes-heavy")
+    runs = range(_PROBE_LLOYD_RUNS)
+    # (run, core) order: kmeans-a-0, kmeans-sketch-0, kmeans-a-1, ...
+    labels = np.stack(
+        [
+            _lloyd_assignments(core, kk, [derive_seed(seed, stream, run) for run in runs], _PROBE_LLOYD_ITERS)
+            for core, stream in ((a.core, Stream.PROBE_LLOYD_A), (at.core, Stream.PROBE_LLOYD_SKETCH))
+        ],
+        axis=1,
+    ).reshape(-1, n)
 
-    if n >= kk:
-        for run in range(_PROBE_LLOYD_RUNS):
-            cl = lloyd_kmeans(
-                a.core, kk, iters=_PROBE_LLOYD_ITERS, seed=derive_seed(seed, Stream.PROBE_LLOYD_A, run)
-            )
-            add(cluster_indicator_projection(cl.assignment, kk, n), f"kmeans-a-{run}")
-            cl = lloyd_kmeans(
-                at.core,
-                kk,
-                iters=_PROBE_LLOYD_ITERS,
-                seed=derive_seed(seed, Stream.PROBE_LLOYD_SKETCH, run),
-            )
-            add(cluster_indicator_projection(cl.assignment, kk, n), f"kmeans-sketch-{run}")
-
-    for i in range(n_random):
-        add(haar_subspace(n, kk, derive_seed(seed, Stream.PROBE_HAAR, i)), f"haar-{i}")
-
-    return ProbeSet(probes, k, tags, seed, partitions(n, kk) if exhaustive else None)
-
-
-def _axes(n: int, rows: np.ndarray) -> Projection:
-    """Projection onto the standard basis vectors e_i, i in ``rows``."""
-    basis = np.zeros((n, len(rows)))
-    basis[rows, np.arange(len(rows))] = 1.0
-    return Projection(basis)
-
-
-def pcp_error_on_probe(a, a_tilde, c: float, p: Projection) -> float:
-    """Signed relative cost error (cost_sketch + c - cost_a) / cost_a, with
-    both costs on the cores, as ``pcp_report`` scores the probe."""
-    a = factor(a)
-    at = factor(a_tilde, "a_tilde")
-    if at.shape[0] != a.shape[0]:
-        raise DimensionError("matrix and sketch must have the same number of rows")
-    cost_a = projection_cost(factor(a.core), p)
-    if cost_a <= ZERO_COST_REL * a.frob2:
-        raise InvalidInputError(
-            "probe cost on A is (numerically) zero; use the absolute zero check"
-        )
-    return (projection_cost(factor(at.core), p) + c - cost_a) / cost_a
+    tags = ["zero-rank"] + [tag for tag, _ in spans] + ["axes-first", "axes-heavy"]
+    tags += [f"kmeans-{core}-{run}" for run in runs for core in ("a", "sketch")]
+    tags += [f"haar-{i}" for i in range(n_random)]
+    bases = np.zeros((len(tags), n, kk))
+    for i, (_, u) in enumerate(spans, start=1):
+        bases[i, :, : u.shape[1]] = u
+    i = 1 + len(spans)
+    bases[i, np.arange(kk), np.arange(kk)] = 1.0
+    bases[i + 1, np.sort(heavy), np.arange(kk)] = 1.0
+    i += 2
+    onehot = labels[:, :, None] == np.arange(kk)
+    bases[i : i + len(labels)] = onehot / np.sqrt(np.maximum(onehot.sum(axis=1), 1))[:, None, :]
+    i += len(labels)
+    bases[i:] = _haar_bases(n, kk, [derive_seed(seed, Stream.PROBE_HAAR, j) for j in range(n_random)])
+    return ProbeSet(bases, tags, k, seed, partitions(n, kk) if exhaustive else None)
 
 
 def pcp_report(a, a_tilde, c: float, probes: ProbeSet, eps_target: float) -> PcpReport:
-    """Score every probe on the cores; pass iff max |signed error| <= eps_target."""
+    """Score every probe on the cores; pass iff max |signed error| <= eps_target.
+
+    A probe with basis Q costs |B|_F^2 - |Q^T B|_F^2 on a core B, clamped
+    at zero; the explained parts of all the probes come from one product
+    of the stacked bases with each core.
+    """
     a = factor(a)
     at = factor(a_tilde, "a_tilde")
-    if at.shape[0] != a.shape[0]:
+    n = a.shape[0]
+    if at.shape[0] != n:
         raise DimensionError("matrix and sketch must have the same number of rows")
+    if probes.bases.shape[1] != n:
+        raise DimensionError(f"probes on {probes.bases.shape[1]} rows, matrix has {n}")
     if eps_target <= 0.0:
         raise InvalidInputError(f"eps_target must be positive, got {eps_target}")
-    b, bt = factor(a.core), factor(at.core)
-    cost_a = np.array([projection_cost(b, p) for p in probes.probes])
-    cost_s = np.array([projection_cost(bt, p) for p in probes.probes])
-    tags = np.array(probes.provenance, dtype=str)
+    count, _, width = probes.bases.shape
+    stacked = probes.bases.transpose(1, 0, 2).reshape(n, count * width)
+
+    def costs(core: np.ndarray) -> np.ndarray:
+        explained = stacked.T @ core
+        explained *= explained
+        return np.maximum(frob2(core) - explained.reshape(count, width * core.shape[1]).sum(axis=1), 0.0)
+
+    b, bt = a.core, at.core
+    cost_a, cost_s, tags = costs(b), costs(bt), probes.tags
     if probes.partitions is not None:
         cost_a = np.concatenate([cost_a, partition_costs(b, probes.partitions)])
         cost_s = np.concatenate([cost_s, partition_costs(bt, probes.partitions)])
@@ -258,33 +263,6 @@ def _partition_tags(labels: np.ndarray) -> np.ndarray:
         tags = np.strings.add(tags, digits[column])
     blocks = np.array([f"-{b}blocks" for b in range(1, len(digits) + 1)])
     return np.strings.add(tags, blocks[labels.max(axis=1)])
-
-
-def implication_test(
-    a,
-    s,
-    k: int,
-    eps: float,
-    probes: ProbeSet | None = None,
-    n_random: int = 8,
-    seed: int = 0,
-) -> ImplicationResult:
-    """Check that certificates only ever endorse sketches that audit clean.
-
-    Forms A_tilde = A S with c = 0, runs both certifiers and the probe
-    report at eps; consistent means each certificate that holds is matched
-    by a passing report.  A false implication here would be a bug, not
-    noise: the certificates are sufficient conditions.
-    """
-    a = factor(a)
-    s = as_matrix(s, "operator")
-    a_tilde = factor(a.a @ s, "a_tilde")
-    t1, t2 = _certify_both(a, s, k, eps)
-    if probes is None:
-        probes = generate_probes(a, a_tilde, k, n_random, seed)
-    report = pcp_report(a, a_tilde, 0.0, probes, eps)
-    consistent = (not t1.holds or report.passed) and (not t2.holds or report.passed)
-    return ImplicationResult(t1, t2, report, consistent)
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
 import re
+import shutil
 import sys
 import time
 from itertools import repeat
@@ -444,8 +446,14 @@ def _cmd_jl_moment(args) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="pcp", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # argparse makes a formatter for every argument it adds, and each one
+    # made without a width asks the terminal for its size: ask once, for
+    # the width the stock formatter would pick
+    fmt = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = _Parser(prog="pcp", description=__doc__, formatter_class=fmt)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=functools.partial(_Parser, formatter_class=fmt)
+    )
 
     p = sub.add_parser("gen", help="write a synthetic matrix")
     p.add_argument("--spec", required=True, help="e.g. lowrank:n=60,d=500,rank=3,noise=0.02")

@@ -282,21 +282,50 @@ def orthonormal_columns(g, rng: np.random.Generator | None = None) -> np.ndarray
     (``|R_jj|`` at or below 1e-12 * sqrt(n)) are redrawn from ``rng`` when
     one is supplied, at most 50 times; otherwise they are an error.
     """
-    q = np.array(g, dtype=float, copy=True)
-    if q.ndim != 2 or q.shape[1] > q.shape[0]:
+    g = np.asarray(g, dtype=float)
+    if g.ndim != 2:
         raise InvalidMatrixError("need a tall 2-D array to orthonormalize")
-    n = q.shape[0]
+    return _orthonormal_stack(g[None], [rng])[0]
+
+
+def _orthonormal_stack(g: np.ndarray, rngs: list) -> np.ndarray:
+    """``orthonormal_columns`` of each matrix of a (count, n, j) stack, the
+    redraws of matrix i from ``rngs[i]``.  Every round factors the matrices
+    still pending in one stacked ``np.linalg.qr``, which runs LAPACK on each
+    matrix as a single call would, so each basis is bit for bit the one
+    that matrix gets alone."""
+    q = np.array(g, dtype=float, copy=True)
+    if q.shape[-1] > q.shape[-2]:
+        raise InvalidMatrixError("need a tall 2-D array to orthonormalize")
+    n = q.shape[1]
     floor = 1e-12 * np.sqrt(n)
+    out = np.empty_like(q)
+    pending = np.arange(len(q))
     for _ in range(50):
-        basis, r = np.linalg.qr(q)
-        diag = np.diag(r)
+        basis, r = np.linalg.qr(q[pending])
+        diag = np.diagonal(r, axis1=1, axis2=2)
         dependent = np.abs(diag) <= floor
-        if not dependent.any():
-            return basis * np.sign(diag)
-        if rng is None:
-            raise InvalidInputError("columns are numerically dependent")
-        q[:, dependent] = rng.standard_normal((n, int(dependent.sum())))
+        done = ~dependent.any(axis=1)
+        out[pending[done]] = basis[done] * np.sign(diag[done])[:, None, :]
+        for j in np.flatnonzero(~done).tolist():
+            rng = rngs[pending[j]]
+            if rng is None:
+                raise InvalidInputError("columns are numerically dependent")
+            q[pending[j]][:, dependent[j]] = rng.standard_normal((n, int(dependent[j].sum())))
+        pending = pending[~done]
+        if not pending.size:
+            return out
     raise InvalidInputError("could not orthonormalize columns")
+
+
+def _haar_bases(n: int, k: int, seeds) -> np.ndarray:
+    """(len(seeds), n, k) stack of the bases ``haar_subspace(n, k, seed)``
+    draws, one per seed, orthonormalized together."""
+    rngs = [rng_for(seed, Stream.HAAR) for seed in seeds]
+    g = np.empty((len(rngs), n, k))
+    for i, rng in enumerate(rngs):
+        g[i] = rng.standard_normal((n, k))
+    return _orthonormal_stack(g, rngs)
 
 
 def haar_subspace(n: int, k: int, seed: int = 0) -> Projection:
@@ -307,6 +336,4 @@ def haar_subspace(n: int, k: int, seed: int = 0) -> Projection:
     """
     if not 1 <= k <= n:
         raise InvalidRankError(f"need 1 <= k <= n, got k={k}, n={n}")
-    rng = rng_for(seed, Stream.HAAR)
-    basis = orthonormal_columns(rng.standard_normal((n, k)), rng)
-    return Projection(basis)
+    return Projection(_haar_bases(n, k, [seed])[0])

@@ -142,12 +142,26 @@ def lloyd_kmeans(m, k: int, iters: int = 50, seed: int = 0, trace: list | None =
 
     Empty clusters are reseeded with the point farthest from its current
     center, so the objective never increases across iterations (appended to
-    ``trace`` when a list is passed).  Each iteration is two matrix
-    products: squared distances ``max(|x|^2 - 2 x c^T + |c|^2, 0)``, with
-    the row norms computed once, and the cluster sums (indicators times
-    rows) for the new centers.
+    ``trace`` when a list is passed).  One run of ``_lloyd_assignments``.
     """
     m = as_matrix(m)
+    assignment = _lloyd_assignments(m, k, [seed], iters, trace)[0]
+    return Clustering(assignment, k, kmeans_cost(m, assignment))
+
+
+def _lloyd_assignments(m: np.ndarray, k: int, seeds, iters: int, trace: list | None = None) -> np.ndarray:
+    """Final assignments of one Lloyd run per seed on the rows of ``m``,
+    as a (len(seeds), n) array; the runs go through each iteration together.
+
+    Each run starts from its own k-means++ centers and stops when its
+    assignment stops changing.  An iteration is two matrix products per
+    run, stacked over the runs still going: squared distances
+    ``max(|x|^2 - 2 x c^T + |c|^2, 0)``, with the row norms computed once,
+    and the cluster sums (indicators times rows) for the new centers.  A
+    stacked product runs the same BLAS call on each run as a single run
+    would, so every run's assignment is bit for bit its own alone.
+    ``trace`` gets the objective of each run still going, per iteration.
+    """
     n = m.shape[0]
     if k < 1:
         raise InvalidRankError(f"k must be >= 1, got {k}")
@@ -155,36 +169,40 @@ def lloyd_kmeans(m, k: int, iters: int = 50, seed: int = 0, trace: list | None =
         raise InvalidInputError(f"need at least k={k} rows, got {n}")
     if iters < 1:
         raise InvalidInputError(f"iters must be >= 1, got {iters}")
-    rng = rng_for(seed, Stream.LLOYD)
-    centers = _plusplus_init(m, k, rng)
-    assignment = np.zeros(n, dtype=np.int64)
+    centers = np.stack([_plusplus_init(m, k, rng_for(seed, Stream.LLOYD)) for seed in seeds])
+    assignment = np.zeros((len(seeds), n), dtype=np.int64)
+    going = np.arange(len(seeds))
     minus_2m = -2.0 * m
     row_norm2 = (m * m).sum(axis=1)[:, None]
+    labels = np.arange(k)
     for _ in range(iters):
-        d2 = minus_2m @ centers.T
+        c = centers[going]
+        d2 = minus_2m @ c.transpose(0, 2, 1)
         d2 += row_norm2
-        d2 += (centers * centers).sum(axis=1)
+        d2 += (c * c).sum(axis=2)[:, None, :]
         np.maximum(d2, 0.0, out=d2)
-        new_assignment = np.argmin(d2, axis=1)
-        counts = np.bincount(new_assignment, minlength=k)
-        if counts.min() == 0:
-            point_d2 = d2[np.arange(n), new_assignment]
+        new_assignment = np.argmin(d2, axis=2)
+        member = new_assignment[:, None, :] == labels[:, None]
+        for i in np.flatnonzero(~member.any(axis=2).all(axis=1)).tolist():
+            point_d2 = d2[i, np.arange(n), new_assignment[i]]
             for j in range(k):
-                if not (new_assignment == j).any():
+                if not (new_assignment[i] == j).any():
                     far = int(np.argmax(point_d2))
-                    new_assignment[far] = j
+                    new_assignment[i, far] = j
                     point_d2[far] = 0.0
-            counts = np.bincount(new_assignment, minlength=k)
+            member[i] = new_assignment[i] == labels[:, None]
         if trace is not None:
-            trace.append(kmeans_cost(m, new_assignment))
-        unchanged = np.array_equal(new_assignment, assignment)
-        assignment = new_assignment
+            trace.extend(kmeans_cost(m, a) for a in new_assignment)
+        unchanged = (new_assignment == assignment[going]).all(axis=1)
+        assignment[going] = new_assignment
+        counts = member.sum(axis=2)
+        sums = member.astype(float) @ m
         filled = counts > 0
-        sums = (assignment == np.arange(k)[:, None]) @ m
-        centers[filled] = sums[filled] / counts[filled, None]
-        if unchanged:
+        centers[going] = np.where(filled[:, :, None], sums / np.maximum(counts, 1)[:, :, None], c)
+        going = going[~unchanged]
+        if not going.size:
             break
-    return Clustering(assignment, k, kmeans_cost(m, assignment))
+    return assignment
 
 
 def partitions(n: int, max_blocks: int) -> np.ndarray:

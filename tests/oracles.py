@@ -1,12 +1,13 @@
 """Independent reference computations used to check the library.
 
-Everything here except ``certify_dense_measured`` and the report writers
-at the end deliberately avoids np.linalg so that spectral quantities are
-confirmed through a second, unrelated route: a hand-rolled cyclic Jacobi
-eigensolver, direct entrywise residual sums, and brute-force enumeration.
-The report writers are the plain row-by-row encoders that the CLI's
-columnar writer must agree with.  Slow is fine; these only see
-desk-scale inputs.
+Everything here except ``certify_dense_measured``, the per-probe audit
+and the report writers at the end deliberately avoids np.linalg so that
+spectral quantities are confirmed through a second, unrelated route: a
+hand-rolled cyclic Jacobi eigensolver, direct entrywise residual sums, and
+brute-force enumeration.  The per-probe audit scores one probe at a time,
+as the library did before it scored the stacked probe array, and the
+report writers are the plain row-by-row encoders that the CLI's columnar
+writer must agree with.  Slow is fine; these only see desk-scale inputs.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,6 +116,40 @@ def partitions_reference(n, max_blocks):
     return out
 
 
+def lloyd_reference(m, k, iters, seed):
+    """One Lloyd run as a loop of its own, from the library's k-means++
+    start for ``seed``: each iteration assigns rows by the distance
+    product, reseeds empty clusters with the farthest points, and moves the
+    centers to the cluster means; it stops when the assignment repeats.
+    Returns the final assignment."""
+    from pcpsketch.rng import Stream, rng_for
+    from pcpsketch.solvers import _plusplus_init
+
+    m = np.asarray(m, dtype=float)
+    n = m.shape[0]
+    centers = _plusplus_init(m, k, rng_for(seed, Stream.LLOYD))
+    assignment = np.zeros(n, dtype=np.int64)
+    row_norm2 = (m * m).sum(axis=1)[:, None]
+    for _ in range(iters):
+        d2 = np.maximum(-2.0 * m @ centers.T + row_norm2 + (centers * centers).sum(axis=1), 0.0)
+        new = np.argmin(d2, axis=1)
+        point_d2 = d2[np.arange(n), new]
+        for j in range(k):
+            if not (new == j).any():
+                far = int(np.argmax(point_d2))
+                new[far] = j
+                point_d2[far] = 0.0
+        unchanged = np.array_equal(new, assignment)
+        assignment = new
+        counts = np.bincount(assignment, minlength=k)
+        filled = counts > 0
+        sums = (assignment == np.arange(k)[:, None]) @ m
+        centers[filled] = sums[filled] / counts[filled, None]
+        if unchanged:
+            break
+    return assignment
+
+
 def indices_from_uniforms_loop(probs, u):
     """Inverse-CDF column lookup with the next-positive table built by a
     reversed Python loop: each hit moves to the first positive-probability
@@ -201,6 +237,59 @@ def certify_dense_measured(a, s, k, eps):
         budget = (eps / 12.0) * tail2_k / float(np.sum(sigma2[p:]))
     t2 = {"spectral_eps": spectral, "frob_tail_p": frob_tp, "lambda_used": lam, "p_used": float(p)}
     return t1, t2, budget
+
+
+def probe_projections(probes):
+    """One ``Projection`` per probe of a ``ProbeSet``, its zero padding
+    columns dropped."""
+    from pcpsketch.linalg import Projection
+
+    return [Projection(basis[:, np.any(basis != 0.0, axis=0)]) for basis in probes.bases]
+
+
+def pcp_error_on_probe(a, a_tilde, c, p):
+    """Signed relative cost error (cost_sketch + c - cost_a) / cost_a of one
+    ``Projection``, both costs on the cores by ``projection_cost``.  Raises
+    ValueError when the cost on A is (numerically) zero, where the audit
+    uses its absolute check instead of a ratio."""
+    from pcpsketch.linalg import factor, projection_cost
+
+    a = factor(a)
+    at = factor(a_tilde, "a_tilde")
+    cost_a = projection_cost(factor(a.core), p)
+    if cost_a <= 1e-12 * a.frob2:
+        raise ValueError("probe cost on A is (numerically) zero; use the absolute zero check")
+    return (projection_cost(factor(at.core), p) + c - cost_a) / cost_a
+
+
+@dataclass(frozen=True)
+class Implication:
+    certificate_t1: object
+    certificate_t2: object
+    report: object
+    consistent: bool
+
+
+def implication_test(a, s, k, eps, probes=None, n_random=8, seed=0):
+    """Certificates against the audit on one operator S.
+
+    Forms A_tilde = A S with c = 0 and runs both public certifiers and the
+    probe report at eps; consistent means each certificate that holds is
+    matched by a passing report.  The certificates are sufficient
+    conditions, so an inconsistency is a bug, not noise."""
+    from pcpsketch.audit import generate_probes, pcp_report
+    from pcpsketch.guarantees import certify_matrix_approx, certify_spectral
+
+    a = np.asarray(a, dtype=float)
+    s = np.asarray(s, dtype=float)
+    a_tilde = a @ s
+    t1 = certify_matrix_approx(a, s, k, eps)
+    t2 = certify_spectral(a, s, k, eps)
+    if probes is None:
+        probes = generate_probes(a, a_tilde, k, n_random, seed)
+    report = pcp_report(a, a_tilde, 0.0, probes, eps)
+    consistent = (not t1.holds or report.passed) and (not t2.holds or report.passed)
+    return Implication(t1, t2, report, consistent)
 
 
 def probe_rows(report):

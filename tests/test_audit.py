@@ -9,19 +9,23 @@ from pcpsketch.audit import (
     approx_transfer_check,
     generate_probes,
     implication_harness,
-    implication_test,
-    pcp_error_on_probe,
     pcp_report,
     verify_sketch,
 )
-from pcpsketch.errors import InvalidInputError
+from pcpsketch.errors import InvalidInputError, InvalidMatrixError
 from pcpsketch.guarantees import certify_matrix_approx, certify_spectral
 from pcpsketch.linalg import Projection, factor, frob2, haar_subspace, projection_cost, svd
 from pcpsketch.rng import Stream, derive_seed
 from pcpsketch.sketch import SketchParams, gaussian_sketch, make_sketch, orthogonal_sketch, svd_sketch
 from pcpsketch.solvers import cluster_indicator_projection, lloyd_kmeans, partition_costs, partitions
 
-from oracles import partitions_reference, variance_kmeans_cost
+from oracles import (
+    implication_test,
+    partitions_reference,
+    pcp_error_on_probe,
+    probe_projections,
+    variance_kmeans_cost,
+)
 
 
 def rand(seed, shape):
@@ -34,11 +38,25 @@ def axis_probe(n, j):
     return Projection(basis)
 
 
+def probe_set(projections, tags, k, partitions=None):
+    """A ``ProbeSet`` of the given projections, each basis zero-padded to
+    the widest."""
+    width = max(p.rank for p in projections)
+    bases = np.zeros((len(projections), projections[0].basis.shape[0], width))
+    for i, p in enumerate(projections):
+        bases[i, :, : p.rank] = p.basis
+    return ProbeSet(bases, tags, k, 0, partitions)
+
+
+def probe_ranks(probes):
+    return [p.rank for p in probe_projections(probes)]
+
+
 class TestGenerateProbes:
     def test_full_rank_probe_present(self):
         a = rand(0, (3, 7))
         probes = generate_probes(a, a.copy(), 3, 0, seed=1)
-        ranks = [p.rank for p in probes.probes]
+        ranks = probe_ranks(probes)
         assert 3 in ranks
         report = pcp_report(a, a.copy(), 0.0, probes, 0.5)
         full = report.signed_rel_err[report.zero_cost]
@@ -50,8 +68,8 @@ class TestGenerateProbes:
         p1 = generate_probes(a, at, 2, 6, seed=42)
         p2 = generate_probes(a, at, 2, 6, seed=42)
         assert len(p1) == len(p2)
-        for q1, q2 in zip(p1.probes, p2.probes):
-            assert np.array_equal(q1.basis, q2.basis)
+        assert np.array_equal(p1.tags, p2.tags)
+        assert np.array_equal(p1.bases, p2.bases)
 
     def test_exhaustive_bipartition_count(self):
         a = rand(2, (4, 6))
@@ -65,28 +83,64 @@ class TestGenerateProbes:
         a = rand(3, (6, 11))
         at = a[:, :5].copy()
         probes = generate_probes(a, at, 2, 5, seed=9)
-        assert all(p.rank <= 2 for p in probes.probes)
+        assert probes.bases.shape[2] == 2
+        assert all(r <= 2 for r in probe_ranks(probes))
 
     def test_probe_set_validation(self):
         with pytest.raises(InvalidInputError):
-            ProbeSet(probes=[], k=2, provenance=[], seed=0)
+            ProbeSet(np.zeros((0, 4, 2)), [], k=2, seed=0)
         with pytest.raises(InvalidInputError):
-            ProbeSet(probes=[haar_subspace(4, 3, 0)], k=2, provenance=["x"], seed=0)
+            probe_set([haar_subspace(4, 3, 0)], ["x"], k=2)
+
+    def test_probe_set_rejects_bad_bases_and_tags(self):
+        good = np.stack([haar_subspace(5, 2, s).basis for s in range(3)])
+        padded = good.copy()
+        padded[1, :, 1] = 0.0  # a rank-1 probe in a width-2 array
+        ProbeSet(padded, ["a", "b", "c"], k=2, seed=0)
+        bad = {
+            "non-finite": (InvalidMatrixError, np.where(np.arange(2) == 1, np.nan, good)),
+            "columns not orthogonal": (InvalidMatrixError, np.concatenate([good[:, :, :1]] * 2, axis=2)),
+            "column not unit": (InvalidMatrixError, good * np.array([1.0, 1.01])),
+            "padding not zero": (InvalidMatrixError, np.where(padded == 0.0, 1e-4, padded)),
+            "not a stack": (InvalidMatrixError, good[0]),
+        }
+        for error, bases in bad.values():
+            with pytest.raises(error):
+                ProbeSet(bases, ["a", "b", "c"][: len(bases)], k=2, seed=0)
+        with pytest.raises(InvalidInputError):
+            ProbeSet(good, ["a", "b"], k=2, seed=0)  # tag count
+        with pytest.raises(InvalidInputError):
+            ProbeSet(good, ["a", "b", "c"], k=1, seed=0)  # wider than k
+        with pytest.raises(InvalidInputError):
+            ProbeSet(good, ["a", "b", "c"], k=2, seed=0, partitions=np.array([[0, 1, 2, 0, 1]], dtype=np.int8))
+
+    def test_bases_are_read_only_copies(self):
+        bases = np.stack([haar_subspace(5, 2, s).basis for s in range(2)])
+        probes = ProbeSet(bases, ["a", "b"], k=2, seed=0)
+        bases[0] = 0.0
+        assert not probes.bases.flags.writeable
+        assert np.array_equal(probes.bases[0], haar_subspace(5, 2, 0).basis)
 
 
 class TestPcpErrorOnProbe:
+    """``pcp_report`` against the one-probe-at-a-time reference."""
+
     def test_identity_sketch(self):
         a = rand(4, (5, 8))
         p = haar_subspace(5, 2, seed=3)
         assert pcp_error_on_probe(a, a.copy(), 0.0, p) == 0.0
+        rep = pcp_report(a, a.copy(), 0.0, probe_set([p], ["haar"], 2), 0.5)
+        assert rep.signed_rel_err.tolist() == [0.0]
 
     def test_orthogonal_sketch_all_probes(self):
         a = rand(5, (5, 8))
         sk = orthogonal_sketch(a, SketchParams(k=2, eps=0.5, seed=1))
         probes = generate_probes(a, sk.a_tilde, 2, 8, seed=2)
-        for p in probes.probes:
+        rep = pcp_report(a, sk.a_tilde, 0.0, probes, 0.5)
+        for p, err in zip(probe_projections(probes), rep.signed_rel_err.tolist()):
             if projection_cost_positive(a, p):
                 assert abs(pcp_error_on_probe(a, sk.a_tilde, 0.0, p)) <= 1e-10
+                assert abs(err) <= 1e-10
 
     def test_diag_svd_sketch_hand_value(self):
         # top axis probe: cost on A is 2^2 + 1^2 = 5, cost on the width-2
@@ -96,6 +150,10 @@ class TestPcpErrorOnProbe:
         assert sk.m == 2 and sk.c_const == pytest.approx(1.0, abs=1e-12)
         err = pcp_error_on_probe(a, sk.a_tilde, sk.c_const, axis_probe(3, 0))
         assert err == pytest.approx(0.0, abs=1e-12)
+        rep = pcp_report(a, sk.a_tilde, sk.c_const, probe_set([axis_probe(3, 0)], ["axis"], 1), 0.5)
+        assert rep.cost_a[0] == pytest.approx(5.0, abs=1e-12)
+        assert rep.cost_sketch[0] == pytest.approx(4.0, abs=1e-12)
+        assert rep.signed_rel_err[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_rotation_invariance(self):
         a = rand(6, (6, 9))
@@ -105,12 +163,16 @@ class TestPcpErrorOnProbe:
         e1 = pcp_error_on_probe(a, at, 0.3, Projection(q))
         e2 = pcp_error_on_probe(a, at, 0.3, Projection(q @ rot))
         assert e1 == pytest.approx(e2, abs=1e-10)
+        rep = pcp_report(a, at, 0.3, probe_set([Projection(q), Projection(q @ rot)], ["q", "qr"], 3), 0.5)
+        assert rep.signed_rel_err.tolist() == pytest.approx([e1, e1], abs=1e-10)
 
     def test_zero_cost_probe_rejected_as_ratio(self):
         a = np.array([[1.0, 0.0], [1.0, 0.0]])
         span = Projection(np.array([[1.0], [1.0]]) / math.sqrt(2.0))
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(ValueError):
             pcp_error_on_probe(a, a.copy(), 0.0, span)
+        rep = pcp_report(a, a.copy(), 0.0, probe_set([span], ["span"], 1), 0.5)
+        assert rep.zero_cost.tolist() == [True] and rep.signed_rel_err.tolist() == [0.0]
 
 
 def projection_cost_positive(a, p):
@@ -142,7 +204,7 @@ class TestPcpReport:
         rep = pcp_report(a, sk.a_tilde, sk.c_const, probes, 0.5)
         recomputed = max(
             abs(pcp_error_on_probe(a, sk.a_tilde, sk.c_const, p))
-            for p in probes.probes
+            for p in probe_projections(probes)
             if projection_cost_positive(a, p)
         )
         assert rep.max_abs_rel_err == pytest.approx(recomputed, abs=1e-15)
@@ -151,9 +213,7 @@ class TestPcpReport:
         a = rand(12, (6, 20))
         at = a[:, :8] * 1.1
         full = generate_probes(a, at, 2, 12, seed=4)
-        sub = ProbeSet(
-            probes=full.probes[:5], k=2, provenance=full.provenance[:5], seed=full.seed
-        )
+        sub = ProbeSet(full.bases[:5], full.tags[:5], k=2, seed=full.seed)
         r_small = pcp_report(a, at, 0.0, sub, 0.5)
         r_big = pcp_report(a, at, 0.0, full, 0.5)
         assert r_big.max_abs_rel_err >= r_small.max_abs_rel_err
@@ -165,16 +225,15 @@ class TestPcpReport:
         rot, _ = np.linalg.qr(rand(20, (5, 5)))
         for at, c in ((a @ rot, 0.0), (a[:, :3] + 0.01 * rand(21, (6, 3)), 0.5)):
             probes = generate_probes(a, at, 3, 2, seed=5, exhaustive=True)
-            one_by_one = ProbeSet(
-                probes=probes.probes
+            one_by_one = probe_set(
+                probe_projections(probes)
                 + [cluster_indicator_projection(row, 3, 6) for row in probes.partitions],
-                k=3,
-                provenance=probes.provenance
+                probes.tags.tolist()
                 + [
                     "partition-" + "".join(str(x) for x in row) + f"-{max(row) + 1}blocks"
                     for row in probes.partitions.tolist()
                 ],
-                seed=probes.seed,
+                k=3,
             )
             assert len(probes) == len(one_by_one)
             got = pcp_report(a, at, c, probes, 0.3)
@@ -195,7 +254,7 @@ class TestPcpReport:
         a = np.array([[1.0, 0.0], [1.0, 0.0]])
         at = np.array([[1.0], [0.0]])
         span = Projection(np.array([[1.0], [1.0]]) / math.sqrt(2.0))
-        probes = ProbeSet(probes=[span], k=1, provenance=["custom"], seed=0)
+        probes = probe_set([span], ["custom"], k=1)
         rep = pcp_report(a, at, 0.0, probes, 100.0)
         assert math.isinf(rep.max_abs_rel_err)
         assert not rep.passed
@@ -212,13 +271,7 @@ class TestPcpReport:
             [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5],
         ]
         a = rand(40, (12, 15))
-        probes = ProbeSet(
-            probes=[axis_probe(12, 0)],
-            k=12,
-            provenance=["axis"],
-            seed=0,
-            partitions=np.array(rows, dtype=np.int8),
-        )
+        probes = probe_set([axis_probe(12, 0)], ["axis"], k=12, partitions=np.array(rows, dtype=np.int8))
         rep = pcp_report(a, a.copy(), 0.0, probes, 0.5)
         want = ["partition-" + "".join(map(str, row)) + f"-{max(row) + 1}blocks" for row in rows]
         assert rep.tags.tolist() == ["axis"] + want
@@ -233,14 +286,14 @@ class TestPcpReport:
         assert abs(rep.signed_rel_err[i]) == rep.max_abs_rel_err == np.max(np.abs(rep.signed_rel_err))
         assert np.all(np.abs(rep.signed_rel_err[:i]) < rep.max_abs_rel_err)
         # a tie: the same probes twice, so every max appears again later
-        twice = ProbeSet(probes.probes * 2, 2, probes.provenance * 2, probes.seed)
+        twice = ProbeSet(np.concatenate([probes.bases] * 2), np.concatenate([probes.tags] * 2), 2, probes.seed)
         assert pcp_report(a, at, 0.0, twice, 0.5).worst_index == i
 
     def test_worst_probe_when_every_error_is_infinite(self):
         a = np.array([[1.0, 0.0], [1.0, 0.0]])
         at = np.array([[1.0], [0.0]])
         span = Projection(np.array([[1.0], [1.0]]) / math.sqrt(2.0))
-        probes = ProbeSet(probes=[span, span, span], k=1, provenance=["p", "q", "r"], seed=0)
+        probes = probe_set([span, span, span], ["p", "q", "r"], k=1)
         rep = pcp_report(a, at, 0.0, probes, 100.0)
         assert np.all(np.isinf(rep.signed_rel_err)) and np.all(rep.zero_cost)
         assert rep.worst_index == 0 and rep.tags[rep.worst_index] == "p"
@@ -389,7 +442,7 @@ class TestProbesInCoordinates:
         for a, at in self.instances():
             k, n = 3, a.shape[0]
             probes = generate_probes(factor(a), factor(at), k, 5, seed=4)
-            assert probes.provenance == generate_probes(a, at, k, 5, seed=4).provenance
+            assert probes.tags.tolist() == generate_probes(a, at, k, 5, seed=4).tags.tolist()
             # the data-driven families, rebuilt on A and the sketch directly
             fs = svd(at)
             q = fs.u[:, :k]
@@ -399,12 +452,14 @@ class TestProbesInCoordinates:
                 for tag, m, stream in (("a", a, Stream.PROBE_LLOYD_A), ("sketch", at, Stream.PROBE_LLOYD_SKETCH)):
                     cl = lloyd_kmeans(m, k, iters=25, seed=derive_seed(4, stream, run))
                     expected[f"kmeans-{tag}-{run}"] = cluster_indicator_projection(cl.assignment, k, n).basis
-            for tag, p in zip(probes.provenance, probes.probes):
+            for tag, p in zip(probes.tags.tolist(), probe_projections(probes)):
                 if tag in expected:
                     assert np.allclose(projector(p), expected[tag] @ expected[tag].T, atol=1e-10), tag
             report = pcp_report(factor(a), factor(at), 0.2, probes, 0.5)
             scale = frob2(a)
-            for cost_a, cost_s, p in zip(report.cost_a.tolist(), report.cost_sketch.tolist(), probes.probes):
+            for cost_a, cost_s, p in zip(
+                report.cost_a.tolist(), report.cost_sketch.tolist(), probe_projections(probes)
+            ):
                 assert cost_a == pytest.approx(projection_cost(a, p), abs=1e-12 * scale)
                 assert cost_s == pytest.approx(projection_cost(at, p), abs=1e-12 * scale)
 
@@ -413,7 +468,7 @@ class TestProbesInCoordinates:
         at = a[:, :4] + 0.01 * rand(33, (6, 4))
         probes = generate_probes(a, at, 3, 0, seed=1, exhaustive=True)
         report = pcp_report(a, at, 0.0, probes, 0.5)
-        rows = slice(len(probes.probes), None)
+        rows = slice(len(probes.tags), None)
         scale = frob2(a)
         want_a = partition_costs(a, probes.partitions)
         want_s = partition_costs(at, probes.partitions)

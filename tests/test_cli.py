@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pcpsketch import audit, solvers
-from pcpsketch.cli import _dumps, _emit, _json_safe, _pcp_block, _Rows, main
+from pcpsketch.cli import _dumps, _emit, _json_safe, _pcp_block, _Rows, build_parser, main
 from pcpsketch.generators import gen_synthetic, parse_generator_spec
 from pcpsketch.guarantees import certify_matrix_approx, certify_spectral, jl_moment_estimate
 from pcpsketch.matio import load_matrix, save_matrix
@@ -327,6 +327,24 @@ class TestSeedHandling:
             "--method", "svd", "--k", "1", "--eps", "0.5",
         )
         assert code == 1
+
+
+class TestHelpText:
+    COMMANDS = ("gen", "sketch", "certify", "verify", "solve", "bench", "jl-moment")
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    def test_help_is_the_stock_formatters_text(self, capsys, monkeypatch, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        root = build_parser()
+        subparsers = next(a for a in root._actions if isinstance(a, argparse._SubParsersAction))
+        for argv, parser in [(["--help"], root)] + [([c, "--help"], subparsers.choices[c]) for c in self.COMMANDS]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            printed = capsys.readouterr().out
+            parser.formatter_class = argparse.HelpFormatter
+            assert printed == parser.format_help(), argv
+        assert sorted(subparsers.choices) == sorted(self.COMMANDS)
 
 
 class TestErrorPaths:

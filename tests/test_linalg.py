@@ -11,6 +11,8 @@ from pcpsketch.errors import (
 )
 from pcpsketch.linalg import (
     Projection,
+    _haar_bases,
+    _orthonormal_stack,
     as_matrix,
     factor,
     frob2,
@@ -274,6 +276,29 @@ class TestHaarSubspace:
         c = haar_subspace(6, 3, seed=43).basis
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_stack_equals_one_draw_per_seed(self):
+        seeds = [0, 1, 42, 2**63 + 7, 5]
+        for n, k in ((6, 3), (9, 1), (4, 4), (200, 5)):
+            stack = _haar_bases(n, k, seeds)
+            assert stack.shape == (len(seeds), n, k)
+            for seed, basis in zip(seeds, stack):
+                assert np.array_equal(basis, haar_subspace(n, k, seed).basis)
+        assert _haar_bases(5, 2, []).shape == (0, 5, 2)
+
+    def test_stack_redraws_a_dependent_column_as_alone(self):
+        # matrix 1 repeats a column and matrix 2 has a zero one: both are
+        # redrawn from their own generators, as orthonormal_columns would
+        g = np.random.default_rng(60).standard_normal((3, 7, 3))
+        g[1, :, 2] = g[1, :, 0]
+        g[2, :, 1] = 0.0
+        stack = _orthonormal_stack(g, [rng_for(s) for s in range(3)])
+        for i in range(3):
+            assert np.array_equal(stack[i], orthonormal_columns(g[i], rng_for(i)))
+            assert np.max(np.abs(stack[i].T @ stack[i] - np.eye(3))) <= 1e-12
+        assert np.allclose(stack[1][:, :2], orthonormal_columns(g[1][:, :2]), atol=1e-12)
+        with pytest.raises(InvalidInputError):
+            _orthonormal_stack(g, [rng_for(0), rng_for(1), None])
 
     def test_rejects_bad_rank(self):
         with pytest.raises(InvalidRankError):

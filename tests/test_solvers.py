@@ -8,6 +8,7 @@ from pcpsketch.linalg import frob2, projection_cost, svd
 from pcpsketch.sketch import SketchParams, gaussian_sketch, orthogonal_sketch, svd_sketch
 from pcpsketch.solvers import (
     Clustering,
+    _lloyd_assignments,
     best_rank_k_projection,
     cluster_indicator_projection,
     exhaustive_kmeans,
@@ -18,7 +19,7 @@ from pcpsketch.solvers import (
     sketch_and_solve,
 )
 
-from oracles import gram_eigenvalues, partitions_reference, variance_kmeans_cost
+from oracles import gram_eigenvalues, lloyd_reference, partitions_reference, variance_kmeans_cost
 
 
 def rand(seed, shape):
@@ -138,6 +139,67 @@ class TestLloyd:
     def test_rejects_small_n(self):
         with pytest.raises(InvalidInputError):
             lloyd_kmeans(np.eye(2), 3)
+
+
+class TestBatchedLloyd:
+    """One batch of R runs against R single runs with the same seeds."""
+
+    def cases(self):
+        rng = np.random.default_rng(50)
+        yield "gaussian", rng.standard_normal((40, 6)), 4
+        centers = 8.0 * rng.standard_normal((3, 5))
+        yield "planted", centers[np.arange(30) % 3] + rng.standard_normal((30, 5)), 3
+        # three distinct rows, each three times: at most three distinct
+        # centers for five clusters, so empty clusters must be reseeded
+        yield "duplicates", np.repeat(rng.standard_normal((3, 4)), 3, axis=0), 5
+        yield "k = n", rng.standard_normal((6, 3)), 6
+        yield "one column", rng.standard_normal((25, 1)), 3
+
+    def test_batch_equals_single_runs_bit_for_bit(self):
+        seeds = [3, 17, 2**40 + 5, 0, 99, 12345, 7]
+        for name, m, k in self.cases():
+            batch = _lloyd_assignments(m, k, seeds, 25)
+            assert batch.shape == (len(seeds), m.shape[0]), name
+            for seed, got in zip(seeds, batch):
+                assert np.array_equal(got, lloyd_kmeans(m, k, iters=25, seed=seed).assignment), name
+                assert np.array_equal(got, lloyd_reference(m, k, 25, seed)), name
+
+    def test_runs_stop_at_different_iterations(self):
+        m = np.random.default_rng(51).standard_normal((60, 4))
+        seeds = list(range(8))
+        steps = []
+        for seed in seeds:
+            trace: list = []
+            lloyd_kmeans(m, 5, iters=50, seed=seed, trace=trace)
+            steps.append(len(trace))
+        assert len(set(steps)) > 1
+        trace = []
+        batch = _lloyd_assignments(m, 5, seeds, 50, trace)
+        # every run's objective at every iteration it was still going
+        assert len(trace) == sum(steps)
+        for seed, got in zip(seeds, batch):
+            assert np.array_equal(got, lloyd_reference(m, 5, 50, seed))
+
+    def test_empty_clusters_are_reseeded(self):
+        # nearest-center assignment alone uses at most three labels on three
+        # distinct rows; every label past those was placed by a reseed
+        m = np.repeat(np.random.default_rng(52).standard_normal((3, 4)), 3, axis=0)
+        seeds = range(6)
+        for seed, got in zip(seeds, _lloyd_assignments(m, 5, seeds, 25)):
+            assert len(set(got.tolist())) > 3
+            assert np.array_equal(got, lloyd_reference(m, 5, 25, seed))
+
+    def test_k_equals_n_gives_singletons(self):
+        m = np.random.default_rng(53).standard_normal((6, 3))
+        for got in _lloyd_assignments(m, 6, range(4), 25):
+            assert sorted(got.tolist()) == list(range(6))
+
+    def test_iteration_cap(self):
+        m = np.random.default_rng(54).standard_normal((50, 3))
+        seeds = range(5)
+        for iters in (1, 2, 3):
+            for seed, got in zip(seeds, _lloyd_assignments(m, 4, seeds, iters)):
+                assert np.array_equal(got, lloyd_reference(m, 4, iters, seed))
 
 
 class TestPartitions:
