@@ -36,13 +36,9 @@ from .generators import GeneratorSpec, gen_synthetic, parse_generator_spec
 from .guarantees import (
     Certificate,
     JlMomentEstimate,
-    amm_error,
-    certify_matrix_approx,
-    certify_spectral,
-    frobenius_preservation_error,
+    certify,
     jl_moment_estimate,
     spectral_approx_error,
-    subspace_embedding_error,
 )
 from .linalg import (
     Factored,
@@ -50,7 +46,6 @@ from .linalg import (
     factor,
     frob2,
     haar_subspace,
-    head_tail_split,
     projection_cost,
     svd,
     tail_index_p,
@@ -113,23 +108,19 @@ __all__ = [
     "Verification",
     "WidthNotReducingWarning",
     "ZeroMatrixError",
-    "amm_error",
     "approx_transfer_check",
     "best_rank_k_projection",
-    "certify_matrix_approx",
-    "certify_spectral",
+    "certify",
     "cluster_indicator_projection",
     "derive_seed",
     "exhaustive_kmeans",
     "factor",
     "frob2",
-    "frobenius_preservation_error",
     "gaussian_sketch",
     "gaussian_width",
     "gen_synthetic",
     "generate_probes",
     "haar_subspace",
-    "head_tail_split",
     "implication_harness",
     "jl_moment_estimate",
     "kmeans_cost",
@@ -150,7 +141,6 @@ __all__ = [
     "save_matrix",
     "sketch_and_solve",
     "spectral_approx_error",
-    "subspace_embedding_error",
     "svd",
     "svd_sketch",
     "tail_index_p",

@@ -33,11 +33,11 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInputError, InvalidMatrixError, WidthNotReducingWarning
 from .generators import GeneratorSpec, gen_synthetic
-from .guarantees import Certificate, _certify_both
+from .guarantees import Certificate, certify
 from .linalg import _haar_bases, as_matrix, factor, frob2, svd
 from .rng import Stream, derive_seed, rng_for
 from .sketch import Sketch, SketchParams, make_sketch
-from .solvers import _lloyd_assignments, partition_costs, partitions
+from .solvers import _indicators, _lloyd_assignments, partition_costs, partitions
 
 __all__ = [
     "ProbeSet",
@@ -74,7 +74,6 @@ class ProbeSet:
     bases: np.ndarray
     tags: np.ndarray
     k: int
-    seed: int
     partitions: np.ndarray | None = None
 
     def __post_init__(self):
@@ -208,11 +207,10 @@ def generate_probes(
     bases[i, np.arange(kk), np.arange(kk)] = 1.0
     bases[i + 1, np.sort(heavy), np.arange(kk)] = 1.0
     i += 2
-    onehot = labels[:, :, None] == np.arange(kk)
-    bases[i : i + len(labels)] = onehot / np.sqrt(np.maximum(onehot.sum(axis=1), 1))[:, None, :]
+    bases[i : i + len(labels)] = _indicators(labels, kk)
     i += len(labels)
     bases[i:] = _haar_bases(n, kk, [derive_seed(seed, Stream.PROBE_HAAR, j) for j in range(n_random)])
-    return ProbeSet(bases, tags, k, seed, partitions(n, kk) if exhaustive else None)
+    return ProbeSet(bases, tags, k, partitions(n, kk) if exhaustive else None)
 
 
 def pcp_report(a, a_tilde, c: float, probes: ProbeSet, eps_target: float) -> PcpReport:
@@ -283,7 +281,7 @@ def verify_sketch(
     exhaustive)`` at eps = params.eps.  A is factored at most once."""
     a = factor(a)
     sk = make_sketch(a, method, params)
-    t1, t2 = _certify_both(a, sk.operator, params.k, params.eps)
+    t1, t2 = certify(a, sk.operator, params.k, params.eps)
     at = factor(sk.a_tilde, "a_tilde")
     probes = generate_probes(a, at, params.k, n_random, seed=probe_seed, exhaustive=exhaustive)
     report = pcp_report(a, at, sk.c_const, probes, params.eps)

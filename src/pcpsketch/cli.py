@@ -28,7 +28,7 @@ import numpy as np
 from . import audit, solvers
 from .errors import ConfigError, Error
 from .generators import gen_synthetic, parse_generator_spec
-from .guarantees import _certify_both, jl_moment_estimate
+from .guarantees import certify, jl_moment_estimate
 from .linalg import factor, projection_cost
 from .matio import load_matrix, save_matrix
 from .rng import Stream, derive_seed
@@ -305,7 +305,7 @@ def _cmd_certify(args) -> int:
     a = _load_source(args, seed)
     start = time.perf_counter()
     sk = make_sketch(a, args.method, _params(args, seed))
-    t1, t2 = _certify_both(a, sk.operator, args.k, args.eps)
+    t1, t2 = certify(a, sk.operator, args.k, args.eps)
     report = _base_report(sk, args, seed)
     report["certificate_t1"] = _certificate_block(t1)
     report["certificate_t2"] = _certificate_block(t2)

@@ -1,24 +1,23 @@
-"""Error functionals and sufficient-condition certificates.
+"""Sufficient-condition certificates and the spectral error functional.
 
-The four functionals measure exactly how far an operator S is from
-preserving the quantities that drive projection costs: subspace embedding
-on a row space, approximate matrix multiplication, Frobenius mass, and a
-regularized spectral sandwich on A A^T.  Two certifiers bundle them into
-checkable sufficient conditions for the cost-preservation guarantee at a
-given (k, eps): one through matrix-approximation conditions on the rank-k
-head and tail, one through the regularized spectral route.  Certificates
-never have false positives up to floating point; they may be conservative.
+``certify`` checks an operator S against two sufficient conditions for the
+cost-preservation guarantee at a given (k, eps): one through
+matrix-approximation conditions on the rank-k head and tail (subspace
+embedding, approximate matrix multiplication, Frobenius mass), one through
+a regularized spectral sandwich on A A^T.  Certificates never have false
+positives up to floating point; they may be conservative.
 
 An operator S is a dense d x m array or a ``SamplingPattern``, applied as
-a column gather.  Every functional depends on A only through A A^T and on
-S only through how S acts on A's row space, so with A = U Sigma V^T of
-rank r the certifiers read each measured value off the singular values
-sigma and the r x r Gram G = (V^T S)(V^T S)^T, formed once per certifier
-(once for both, where a caller runs the two on one operator).
+a column gather.  Every measured value depends on A only through A A^T and
+on S only through how S acts on A's row space, so with A = U Sigma V^T of
+rank r ``certify`` reads each one off the singular values sigma and the
+r x r Gram G = (V^T S)(V^T S)^T, formed once for both certificates.
 With tau_q = sum_{j>=q} sigma_j^2 and t the tail indices j >= k:
 se_err = |G[:k, :k] - I|_2, amm_tail_tail = |Sigma_t (G_tt - I) Sigma_t|_F / tau_k,
 amm_tail_vk = |Sigma_t G[k:, :k]|_F / sqrt(tau_k k), and the Frobenius tails
 |sum_{j>=q} sigma_j^2 (G_jj - 1)| / tau_q at q = k and q = p.
+``spectral_approx_error`` is the sandwich error on its own, from the same
+sigma and G.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .errors import (
     UnsupportedFamilyError,
     ZeroMatrixError,
 )
-from .linalg import as_matrix, factor, frob2, tail_index_p
+from .linalg import as_matrix, factor, tail_index_p
 from .rng import Stream, rng_for
 from .sketch import SamplingPattern, apply_operator
 
@@ -43,12 +42,8 @@ __all__ = [
     "Certificate",
     "JlMomentEstimate",
     "HOLDS_TOL",
-    "subspace_embedding_error",
-    "amm_error",
-    "frobenius_preservation_error",
     "spectral_approx_error",
-    "certify_matrix_approx",
-    "certify_spectral",
+    "certify",
     "jl_moment_estimate",
 ]
 
@@ -93,47 +88,6 @@ def _check_operator(m, s):
     return s
 
 
-def subspace_embedding_error(m, s) -> float:
-    """Worst relative squared-norm distortion of S over the row space of ``m``.
-
-    Equals |V^T S S^T V - I|_2 for V an orthonormal basis of the row space;
-    computed exactly by a symmetric eigensolve.  Zero matrix is an error.
-    """
-    m = factor(m)
-    s = _check_operator(m, s)
-    fact = m.fact
-    if fact.rank == 0:
-        raise ZeroMatrixError("subspace embedding error undefined for the zero matrix")
-    return _embedding_error(_row_space_gram(fact, s))
-
-
-def amm_error(m, n, s) -> float:
-    """Normalized product error  |M N - M S S^T N|_F / (|M|_F |N|_F).
-
-    Zero when either factor is zero.
-    """
-    m = as_matrix(m, "m")
-    n = as_matrix(n, "n")
-    if m.shape[1] != n.shape[0]:
-        raise DimensionError(f"inner dimensions differ: {m.shape[1]} vs {n.shape[0]}")
-    s = _check_operator(m, s)
-    denom = math.sqrt(frob2(m)) * math.sqrt(frob2(n))
-    if denom == 0.0:
-        return 0.0
-    diff = m @ n - apply_operator(m, s) @ apply_operator(n.T, s).T
-    return math.sqrt(frob2(diff)) / denom
-
-
-def frobenius_preservation_error(m, s) -> float:
-    """Relative loss of squared Frobenius mass, | |M|_F^2 - |M S|_F^2 | / |M|_F^2."""
-    m = factor(m)
-    s = _check_operator(m, s)
-    total = m.frob2
-    if total == 0.0:
-        return 0.0
-    return abs(total - frob2(apply_operator(m.a, s))) / total
-
-
 def spectral_approx_error(a, s, lam: float) -> float:
     """Smallest eps' >= 0 with (1-eps') A A^T - lam I <= A S S^T A^T <= (1+eps') A A^T + lam I.
 
@@ -174,7 +128,8 @@ def _sandwich_error(sigma: np.ndarray, g: np.ndarray, lam: float) -> float:
 
 
 def _frob_tail_error(sigma2: np.ndarray, g: np.ndarray, q: int) -> float:
-    """``frobenius_preservation_error`` of the rank-q tail, from sigma^2 and G."""
+    """Relative loss of squared Frobenius mass of the rank-q tail under S,
+    | |A - A_q|_F^2 - |(A - A_q) S|_F^2 | / |A - A_q|_F^2, from sigma^2 and G."""
     tail2 = sigma2[q:]
     return abs(float(tail2 @ (np.diagonal(g)[q:] - 1.0))) / float(np.sum(tail2))
 
@@ -183,47 +138,30 @@ def _holds(measured: dict, thresholds: dict) -> bool:
     return all(measured[name] <= thresholds[name] + HOLDS_TOL for name in thresholds)
 
 
-def _validated(a, s, k: int, eps: float):
+def certify(a, s, k: int, eps: float) -> tuple[Certificate, Certificate]:
+    """Both sufficient-condition certificates of the operator S at (k, eps),
+    read off A's singular values and one G: (T1, T2).
+
+    T1, the matrix-approximation route, bounds the subspace embedding error
+    on the rank-k head, two product errors involving the tail, and the tail
+    Frobenius preservation; if all four fall under their budgets (eps/3,
+    eps/(6 sqrt k) twice, eps/6), then A S preserves every rank-<=k
+    projection cost within relative eps with a zero additive constant.
+
+    T2, the regularized spectral route, uses the regularizer
+    lam = eps |A - A_k|_F^2 / (24 k) and the tail index p (largest index
+    whose squared singular value reaches the mean tail mass
+    |A - A_k|_F^2 / k).  It requires the spectral sandwich within eps/24 and
+    Frobenius preservation of the rank-p tail within
+    (eps/12) |A - A_k|_F^2 / |A - A_p|_F^2; the p-tail condition is vacuous
+    when that tail is zero.
+    """
     a = factor(a)
     s = _check_operator(a, s)
     if k < 1:
         raise InvalidRankError(f"k must be >= 1, got {k}")
     if not 0.0 < eps < 1.0:
         raise InvalidInputError(f"eps must be in (0, 1), got {eps}")
-    return a, s
-
-
-def certify_matrix_approx(a, s, k: int, eps: float) -> Certificate:
-    """Sufficient conditions on S via matrix-approximation primitives.
-
-    Measures the subspace embedding error on the rank-k head, two product
-    errors involving the tail, and the tail Frobenius preservation; if all
-    four fall under their budgets (eps/3, eps/(6 sqrt k) twice, eps/6), then
-    A S preserves every rank-<=k projection cost within relative eps with a
-    zero additive constant.  Each value is read off sigma and G.
-    """
-    a, s = _validated(a, s, k, eps)
-    return _matrix_approx(a.fact, _row_space_gram(a.fact, s), k, eps)
-
-
-def certify_spectral(a, s, k: int, eps: float) -> Certificate:
-    """Sufficient conditions on S via the regularized spectral route.
-
-    Uses the regularizer lam = eps |A - A_k|_F^2 / (24 k) and the tail index
-    p (largest index whose squared singular value reaches the mean tail
-    mass |A - A_k|_F^2 / k).  Requires the spectral sandwich within eps/24
-    and Frobenius preservation of the rank-p tail within
-    (eps/12) |A - A_k|_F^2 / |A - A_p|_F^2; the p-tail condition is vacuous
-    when that tail is zero.  Both values are read off sigma and G.
-    """
-    a, s = _validated(a, s, k, eps)
-    return _spectral(a.fact, _row_space_gram(a.fact, s), k, eps)
-
-
-def _certify_both(a, s, k: int, eps: float) -> tuple[Certificate, Certificate]:
-    """``certify_matrix_approx`` and ``certify_spectral`` of one operator,
-    reading both off one G."""
-    a, s = _validated(a, s, k, eps)
     g = _row_space_gram(a.fact, s)
     return _matrix_approx(a.fact, g, k, eps), _spectral(a.fact, g, k, eps)
 

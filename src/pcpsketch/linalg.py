@@ -2,10 +2,9 @@
 
 Matrices are plain 2-D float64 numpy arrays (row-major), or ``Factored``
 instances that keep one with its SVD; this module owns the instance and
-the SVD with relative-rank truncation, head/tail spectral splits, the tail
-index used by the spectral certificate, projection costs, and seeded
-random subspaces.  Everything here is deterministic for fixed inputs
-within a build.
+the SVD with relative-rank truncation, the tail index used by the
+spectral certificate, projection costs, and seeded random subspaces.
+Everything here is deterministic for fixed inputs within a build.
 """
 
 from __future__ import annotations
@@ -25,18 +24,20 @@ from .rng import Stream, rng_for
 __all__ = [
     "Factored",
     "SvdFactorization",
-    "HeadTailSplit",
     "Projection",
     "as_matrix",
     "factor",
     "frob2",
     "svd",
-    "head_tail_split",
     "tail_index_p",
     "projection_cost",
     "haar_subspace",
     "orthonormal_columns",
 ]
+
+# singular values at or below RANK_TOL * sigma_1 count as zero
+RANK_TOL = 1e-10
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return `a` as a 2-D float64 array with finite entries.
@@ -74,40 +75,18 @@ class SvdFactorization:
 
     ``sigma`` holds the strictly positive singular values, non-increasing;
     columns beyond ``rank`` were dropped by the relative truncation rule
-    ``sigma_i > tol * sigma_1``.
+    ``sigma_i > RANK_TOL * sigma_1``.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
     rank: int
-    tol: float
 
     def __post_init__(self):
         object.__setattr__(self, "u", _readonly(self.u))
         object.__setattr__(self, "sigma", _readonly(self.sigma))
         object.__setattr__(self, "v", _readonly(self.v))
-
-
-@dataclass(frozen=True)
-class HeadTailSplit:
-    """Split of a matrix into its best rank-``r`` part and the remainder.
-
-    ``head + tail`` equals the original matrix entrywise by construction;
-    ``r`` is the effective split rank, ``min(requested r, rank)``.
-    """
-
-    r: int
-    head: np.ndarray
-    tail: np.ndarray
-    u_r: np.ndarray
-    v_r: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "head", _readonly(self.head))
-        object.__setattr__(self, "tail", _readonly(self.tail))
-        object.__setattr__(self, "u_r", _readonly(self.u_r))
-        object.__setattr__(self, "v_r", _readonly(self.v_r))
 
 
 @dataclass(frozen=True)
@@ -137,15 +116,14 @@ class Projection:
         return self.basis.shape[1]
 
 
-def svd(a, tol: float = 1e-10) -> SvdFactorization:
-    """Thin SVD truncated at relative tolerance ``tol``.
+def svd(a) -> SvdFactorization:
+    """Thin SVD truncated at relative tolerance ``RANK_TOL``.
 
     Parameters
     ----------
     a : array_like, shape (n, d)
-        Input matrix; all entries finite.
-    tol : float in [0, 1)
-        Singular values ``sigma_i <= tol * sigma_1`` are treated as zero.
+        Input matrix; all entries finite.  Singular values
+        ``sigma_i <= RANK_TOL * sigma_1`` are treated as zero.
 
     Returns
     -------
@@ -157,8 +135,6 @@ def svd(a, tol: float = 1e-10) -> SvdFactorization:
     inputs is the faster one, and the singular values are the same.
     """
     a = as_matrix(a)
-    if not 0.0 <= tol < 1.0:
-        raise InvalidInputError(f"tol must be in [0, 1), got {tol}")
     if a.shape[0] < a.shape[1]:
         v, s, ut = np.linalg.svd(a.T, full_matrices=False)
         u = ut.T
@@ -168,17 +144,16 @@ def svd(a, tol: float = 1e-10) -> SvdFactorization:
     if s.size == 0 or s[0] <= 0.0:
         rank = 0
     else:
-        rank = int(np.sum(s > tol * s[0]))
-    return SvdFactorization(u[:, :rank], s[:rank], v[:, :rank], rank, tol)
+        rank = int(np.sum(s > RANK_TOL * s[0]))
+    return SvdFactorization(u[:, :rank], s[:rank], v[:, :rank], rank)
 
 
 class Factored:
     """A validated n x d matrix with its SVD, core and squared Frobenius norm.
 
-    Each of ``fact`` (the ``svd`` at the default tolerance), ``core`` and
-    ``frob2`` is computed on first use and kept, so a matrix that passes
-    through sketching, both certificates, the probes and a solve is
-    factored at most once.  The array must not change afterwards.
+    Each of ``fact`` (its ``svd``), ``core`` and ``frob2`` is computed on
+    first use and kept, so a matrix that passes through sketching, both
+    certificates, the probes and a solve is factored at most once.  The array must not change afterwards.
 
     Every quantity of A that depends only on A A^T (costs |A - PA|_F^2
     of left projections P, distances between rows) is the same on the
@@ -224,25 +199,6 @@ def factor(a, name: str = "matrix") -> Factored:
     if isinstance(a, Factored):
         return a
     return Factored(as_matrix(a, name))
-
-
-def head_tail_split(fact: SvdFactorization, m_original, r: int) -> HeadTailSplit:
-    """Split ``m_original`` into its best rank-``r`` approximation and the rest.
-
-    ``head`` is the projection of the matrix onto its top-``r`` left singular
-    subspace, so ``head + tail == m_original`` exactly and the split is
-    orthogonal up to floating point.  ``r`` past the rank clamps: head is the
-    whole matrix, tail is zero.
-    """
-    m = as_matrix(m_original)
-    if r < 0:
-        raise InvalidRankError(f"split rank must be >= 0, got {r}")
-    r_eff = min(int(r), fact.rank)
-    u_r = fact.u[:, :r_eff]
-    v_r = fact.v[:, :r_eff]
-    head = u_r @ (u_r.T @ m)
-    tail = m - head
-    return HeadTailSplit(r_eff, head, tail, u_r, v_r)
 
 
 def tail_index_p(fact: SvdFactorization, k: int) -> int:

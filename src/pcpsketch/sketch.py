@@ -116,15 +116,9 @@ class SamplingPattern:
     def m(self) -> int:
         return int(self.indices.shape[0])
 
-    def dense(self) -> np.ndarray:
-        """The equivalent dense d x m selection-and-rescale operator."""
-        d = self.probs.shape[0]
-        s = np.zeros((d, self.m))
-        s[self.indices, np.arange(self.m)] = self.weights
-        return s
-
     def apply(self, x) -> np.ndarray:
-        """``x @ dense()`` as a gather of x's columns, rescaled."""
+        """x times the d x m selection-and-rescale operator, as a gather of
+        x's columns, rescaled."""
         return np.asarray(x)[:, self.indices] * self.weights
 
 
@@ -148,10 +142,14 @@ class Sketch:
     m: int
 
     def operator_matrix(self) -> np.ndarray:
-        """The operator as a dense d x m matrix."""
-        if isinstance(self.operator, SamplingPattern):
-            return self.operator.dense()
-        return np.asarray(self.operator)
+        """The operator as a dense d x m matrix; a sampling pattern becomes
+        its selection-and-rescale matrix."""
+        op = self.operator
+        if isinstance(op, SamplingPattern):
+            s = np.zeros((op.probs.shape[0], op.m))
+            s[op.indices, np.arange(op.m)] = op.weights
+            return s
+        return np.asarray(op)
 
 
 @dataclass(frozen=True)

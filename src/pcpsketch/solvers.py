@@ -94,17 +94,16 @@ def cluster_indicator_projection(assignment, k: int, n: int) -> Projection:
         raise InvalidRankError(f"k must be >= 1, got {k}")
     if assignment.min() < 0 or assignment.max() >= k:
         raise InvalidInputError("cluster labels out of range")
-    cols = []
-    for j in range(k):
-        members = assignment == j
-        size = int(members.sum())
-        if size == 0:
-            continue
-        col = np.zeros(n)
-        col[members] = 1.0 / np.sqrt(size)
-        cols.append(col)
-    basis = np.column_stack(cols) if cols else np.zeros((n, 0))
-    return Projection(basis)
+    basis = _indicators(assignment, k)
+    return Projection(basis[:, basis.any(axis=0)])
+
+
+def _indicators(labels: np.ndarray, k: int) -> np.ndarray:
+    """Normalized cluster indicators of a (..., n) label array, shape
+    (..., n, k): column j is 1/sqrt(|C_j|) on the members of cluster j,
+    and zero when the cluster is empty."""
+    onehot = labels[..., :, None] == np.arange(k)
+    return onehot / np.sqrt(np.maximum(onehot.sum(axis=-2), 1))[..., None, :]
 
 
 def kmeans_cost(m, assignment) -> float:
@@ -137,19 +136,19 @@ def _plusplus_init(m: np.ndarray, k: int, rng) -> np.ndarray:
     return centers
 
 
-def lloyd_kmeans(m, k: int, iters: int = 50, seed: int = 0, trace: list | None = None) -> Clustering:
+def lloyd_kmeans(m, k: int, iters: int = 50, seed: int = 0) -> Clustering:
     """Lloyd's algorithm with k-means++ seeding; deterministic per seed.
 
     Empty clusters are reseeded with the point farthest from its current
-    center, so the objective never increases across iterations (appended to
-    ``trace`` when a list is passed).  One run of ``_lloyd_assignments``.
+    center, so the objective never increases across iterations.  One run
+    of ``_lloyd_assignments``.
     """
     m = as_matrix(m)
-    assignment = _lloyd_assignments(m, k, [seed], iters, trace)[0]
+    assignment = _lloyd_assignments(m, k, [seed], iters)[0]
     return Clustering(assignment, k, kmeans_cost(m, assignment))
 
 
-def _lloyd_assignments(m: np.ndarray, k: int, seeds, iters: int, trace: list | None = None) -> np.ndarray:
+def _lloyd_assignments(m: np.ndarray, k: int, seeds, iters: int) -> np.ndarray:
     """Final assignments of one Lloyd run per seed on the rows of ``m``,
     as a (len(seeds), n) array; the runs go through each iteration together.
 
@@ -160,7 +159,6 @@ def _lloyd_assignments(m: np.ndarray, k: int, seeds, iters: int, trace: list | N
     and the cluster sums (indicators times rows) for the new centers.  A
     stacked product runs the same BLAS call on each run as a single run
     would, so every run's assignment is bit for bit its own alone.
-    ``trace`` gets the objective of each run still going, per iteration.
     """
     n = m.shape[0]
     if k < 1:
@@ -191,8 +189,6 @@ def _lloyd_assignments(m: np.ndarray, k: int, seeds, iters: int, trace: list | N
                     new_assignment[i, far] = j
                     point_d2[far] = 0.0
             member[i] = new_assignment[i] == labels[:, None]
-        if trace is not None:
-            trace.extend(kmeans_cost(m, a) for a in new_assignment)
         unchanged = (new_assignment == assignment[going]).all(axis=1)
         assignment[going] = new_assignment
         counts = member.sum(axis=2)

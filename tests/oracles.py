@@ -1,13 +1,17 @@
 """Independent reference computations used to check the library.
 
-Everything here except ``certify_dense_measured``, the per-probe audit
-and the report writers at the end deliberately avoids np.linalg so that
-spectral quantities are confirmed through a second, unrelated route: a
-hand-rolled cyclic Jacobi eigensolver, direct entrywise residual sums, and
-brute-force enumeration.  The per-probe audit scores one probe at a time,
-as the library did before it scored the stacked probe array, and the
-report writers are the plain row-by-row encoders that the CLI's columnar
-writer must agree with.  Slow is fine; these only see desk-scale inputs.
+Everything here except the dense certificate functionals, the per-probe
+audit and the report writers at the end deliberately avoids np.linalg so
+that spectral quantities are confirmed through a second, unrelated route:
+a hand-rolled cyclic Jacobi eigensolver, direct entrywise residual sums,
+and brute-force enumeration.  The dense certificate functionals are the
+subspace embedding, product and Frobenius errors of a dense operator on
+A's own head and tail, which the tests check against those routes and
+``certify`` must agree with.  The per-probe audit scores one probe at a
+time, as the library did before it scored the stacked probe array, and
+the report writers are the plain row-by-row encoders that the CLI's
+columnar writer must agree with.  Slow is fine; these only see
+desk-scale inputs.
 """
 
 from __future__ import annotations
@@ -116,12 +120,13 @@ def partitions_reference(n, max_blocks):
     return out
 
 
-def lloyd_reference(m, k, iters, seed):
+def lloyd_reference(m, k, iters, seed, trace=None):
     """One Lloyd run as a loop of its own, from the library's k-means++
     start for ``seed``: each iteration assigns rows by the distance
     product, reseeds empty clusters with the farthest points, and moves the
     centers to the cluster means; it stops when the assignment repeats.
-    Returns the final assignment."""
+    Returns the final assignment; ``trace``, when a list, gets the k-means
+    objective of each iteration's assignment."""
     from pcpsketch.rng import Stream, rng_for
     from pcpsketch.solvers import _plusplus_init
 
@@ -139,6 +144,8 @@ def lloyd_reference(m, k, iters, seed):
                 far = int(np.argmax(point_d2))
                 new[far] = j
                 point_d2[far] = 0.0
+        if trace is not None:
+            trace.append(variance_kmeans_cost(m, new))
         unchanged = np.array_equal(new, assignment)
         assignment = new
         counts = np.bincount(assignment, minlength=k)
@@ -193,21 +200,73 @@ def spectral_sandwich_sides(a, s, lam, eps):
     return min_eig_sym(upper), min_eig_sym(lower)
 
 
+@dataclass(frozen=True)
+class HeadTailSplit:
+    """A matrix split into its best rank-r part and the rest, with the top
+    r right singular vectors: ``head + tail`` is the matrix."""
+
+    head: np.ndarray
+    tail: np.ndarray
+    v_r: np.ndarray
+
+
+def head_tail_split(fact, m, r):
+    """``m`` split into its projection onto the top-``r`` left singular
+    subspace of ``fact`` (an ``SvdFactorization``) and the remainder; ``r``
+    past the rank clamps, so head is the whole matrix and tail is zero."""
+    if r < 0:
+        raise ValueError(f"split rank must be >= 0, got {r}")
+    m = np.asarray(m, dtype=float)
+    r = min(int(r), fact.rank)
+    u_r = fact.u[:, :r]
+    head = u_r @ (u_r.T @ m)
+    return HeadTailSplit(head, m - head, fact.v[:, :r])
+
+
+def subspace_embedding_error(m, s):
+    """Worst relative squared-norm distortion of S over the row space of
+    ``m``, |V^T S S^T V - I|_2 for V an orthonormal basis of that space.
+    The zero matrix has no row space and is an error."""
+    from pcpsketch.linalg import svd
+
+    fact = svd(m)
+    if fact.rank == 0:
+        raise ValueError("subspace embedding error undefined for the zero matrix")
+    w = fact.v.T @ np.asarray(s, dtype=float)
+    return float(np.max(np.abs(np.linalg.eigvalsh(w @ w.T - np.eye(fact.rank)))))
+
+
+def amm_error(m, n, s):
+    """Normalized product error |M N - M S S^T N|_F / (|M|_F |N|_F), zero
+    when either factor is zero."""
+    m, n, s = (np.asarray(x, dtype=float) for x in (m, n, s))
+    denom = float(np.linalg.norm(m) * np.linalg.norm(n))
+    if denom == 0.0:
+        return 0.0
+    return float(np.linalg.norm(m @ n - (m @ s) @ (s.T @ n))) / denom
+
+
+def frobenius_preservation_error(m, s):
+    """Relative loss of squared Frobenius mass, | |M|_F^2 - |M S|_F^2 | / |M|_F^2,
+    zero for the zero matrix."""
+    m = np.asarray(m, dtype=float)
+    total = float(np.sum(m * m))
+    if total == 0.0:
+        return 0.0
+    ms = m @ np.asarray(s, dtype=float)
+    return abs(total - float(np.sum(ms * ms))) / total
+
+
 def certify_dense_measured(a, s, k, eps):
     """Both certificates' measured values by the dense-operator formulas:
-    the functionals on A's own n x d head and tail and the d x m operator S,
-    each head factored again.  Unlike the rest of this module this reuses
-    the library's SVD and functionals; it pins the original coordinates
-    that the certifiers now leave for A's n x r core.
+    the functionals above on A's own n x d head and tail and the d x m
+    operator S, each head factored again.  Like them, this reuses the
+    library's SVD, and its ``spectral_approx_error``; it pins the original
+    coordinates that ``certify`` leaves for sigma and one r x r Gram.
 
     Returns (T1 measured, T2 measured, T2 frob_tail_p threshold)."""
-    from pcpsketch.guarantees import (
-        amm_error,
-        frobenius_preservation_error,
-        spectral_approx_error,
-        subspace_embedding_error,
-    )
-    from pcpsketch.linalg import head_tail_split, svd, tail_index_p
+    from pcpsketch.guarantees import spectral_approx_error
+    from pcpsketch.linalg import svd, tail_index_p
 
     a = np.asarray(a, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -273,18 +332,17 @@ class Implication:
 def implication_test(a, s, k, eps, probes=None, n_random=8, seed=0):
     """Certificates against the audit on one operator S.
 
-    Forms A_tilde = A S with c = 0 and runs both public certifiers and the
-    probe report at eps; consistent means each certificate that holds is
-    matched by a passing report.  The certificates are sufficient
-    conditions, so an inconsistency is a bug, not noise."""
+    Forms A_tilde = A S with c = 0 and runs ``certify`` and the probe
+    report at eps; consistent means each certificate that holds is matched
+    by a passing report.  The certificates are sufficient conditions, so an
+    inconsistency is a bug, not noise."""
     from pcpsketch.audit import generate_probes, pcp_report
-    from pcpsketch.guarantees import certify_matrix_approx, certify_spectral
+    from pcpsketch.guarantees import certify
 
     a = np.asarray(a, dtype=float)
     s = np.asarray(s, dtype=float)
     a_tilde = a @ s
-    t1 = certify_matrix_approx(a, s, k, eps)
-    t2 = certify_spectral(a, s, k, eps)
+    t1, t2 = certify(a, s, k, eps)
     if probes is None:
         probes = generate_probes(a, a_tilde, k, n_random, seed)
     report = pcp_report(a, a_tilde, 0.0, probes, eps)

@@ -13,7 +13,7 @@ import numpy as np
 import conftest
 from pcpsketch.audit import generate_probes, implication_harness, pcp_report
 from pcpsketch.generators import GeneratorSpec, gen_synthetic
-from pcpsketch.guarantees import jl_moment_estimate, subspace_embedding_error
+from pcpsketch.guarantees import certify, jl_moment_estimate
 from pcpsketch.linalg import svd, tail_index_p
 from pcpsketch.sketch import (
     SketchParams,
@@ -191,7 +191,7 @@ def test_criterion_7_embedding_error_exactness():
         w = int(rng.integers(1, d + 1))
         m = rng.standard_normal((n, d))
         s = rng.standard_normal((d, w)) / math.sqrt(w)
-        exact = subspace_embedding_error(m, s)
+        exact = certify(m, s, n, 0.5)[0].measured["se_err"]
 
         x = rng.standard_normal((10_000, n))
         xm = x @ m

@@ -13,7 +13,7 @@ from pcpsketch.audit import (
     verify_sketch,
 )
 from pcpsketch.errors import InvalidInputError, InvalidMatrixError
-from pcpsketch.guarantees import certify_matrix_approx, certify_spectral
+from pcpsketch.guarantees import certify
 from pcpsketch.linalg import Projection, factor, frob2, haar_subspace, projection_cost, svd
 from pcpsketch.rng import Stream, derive_seed
 from pcpsketch.sketch import SketchParams, gaussian_sketch, make_sketch, orthogonal_sketch, svd_sketch
@@ -45,7 +45,7 @@ def probe_set(projections, tags, k, partitions=None):
     bases = np.zeros((len(projections), projections[0].basis.shape[0], width))
     for i, p in enumerate(projections):
         bases[i, :, : p.rank] = p.basis
-    return ProbeSet(bases, tags, k, 0, partitions)
+    return ProbeSet(bases, tags, k, partitions)
 
 
 def probe_ranks(probes):
@@ -88,7 +88,7 @@ class TestGenerateProbes:
 
     def test_probe_set_validation(self):
         with pytest.raises(InvalidInputError):
-            ProbeSet(np.zeros((0, 4, 2)), [], k=2, seed=0)
+            ProbeSet(np.zeros((0, 4, 2)), [], k=2)
         with pytest.raises(InvalidInputError):
             probe_set([haar_subspace(4, 3, 0)], ["x"], k=2)
 
@@ -96,7 +96,7 @@ class TestGenerateProbes:
         good = np.stack([haar_subspace(5, 2, s).basis for s in range(3)])
         padded = good.copy()
         padded[1, :, 1] = 0.0  # a rank-1 probe in a width-2 array
-        ProbeSet(padded, ["a", "b", "c"], k=2, seed=0)
+        ProbeSet(padded, ["a", "b", "c"], k=2)
         bad = {
             "non-finite": (InvalidMatrixError, np.where(np.arange(2) == 1, np.nan, good)),
             "columns not orthogonal": (InvalidMatrixError, np.concatenate([good[:, :, :1]] * 2, axis=2)),
@@ -106,17 +106,17 @@ class TestGenerateProbes:
         }
         for error, bases in bad.values():
             with pytest.raises(error):
-                ProbeSet(bases, ["a", "b", "c"][: len(bases)], k=2, seed=0)
+                ProbeSet(bases, ["a", "b", "c"][: len(bases)], k=2)
         with pytest.raises(InvalidInputError):
-            ProbeSet(good, ["a", "b"], k=2, seed=0)  # tag count
+            ProbeSet(good, ["a", "b"], k=2)  # tag count
         with pytest.raises(InvalidInputError):
-            ProbeSet(good, ["a", "b", "c"], k=1, seed=0)  # wider than k
+            ProbeSet(good, ["a", "b", "c"], k=1)  # wider than k
         with pytest.raises(InvalidInputError):
-            ProbeSet(good, ["a", "b", "c"], k=2, seed=0, partitions=np.array([[0, 1, 2, 0, 1]], dtype=np.int8))
+            ProbeSet(good, ["a", "b", "c"], k=2, partitions=np.array([[0, 1, 2, 0, 1]], dtype=np.int8))
 
     def test_bases_are_read_only_copies(self):
         bases = np.stack([haar_subspace(5, 2, s).basis for s in range(2)])
-        probes = ProbeSet(bases, ["a", "b"], k=2, seed=0)
+        probes = ProbeSet(bases, ["a", "b"], k=2)
         bases[0] = 0.0
         assert not probes.bases.flags.writeable
         assert np.array_equal(probes.bases[0], haar_subspace(5, 2, 0).basis)
@@ -213,7 +213,7 @@ class TestPcpReport:
         a = rand(12, (6, 20))
         at = a[:, :8] * 1.1
         full = generate_probes(a, at, 2, 12, seed=4)
-        sub = ProbeSet(full.bases[:5], full.tags[:5], k=2, seed=full.seed)
+        sub = ProbeSet(full.bases[:5], full.tags[:5], k=2)
         r_small = pcp_report(a, at, 0.0, sub, 0.5)
         r_big = pcp_report(a, at, 0.0, full, 0.5)
         assert r_big.max_abs_rel_err >= r_small.max_abs_rel_err
@@ -286,7 +286,7 @@ class TestPcpReport:
         assert abs(rep.signed_rel_err[i]) == rep.max_abs_rel_err == np.max(np.abs(rep.signed_rel_err))
         assert np.all(np.abs(rep.signed_rel_err[:i]) < rep.max_abs_rel_err)
         # a tie: the same probes twice, so every max appears again later
-        twice = ProbeSet(np.concatenate([probes.bases] * 2), np.concatenate([probes.tags] * 2), 2, probes.seed)
+        twice = ProbeSet(np.concatenate([probes.bases] * 2), np.concatenate([probes.tags] * 2), 2)
         assert pcp_report(a, at, 0.0, twice, 0.5).worst_index == i
 
     def test_worst_probe_when_every_error_is_infinite(self):
@@ -484,7 +484,6 @@ class TestVerifySketch:
         v = verify_sketch(a, "ridge", params, 4, probe_seed=5)
         sk = make_sketch(a, "ridge", params)
         assert np.array_equal(v.sketch.a_tilde, sk.a_tilde)
-        assert v.certificate_t1 == certify_matrix_approx(a, sk.operator, 2, 0.5)
-        assert v.certificate_t2 == certify_spectral(a, sk.operator, 2, 0.5)
+        assert (v.certificate_t1, v.certificate_t2) == certify(a, sk.operator, 2, 0.5)
         probes = generate_probes(a, sk.a_tilde, 2, 4, seed=5)
         assert v.report == pcp_report(a, sk.a_tilde, sk.c_const, probes, 0.5)

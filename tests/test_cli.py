@@ -8,7 +8,7 @@ import pytest
 from pcpsketch import audit, solvers
 from pcpsketch.cli import _dumps, _emit, _json_safe, _pcp_block, _Rows, build_parser, main
 from pcpsketch.generators import gen_synthetic, parse_generator_spec
-from pcpsketch.guarantees import certify_matrix_approx, certify_spectral, jl_moment_estimate
+from pcpsketch.guarantees import certify, jl_moment_estimate
 from pcpsketch.matio import load_matrix, save_matrix
 from pcpsketch.sketch import METHODS, SketchParams, make_sketch
 
@@ -102,8 +102,7 @@ class TestCertifyCmd:
         assert payload["certificate_t2"]["theorem"] == "T2"
         lib = make_sketch(a, "nonoblivious", SketchParams(k=2, eps=0.5, seed=4))
         s = lib.operator_matrix()
-        t1 = certify_matrix_approx(a, s, 2, 0.5)
-        t2 = certify_spectral(a, s, 2, 0.5)
+        t1, t2 = certify(a, s, 2, 0.5)
         assert payload["certificate_t1"]["measured"] == pytest.approx(t1.measured)
         assert payload["certificate_t2"]["holds"] == t2.holds
         assert payload["params"]["seed"] == 4

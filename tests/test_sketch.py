@@ -14,7 +14,7 @@ from pcpsketch.errors import (
     UnsupportedFamilyError,
     WidthNotReducingWarning,
 )
-from pcpsketch.linalg import factor, frob2, head_tail_split, svd
+from pcpsketch.linalg import factor, frob2, svd
 from pcpsketch.sketch import (
     METHODS,
     _indices_from_uniforms,
@@ -31,7 +31,7 @@ from pcpsketch.sketch import (
     svd_sketch,
 )
 
-from oracles import gram_eigenvalues, indices_from_uniforms_loop
+from oracles import gram_eigenvalues, head_tail_split, indices_from_uniforms_loop
 
 
 def params(**kw):
@@ -327,8 +327,7 @@ class TestSamplingPatternInvariants:
                 assert np.allclose(
                     pat.weights, 1.0 / np.sqrt(pat.m * pat.probs[pat.indices])
                 )
-                dense = pat.dense()
-                assert np.allclose(a @ dense, sk.a_tilde, atol=1e-12)
+                assert np.allclose(a @ sk.operator_matrix(), sk.a_tilde, atol=1e-12)
                 checked += 1
         assert checked == 1000
 
@@ -351,9 +350,9 @@ class TestOperatorApply:
     def test_sampling_pattern_apply_equals_dense_product(self):
         a = wide_matrix(20, n=5, d=30)
         for ctor in (leverage_residual_sample, ridge_leverage_sample):
-            pattern = ctor(a, params(m_override=17)).operator
+            sk = ctor(a, params(m_override=17))
             x = np.random.default_rng(21).standard_normal((9, 30))
-            assert np.allclose(pattern.apply(x), x @ pattern.dense(), rtol=1e-14, atol=1e-14)
+            assert np.allclose(sk.operator.apply(x), x @ sk.operator_matrix(), rtol=1e-14, atol=1e-14)
 
     def test_every_method_applies_its_operator(self):
         a = wide_matrix(22, n=5, d=30)

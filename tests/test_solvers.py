@@ -72,6 +72,22 @@ class TestClusterIndicator:
             assert r == len(np.unique(labels))
             assert np.max(np.abs(p.basis.T @ p.basis - np.eye(r))) <= 1e-12
 
+    def test_basis_built_cluster_by_cluster(self):
+        # bit for bit one column per nonempty cluster, 1/sqrt(|C_j|) on its members
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            k = int(rng.integers(1, 6))
+            labels = rng.integers(0, k, size=n)
+            cols = []
+            for j in range(k):
+                members = labels == j
+                if members.any():
+                    col = np.zeros(n)
+                    col[members] = 1.0 / np.sqrt(members.sum())
+                    cols.append(col)
+            assert np.array_equal(cluster_indicator_projection(labels, k, n).basis, np.column_stack(cols))
+
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidInputError):
             cluster_indicator_projection(np.array([0, 2]), 2, 2)
@@ -110,12 +126,16 @@ class TestLloyd:
         assert res.cost == pytest.approx(best.cost, rel=1e-10)
 
     def test_monotone_objective(self):
+        # the reference run's objective per iteration never rises, and the
+        # library run ends in the reference's assignment
         for seed in range(10):
+            m = rand(seed, (12, 3))
             trace: list[float] = []
-            lloyd_kmeans(rand(seed, (12, 3)), 3, seed=seed, trace=trace)
+            want = lloyd_reference(m, 3, 50, seed, trace)
             assert len(trace) >= 1
             diffs = np.diff(np.asarray(trace))
             assert np.all(diffs <= 1e-12)
+            assert np.array_equal(lloyd_kmeans(m, 3, seed=seed).assignment, want)
 
     def test_gemm_distances_assign_as_the_broadcast_formula(self):
         # separated clusters: every point is far nearer one center than the rest
@@ -168,17 +188,14 @@ class TestBatchedLloyd:
         m = np.random.default_rng(51).standard_normal((60, 4))
         seeds = list(range(8))
         steps = []
-        for seed in seeds:
-            trace: list = []
-            lloyd_kmeans(m, 5, iters=50, seed=seed, trace=trace)
-            steps.append(len(trace))
-        assert len(set(steps)) > 1
-        trace = []
-        batch = _lloyd_assignments(m, 5, seeds, 50, trace)
-        # every run's objective at every iteration it was still going
-        assert len(trace) == sum(steps)
+        batch = _lloyd_assignments(m, 5, seeds, 50)
         for seed, got in zip(seeds, batch):
-            assert np.array_equal(got, lloyd_reference(m, 5, 50, seed))
+            trace: list = []
+            want = lloyd_reference(m, 5, 50, seed, trace)
+            steps.append(len(trace))
+            assert np.array_equal(got, want)
+            assert np.array_equal(lloyd_kmeans(m, 5, iters=50, seed=seed).assignment, want)
+        assert len(set(steps)) > 1
 
     def test_empty_clusters_are_reseeded(self):
         # nearest-center assignment alone uses at most three labels on three
