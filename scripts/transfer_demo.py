@@ -1,4 +1,5 @@
-"""Solve k-means on a sketch and compare against the exhaustive optimum."""
+"""Solve k-means on a sketch, compare against the exhaustive optimum and
+print the transfer check of each sketch."""
 
 import argparse
 import warnings
@@ -45,10 +46,12 @@ def main():
         sk = make_sketch(a, method, SketchParams(k=args.k, eps=args.eps, seed=args.seed))
         res = sketch_and_solve(a, sk, "kmeans", solver="exhaustive")
         ratio = res.cost_on_a / opt if opt > 0 else float("inf")
+        check = res.transfer
         print(
             f"{method:>12}: m={sk.m:>3}  cost_on_sketch={res.cost_on_sketch:.6f}  "
             f"cost_on_a={res.cost_on_a:.6f}  ratio={ratio:.4f}  "
-            f"certified<= {res.certified_ratio:.2f}"
+            f"certified<= {res.certified_ratio:.2f}  "
+            f"holds={check.bound_holds} lhs={check.lhs:.6f} rhs={check.rhs:.6f}"
         )
 
 

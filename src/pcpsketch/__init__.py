@@ -11,12 +11,14 @@ approximate solutions found on the sketch back to the original matrix.
 from .audit import (
     PcpReport,
     ProbeSet,
+    SolveResult,
     TransferCheck,
     Verification,
     approx_transfer_check,
     generate_probes,
     implication_harness,
     pcp_report,
+    sketch_and_solve,
     verify_sketch,
 )
 from .errors import (
@@ -68,7 +70,6 @@ from .sketch import (
 )
 from .solvers import (
     Clustering,
-    SolveResult,
     best_rank_k_projection,
     cluster_indicator_projection,
     exhaustive_kmeans,
@@ -76,7 +77,6 @@ from .solvers import (
     lloyd_kmeans,
     partition_costs,
     partitions,
-    sketch_and_solve,
 )
 
 __version__ = "0.1.0"

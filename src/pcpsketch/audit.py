@@ -6,7 +6,7 @@ adversarial probe sets (singular subspaces of both matrices, residual
 directions, random subspaces, coordinate axes, cluster indicators), scores
 the signed relative error on each, ties certificates to the observed
 errors (the randomized implication harness), and checks the transfer
-bound for approximate minimizers found on the sketch.
+bound for minimizers found on the sketch.
 
 A probe set is columnar: a ``ProbeSet`` holds every basis in one
 (count, n, min(k, n)) array, zero-padded past each probe's rank, beside
@@ -21,6 +21,11 @@ B = U Sigma, which have the same row Gram matrix, and so the same costs
 and row distances, as the matrices themselves.  ``verify_sketch`` is the
 one sketch -> certify -> probe -> score sequence behind ``pcp verify``,
 ``pcp bench`` and ``implication_harness``.
+
+``sketch_and_solve``, behind ``pcp solve``, solves on the sketch, scores
+the solution on both matrices and checks the transfer bound over the
+candidates it builds itself: A's own best rank-k projection for "lowrank",
+every partition the exhaustive k-means search scored for "kmeans".
 """
 
 from __future__ import annotations
@@ -34,21 +39,26 @@ import numpy as np
 from .errors import DimensionError, InvalidInputError, InvalidMatrixError, WidthNotReducingWarning
 from .generators import GeneratorSpec, gen_synthetic
 from .guarantees import Certificate, certify
-from .linalg import _haar_bases, as_matrix, factor, frob2, svd
+from .linalg import _haar_bases, as_matrix, factor, frob2, projection_cost, svd
 from .rng import Stream, derive_seed, rng_for
 from .sketch import Sketch, SketchParams, make_sketch
-from .solvers import _indicators, _lloyd_assignments, partition_costs, partitions
+from .solvers import (
+    _exhaustive_search, _indicators, _lloyd_assignments, best_rank_k_projection,
+    cluster_indicator_projection, lloyd_kmeans, partition_costs, partitions,
+)
 
 __all__ = [
     "ProbeSet",
     "PcpReport",
     "TransferCheck",
     "HarnessSummary",
+    "SolveResult",
     "Verification",
     "generate_probes",
     "pcp_report",
     "implication_harness",
     "approx_transfer_check",
+    "sketch_and_solve",
     "verify_sketch",
 ]
 
@@ -56,6 +66,11 @@ ZERO_COST_REL = 1e-12
 ZERO_CHECK_REL = 1e-8
 _PROBE_LLOYD_RUNS = 5
 _PROBE_LLOYD_ITERS = 25
+# the implication harness cycles through these per trial
+_HARNESS_EPS = (0.3, 0.5)
+_HARNESS_KS = (1, 2, 3)
+_HARNESS_METHODS = ("gaussian", "nonoblivious", "leverage", "ridge")
+_HARNESS_WIDTH_FACTORS = (0.25, 1.0, 2.0, 130.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,12 +151,31 @@ class PcpReport:
 
 @dataclass(frozen=True)
 class TransferCheck:
+    """The transfer bound lhs <= rhs over a candidate set: ``lhs`` is the
+    worst cost on A among the sketch's minimizers, ``rhs`` the certified
+    factor times ``optimum``, the least cost on A."""
+
     bound_holds: bool
     lhs: float
     rhs: float
-    gamma: float
-    chosen: int
     optimum: float
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    """Solution found on the sketch, with costs on both matrices.
+
+    ``certified_ratio`` is the factor (1 + eps) / (1 - eps) that the sketch
+    guarantee carries over to an exact minimizer on the sketch, and
+    ``transfer`` the check of that bound; both are None for Lloyd, which
+    certifies nothing.
+    """
+
+    solution: object
+    cost_on_a: float
+    cost_on_sketch: float
+    certified_ratio: float | None
+    transfer: TransferCheck | None
 
 
 def generate_probes(
@@ -318,15 +352,7 @@ def _harness_instance(rng, k: int, trial: int, seed: int):
     return gen_synthetic(GeneratorSpec("lowrank", n=n, d=d, rank=r, noise=0.0, seed=gseed))
 
 
-def implication_harness(
-    trials: int,
-    seed: int = 0,
-    eps_choices: tuple = (0.3, 0.5),
-    k_choices: tuple = (1, 2, 3),
-    methods: tuple = ("gaussian", "nonoblivious", "leverage", "ridge"),
-    width_factors: tuple = (0.25, 1.0, 2.0, 130.0),
-    n_random_probes: int = 6,
-) -> HarnessSummary:
+def implication_harness(trials: int, seed: int = 0, n_random_probes: int = 6) -> HarnessSummary:
     """Randomized sweep of the certificate-to-audit implication.
 
     Instances are small random matrices of mixed character (i.i.d., planted
@@ -342,12 +368,12 @@ def implication_harness(
     worst = 0.0
     for t in range(trials):
         rng = rng_for(seed, Stream.HARNESS, t)
-        k = k_choices[t % len(k_choices)]
-        eps = eps_choices[(t // len(k_choices)) % len(eps_choices)]
-        method = methods[t % len(methods)]
+        k = _HARNESS_KS[t % len(_HARNESS_KS)]
+        eps = _HARNESS_EPS[(t // len(_HARNESS_KS)) % len(_HARNESS_EPS)]
+        method = _HARNESS_METHODS[t % len(_HARNESS_METHODS)]
         a = _harness_instance(rng, k, t, seed)
         d = a.shape[1]
-        width = max(2, int(round(d * width_factors[t % len(width_factors)])))
+        width = max(2, int(round(d * _HARNESS_WIDTH_FACTORS[t % len(_HARNESS_WIDTH_FACTORS)])))
         params = SketchParams(
             k=k,
             eps=eps,
@@ -380,17 +406,15 @@ def implication_harness(
     return HarnessSummary(trials, t1_holds, t2_holds, violations, worst)
 
 
-def approx_transfer_check(
-    a, a_tilde, c: float, eps: float, costs_a, costs_sketch, gamma: float = 1.0
-) -> TransferCheck:
-    """Check the cost bound transferred by a gamma-approximate sketch solver.
+def approx_transfer_check(a, a_tilde, c: float, eps: float, costs_a, costs_sketch) -> TransferCheck:
+    """Check the cost bound transferred to A by a minimizer on the sketch.
 
     ``costs_a[i]`` and ``costs_sketch[i]`` are the costs of candidate
-    solution i on A and on the sketch.  Among candidates whose sketch cost
-    is within gamma of the best sketch cost, the one costing the most on A
-    is the adversarial choice P_tilde; the bound |A - P_tilde A|_F^2 <=
-    (1+eps) gamma / (1-eps) * min cost on A + (1-gamma) c / (1-eps) must
-    hold for it (hence for every eligible choice).
+    solution i on A and on the sketch (A_tilde, c).  Among the candidates
+    of least sketch cost, the one costing the most on A is the adversarial
+    choice P_tilde; the bound |A - P_tilde A|_F^2 <= (1+eps) / (1-eps) *
+    min cost on A must hold for it (hence for every minimizer).  The
+    constant c shifts every sketch cost alike and so drops out.
     """
     a = factor(a)
     at = as_matrix(a_tilde, "a_tilde")
@@ -400,15 +424,59 @@ def approx_transfer_check(
         raise InvalidInputError("need at least one candidate cost")
     if sketch_costs.shape != a_costs.shape:
         raise InvalidInputError("one sketch cost per candidate required")
-    if gamma < 1.0:
-        raise InvalidInputError(f"gamma must be >= 1, got {gamma}")
     if not 0.0 < eps < 1.0:
         raise InvalidInputError(f"eps must be in (0, 1), got {eps}")
-    eligible_cut = gamma * float(sketch_costs.min()) + 1e-12 * (frob2(at) + 1.0)
-    eligible = np.nonzero(sketch_costs <= eligible_cut)[0]
-    chosen = int(eligible[np.argmax(a_costs[eligible])])
-    lhs = float(a_costs[chosen])
+    eligible = sketch_costs <= float(sketch_costs.min()) + 1e-12 * (frob2(at) + 1.0)
+    lhs = float(a_costs[eligible].max())
     optimum = float(a_costs.min())
-    rhs = (1.0 + eps) * gamma / (1.0 - eps) * optimum + (1.0 - gamma) * c / (1.0 - eps)
-    holds = lhs <= rhs + 1e-8 * max(1.0, a.frob2)
-    return TransferCheck(holds, lhs, rhs, gamma, chosen, optimum)
+    rhs = (1.0 + eps) / (1.0 - eps) * optimum
+    return TransferCheck(lhs <= rhs + 1e-8 * max(1.0, a.frob2), lhs, rhs, optimum)
+
+
+def sketch_and_solve(
+    a,
+    sk: Sketch,
+    task: str,
+    solver: str = "exhaustive",
+    iters: int = 50,
+    seed: int = 0,
+) -> SolveResult:
+    """Solve ``task`` on the sketch, evaluate the solution on ``a`` and check
+    the transfer bound.
+
+    For "lowrank" the solution is the top-k subspace of the sketch, checked
+    against A's own top-k subspace; for "kmeans" the rows of the sketch are
+    clustered exhaustively, checked over every partition into at most k
+    blocks, or with Lloyd, which certifies no ratio and gets no check.  The
+    certified ratio is (1 + eps) / (1 - eps).  ``a`` may be a ``Factored``
+    instance; the costs on it use its array and cached Frobenius norm.
+    """
+    a = factor(a)
+    at = sk.a_tilde
+    if at.shape[0] != a.shape[0]:
+        raise InvalidInputError("sketch row count does not match the matrix")
+    k, eps = sk.params.k, sk.params.eps
+    if task == "lowrank":
+        proj = best_rank_k_projection(at, k)
+        solution: object = proj
+    elif task == "kmeans":
+        if solver == "exhaustive":
+            solution, labels, costs_sketch = _exhaustive_search(at, k)
+        elif solver == "lloyd":
+            solution = lloyd_kmeans(at, k, iters=iters, seed=seed)
+        else:
+            raise InvalidInputError(f"unknown solver {solver!r}")
+        proj = cluster_indicator_projection(solution.assignment, k, a.shape[0])
+    else:
+        raise InvalidInputError(f"unknown task {task!r}")
+    cost_on_a, cost_on_sketch = projection_cost(a, proj), projection_cost(at, proj)
+    if task == "lowrank":
+        best = best_rank_k_projection(a, k)
+        costs_a = [cost_on_a, projection_cost(a, best)]
+        costs_sketch = [cost_on_sketch, projection_cost(at, best)]
+    elif solver == "exhaustive":
+        costs_a = partition_costs(a, labels)
+    else:
+        return SolveResult(solution, cost_on_a, cost_on_sketch, None, None)
+    check = approx_transfer_check(a, at, sk.c_const, eps, costs_a, costs_sketch)
+    return SolveResult(solution, cost_on_a, cost_on_sketch, (1.0 + eps) / (1.0 - eps), check)

@@ -25,11 +25,11 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import audit, solvers
+from . import audit
 from .errors import ConfigError, Error
 from .generators import gen_synthetic, parse_generator_spec
 from .guarantees import certify, jl_moment_estimate
-from .linalg import factor, projection_cost
+from .linalg import factor
 from .matio import load_matrix, save_matrix
 from .rng import Stream, derive_seed
 from .sketch import METHODS, SketchParams, make_sketch
@@ -341,30 +341,13 @@ def _cmd_solve(args) -> int:
     a = _load_source(args, seed)
     start = time.perf_counter()
     sk = make_sketch(a, args.method, _params(args, seed))
-    result = solvers.sketch_and_solve(
-        a, sk, args.task, solver=args.solver, iters=args.iters, seed=seed
-    )
-    transfer: dict = {
-        "task": args.task,
-        "gamma": result.gamma,
-        "lhs": result.cost_on_a,
-        "rhs": None,
-        "holds": None,
-    }
-    if result.gamma is not None:
-        if args.task == "lowrank":
-            best = solvers.best_rank_k_projection(a, args.k)
-            costs_a = [result.cost_on_a, projection_cost(a, best)]
-            costs_sketch = [result.cost_on_sketch, projection_cost(sk.a_tilde, best)]
-        else:
-            labels, costs_sketch = result._partition_table
-            costs_a = solvers.partition_costs(a, labels)
-        check = audit.approx_transfer_check(
-            a, sk.a_tilde, sk.c_const, args.eps, costs_a, costs_sketch, gamma=result.gamma
-        )
-        transfer.update(lhs=check.lhs, rhs=check.rhs, holds=check.bound_holds)
+    result = audit.sketch_and_solve(a, sk, args.task, solver=args.solver, iters=args.iters, seed=seed)
+    check = result.transfer
     report = _base_report(sk, args, seed)
-    report["transfer"] = transfer
+    # gamma is 1 for the exact solvers, the ones with a transfer check
+    report["transfer"] = {"task": args.task, "gamma": None, "lhs": result.cost_on_a, "rhs": None, "holds": None}
+    if check is not None:
+        report["transfer"].update(gamma=1.0, lhs=check.lhs, rhs=check.rhs, holds=check.bound_holds)
     report["solution"] = {
         "cost_on_a": result.cost_on_a,
         "cost_on_sketch": result.cost_on_sketch,
@@ -374,9 +357,7 @@ def _cmd_solve(args) -> int:
         report["solution"]["assignment"] = [int(x) for x in result.solution.assignment]
     report["timing_ms"] = 1e3 * (time.perf_counter() - start)
     _emit(report, args)
-    if transfer["holds"] is None:
-        return EXIT_PASS
-    return EXIT_PASS if transfer["holds"] else EXIT_FAIL
+    return EXIT_FAIL if check is not None and not check.bound_holds else EXIT_PASS
 
 
 def _cmd_bench(args) -> int:

@@ -12,6 +12,8 @@ dispatches on the method tag.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -166,12 +168,20 @@ def _ln_floored(x: float) -> float:
     return max(math.log(x), 1.0)
 
 
+_PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
+
+
 def _warn_if_not_reducing(m: int, d: int, method: str) -> None:
+    """Warn when the sketch is no narrower than A, naming the first caller
+    outside this package (whichever public entry point was called)."""
     if m >= d:
+        frame, level = sys._getframe(1), 2
+        while frame is not None and os.path.abspath(frame.f_code.co_filename).startswith(_PACKAGE_DIR):
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"{method} sketch width {m} does not reduce input width {d}",
             WidthNotReducingWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
 
 
@@ -365,8 +375,7 @@ def svd_sketch(a, params: SketchParams) -> Sketch:
     v_m = fact.v[:, :m] if fact.rank else np.zeros((a.shape[1], 1))
     a_tilde = a.a @ v_m
     c_const = max(a.frob2 - frob2(a_tilde), 0.0)
-    if m >= a.shape[1]:
-        _warn_if_not_reducing(m, a.shape[1], "svd")
+    _warn_if_not_reducing(m, a.shape[1], "svd")
     return Sketch(a_tilde, np.array(v_m), c_const, "svd", params, m)
 
 

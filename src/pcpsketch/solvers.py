@@ -1,24 +1,23 @@
-"""Downstream solvers evaluated on sketches.
+"""Downstream solvers run on a matrix or its sketch.
 
 k-means (seeded Lloyd and an exhaustive brute-force oracle for small n),
-best rank-k projections, and the sketch-and-solve driver that solves on
-the compressed matrix and evaluates the solution on the original.
+the partition tables the exhaustive search scores, and best rank-k
+projections.  The sketch-and-solve driver, which runs these on a sketch
+and checks the transfer bound, is ``audit.sketch_and_solve``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, InvalidRankError, TooLargeError
-from .linalg import Projection, as_matrix, factor, frob2, projection_cost
+from .linalg import Projection, as_matrix, factor, frob2
 from .rng import Stream, rng_for
-from .sketch import Sketch
 
 __all__ = [
     "Clustering",
-    "SolveResult",
     "best_rank_k_projection",
     "cluster_indicator_projection",
     "kmeans_cost",
@@ -26,7 +25,6 @@ __all__ = [
     "partitions",
     "partition_costs",
     "exhaustive_kmeans",
-    "sketch_and_solve",
 ]
 
 MAX_EXHAUSTIVE_ROWS = 12
@@ -48,27 +46,6 @@ class Clustering:
             raise InvalidInputError("cluster labels out of range")
         object.__setattr__(self, "assignment", a)
         a.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    """Solution found on the sketch, with costs on both matrices.
-
-    ``certified_ratio`` is the guaranteed approximation factor
-    (1 + eps) * gamma / (1 - eps) carried over from the sketch guarantee;
-    None when the inner solver certifies no gamma (Lloyd).
-    """
-
-    solution: object
-    projection: Projection
-    cost_on_a: float
-    cost_on_sketch: float
-    certified_ratio: float | None
-    gamma: float | None
-    task: str
-    # (labels, sketch costs) of every partition the exhaustive k-means
-    # search scored, for the transfer check; None for the other solvers
-    _partition_table: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def best_rank_k_projection(m, k: int) -> Projection:
@@ -279,55 +256,3 @@ def _exhaustive_search(m, k: int) -> tuple:
     assignment = labels[int(np.argmax(tied))].astype(np.int64)
     return Clustering(assignment, k, kmeans_cost(m, assignment)), labels, costs
 
-
-def sketch_and_solve(
-    a,
-    sk: Sketch,
-    task: str,
-    solver: str = "exhaustive",
-    iters: int = 50,
-    seed: int = 0,
-) -> SolveResult:
-    """Solve ``task`` on the sketch, evaluate the solution on ``a``.
-
-    For "lowrank" the solution is the top-k subspace of the sketch (gamma 1);
-    for "kmeans" rows of the sketch are clustered exhaustively (gamma 1) or
-    with Lloyd (no certified gamma).  The certified ratio, when gamma is
-    known, is (1 + eps) * gamma / (1 - eps).  ``a`` may be a ``Factored``
-    instance; the costs on it use its array and cached Frobenius norm.
-    """
-    a = factor(a)
-    at = sk.a_tilde
-    if at.shape[0] != a.shape[0]:
-        raise InvalidInputError("sketch row count does not match the matrix")
-    k, eps = sk.params.k, sk.params.eps
-    table = None
-    if task == "lowrank":
-        proj = best_rank_k_projection(at, k)
-        solution: object = proj
-        gamma: float | None = 1.0
-    elif task == "kmeans":
-        if solver == "exhaustive":
-            clustering, labels, costs = _exhaustive_search(at, k)
-            table = (labels, costs)
-            gamma = 1.0
-        elif solver == "lloyd":
-            clustering = lloyd_kmeans(at, k, iters=iters, seed=seed)
-            gamma = None
-        else:
-            raise InvalidInputError(f"unknown solver {solver!r}")
-        proj = cluster_indicator_projection(clustering.assignment, k, a.shape[0])
-        solution = clustering
-    else:
-        raise InvalidInputError(f"unknown task {task!r}")
-    ratio = (1.0 + eps) * gamma / (1.0 - eps) if gamma is not None else None
-    return SolveResult(
-        solution=solution,
-        projection=proj,
-        cost_on_a=projection_cost(a, proj),
-        cost_on_sketch=projection_cost(at, proj),
-        certified_ratio=ratio,
-        gamma=gamma,
-        task=task,
-        _partition_table=table,
-    )

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 import conftest
-from pcpsketch.audit import generate_probes, implication_harness, pcp_report
+from pcpsketch.audit import generate_probes, implication_harness, pcp_report, sketch_and_solve
 from pcpsketch.generators import GeneratorSpec, gen_synthetic
 from pcpsketch.guarantees import certify, jl_moment_estimate
 from pcpsketch.linalg import svd, tail_index_p
@@ -22,7 +22,7 @@ from pcpsketch.sketch import (
     ridge_scores,
     svd_sketch,
 )
-from pcpsketch.solvers import exhaustive_kmeans, sketch_and_solve
+from pcpsketch.solvers import exhaustive_kmeans
 
 
 def record(num, desc, ok, elapsed, cap, detail=""):

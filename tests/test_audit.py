@@ -371,7 +371,7 @@ class TestApproxTransferCheck:
         eps = 0.4
         candidates = [haar_subspace(7, 2, seed=s) for s in range(6)]
         costs_a, costs_s = costs_on_both(a, a.copy(), candidates)
-        check = approx_transfer_check(a, a.copy(), 0.0, eps, costs_a, costs_s, gamma=1.0)
+        check = approx_transfer_check(a, a.copy(), 0.0, eps, costs_a, costs_s)
         assert check.bound_holds
         assert check.lhs == pytest.approx(check.optimum, rel=1e-12)
         assert check.lhs == pytest.approx(check.rhs * (1 - eps) / (1 + eps), rel=1e-9)
@@ -387,7 +387,6 @@ class TestApproxTransferCheck:
             0.5,
             partition_costs(a, labels),
             partition_costs(sk.a_tilde, labels),
-            gamma=1.0,
         )
         assert check.bound_holds
         assert check.lhs <= 1e-8  # misclustering would cost 100
@@ -406,7 +405,6 @@ class TestApproxTransferCheck:
             0.5,
             partition_costs(a, labels),
             partition_costs(sk.a_tilde, labels),
-            gamma=1.0,
         )
         ref = min(variance_kmeans_cost(a, labels) for labels in partitions_reference(8, 2))
         assert check.optimum == pytest.approx(ref, rel=1e-10)
@@ -415,13 +413,9 @@ class TestApproxTransferCheck:
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(InvalidInputError):
-            approx_transfer_check(np.eye(3), np.eye(3), 0.0, 0.5, [], [], gamma=1.0)
+            approx_transfer_check(np.eye(3), np.eye(3), 0.0, 0.5, [], [])
         with pytest.raises(InvalidInputError):
-            approx_transfer_check(np.eye(3), np.eye(3), 0.0, 0.5, [1.0, 2.0], [1.0], gamma=1.0)
-
-    def test_gamma_below_one_rejected(self):
-        with pytest.raises(InvalidInputError):
-            approx_transfer_check(np.eye(3), np.eye(3), 0.0, 0.5, [2.0], [2.0], gamma=0.5)
+            approx_transfer_check(np.eye(3), np.eye(3), 0.0, 0.5, [1.0, 2.0], [1.0])
 
 
 def projector(p):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcpsketch.audit import verify_sketch
 from pcpsketch.errors import (
     InvalidInputError,
     InvalidOverestimateError,
@@ -89,6 +90,22 @@ class TestGaussian:
         a = wide_matrix(2, n=3, d=5)
         with pytest.warns(WidthNotReducingWarning):
             gaussian_sketch(a, params(m_override=5))
+
+    def test_width_warning_names_the_callers_line(self):
+        # the warning names the first frame outside the package, whichever
+        # entry point was called; the pytest ignore filter is overridden here
+        a = wide_matrix(2, n=5, d=20)
+        p = params(m_override=30)
+        for call in (
+            lambda: gaussian_sketch(a, p),
+            lambda: make_sketch(a, "gaussian", p),
+            lambda: verify_sketch(a, "gaussian", p, 2, 0),
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", WidthNotReducingWarning)
+                call()
+            (w,) = [w for w in caught if issubclass(w.category, WidthNotReducingWarning)]
+            assert w.filename == __file__
 
 
 class TestOrthogonal:

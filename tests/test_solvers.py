@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcpsketch.audit import approx_transfer_check, sketch_and_solve
 from pcpsketch.errors import InvalidInputError, InvalidRankError, TooLargeError
 from pcpsketch.linalg import frob2, projection_cost, svd
 from pcpsketch.sketch import SketchParams, gaussian_sketch, orthogonal_sketch, svd_sketch
@@ -16,7 +17,6 @@ from pcpsketch.solvers import (
     lloyd_kmeans,
     partition_costs,
     partitions,
-    sketch_and_solve,
 )
 
 from oracles import gram_eigenvalues, lloyd_reference, partitions_reference, variance_kmeans_cost
@@ -317,7 +317,9 @@ class TestSketchAndSolve:
         f = svd(a)
         opt = float((f.sigma[2:] ** 2).sum())
         assert res.cost_on_a == pytest.approx(opt, rel=1e-10)
-        assert res.gamma == 1.0
+        assert res.transfer.bound_holds
+        assert res.transfer.lhs == pytest.approx(opt, rel=1e-10)
+        assert res.transfer.optimum == pytest.approx(opt, rel=1e-10)
         assert res.certified_ratio == pytest.approx(3.0)
 
     def test_lossless_svd_sketch_both_tasks(self):
@@ -343,9 +345,38 @@ class TestSketchAndSolve:
         a = rand(9, (10, 5))
         sk = orthogonal_sketch(a, SketchParams(k=2, eps=0.5))
         res = sketch_and_solve(a, sk, "kmeans", solver="lloyd", seed=3)
-        assert res.gamma is None
+        assert res.transfer is None
         assert res.certified_ratio is None
         assert res.cost_on_a >= 0.0
+
+    def test_exhaustive_transfer_matches_fresh_partition_tables(self):
+        a = rand(16, (7, 9))
+        sk = gaussian_sketch(a, SketchParams(k=3, eps=0.5, seed=2, m_override=5))
+        res = sketch_and_solve(a, sk, "kmeans")
+        labels = partitions(7, 3)
+        want = approx_transfer_check(
+            a, sk.a_tilde, sk.c_const, 0.5, partition_costs(a, labels), partition_costs(sk.a_tilde, labels)
+        )
+        assert res.transfer == want
+        assert res.certified_ratio == 3.0
+        assert want.optimum == pytest.approx(exhaustive_kmeans(a, 3).cost, rel=1e-10)
+
+    def test_lowrank_transfer_matches_a_own_best_projection(self):
+        a = rand(17, (8, 30))
+        sk = gaussian_sketch(a, SketchParams(k=2, eps=0.4, seed=5, m_override=6))
+        res = sketch_and_solve(a, sk, "lowrank")
+        candidates = [best_rank_k_projection(sk.a_tilde, 2), best_rank_k_projection(a, 2)]
+        want = approx_transfer_check(
+            a,
+            sk.a_tilde,
+            sk.c_const,
+            0.4,
+            [projection_cost(a, p) for p in candidates],
+            [projection_cost(sk.a_tilde, p) for p in candidates],
+        )
+        assert res.transfer == want
+        assert res.transfer.lhs == res.cost_on_a
+        assert want.optimum == pytest.approx(float((svd(a).sigma[2:] ** 2).sum()), rel=1e-10)
 
     def test_rejects_unknown_task(self):
         a = rand(10, (4, 5))
