@@ -46,6 +46,7 @@ from .linalg import (
     Factored,
     Projection,
     factor,
+    factor_sketch,
     frob2,
     haar_subspace,
     projection_cost,
@@ -115,6 +116,7 @@ __all__ = [
     "derive_seed",
     "exhaustive_kmeans",
     "factor",
+    "factor_sketch",
     "frob2",
     "gaussian_sketch",
     "gaussian_width",

@@ -17,15 +17,15 @@ each core as one batch, the Haar bases from one stacked QR), and
 
 A and the sketch are ``Factored`` instances (arrays are wrapped at the
 entry).  Probe costs and the Lloyd probes run on their n x r cores
-B = U Sigma, which have the same row Gram matrix, and so the same costs
-and row distances, as the matrices themselves.  ``verify_sketch`` is the
-one sketch -> certify -> probe -> score sequence behind ``pcp verify``,
-``pcp bench`` and ``implication_harness``.
-
-``sketch_and_solve``, behind ``pcp solve``, solves on the sketch, scores
-the solution on both matrices and checks the transfer bound over the
-candidates it builds itself: A's own best rank-k projection for "lowrank",
-every partition the exhaustive k-means search scored for "kmeans".
+B = U Sigma, which have the same costs and row distances as the matrices.
+``verify_sketch`` (behind ``pcp verify``, ``pcp bench`` and the harness)
+and ``sketch_and_solve`` (behind ``pcp solve``) read the sketch's SVD off
+A's and the Gram that ``certify`` reads (``factor_sketch``), so the only
+n-row matrix either factors is A.  ``sketch_and_solve`` solves on the
+sketch, scores the solution on both matrices and checks the transfer
+bound over the candidates it builds itself: A's own best rank-k
+projection for "lowrank", every partition the exhaustive k-means search
+scored for "kmeans".
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from .errors import DimensionError, InvalidInputError, InvalidMatrixError, WidthNotReducingWarning
 from .generators import GeneratorSpec, gen_synthetic
 from .guarantees import Certificate, certify
-from .linalg import _haar_bases, as_matrix, factor, frob2, projection_cost, svd
+from .linalg import RANK_TOL, _haar_bases, as_matrix, factor, factor_sketch, frob2, projection_cost, svd
 from .rng import Stream, derive_seed, rng_for
 from .sketch import Sketch, SketchParams, make_sketch
 from .solvers import (
@@ -190,10 +190,10 @@ def generate_probes(
     both matrices, and the rank-0 probe.  ``n_random`` Haar subspaces are
     appended, and ``exhaustive`` adds every cluster indicator over
     partitions into at most k blocks (n <= 12 only, else TooLargeError).
-    The residual and Lloyd probes are computed on the cores of A and of
-    the sketch; the heaviest rows are A's own.  The bases are filled into
-    one array a family at a time: the Lloyd runs on each core go as one
-    batch, and the Haar bases share one stacked QR.
+    The Lloyd probes run on both cores, the residual in A's coordinates,
+    dropping singular values <= RANK_TOL * sigma_1(A); the heaviest rows
+    are A's own.  The bases are filled into one array a family at a time:
+    the Lloyd runs on each core go as one batch, the Haar bases one QR.
     """
     a = factor(a)
     at = factor(a_tilde, "a_tilde")
@@ -206,20 +206,20 @@ def generate_probes(
     n = a.shape[0]
     kk = min(k, n)
 
-    fa = a.fact
-    fs = at.fact
+    fa, fs = a.fact, at.fact
     spans = [
         (f"top-{name}-{j}", f.u[:, :j])
         for j in range(1, kk + 1)
         for name, f in (("a", fa), ("sketch", fs))
         if j <= f.rank
     ]
-    if fs.rank > 0:
-        q = fs.u[:, : min(kk, fs.rank)]
-        b = a.core
-        fr = svd(b - q @ (q.T @ b))
-        if fr.rank > 0:
-            spans.append(("residual-top", fr.u[:, : min(kk, fr.rank)]))
+    if fs.rank > 0 and fa.rank > 0:
+        # A's core past the sketch's top-k q, in A's coordinates: U^T (B - q q^T B), c = U^T q
+        c = fa.u.T @ fs.u[:, : min(kk, fs.rank)]
+        fr = svd(np.diag(fa.sigma) - c @ (c.T * fa.sigma))
+        keep = min(kk, int(np.sum(fr.sigma > RANK_TOL * fa.sigma[0])))
+        if keep > 0:
+            spans.append(("residual-top", fa.u @ fr.u[:, :keep]))
     heavy = np.argsort(-np.sum(a.a * a.a, axis=1), kind="stable")[:kk]
     runs = range(_PROBE_LLOYD_RUNS)
     # (run, core) order: kmeans-a-0, kmeans-sketch-0, kmeans-a-1, ...
@@ -312,11 +312,12 @@ def verify_sketch(
 ) -> Verification:
     """Sketch ``a`` by ``method``, certify the operator by both routes and
     audit the sketch over ``generate_probes(..., n_random, probe_seed,
-    exhaustive)`` at eps = params.eps.  A is factored at most once."""
+    exhaustive)`` at eps = params.eps.  A is factored at most once, the
+    sketch never: its SVD is read off A's (``factor_sketch``)."""
     a = factor(a)
     sk = make_sketch(a, method, params)
     t1, t2 = certify(a, sk.operator, params.k, params.eps)
-    at = factor(sk.a_tilde, "a_tilde")
+    at = factor_sketch(a, sk.a_tilde, sk.operator)
     probes = generate_probes(a, at, params.k, n_random, seed=probe_seed, exhaustive=exhaustive)
     report = pcp_report(a, at, sk.c_const, probes, params.eps)
     return Verification(sk, t1, t2, report)
@@ -457,7 +458,7 @@ def sketch_and_solve(
         raise InvalidInputError("sketch row count does not match the matrix")
     k, eps = sk.params.k, sk.params.eps
     if task == "lowrank":
-        proj = best_rank_k_projection(at, k)
+        proj = best_rank_k_projection(factor_sketch(a, at, sk.operator), k)
         solution: object = proj
     elif task == "kmeans":
         if solver == "exhaustive":

@@ -11,7 +11,7 @@ An operator S is a dense d x m array or a ``SamplingPattern``, applied as
 a column gather.  Every measured value depends on A only through A A^T and
 on S only through how S acts on A's row space, so with A = U Sigma V^T of
 rank r ``certify`` reads each one off the singular values sigma and the
-r x r Gram G = (V^T S)(V^T S)^T, formed once for both certificates.
+r x r Gram G = (V^T S)(V^T S)^T, formed once and kept on A (``Factored.gram``).
 With tau_q = sum_{j>=q} sigma_j^2 and t the tail indices j >= k:
 se_err = |G[:k, :k] - I|_2, amm_tail_tail = |Sigma_t (G_tt - I) Sigma_t|_F / tau_k,
 amm_tail_vk = |Sigma_t G[k:, :k]|_F / sqrt(tau_k k), and the Frobenius tails
@@ -36,7 +36,7 @@ from .errors import (
 )
 from .linalg import as_matrix, factor, tail_index_p
 from .rng import Stream, rng_for
-from .sketch import SamplingPattern, apply_operator
+from .sketch import SamplingPattern
 
 __all__ = [
     "Certificate",
@@ -101,13 +101,7 @@ def spectral_approx_error(a, s, lam: float) -> float:
     fact = a.fact
     if fact.rank == 0:
         raise ZeroMatrixError("spectral approximation error undefined for the zero matrix")
-    return _sandwich_error(fact.sigma, _row_space_gram(fact, s), lam)
-
-
-def _row_space_gram(fact, s) -> np.ndarray:
-    """G = (V^T S)(V^T S)^T, how S acts on the row space of the factored matrix."""
-    w = apply_operator(fact.v.T, s)
-    return w @ w.T
+    return _sandwich_error(fact.sigma, a.gram(s), lam)
 
 
 def _embedding_error(g: np.ndarray) -> float:
@@ -162,7 +156,7 @@ def certify(a, s, k: int, eps: float) -> tuple[Certificate, Certificate]:
         raise InvalidRankError(f"k must be >= 1, got {k}")
     if not 0.0 < eps < 1.0:
         raise InvalidInputError(f"eps must be in (0, 1), got {eps}")
-    g = _row_space_gram(a.fact, s)
+    g = a.gram(s)
     return _matrix_approx(a.fact, g, k, eps), _spectral(a.fact, g, k, eps)
 
 

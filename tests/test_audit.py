@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,13 +12,15 @@ from pcpsketch.audit import (
     generate_probes,
     implication_harness,
     pcp_report,
+    sketch_and_solve,
     verify_sketch,
 )
-from pcpsketch.errors import InvalidInputError, InvalidMatrixError
+from pcpsketch.errors import InvalidInputError, InvalidMatrixError, WidthNotReducingWarning
+from pcpsketch.generators import GeneratorSpec, gen_synthetic
 from pcpsketch.guarantees import certify
-from pcpsketch.linalg import Projection, factor, frob2, haar_subspace, projection_cost, svd
+from pcpsketch.linalg import Projection, factor, factor_sketch, frob2, haar_subspace, projection_cost, svd
 from pcpsketch.rng import Stream, derive_seed
-from pcpsketch.sketch import SketchParams, gaussian_sketch, make_sketch, orthogonal_sketch, svd_sketch
+from pcpsketch.sketch import METHODS, SketchParams, gaussian_sketch, make_sketch, orthogonal_sketch, svd_sketch
 from pcpsketch.solvers import cluster_indicator_projection, lloyd_kmeans, partition_costs, partitions
 
 from oracles import (
@@ -78,6 +82,18 @@ class TestGenerateProbes:
         two_block = [tag for tag in tags if tag.startswith("partition-") and tag.endswith("-2blocks")]
         assert len(two_block) == 7  # Stirling count for 4 rows in 2 blocks
         assert len(probes) == len(tags)
+
+    def test_no_residual_probe_from_rounding_noise_at_rank_le_k(self):
+        # exact rank 3 at k = 3: past the sketch's top 3 directions A's residual
+        # is rounding noise, about 1e-16 sigma_1, which no probe may be built from
+        a = gen_synthetic(GeneratorSpec("lowrank", n=30, d=80, rank=3, noise=0.0, seed=13))
+        params = SketchParams(k=3, eps=0.5, seed=2, m_override=40)
+        v = verify_sketch(a, "gaussian", params, 6, probe_seed=2)
+        assert "residual-top" not in v.report.tags.tolist()
+        assert "residual-top" not in generate_probes(a, v.sketch.a_tilde, 3, 0).tags.tolist()
+        # one more direction than k leaves a real residual, which is probed
+        b = gen_synthetic(GeneratorSpec("lowrank", n=30, d=80, rank=4, noise=0.0, seed=13))
+        assert "residual-top" in verify_sketch(b, "gaussian", params, 6, probe_seed=2).report.tags.tolist()
 
     def test_probe_ranks_bounded(self):
         a = rand(3, (6, 11))
@@ -476,8 +492,58 @@ class TestVerifySketch:
         a = rand(34, (8, 30))
         params = SketchParams(k=2, eps=0.5, seed=3, m_override=20)
         v = verify_sketch(a, "ridge", params, 4, probe_seed=5)
+        a = factor(a)
         sk = make_sketch(a, "ridge", params)
         assert np.array_equal(v.sketch.a_tilde, sk.a_tilde)
         assert (v.certificate_t1, v.certificate_t2) == certify(a, sk.operator, 2, 0.5)
-        probes = generate_probes(a, sk.a_tilde, 2, 4, seed=5)
-        assert v.report == pcp_report(a, sk.a_tilde, sk.c_const, probes, 0.5)
+        at = factor_sketch(a, sk.a_tilde, sk.operator)
+        probes = generate_probes(a, at, 2, 4, seed=5)
+        assert v.report == pcp_report(a, at, sk.c_const, probes, 0.5)
+
+
+class TestSvdCount:
+    """``verify_sketch`` and a lowrank ``sketch_and_solve`` factor A once and
+    no n x m or n x r matrix: the sketch's SVD is read off A's and G, and
+    the residual probe is found from an r x r SVD.  The nonoblivious
+    sketcher factors Pi A on top."""
+
+    def record(self, monkeypatch) -> list:
+        shapes = []
+        real = np.linalg.svd
+
+        def counting(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        return shapes
+
+    @staticmethod
+    def factored_shape(shape):
+        # a wide matrix is factored through its transpose
+        return shape if shape[0] >= shape[1] else shape[::-1]
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("shape", [(8, 30), (30, 8)])
+    def test_verify_factors_a_the_residual_and_pi_a_only(self, monkeypatch, method, shape):
+        a = rand(41, shape)
+        r, m_pi = min(shape), 6
+        params = SketchParams(k=2, eps=0.5, seed=1, m_override=m_pi)
+        shapes = self.record(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WidthNotReducingWarning)
+            verify_sketch(a, method, params, 3, probe_seed=2)
+        counts = Counter(shapes)
+        assert counts.pop(self.factored_shape(shape)) == 1
+        assert counts.pop((r, r)) == 1
+        if method == "nonoblivious":
+            assert counts.pop(self.factored_shape((m_pi, shape[1]))) == 1
+        assert not counts, counts
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_lowrank_solve_factors_a_only(self, monkeypatch, method):
+        a = rand(42, (8, 30))
+        sk = make_sketch(a, method, SketchParams(k=2, eps=0.5, seed=1, m_override=12))
+        shapes = self.record(monkeypatch)
+        sketch_and_solve(a, sk, "lowrank")
+        assert shapes == [(30, 8)]

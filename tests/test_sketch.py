@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcpsketch import sketch as sketch_module
 from pcpsketch.audit import verify_sketch
 from pcpsketch.errors import (
     InvalidInputError,
@@ -15,7 +16,8 @@ from pcpsketch.errors import (
     UnsupportedFamilyError,
     WidthNotReducingWarning,
 )
-from pcpsketch.linalg import factor, frob2, svd
+from pcpsketch.guarantees import certify
+from pcpsketch.linalg import factor, factor_sketch, frob2, svd
 from pcpsketch.sketch import (
     METHODS,
     _indices_from_uniforms,
@@ -401,3 +403,49 @@ class TestFactoredInput:
         assert sk.a_tilde.shape == (6, 1) and not sk.a_tilde.any()
         assert sk.operator_matrix().shape == (20, 1)
         assert sk.c_const == 0.0
+
+
+class TestFactorSketch:
+    """``factor_sketch`` reads the sketch's SVD off A's and G; it agrees with
+    ``svd`` of the sketch itself for every method on wide, tall, zero and
+    rank <= k inputs."""
+
+    def inputs(self):
+        rng = np.random.default_rng(60)
+        yield "wide", rng.standard_normal((6, 40))
+        yield "tall", rng.standard_normal((30, 8))
+        yield "zero", np.zeros((5, 12))
+        yield "rank<=k", rng.standard_normal((8, 2)) @ rng.standard_normal((2, 30))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_matches_svd_of_the_sketch(self, method):
+        for name, a in self.inputs():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", WidthNotReducingWarning)
+                sk = make_sketch(a, method, params(k=3, m_override=10))
+            got = factor_sketch(a, sk.a_tilde, sk.operator).fact
+            want = svd(sk.a_tilde)
+            scale = want.sigma[0] if want.rank else 1.0
+            assert got.rank == want.rank, name
+            assert np.abs(got.sigma - want.sigma).max(initial=0.0) <= 1e-12 * scale, name
+            # top-j projectors wherever the spectrum has a gap to resolve them
+            gaps = want.sigma - np.append(want.sigma[1:], 0.0)
+            for j in np.flatnonzero(gaps >= 1e-6 * scale) + 1:
+                p_got, p_want = got.u[:, :j] @ got.u[:, :j].T, want.u[:, :j] @ want.u[:, :j].T
+                assert np.abs(p_got - p_want).max() <= 1e-8, (name, j)
+            assert np.abs((got.u * got.sigma) @ got.v.T - sk.a_tilde).max() <= 1e-10 * scale, name
+
+    def test_reads_the_gram_certify_formed(self, monkeypatch):
+        a = factor(wide_matrix(61))
+        sk = make_sketch(a, "gaussian", params(m_override=10))
+        calls = []
+        real = sketch_module.apply_operator
+        monkeypatch.setattr(sketch_module, "apply_operator", lambda *ar: calls.append(1) or real(*ar))
+        certify(a, sk.operator, 2, 0.5)
+        g = a.gram(sk.operator)
+        assert factor_sketch(a, sk.a_tilde, sk.operator).fact.rank == 6
+        assert a.gram(sk.operator) is g
+        assert len(calls) == 1
+        # kept for the operator object it was formed for, not for equal values
+        assert a.gram(sk.operator.copy()) is not g
+        assert len(calls) == 2

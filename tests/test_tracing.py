@@ -57,7 +57,8 @@ print(json.dumps(out))
 """
 
 
-def traced(script: str, tmp_path) -> dict:
+def traced(script: str, tmp_path) -> tuple:
+    """The script's last stdout line as JSON, with its stderr."""
     proc = subprocess.run(
         [sys.executable, "-c", script, str(ROOT / "perfbench"), str(ROOT / "src"), str(tmp_path / "report.json")],
         capture_output=True,
@@ -65,18 +66,18 @@ def traced(script: str, tmp_path) -> dict:
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
 
 
 def test_traced_certify_and_verify_record_certify(tmp_path):
-    ops = traced(TRACED_RUN, tmp_path)
+    ops, stderr = traced(TRACED_RUN, tmp_path)
     for cmd in ("certify", "verify"):
-        assert ops[cmd]["rc"] in (0, 2), (cmd, proc.stderr)
+        assert ops[cmd]["rc"] in (0, 2), (cmd, stderr)
         assert ops[cmd]["certify_calls"] >= 1, cmd
 
 
 def test_traced_solves_count_transfer_candidates(tmp_path):
-    ops = traced(TRACED_SOLVES, tmp_path)
+    ops, _ = traced(TRACED_SOLVES, tmp_path)
     # A's own best projection beside the sketch's; S(8,1) + S(8,2) = 1 + 127 partitions
     for task, candidates in (("lowrank", 2), ("kmeans", 128)):
         assert ops[task]["rc"] in (0, 2), task
