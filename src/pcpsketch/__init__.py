@@ -46,7 +46,6 @@ from .linalg import (
     Factored,
     Projection,
     factor,
-    factor_sketch,
     frob2,
     haar_subspace,
     projection_cost,
@@ -116,7 +115,6 @@ __all__ = [
     "derive_seed",
     "exhaustive_kmeans",
     "factor",
-    "factor_sketch",
     "frob2",
     "gaussian_sketch",
     "gaussian_width",

@@ -17,15 +17,17 @@ each core as one batch, the Haar bases from one stacked QR), and
 
 A and the sketch are ``Factored`` instances (arrays are wrapped at the
 entry).  Probe costs and the Lloyd probes run on their n x r cores
-B = U Sigma, which have the same costs and row distances as the matrices.
-``verify_sketch`` (behind ``pcp verify``, ``pcp bench`` and the harness)
-and ``sketch_and_solve`` (behind ``pcp solve``) read the sketch's SVD off
-A's and the Gram that ``certify`` reads (``factor_sketch``), so the only
-n-row matrix either factors is A.  ``sketch_and_solve`` solves on the
-sketch, scores the solution on both matrices and checks the transfer
-bound over the candidates it builds itself: A's own best rank-k
-projection for "lowrank", every partition the exhaustive k-means search
-scored for "kmeans".
+B = U Sigma, which have the same row Gram matrix, and so the same costs
+and row distances, as the matrices themselves.  ``verify_sketch`` is the
+one sketch -> certify -> probe -> score sequence behind ``pcp verify``,
+``pcp bench`` and ``implication_harness``.
+
+``sketch_and_solve``, behind ``pcp solve``, solves on the sketch, scores
+the solution on both matrices and checks the transfer bound over the
+candidates it builds itself: A's own best rank-k projection for "lowrank",
+every partition the exhaustive k-means search scored for "kmeans".  Both
+read the sketch's SVD off A's and the Gram ``certify`` forms
+(``_factor_sketch``), so the only n-row matrix either factors is A.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 from .errors import DimensionError, InvalidInputError, InvalidMatrixError, WidthNotReducingWarning
 from .generators import GeneratorSpec, gen_synthetic
 from .guarantees import Certificate, certify
-from .linalg import RANK_TOL, _haar_bases, as_matrix, factor, factor_sketch, frob2, projection_cost, svd
+from .linalg import RANK_TOL, Factored, SvdFactorization, _haar_bases, as_matrix, factor, frob2, projection_cost, svd
 from .rng import Stream, derive_seed, rng_for
 from .sketch import Sketch, SketchParams, make_sketch
 from .solvers import (
@@ -190,10 +192,11 @@ def generate_probes(
     both matrices, and the rank-0 probe.  ``n_random`` Haar subspaces are
     appended, and ``exhaustive`` adds every cluster indicator over
     partitions into at most k blocks (n <= 12 only, else TooLargeError).
-    The Lloyd probes run on both cores, the residual in A's coordinates,
-    dropping singular values <= RANK_TOL * sigma_1(A); the heaviest rows
-    are A's own.  The bases are filled into one array a family at a time:
-    the Lloyd runs on each core go as one batch, the Haar bases one QR.
+    The Lloyd probes are computed on the cores of A and of the sketch, the
+    residual in A's coordinates, where its singular values <= RANK_TOL *
+    sigma_1(A) count as zero; the heaviest rows are A's own.  The bases are
+    filled into one array a family at a time: the Lloyd runs on each core go
+    as one batch, and the Haar bases share one stacked QR.
     """
     a = factor(a)
     at = factor(a_tilde, "a_tilde")
@@ -206,7 +209,8 @@ def generate_probes(
     n = a.shape[0]
     kk = min(k, n)
 
-    fa, fs = a.fact, at.fact
+    fa = a.fact
+    fs = at.fact
     spans = [
         (f"top-{name}-{j}", f.u[:, :j])
         for j in range(1, kk + 1)
@@ -250,9 +254,10 @@ def generate_probes(
 def pcp_report(a, a_tilde, c: float, probes: ProbeSet, eps_target: float) -> PcpReport:
     """Score every probe on the cores; pass iff max |signed error| <= eps_target.
 
-    A probe with basis Q costs |B|_F^2 - |Q^T B|_F^2 on a core B, clamped
-    at zero; the explained parts of all the probes come from one product
-    of the stacked bases with each core.
+    A probe with basis Q costs |M|_F^2 - |Q^T B|_F^2 on a matrix M with
+    core B, clamped at zero, so energy below the core's rank cut counts as
+    unexplained; the explained parts of all the probes come from one
+    product of the stacked bases with each core.
     """
     a = factor(a)
     at = factor(a_tilde, "a_tilde")
@@ -266,16 +271,16 @@ def pcp_report(a, a_tilde, c: float, probes: ProbeSet, eps_target: float) -> Pcp
     count, _, width = probes.bases.shape
     stacked = probes.bases.transpose(1, 0, 2).reshape(n, count * width)
 
-    def costs(core: np.ndarray) -> np.ndarray:
-        explained = stacked.T @ core
+    def costs(m: Factored) -> np.ndarray:
+        explained = stacked.T @ m.core
         explained *= explained
-        return np.maximum(frob2(core) - explained.reshape(count, width * core.shape[1]).sum(axis=1), 0.0)
+        out = np.maximum(m.frob2 - explained.reshape(count, width * m.core.shape[1]).sum(axis=1), 0.0)
+        if probes.partitions is None:
+            return out
+        return np.concatenate([out, partition_costs(m.core, probes.partitions) + (m.frob2 - frob2(m.core))])
 
-    b, bt = a.core, at.core
-    cost_a, cost_s, tags = costs(b), costs(bt), probes.tags
+    cost_a, cost_s, tags = costs(a), costs(at), probes.tags
     if probes.partitions is not None:
-        cost_a = np.concatenate([cost_a, partition_costs(b, probes.partitions)])
-        cost_s = np.concatenate([cost_s, partition_costs(bt, probes.partitions)])
         tags = np.concatenate([tags, _partition_tags(probes.partitions)])
     total = a.frob2
     zero = cost_a <= ZERO_COST_REL * total
@@ -297,6 +302,22 @@ def _partition_tags(labels: np.ndarray) -> np.ndarray:
     return np.strings.add(tags, blocks[labels.max(axis=1)])
 
 
+def _factor_sketch(a: Factored, sk: Sketch) -> Factored:
+    """The sketch A_tilde = A S as a ``Factored`` instance, its SVD read off
+    A's and G = ``a.gram(S)``: A_tilde A_tilde^T = U (Sigma G Sigma) U^T, so
+    the eigenpairs (lambda, Q) of that r x r matrix give the singular values
+    sqrt(lambda) and left vectors U Q.  Rounding in G and in the eigensolve
+    blurs lambda by about max(n, m) * eps * lambda_1; below that it counts as
+    zero, and ``pcp_report`` keeps the energy so dropped.  The right vectors,
+    which no caller reads, are not formed."""
+    f = a.fact
+    lam, q = np.linalg.eigh(f.sigma[:, None] * a.gram(sk.operator) * f.sigma)  # ascending
+    tol = max(sk.a_tilde.shape) * np.finfo(float).eps * lam.max(initial=0.0)
+    rank = int(np.sum(lam > tol))
+    sigma, u = np.sqrt(lam[::-1][:rank]), f.u @ q[:, ::-1][:, :rank]
+    return Factored.from_factors(sk.a_tilde, SvdFactorization(u, sigma, None, rank))
+
+
 @dataclass(frozen=True)
 class Verification:
     """A sketch with both certificates on its operator and its probe audit."""
@@ -313,11 +334,11 @@ def verify_sketch(
     """Sketch ``a`` by ``method``, certify the operator by both routes and
     audit the sketch over ``generate_probes(..., n_random, probe_seed,
     exhaustive)`` at eps = params.eps.  A is factored at most once, the
-    sketch never: its SVD is read off A's (``factor_sketch``)."""
+    sketch never: its SVD is read off A's (``_factor_sketch``)."""
     a = factor(a)
     sk = make_sketch(a, method, params)
     t1, t2 = certify(a, sk.operator, params.k, params.eps)
-    at = factor_sketch(a, sk.a_tilde, sk.operator)
+    at = _factor_sketch(a, sk)
     probes = generate_probes(a, at, params.k, n_random, seed=probe_seed, exhaustive=exhaustive)
     report = pcp_report(a, at, sk.c_const, probes, params.eps)
     return Verification(sk, t1, t2, report)
@@ -458,7 +479,7 @@ def sketch_and_solve(
         raise InvalidInputError("sketch row count does not match the matrix")
     k, eps = sk.params.k, sk.params.eps
     if task == "lowrank":
-        proj = best_rank_k_projection(factor_sketch(a, at, sk.operator), k)
+        proj = best_rank_k_projection(_factor_sketch(a, sk), k)
         solution: object = proj
     elif task == "kmeans":
         if solver == "exhaustive":

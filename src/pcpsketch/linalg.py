@@ -2,9 +2,9 @@
 
 Matrices are plain 2-D float64 numpy arrays (row-major), or ``Factored``
 instances that keep one with its SVD; this module owns the instance and
-the SVD with relative-rank truncation (a sketch's read off A's), the tail
-index of the spectral certificate, projection costs, and seeded random
-subspaces.  Everything here is deterministic for fixed inputs in a build.
+the SVD with relative-rank truncation, the tail index used by the
+spectral certificate, projection costs, and seeded random subspaces.
+Everything here is deterministic for fixed inputs within a build.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "Projection",
     "as_matrix",
     "factor",
-    "factor_sketch",
     "frob2",
     "svd",
     "tail_index_p",
@@ -76,18 +75,20 @@ class SvdFactorization:
 
     ``sigma`` holds the strictly positive singular values, non-increasing;
     columns beyond ``rank`` were dropped by the relative truncation rule
-    ``sigma_i > RANK_TOL * sigma_1``.
+    ``sigma_i > RANK_TOL * sigma_1``.  ``v`` is None where only the left
+    factors were formed (a sketch's, read off A's).
     """
 
     u: np.ndarray
     sigma: np.ndarray
-    v: np.ndarray
+    v: np.ndarray | None
     rank: int
 
     def __post_init__(self):
         object.__setattr__(self, "u", _readonly(self.u))
         object.__setattr__(self, "sigma", _readonly(self.sigma))
-        object.__setattr__(self, "v", _readonly(self.v))
+        if self.v is not None:
+            object.__setattr__(self, "v", _readonly(self.v))
 
 
 @dataclass(frozen=True)
@@ -118,9 +119,18 @@ class Projection:
 
 
 def svd(a) -> SvdFactorization:
-    """Thin SVD of an n x d array with finite entries, truncated at relative
-    tolerance ``RANK_TOL``: singular values ``sigma_i <= RANK_TOL * sigma_1``
-    are treated as zero, and exactly ``rank`` columns / entries are kept.
+    """Thin SVD truncated at relative tolerance ``RANK_TOL``.
+
+    Parameters
+    ----------
+    a : array_like, shape (n, d)
+        Input matrix; all entries finite.  Singular values
+        ``sigma_i <= RANK_TOL * sigma_1`` are treated as zero.
+
+    Returns
+    -------
+    SvdFactorization
+        Factors with exactly ``rank`` columns / entries kept.
 
     A wide matrix (n < d) is factored through its transpose,
     ``A^T = V Sigma U^T``, with the factors swapped: LAPACK's path for tall
@@ -133,7 +143,10 @@ def svd(a) -> SvdFactorization:
     else:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
         v = vt.T
-    rank = int(np.sum(s > RANK_TOL * s[0])) if s.size and s[0] > 0.0 else 0
+    if s.size == 0 or s[0] <= 0.0:
+        rank = 0
+    else:
+        rank = int(np.sum(s > RANK_TOL * s[0]))
     return SvdFactorization(u[:, :rank], s[:rank], v[:, :rank], rank)
 
 
@@ -147,9 +160,9 @@ class Factored:
     Every quantity of A that depends only on A A^T (costs |A - PA|_F^2
     of left projections P, distances between rows) is the same on the
     core ``B = A V = U Sigma``, which is n x r for rank r, as on A; the
-    certificates and a sketch's SVD need only ``sigma`` and the Gram of
-    the operator S on the row space, ``gram(S)``.  A zero matrix has the
-    n x 1 zero core, so that it stays a matrix.  Make instances with
+    certificates need only ``sigma`` and how an operator S acts on the
+    row space, ``V^T S``, through its Gram ``gram(S)``.  A zero matrix has
+    the n x 1 zero core, so that it stays a matrix.  Make instances with
     ``factor``, which validates the array, or ``from_factors``.
     """
 
@@ -205,23 +218,6 @@ def factor(a, name: str = "matrix") -> Factored:
     if isinstance(a, Factored):
         return a
     return Factored(as_matrix(a, name))
-
-
-def factor_sketch(a, a_tilde, s) -> Factored:
-    """The sketch ``a_tilde`` = A S as a ``Factored`` instance, its SVD read
-    off A's and G = ``gram(s)``: A_tilde A_tilde^T = U (Sigma G Sigma) U^T,
-    so the eigenpairs (lambda, Q) of that r x r matrix give the singular
-    values sqrt(lambda) and left vectors U Q.  An eigensolve resolves lambda
-    only to about 1e-16 lambda_1, so lambda <= RANK_TOL * lambda_1 is zero."""
-    a = factor(a)
-    at = as_matrix(a_tilde, "a_tilde")
-    if at.shape[0] != a.shape[0]:
-        raise DimensionError("matrix and sketch must have the same number of rows")
-    f = a.fact
-    lam, q = np.linalg.eigh(f.sigma[:, None] * a.gram(s) * f.sigma)  # ascending
-    rank = int(np.sum(lam > RANK_TOL * lam[-1])) if lam.size and lam[-1] > 0.0 else 0
-    sigma, u = np.sqrt(lam[::-1][:rank]), f.u @ q[:, ::-1][:, :rank]
-    return Factored.from_factors(at, SvdFactorization(u, sigma, at.T @ u / sigma, rank))
 
 
 def tail_index_p(fact: SvdFactorization, k: int) -> int:

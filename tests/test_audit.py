@@ -8,6 +8,7 @@ import pytest
 
 from pcpsketch.audit import (
     ProbeSet,
+    _factor_sketch,
     approx_transfer_check,
     generate_probes,
     implication_harness,
@@ -18,7 +19,16 @@ from pcpsketch.audit import (
 from pcpsketch.errors import InvalidInputError, InvalidMatrixError, WidthNotReducingWarning
 from pcpsketch.generators import GeneratorSpec, gen_synthetic
 from pcpsketch.guarantees import certify
-from pcpsketch.linalg import Projection, factor, factor_sketch, frob2, haar_subspace, projection_cost, svd
+from pcpsketch.linalg import (
+    Factored,
+    Projection,
+    SvdFactorization,
+    factor,
+    frob2,
+    haar_subspace,
+    projection_cost,
+    svd,
+)
 from pcpsketch.rng import Stream, derive_seed
 from pcpsketch.sketch import METHODS, SketchParams, gaussian_sketch, make_sketch, orthogonal_sketch, svd_sketch
 from pcpsketch.solvers import cluster_indicator_projection, lloyd_kmeans, partition_costs, partitions
@@ -212,6 +222,21 @@ class TestPcpReport:
         positive = rep.signed_rel_err[~rep.zero_cost].tolist()
         assert positive
         assert all(e == pytest.approx(-1.0, abs=1e-12) for e in positive)
+
+    def test_energy_below_the_core_rank_cut_counts_as_unexplained(self):
+        # a core cut to the top 2 of 4 directions is scored against the array:
+        # the rank-0 and top-2 probes cost exactly what they do on the full
+        # core, and no probe or partition costs less, nor more by the cut energy
+        m = rand(13, (6, 4))
+        full = svd(m)
+        cut = Factored.from_factors(m, SvdFactorization(full.u[:, :2], full.sigma[:2], None, 2))
+        probes = generate_probes(m, m, 2, 3, seed=1, exhaustive=True)
+        got = pcp_report(m, cut, 0.0, probes, 0.5).cost_sketch
+        want = pcp_report(m, m, 0.0, probes, 0.5).cost_sketch
+        exact = np.isin(probes.tags, ["zero-rank", "top-a-2"]).nonzero()[0]
+        assert np.allclose(got[exact], want[exact], rtol=1e-12, atol=0)
+        assert np.all(got - want >= -1e-12 * frob2(m))
+        assert np.all(got - want <= float(np.sum(full.sigma[2:] ** 2)) * (1 + 1e-12))
 
     def test_max_matches_recomputation(self):
         a = rand(11, (8, 40))
@@ -496,9 +521,24 @@ class TestVerifySketch:
         sk = make_sketch(a, "ridge", params)
         assert np.array_equal(v.sketch.a_tilde, sk.a_tilde)
         assert (v.certificate_t1, v.certificate_t2) == certify(a, sk.operator, 2, 0.5)
-        at = factor_sketch(a, sk.a_tilde, sk.operator)
+        at = _factor_sketch(a, sk)
         probes = generate_probes(a, at, 2, 4, seed=5)
         assert v.report == pcp_report(a, at, sk.c_const, probes, 0.5)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_noise_floor_scores_as_on_the_sketch_own_svd(self, method):
+        # noise singular values ~ 1e-6 sigma_1 carry the whole cost of the
+        # top-3 probes; read off A's factors they must stay in the sketch
+        a = factor(gen_synthetic(GeneratorSpec("lowrank", n=30, d=80, rank=3, noise=1e-6, seed=0)))
+        v = verify_sketch(a, method, SketchParams(k=3, eps=0.5, seed=1), 6, probe_seed=1)
+        at = factor(v.sketch.a_tilde)
+        want = pcp_report(a, at, v.sketch.c_const, generate_probes(a, at, 3, 6, seed=1), 0.5)
+        assert list(v.report.tags) == list(want.tags)
+        assert np.abs(v.report.cost_sketch - want.cost_sketch).max() <= 1e-14 * a.frob2
+        # that rounding, on the least nonzero cost, bounds the change in the error
+        least = want.cost_a[~want.zero_cost].min()
+        assert abs(v.report.max_abs_rel_err - want.max_abs_rel_err) <= 1e-14 * a.frob2 / least
+        assert v.report.passed and want.passed
 
 
 class TestSvdCount:

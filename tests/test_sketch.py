@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcpsketch import sketch as sketch_module
-from pcpsketch.audit import verify_sketch
+from pcpsketch.audit import _factor_sketch, verify_sketch
 from pcpsketch.errors import (
     InvalidInputError,
     InvalidOverestimateError,
@@ -16,8 +16,9 @@ from pcpsketch.errors import (
     UnsupportedFamilyError,
     WidthNotReducingWarning,
 )
+from pcpsketch.generators import GeneratorSpec, gen_synthetic
 from pcpsketch.guarantees import certify
-from pcpsketch.linalg import factor, factor_sketch, frob2, svd
+from pcpsketch.linalg import factor, frob2, svd
 from pcpsketch.sketch import (
     METHODS,
     _indices_from_uniforms,
@@ -406,9 +407,9 @@ class TestFactoredInput:
 
 
 class TestFactorSketch:
-    """``factor_sketch`` reads the sketch's SVD off A's and G; it agrees with
+    """``_factor_sketch`` reads the sketch's SVD off A's and G; it agrees with
     ``svd`` of the sketch itself for every method on wide, tall, zero and
-    rank <= k inputs."""
+    rank <= k inputs, and on a noise floor far below its rank cut."""
 
     def inputs(self):
         rng = np.random.default_rng(60)
@@ -417,14 +418,17 @@ class TestFactorSketch:
         yield "zero", np.zeros((5, 12))
         yield "rank<=k", rng.standard_normal((8, 2)) @ rng.standard_normal((2, 30))
 
+    @staticmethod
+    def factors(a, method, **kw):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WidthNotReducingWarning)
+            sk = make_sketch(a, method, params(k=3, **kw))
+        return sk, _factor_sketch(factor(a), sk).fact, svd(sk.a_tilde)
+
     @pytest.mark.parametrize("method", METHODS)
     def test_matches_svd_of_the_sketch(self, method):
         for name, a in self.inputs():
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", WidthNotReducingWarning)
-                sk = make_sketch(a, method, params(k=3, m_override=10))
-            got = factor_sketch(a, sk.a_tilde, sk.operator).fact
-            want = svd(sk.a_tilde)
+            sk, got, want = self.factors(a, method, m_override=10)
             scale = want.sigma[0] if want.rank else 1.0
             assert got.rank == want.rank, name
             assert np.abs(got.sigma - want.sigma).max(initial=0.0) <= 1e-12 * scale, name
@@ -433,7 +437,19 @@ class TestFactorSketch:
             for j in np.flatnonzero(gaps >= 1e-6 * scale) + 1:
                 p_got, p_want = got.u[:, :j] @ got.u[:, :j].T, want.u[:, :j] @ want.u[:, :j].T
                 assert np.abs(p_got - p_want).max() <= 1e-8, (name, j)
-            assert np.abs((got.u * got.sigma) @ got.v.T - sk.a_tilde).max() <= 1e-10 * scale, name
+            assert got.v is None
+            core = got.u * got.sigma
+            assert np.abs(core @ core.T - sk.a_tilde @ sk.a_tilde.T).max() <= 1e-10 * scale**2, name
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_keeps_a_noise_floor_at_1e_6(self, method):
+        # sigma_j ~ 1e-6 sigma_1 past the rank: lambda ~ 1e-12 lambda_1, well
+        # above what the eigensolve resolves, so every direction is kept
+        a = gen_synthetic(GeneratorSpec("lowrank", n=30, d=80, rank=3, noise=1e-6, seed=0))
+        _, got, want = self.factors(a, method)
+        assert got.rank == want.rank
+        assert want.sigma[-1] <= 1e-5 * want.sigma[0]
+        assert np.abs(got.sigma**2 - want.sigma**2).max() <= 1e-13 * want.sigma[0] ** 2
 
     def test_reads_the_gram_certify_formed(self, monkeypatch):
         a = factor(wide_matrix(61))
@@ -443,7 +459,7 @@ class TestFactorSketch:
         monkeypatch.setattr(sketch_module, "apply_operator", lambda *ar: calls.append(1) or real(*ar))
         certify(a, sk.operator, 2, 0.5)
         g = a.gram(sk.operator)
-        assert factor_sketch(a, sk.a_tilde, sk.operator).fact.rank == 6
+        assert _factor_sketch(a, sk).fact.rank == 6
         assert a.gram(sk.operator) is g
         assert len(calls) == 1
         # kept for the operator object it was formed for, not for equal values

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcpsketch.audit import approx_transfer_check, sketch_and_solve
+from pcpsketch.audit import _factor_sketch, approx_transfer_check, sketch_and_solve
 from pcpsketch.errors import InvalidInputError, InvalidRankError, TooLargeError
-from pcpsketch.linalg import factor_sketch, frob2, projection_cost, svd
+from pcpsketch.linalg import factor, frob2, projection_cost, svd
 from pcpsketch.sketch import SketchParams, gaussian_sketch, orthogonal_sketch, svd_sketch
 from pcpsketch.solvers import (
     Clustering,
@@ -365,7 +365,7 @@ class TestSketchAndSolve:
         a = rand(17, (8, 30))
         sk = gaussian_sketch(a, SketchParams(k=2, eps=0.4, seed=5, m_override=6))
         res = sketch_and_solve(a, sk, "lowrank")
-        at = factor_sketch(a, sk.a_tilde, sk.operator)
+        at = _factor_sketch(factor(a), sk)
         candidates = [best_rank_k_projection(at, 2), best_rank_k_projection(a, 2)]
         want = approx_transfer_check(
             a,
