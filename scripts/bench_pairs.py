@@ -15,8 +15,11 @@ where ``result`` is the run's last stdout line.
 metric of the change's ``BENCHMARK.json`` it writes each side's values,
 median and quartiles, the change of the median relative to the parent's,
 the pairs the change won, lost and tied, the parent's spread (distance
-between quartiles over the median) and whether the change's median stays
-within the metric's bound.  A ``--claim`` of ``workload:metric`` is also
+between quartiles over the median) and a status: ``unresolved`` when that
+spread exceeds the metric's bound and not every change run beats every
+parent run, else ``within_bound`` or ``beyond_bound`` by whether the
+change's median is worse than the parent's by at most the bound.  It
+prints one line per metric.  A ``--claim`` of ``workload:metric`` is also
 tested by the gain rule: the change wins at least nine tenths of the pairs
 and the medians differ by more than the parent's distance between
 quartiles.  The machine recorded is the one ``summarize`` runs on, so run
@@ -68,6 +71,14 @@ def summarize_metric(pairs: list, name: str, spec: dict) -> dict:
     gains = [sign * (p - c) for p, c in zip(parent, change)]
     ps, cs = quartiles(parent), quartiles(change)
     worse_by = sign * (cs["median"] - ps["median"]) / ps["median"] if ps["median"] else 0.0
+    spread = (ps["q3"] - ps["q1"]) / ps["median"] if ps["median"] else None
+    # a parent spread past the bound cannot resolve a move within the bound,
+    # unless every change run beats every parent run
+    all_better = min(-sign * c for c in change) > max(-sign * p for p in parent)
+    if spread is not None and spread > spec["bound"] and not all_better:
+        status = "unresolved"
+    else:
+        status = "within_bound" if worse_by <= spec["bound"] else "beyond_bound"
     return {
         "unit": spec["unit"],
         "better": spec["better"],
@@ -75,12 +86,12 @@ def summarize_metric(pairs: list, name: str, spec: dict) -> dict:
         "parent": {**ps, "values": parent},
         "change": {**cs, "values": change},
         "median_change_rel": (cs["median"] - ps["median"]) / ps["median"] if ps["median"] else None,
-        "parent_spread_rel": (ps["q3"] - ps["q1"]) / ps["median"] if ps["median"] else None,
+        "parent_spread_rel": spread,
         "pairs": len(pairs),
         "change_wins": sum(g > 0 for g in gains),
         "change_losses": sum(g < 0 for g in gains),
         "ties": sum(g == 0 for g in gains),
-        "within_bound": worse_by <= spec["bound"],
+        "status": status,
     }
 
 
@@ -145,6 +156,13 @@ def summarize(args) -> None:
         "workloads": workloads,
     }
     Path(args.out).write_text(json.dumps(out, indent=2) + "\n")
+    for workload, summary in workloads.items():
+        for name, m in summary["metrics"].items():
+            p, c = m["parent"], m["change"]
+            print(f"{workload} {name} ({m['unit']}): parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}], "
+                  f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}], "
+                  f"{m['median_change_rel']:+.1%}, won {m['change_wins']}/{m['pairs']}, "
+                  f"spread {m['parent_spread_rel']:.3f}, {m['status']}")
 
 
 def main(argv=None) -> None:

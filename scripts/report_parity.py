@@ -7,16 +7,21 @@ both workloads: wide-verify's 200 x 4000 planted low-rank CSV and
 power-law PCPM (k=5, eps=0.4) and exhaustive-small's two clustered
 12 x 40 inputs (k=3, eps=0.5).  In each checkout ``pcp certify``,
 ``pcp verify`` and ``pcp solve --task lowrank`` run at seed 1 for each of
-the five benchmark methods on every input, and so does exhaustive-small's
-``verify --exhaustive-probes``.  Each checkout runs in its own interpreter
-with ``src/`` first on the path and one BLAS thread.
+the five benchmark methods on every input, and so do the workloads' own
+``verify --exhaustive-probes`` and ``solve --task kmeans`` commands (an
+exhaustive solve on exhaustive-small, a Lloyd solve of the svd sketch on
+wide-verify's PCPM input).  Beside them, ``pcp gen`` writes the matrix of
+each of ``GEN_SPECS`` at seed 1, and ``pcp sketch --gen`` writes its sketch
+by each of the six methods at k=3, eps=0.5.  Each checkout runs in its
+own interpreter with ``src/`` first on the path and one BLAS thread.
 
-Exit codes, certificate blocks, probe tags, verdicts and the other report
-fields must be equal, and ``worst_probe`` may differ only between probes
-whose |signed errors| tie within 1e-14.  Signed errors are compared probe
-by probe (matched by tag) and must agree within 1e-13; the largest change
-in a cost, relative to |A|_F^2, is reported.  ``timing_ms`` is ignored.
-The script prints a summary and exits 1 when a check fails.
+The files ``gen`` and ``sketch`` write must be byte-identical.  Exit codes,
+certificate blocks, probe tags, verdicts and the other report fields must
+be equal, and ``worst_probe`` may differ only between probes whose
+|signed errors| tie within 1e-14.  Signed errors are compared probe by
+probe (matched by tag) and must agree within 1e-13; the largest change in
+a cost, relative to |A|_F^2, is reported.  ``timing_ms`` is ignored.  The
+script prints a summary and exits 1 when a check fails.
 """
 
 from __future__ import annotations
@@ -42,6 +47,9 @@ SIGNED_TOL = 1e-13
 TIE_TOL = 1e-14
 # (workload function, k, eps)
 INPUTS = ((workloads.wide_verify, 5, 0.4), (workloads.exhaustive_small, 3, 0.5))
+# matrices written by ``pcp gen``, the square lowrank one of full rank
+GEN_SPECS = ("lowrank:n=60,d=500,rank=3,noise=0.02", "powerlaw:n=40,d=200,alpha=1",
+             "clustered:n=30,d=50,k_true=3,noise=0.5", "lowrank:n=80,d=80,rank=80")
 # fields compared with a tolerance: relative to |A|_F^2, or as signed errors
 COSTS = {"cost_a", "cost_sketch", "lhs", "rhs", "cost_on_a", "cost_on_sketch"}
 
@@ -56,14 +64,17 @@ print(json.dumps([cli.main(job["argv"]) for job in jobs]))
 
 def write_jobs(work: Path) -> tuple[list, dict]:
     """The inputs written by the workloads, and one job per command line:
-    ``{"label", "argv", "input", "report"}`` with the report file relative
-    to a checkout's output directory."""
+    ``{"label", "argv", "input", "flag", "report"}``, where ``flag`` names
+    the option that takes the output file, ``report``, relative to a
+    checkout's output directory."""
     jobs, frob = [], {}
     for make, k, eps in INPUTS:
         where = work / make.__name__
         where.mkdir()
         setup = make(SEED, where, {}, {})
-        exhaustive = [op for op in setup.ops if op.argv and "--exhaustive-probes" in op.argv]
+        # the workload's own commands, once each
+        own = {op.label + (" exhaustive" if "--exhaustive-probes" in op.argv else ""): op for op in setup.ops
+               if op.argv and ("--exhaustive-probes" in op.argv or "kmeans" in op.argv)}
         for path in sorted(where.iterdir()):
             frob[str(path)] = float(np.sum(read_matrix(path) ** 2))
             for method in workloads.METHODS5:
@@ -71,12 +82,18 @@ def write_jobs(work: Path) -> tuple[list, dict]:
                     argv = [cmd, "--input", str(path), "--method", method, "--k", str(k), "--eps", str(eps),
                             "--seed", str(SEED)] + (["--task", "lowrank"] if cmd == "solve" else [])
                     jobs.append({"label": f"{cmd} {method} {path.name}", "argv": argv, "input": str(path)})
-        for op in exhaustive:
+        for label, op in own.items():
             argv = list(op.argv)
             argv[argv.index("--report-out") : argv.index("--report-out") + 2] = []
-            jobs.append({"label": op.label + " exhaustive", "argv": argv, "input": argv[argv.index("--input") + 1]})
+            jobs.append({"label": label, "argv": argv, "input": argv[argv.index("--input") + 1]})
+    for spec in GEN_SPECS:
+        jobs.append({"label": f"gen {spec}", "argv": ["gen", "--spec", spec, "--seed", str(SEED)], "flag": "--out"})
+        for method in workloads.METHODS6:
+            argv = ["sketch", "--gen", spec, "--method", method, "--k", "3", "--eps", "0.5", "--seed", str(SEED)]
+            jobs.append({"label": f"sketch {method} {spec}", "argv": argv, "flag": "--out"})
     for i, job in enumerate(jobs):
-        job["report"] = f"{i:03d}.json"
+        job.setdefault("flag", "--report-out")
+        job["report"] = f"{i:03d}." + ("pcpm" if job["flag"] == "--out" else "json")
     return jobs, frob
 
 
@@ -88,7 +105,7 @@ def read_matrix(path: Path) -> np.ndarray:
 
 def run_checkout(tree: Path, jobs: list, out: Path) -> list:
     out.mkdir()
-    runs = [{**job, "argv": job["argv"] + ["--report-out", str(out / job["report"])]} for job in jobs]
+    runs = [{**job, "argv": job["argv"] + [job["flag"], str(out / job["report"])]} for job in jobs]
     (out / "jobs.json").write_text(json.dumps(runs))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run([sys.executable, "-W", "ignore", "-c", RUNNER, str(tree / "src"), str(out / "jobs.json")],
@@ -169,14 +186,22 @@ def main(argv=None) -> int:
         jobs, frob = write_jobs(work / "inputs")
         rcs = {side: run_checkout(tree, jobs, work / side) for side, tree in trees.items()}
         parity = Parity()
+        files = 0
         for i, job in enumerate(jobs):
             label = job["label"]
             if rcs["parent"][i] != rcs["change"][i]:
                 parity.fail(label, f"exit code {rcs['parent'][i]} -> {rcs['change'][i]}")
-            old, new = (json.loads((work / side / job["report"]).read_text()) for side in ("parent", "change"))
-            parity.compare(label, old, new, frob[job["input"]])
+            old, new = ((work / side / job["report"]).read_bytes() for side in ("parent", "change"))
+            if job["flag"] == "--out":
+                files += 1
+                if old != new:
+                    parity.fail(label, "written files differ")
+            else:
+                parity.compare(label, json.loads(old), json.loads(new), frob[job["input"]])
     verifies = sum(job["argv"][0] == "verify" for job in jobs)
+    kmeans = sum("kmeans" in job["argv"] for job in jobs)
     print(f"report parity, {len(jobs)} commands per checkout: parent {trees['parent']}, change {trees['change']}")
+    print(f"  {files} gen and sketch files compared byte for byte; {kmeans} k-means solves compared")
     print(f"  worst_probe: {parity.worst_equal} of {verifies} verifies equal, {len(parity.worst_ties)} ties "
           f"within {TIE_TOL:g}; probe tag lists differ in {parity.tag_diffs}")
     for line in parity.worst_ties:

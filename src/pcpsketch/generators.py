@@ -58,8 +58,8 @@ def gen_synthetic(spec: GeneratorSpec) -> np.ndarray:
     if spec.kind == "lowrank":
         rng = rng_for(spec.seed, Stream.GEN_LOWRANK)
         r = spec.rank
-        u = orthonormal_columns(rng.standard_normal((spec.n, r)), rng)
-        v = orthonormal_columns(rng.standard_normal((spec.d, r)), rng)
+        u = orthonormal_columns(rng.standard_normal((spec.n, r)))
+        v = orthonormal_columns(rng.standard_normal((spec.d, r)))
         sigma = np.linspace(r, 1.0, r)
         a = (u * sigma) @ v.T
         if spec.noise > 0.0:
@@ -75,8 +75,8 @@ def gen_synthetic(spec: GeneratorSpec) -> np.ndarray:
         return np.ascontiguousarray(a)
     rng = rng_for(spec.seed, Stream.GEN_POWERLAW)
     r = min(spec.n, spec.d)
-    u = orthonormal_columns(rng.standard_normal((spec.n, r)), rng)
-    v = orthonormal_columns(rng.standard_normal((spec.d, r)), rng)
+    u = orthonormal_columns(rng.standard_normal((spec.n, r)))
+    v = orthonormal_columns(rng.standard_normal((spec.d, r)))
     sigma = np.arange(1, r + 1, dtype=float) ** (-spec.alpha)
     return (u * sigma) @ v.T
 

@@ -7,11 +7,12 @@ embedding, approximate matrix multiplication, Frobenius mass), one through
 a regularized spectral sandwich on A A^T.  Certificates never have false
 positives up to floating point; they may be conservative.
 
-An operator S is a dense d x m array or a ``SamplingPattern``, applied as
-a column gather.  Every measured value depends on A only through A A^T and
-on S only through how S acts on A's row space, so with A = U Sigma V^T of
-rank r ``certify`` reads each one off the singular values sigma and the
-r x r Gram G = (V^T S)(V^T S)^T, formed once and kept on A (``Factored.gram``).
+An operator S is a dense d x m array or a ``SamplingPattern``; either one
+applies as ``x @ S``.  Every measured value depends on A only through
+A A^T and on S only through how S acts on A's row space, so with
+A = U Sigma V^T of rank r ``certify`` reads each one off the singular
+values sigma and the r x r Gram G = (V^T S)(V^T S)^T, formed once and kept
+on A (``Factored.gram``).
 With tau_q = sum_{j>=q} sigma_j^2 and t the tail indices j >= k:
 se_err = |G[:k, :k] - I|_2, amm_tail_tail = |Sigma_t (G_tt - I) Sigma_t|_F / tau_k,
 amm_tail_vk = |Sigma_t G[k:, :k]|_F / sqrt(tau_k k), and the Frobenius tails
@@ -78,13 +79,10 @@ class JlMomentEstimate:
 
 
 def _check_operator(m, s):
-    if isinstance(s, SamplingPattern):
-        rows = s.probs.shape[0]
-    else:
+    if not isinstance(s, SamplingPattern):
         s = as_matrix(s, "operator")
-        rows = s.shape[0]
-    if rows != m.shape[1]:
-        raise DimensionError(f"operator has {rows} rows, matrix has {m.shape[1]} columns")
+    if s.shape[0] != m.shape[1]:
+        raise DimensionError(f"operator has {s.shape[0]} rows, matrix has {m.shape[1]} columns")
     return s
 
 

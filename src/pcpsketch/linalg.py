@@ -4,6 +4,8 @@ Matrices are plain 2-D float64 numpy arrays (row-major), or ``Factored``
 instances that keep one with its SVD; this module owns the instance and
 the SVD with relative-rank truncation, the tail index used by the
 spectral certificate, projection costs, and seeded random subspaces.
+A sketch operator S, a dense array or a ``SamplingPattern``, is only ever
+applied as ``x @ S``, so nothing here depends on ``sketch``.
 Everything here is deterministic for fixed inputs within a build.
 """
 
@@ -207,8 +209,7 @@ class Factored:
         """G = (V^T S)(V^T S)^T for a sketch operator S, kept for the last S
         it was formed for, which must not change afterwards."""
         if self._gram is None or self._gram[0] is not s:
-            from .sketch import apply_operator  # sketch imports this module
-            w = apply_operator(self.fact.v.T, s)
+            w = self.fact.v.T @ s
             self._gram = (s, w @ w.T)
         return self._gram[1]
 
@@ -248,59 +249,41 @@ def projection_cost(a, p: Projection) -> float:
     return max(cost, 0.0)
 
 
-def orthonormal_columns(g, rng: np.random.Generator | None = None) -> np.ndarray:
+def orthonormal_columns(g) -> np.ndarray:
     """Orthonormalize the columns of ``g`` by Householder QR.
 
     The signs of ``diag(R)`` are moved into Q, which makes the factorization
     unique, so a standard-normal ``g`` gives a Haar-distributed basis
     (Mezzadri, arXiv:math-ph/0609050).  Numerically dependent columns
-    (``|R_jj|`` at or below 1e-12 * sqrt(n)) are redrawn from ``rng`` when
-    one is supplied, at most 50 times; otherwise they are an error.
+    (``|R_jj|`` at or below 1e-12 * sqrt(n)) are an error.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2:
         raise InvalidMatrixError("need a tall 2-D array to orthonormalize")
-    return _orthonormal_stack(g[None], [rng])[0]
+    return _orthonormal_stack(g[None])[0]
 
 
-def _orthonormal_stack(g: np.ndarray, rngs: list) -> np.ndarray:
-    """``orthonormal_columns`` of each matrix of a (count, n, j) stack, the
-    redraws of matrix i from ``rngs[i]``.  Every round factors the matrices
-    still pending in one stacked ``np.linalg.qr``, which runs LAPACK on each
-    matrix as a single call would, so each basis is bit for bit the one
-    that matrix gets alone."""
-    q = np.array(g, dtype=float, copy=True)
-    if q.shape[-1] > q.shape[-2]:
+def _orthonormal_stack(g: np.ndarray) -> np.ndarray:
+    """``orthonormal_columns`` of each matrix of a (count, n, j) stack, in one
+    stacked ``np.linalg.qr``, which runs LAPACK on each matrix as a single
+    call would, so each basis is bit for bit the one that matrix gets alone."""
+    g = np.asarray(g, dtype=float)
+    if g.shape[-1] > g.shape[-2]:
         raise InvalidMatrixError("need a tall 2-D array to orthonormalize")
-    n = q.shape[1]
-    floor = 1e-12 * np.sqrt(n)
-    out = np.empty_like(q)
-    pending = np.arange(len(q))
-    for _ in range(50):
-        basis, r = np.linalg.qr(q[pending])
-        diag = np.diagonal(r, axis1=1, axis2=2)
-        dependent = np.abs(diag) <= floor
-        done = ~dependent.any(axis=1)
-        out[pending[done]] = basis[done] * np.sign(diag[done])[:, None, :]
-        for j in np.flatnonzero(~done).tolist():
-            rng = rngs[pending[j]]
-            if rng is None:
-                raise InvalidInputError("columns are numerically dependent")
-            q[pending[j]][:, dependent[j]] = rng.standard_normal((n, int(dependent[j].sum())))
-        pending = pending[~done]
-        if not pending.size:
-            return out
-    raise InvalidInputError("could not orthonormalize columns")
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    if (np.abs(diag) <= 1e-12 * np.sqrt(g.shape[1])).any():
+        raise InvalidInputError("columns are numerically dependent")
+    return q * np.sign(diag)[:, None, :]
 
 
 def _haar_bases(n: int, k: int, seeds) -> np.ndarray:
     """(len(seeds), n, k) stack of the bases ``haar_subspace(n, k, seed)``
     draws, one per seed, orthonormalized together."""
-    rngs = [rng_for(seed, Stream.HAAR) for seed in seeds]
-    g = np.empty((len(rngs), n, k))
-    for i, rng in enumerate(rngs):
-        g[i] = rng.standard_normal((n, k))
-    return _orthonormal_stack(g, rngs)
+    g = np.empty((len(seeds), n, k))
+    for i, seed in enumerate(seeds):
+        g[i] = rng_for(seed, Stream.HAAR).standard_normal((n, k))
+    return _orthonormal_stack(g)
 
 
 def haar_subspace(n: int, k: int, seed: int = 0) -> Projection:

@@ -6,7 +6,8 @@ constant c that enters the cost comparison |A_tilde - P A_tilde|_F^2 + c.
 Dense random projections, the non-oblivious variant, two importance
 samplers, the deterministic SVD compression, and a square orthogonal
 rotation (useful as a lossless control) are provided; `make_sketch`
-dispatches on the method tag.
+dispatches on the method tag.  An operator is a dense d x m array or, for
+the samplers, a ``SamplingPattern``; either one applies as ``x @ S``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "Sketch",
     "RidgeScores",
     "METHODS",
-    "apply_operator",
     "DEFAULT_CONST",
     "gaussian_sketch",
     "orthogonal_sketch",
@@ -95,12 +95,17 @@ class SamplingPattern:
 
     ``indices[j]`` is the source column of sketch column j, scaled by
     ``weights[j] = 1 / sqrt(m * probs[indices[j]])``; ``probs`` is the full
-    sampling distribution over the d input columns.
+    sampling distribution over the d input columns.  The pattern is the
+    d x m selection-and-rescale operator S: ``x @ pattern`` gathers x's
+    columns and rescales them, without forming S.
     """
 
     indices: np.ndarray
     weights: np.ndarray
     probs: np.ndarray
+
+    # numpy defers ``x @ pattern`` to ``__rmatmul__``
+    __array_ufunc__ = None
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
@@ -108,6 +113,10 @@ class SamplingPattern:
         p = np.asarray(self.probs, dtype=float)
         if idx.ndim != 1 or w.shape != idx.shape or p.ndim != 1:
             raise InvalidInputError("malformed sampling pattern")
+        if ((idx < 0) | (idx >= p.shape[0])).any():
+            raise InvalidInputError(f"sampling indices must lie in range({p.shape[0]})")
+        if not (np.isfinite(w).all() and np.isfinite(p).all()):
+            raise InvalidInputError("sampling weights and probabilities must be finite")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "probs", p)
@@ -118,18 +127,12 @@ class SamplingPattern:
     def m(self) -> int:
         return int(self.indices.shape[0])
 
-    def apply(self, x) -> np.ndarray:
-        """x times the d x m selection-and-rescale operator, as a gather of
-        x's columns, rescaled."""
+    @property
+    def shape(self) -> tuple:
+        return (self.probs.shape[0], self.m)
+
+    def __rmatmul__(self, x) -> np.ndarray:
         return np.asarray(x)[:, self.indices] * self.weights
-
-
-def apply_operator(x, operator) -> np.ndarray:
-    """``x @ S`` for a sketch operator: a column gather for a
-    ``SamplingPattern``, a matrix product for a dense d x m array."""
-    if isinstance(operator, SamplingPattern):
-        return operator.apply(x)
-    return np.asarray(x) @ operator
 
 
 @dataclass(frozen=True)
@@ -148,7 +151,7 @@ class Sketch:
         its selection-and-rescale matrix."""
         op = self.operator
         if isinstance(op, SamplingPattern):
-            s = np.zeros((op.probs.shape[0], op.m))
+            s = np.zeros(op.shape)
             s[op.indices, np.arange(op.m)] = op.weights
             return s
         return np.asarray(op)
@@ -209,8 +212,7 @@ def orthogonal_sketch(a, params: SketchParams) -> Sketch:
     """Square seeded orthogonal rotation; lossless, for control experiments."""
     a = factor(a)
     d = a.shape[1]
-    rng = rng_for(params.seed, Stream.ORTHOGONAL_SKETCH)
-    s = orthonormal_columns(rng.standard_normal((d, d)), rng)
+    s = orthonormal_columns(rng_for(params.seed, Stream.ORTHOGONAL_SKETCH).standard_normal((d, d)))
     _warn_if_not_reducing(d, d, "orthogonal")
     return Sketch(a.a @ s, s, 0.0, "orthogonal", params, d)
 
@@ -259,7 +261,7 @@ def _sample_columns(a: np.ndarray, probs: np.ndarray, m: int, rng) -> tuple[np.n
     u = rng.random(m)
     idx = _indices_from_uniforms(probs, u)
     pattern = SamplingPattern(idx, 1.0 / np.sqrt(m * probs[idx]), probs)
-    return pattern.apply(a), pattern
+    return a @ pattern, pattern
 
 
 def leverage_width(params: SketchParams) -> int:

@@ -1,13 +1,15 @@
 """Independent reference computations used to check the library.
 
-Everything here except the dense certificate functionals, the per-probe
-audit and the report writers at the end deliberately avoids np.linalg so
-that spectral quantities are confirmed through a second, unrelated route:
-a hand-rolled cyclic Jacobi eigensolver, direct entrywise residual sums,
-and brute-force enumeration.  The dense certificate functionals are the
+Everything here except the dense certificate functionals, the dense
+Dinkelbach audit, the per-probe audit and the report writers at the end
+deliberately avoids np.linalg so that spectral quantities are confirmed
+through a second, unrelated route: a hand-rolled cyclic Jacobi
+eigensolver, direct entrywise residual sums, and brute-force enumeration.  The dense certificate functionals are the
 subspace embedding, product and Frobenius errors of a dense operator on
 A's own head and tail, which the tests check against those routes and
-``certify`` must agree with.  The per-probe audit scores one probe at a
+``certify`` must agree with.  The dense Dinkelbach audit solves for the
+worst rank-<=k projection in A's n x n coordinates, with ``np.linalg.eigh``
+as its only solver.  The per-probe audit scores one probe at a
 time, as the library did before it scored the stacked probe array, and
 the report writers are the plain row-by-row encoders that the CLI's
 columnar writer must agree with.  Slow is fine; these only see
@@ -296,6 +298,44 @@ def certify_dense_measured(a, s, k, eps):
         budget = (eps / 12.0) * tail2_k / float(np.sum(sigma2[p:]))
     t2 = {"spectral_eps": spectral, "frob_tail_p": frob_tp, "lambda_used": lam, "p_used": float(p)}
     return t1, t2, budget
+
+
+def dinkelbach_distortion(a, a_tilde, c, k):
+    """Exact sup over rank-j projections P, j = 0..k, of the |signed error|
+    (cost_sketch(P) + c - cost_a(P)) / cost_a(P), in A's own n x n
+    coordinates; cost_a must be positive at every rank-<=k P (rank(A) > k).
+
+    With E = A_tilde A_tilde^T - A A^T, the error at P = Q Q^T is
+    s (tr E + c - tr Q^T E Q) / (tr A A^T - tr Q^T A A^T Q) for sign s.
+    Dinkelbach's iteration maximizes that ratio globally: at the current
+    value lam, the eigenvectors of the j smallest eigenvalues of
+    s E - lam A A^T give the next Q, whose ratio is the next lam, until lam
+    stops rising.  Every value is the error at an actual Q, scored as the
+    audit scores a probe, |M|_F^2 - |Q^T M|_F^2."""
+    a = np.asarray(a, dtype=float)
+    a_tilde = np.asarray(a_tilde, dtype=float)
+    aat = a @ a.T
+    e = a_tilde @ a_tilde.T - aat
+
+    def cost(m, q):
+        return float(np.sum(m * m)) - float(np.sum((q.T @ m) ** 2))
+
+    def signed(q):
+        cost_a = cost(a, q)
+        return (cost(a_tilde, q) + c - cost_a) / cost_a
+
+    best = abs(signed(np.zeros((a.shape[0], 0))))
+    for s in (1.0, -1.0):
+        for j in range(1, k + 1):
+            lam = 0.0
+            for _ in range(200):
+                q = np.linalg.eigh(s * e - lam * aat)[1][:, :j]
+                nxt = s * signed(q)
+                if nxt <= lam:
+                    break
+                lam = nxt
+            best = max(best, lam)
+    return best
 
 
 def probe_projections(probes):

@@ -34,6 +34,7 @@ from pcpsketch.sketch import METHODS, SketchParams, gaussian_sketch, make_sketch
 from pcpsketch.solvers import cluster_indicator_projection, lloyd_kmeans, partition_costs, partitions
 
 from oracles import (
+    dinkelbach_distortion,
     implication_test,
     partitions_reference,
     pcp_error_on_probe,
@@ -539,6 +540,22 @@ class TestVerifySketch:
         least = want.cost_a[~want.zero_cost].min()
         assert abs(v.report.max_abs_rel_err - want.max_abs_rel_err) <= 1e-14 * a.frob2 / least
         assert v.report.passed and want.passed
+
+
+class TestDinkelbachOracle:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_exact_value_dominates_every_probe(self, method):
+        # full-rank inputs, n <= 10, every probe family including the
+        # exhaustive partitions: the exact sup is at least each probe's error
+        for seed, (n, d, k) in enumerate(((4, 30, 1), (7, 25, 2), (10, 40, 3), (9, 12, 3))):
+            a = rand(70 + seed, (n, d))
+            params = SketchParams(k=k, eps=0.5, seed=seed, m_override=8)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", WidthNotReducingWarning)
+                v = verify_sketch(a, method, params, 6, probe_seed=seed, exhaustive=True)
+            assert not v.report.zero_cost.any()
+            exact = dinkelbach_distortion(a, v.sketch.a_tilde, v.sketch.c_const, k)
+            assert exact >= v.report.max_abs_rel_err - 1e-12, (n, exact, v.report.max_abs_rel_err)
 
 
 class TestSvdCount:

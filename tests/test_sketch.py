@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcpsketch import sketch as sketch_module
 from pcpsketch.audit import _factor_sketch, verify_sketch
 from pcpsketch.errors import (
     InvalidInputError,
@@ -22,8 +21,8 @@ from pcpsketch.linalg import factor, frob2, svd
 from pcpsketch.sketch import (
     METHODS,
     _indices_from_uniforms,
+    SamplingPattern,
     SketchParams,
-    apply_operator,
     gaussian_sketch,
     gaussian_width,
     leverage_residual_sample,
@@ -352,6 +351,24 @@ class TestSamplingPatternInvariants:
         assert checked == 1000
 
 
+class TestSamplingPatternValidation:
+    # patterns over 3 input columns; index -1 used to wrap silently to
+    # column 2, so certify scored a different operator than the one given
+    @pytest.mark.parametrize(
+        "indices, weights, probs",
+        [
+            ([0, -1], [1.0, 1.0], [0.5, 0.25, 0.25]),
+            ([0, 5], [1.0, 1.0], [0.5, 0.25, 0.25]),
+            ([0, 1], [1.0, np.nan], [0.5, 0.25, 0.25]),
+            ([0, 1], [1.0, np.inf], [0.5, 0.25, 0.25]),
+            ([0, 1], [1.0, 1.0], [0.5, np.nan, 0.25]),
+        ],
+    )
+    def test_rejects_out_of_range_indices_and_non_finite_values(self, indices, weights, probs):
+        with pytest.raises(InvalidInputError):
+            SamplingPattern(np.array(indices), np.array(weights), np.array(probs))
+
+
 class TestIndicesFromUniforms:
     def test_matches_loop_reference(self):
         # zero-probability columns at the start, in the middle and after the
@@ -372,7 +389,8 @@ class TestOperatorApply:
         for ctor in (leverage_residual_sample, ridge_leverage_sample):
             sk = ctor(a, params(m_override=17))
             x = np.random.default_rng(21).standard_normal((9, 30))
-            assert np.allclose(sk.operator.apply(x), x @ sk.operator_matrix(), rtol=1e-14, atol=1e-14)
+            assert sk.operator.shape == (30, 17)
+            assert np.allclose(x @ sk.operator, x @ sk.operator_matrix(), rtol=1e-14, atol=1e-14)
 
     def test_every_method_applies_its_operator(self):
         a = wide_matrix(22, n=5, d=30)
@@ -382,8 +400,9 @@ class TestOperatorApply:
                 warnings.simplefilter("ignore", WidthNotReducingWarning)
                 sk = make_sketch(a, method, params(m_override=12))
             dense = sk.operator_matrix()
-            assert np.allclose(apply_operator(x, sk.operator), x @ dense, atol=1e-12), method
-            assert np.allclose(apply_operator(a, sk.operator), sk.a_tilde, atol=1e-12), method
+            assert sk.operator.shape == dense.shape, method
+            assert np.allclose(x @ sk.operator, x @ dense, atol=1e-12), method
+            assert np.allclose(a @ sk.operator, sk.a_tilde, atol=1e-12), method
 
 
 class TestFactoredInput:
@@ -453,15 +472,15 @@ class TestFactorSketch:
 
     def test_reads_the_gram_certify_formed(self, monkeypatch):
         a = factor(wide_matrix(61))
-        sk = make_sketch(a, "gaussian", params(m_override=10))
+        sk = make_sketch(a, "leverage", params(m_override=10))
         calls = []
-        real = sketch_module.apply_operator
-        monkeypatch.setattr(sketch_module, "apply_operator", lambda *ar: calls.append(1) or real(*ar))
+        real = SamplingPattern.__rmatmul__
+        monkeypatch.setattr(SamplingPattern, "__rmatmul__", lambda *ar: calls.append(1) or real(*ar))
         certify(a, sk.operator, 2, 0.5)
         g = a.gram(sk.operator)
         assert _factor_sketch(a, sk).fact.rank == 6
         assert a.gram(sk.operator) is g
         assert len(calls) == 1
         # kept for the operator object it was formed for, not for equal values
-        assert a.gram(sk.operator.copy()) is not g
+        assert a.gram(dataclasses.replace(sk.operator)) is not g
         assert len(calls) == 2
