@@ -197,6 +197,13 @@ def generate_probes(
     sigma_1(A) count as zero; the heaviest rows are A's own.  The bases are
     filled into one array a family at a time: the Lloyd runs on each core go
     as one batch, and the Haar bases share one stacked QR.
+
+    Each batch of random probes takes one stream of ``seed``: the five
+    Lloyd runs on A's core draw their starts in turn from
+    ``(seed, Stream.PROBE_LLOYD_A)``, those on the sketch's from
+    ``(seed, Stream.PROBE_LLOYD_SKETCH)``, and Haar probe i is the i-th
+    n x k block of one standard-normal draw from ``(seed, Stream.PROBE_HAAR)``,
+    so the first N Haar probes are the same for every ``n_random`` >= N.
     """
     a = factor(a)
     at = factor(a_tilde, "a_tilde")
@@ -229,7 +236,7 @@ def generate_probes(
     # (run, core) order: kmeans-a-0, kmeans-sketch-0, kmeans-a-1, ...
     labels = np.stack(
         [
-            _lloyd_assignments(core, kk, [derive_seed(seed, stream, run) for run in runs], _PROBE_LLOYD_ITERS)
+            _lloyd_assignments(core, kk, rng_for(seed, stream), _PROBE_LLOYD_RUNS, _PROBE_LLOYD_ITERS)
             for core, stream in ((a.core, Stream.PROBE_LLOYD_A), (at.core, Stream.PROBE_LLOYD_SKETCH))
         ],
         axis=1,
@@ -247,7 +254,7 @@ def generate_probes(
     i += 2
     bases[i : i + len(labels)] = _indicators(labels, kk)
     i += len(labels)
-    bases[i:] = _haar_bases(n, kk, [derive_seed(seed, Stream.PROBE_HAAR, j) for j in range(n_random)])
+    bases[i:] = _haar_bases(n, kk, n_random, rng_for(seed, Stream.PROBE_HAAR))
     return ProbeSet(bases, tags, k, partitions(n, kk) if exhaustive else None)
 
 

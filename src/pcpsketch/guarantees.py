@@ -50,6 +50,9 @@ __all__ = [
 
 # slack added to every threshold comparison, absorbing float rounding only
 HOLDS_TOL = 1e-12
+# float64 entries per chunk of JL trial rows (64 KB: one buffer, reused for
+# every chunk, that stays in cache and below malloc's mmap threshold)
+_JL_CHUNK_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -219,9 +222,12 @@ def jl_moment_estimate(
     """Monte-Carlo estimate of the ell-th moment E | |x^T S|_2^2 - 1 |^ell.
 
     Only the rotation-invariant gaussian family is supported, for which the
-    fixed probe x = e_1 is fully general; each trial draws a fresh S on its
-    own stream (trial t of seed s reproduces bit-for-bit inside any longer
-    run with the same seed).
+    fixed probe x = e_1 is fully general, and x = e_1 touches only the first
+    row of S.  Trial t's row is row t of one (trials, m) standard-normal
+    draw from the stream ``(seed, Stream.JL_TRIAL)``, so trial t of seed s
+    reproduces bit for bit inside any longer run with the same seed.  The
+    rows are drawn and squared in place, a chunk of about 64 KB at a time,
+    in one buffer: no allocation per chunk, whatever the trial count.
     """
     if family != "gaussian":
         raise UnsupportedFamilyError(f"unsupported family {family!r}")
@@ -232,11 +238,17 @@ def jl_moment_estimate(
     if trials < 100:
         raise InvalidInputError(f"need at least 100 trials, got {trials}")
     ell = int(ell)
-    vals = np.empty(trials)
-    for t in range(trials):
-        # x = e_1 touches only the first row of S
-        row = rng_for(seed, Stream.JL_TRIAL, t).standard_normal(m) / math.sqrt(m)
-        vals[t] = abs(float(row @ row) - 1.0) ** ell
+    rng = rng_for(seed, Stream.JL_TRIAL)
+    chunk = max(1, min(trials, _JL_CHUNK_ENTRIES // m))
+    buf = np.empty((chunk, m))
+    norms = np.empty(trials)  # |x^T S|_2^2 of each trial
+    for start in range(0, trials, chunk):
+        rows = buf[: min(chunk, trials - start)]
+        rng.standard_normal(out=rows)
+        rows /= math.sqrt(m)
+        rows *= rows
+        rows.sum(axis=1, out=norms[start : start + len(rows)])
+    vals = np.abs(norms - 1.0) ** ell
     estimate = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(trials))
     return JlMomentEstimate(ell, trials, estimate, stderr)

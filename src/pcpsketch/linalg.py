@@ -277,13 +277,11 @@ def _orthonormal_stack(g: np.ndarray) -> np.ndarray:
     return q * np.sign(diag)[:, None, :]
 
 
-def _haar_bases(n: int, k: int, seeds) -> np.ndarray:
-    """(len(seeds), n, k) stack of the bases ``haar_subspace(n, k, seed)``
-    draws, one per seed, orthonormalized together."""
-    g = np.empty((len(seeds), n, k))
-    for i, seed in enumerate(seeds):
-        g[i] = rng_for(seed, Stream.HAAR).standard_normal((n, k))
-    return _orthonormal_stack(g)
+def _haar_bases(n: int, k: int, count: int, rng) -> np.ndarray:
+    """(count, n, k) stack of Haar bases from one standard-normal draw of
+    ``rng``, orthonormalized together: basis i comes from the i-th n x k
+    block of the stream, so it is the same in any longer stack."""
+    return _orthonormal_stack(rng.standard_normal((count, n, k)))
 
 
 def haar_subspace(n: int, k: int, seed: int = 0) -> Projection:
@@ -294,4 +292,4 @@ def haar_subspace(n: int, k: int, seed: int = 0) -> Projection:
     """
     if not 1 <= k <= n:
         raise InvalidRankError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return Projection(_haar_bases(n, k, [seed])[0])
+    return Projection(_haar_bases(n, k, 1, rng_for(seed, Stream.HAAR))[0])

@@ -9,6 +9,13 @@ registry below.  Keeping the registry package-wide guarantees that two
 different operations called with the same seed never share a stream; in
 particular a synthetic matrix and a sketch of it drawn with equal seeds
 stay statistically independent.
+
+A batch of like random objects (the Haar probes, the Lloyd probe runs on
+one matrix, the JL trials) takes one stream, not one per element: its
+elements are drawn from it in order, so element i of a batch is the same
+in any longer batch with the same seed.  Philox is counter-based (Salmon
+et al., SC 2011), which makes each element's place in the stream its
+reproducible identity, without a ``SeedSequence`` per element.
 """
 
 from __future__ import annotations

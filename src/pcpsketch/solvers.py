@@ -107,7 +107,10 @@ def _plusplus_init(m: np.ndarray, k: int, rng) -> np.ndarray:
         if total <= 0.0:
             choice = int(rng.integers(n))
         else:
-            choice = int(rng.choice(n, p=d2 / total))
+            # the steps of rng.choice(n, p=d2 / total), without its checks
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            choice = int(cdf.searchsorted(rng.random(), side="right"))
         centers[j] = m[choice]
         d2 = np.minimum(d2, np.sum((m - centers[j]) ** 2, axis=1))
     return centers
@@ -118,22 +121,23 @@ def lloyd_kmeans(m, k: int, iters: int = 50, seed: int = 0) -> Clustering:
 
     Empty clusters are reseeded with the point farthest from its current
     center, so the objective never increases across iterations.  One run
-    of ``_lloyd_assignments``.
+    of ``_lloyd_assignments`` on the stream ``(seed, Stream.LLOYD)``.
     """
     m = as_matrix(m)
-    assignment = _lloyd_assignments(m, k, [seed], iters)[0]
+    assignment = _lloyd_assignments(m, k, rng_for(seed, Stream.LLOYD), 1, iters)[0]
     return Clustering(assignment, k, kmeans_cost(m, assignment))
 
 
-def _lloyd_assignments(m: np.ndarray, k: int, seeds, iters: int) -> np.ndarray:
-    """Final assignments of one Lloyd run per seed on the rows of ``m``,
-    as a (len(seeds), n) array; the runs go through each iteration together.
+def _lloyd_assignments(m: np.ndarray, k: int, rng, runs: int, iters: int) -> np.ndarray:
+    """Final assignments of ``runs`` Lloyd runs on the rows of ``m``, as a
+    (runs, n) array; the runs go through each iteration together.
 
-    Each run starts from its own k-means++ centers and stops when its
-    assignment stops changing.  An iteration is two matrix products per
-    run, stacked over the runs still going: squared distances
-    ``max(|x|^2 - 2 x c^T + |c|^2, 0)``, with the row norms computed once,
-    and the cluster sums (indicators times rows) for the new centers.  A
+    The runs draw their k-means++ centers from the one generator ``rng``,
+    run 0 first, so run r is the single run started from that stream after
+    r draws of centers; each stops when its assignment stops changing.  An
+    iteration is two matrix products per run, stacked over the runs still
+    going: squared distances ``max(|x|^2 - 2 x c^T + |c|^2, 0)``, with the
+    row norms computed once, and the cluster sums (indicators times rows) for the new centers.  A
     stacked product runs the same BLAS call on each run as a single run
     would, so every run's assignment is bit for bit its own alone.
     """
@@ -144,9 +148,9 @@ def _lloyd_assignments(m: np.ndarray, k: int, seeds, iters: int) -> np.ndarray:
         raise InvalidInputError(f"need at least k={k} rows, got {n}")
     if iters < 1:
         raise InvalidInputError(f"iters must be >= 1, got {iters}")
-    centers = np.stack([_plusplus_init(m, k, rng_for(seed, Stream.LLOYD)) for seed in seeds])
-    assignment = np.zeros((len(seeds), n), dtype=np.int64)
-    going = np.arange(len(seeds))
+    centers = np.stack([_plusplus_init(m, k, rng) for _ in range(runs)])
+    assignment = np.zeros((runs, n), dtype=np.int64)
+    going = np.arange(runs)
     minus_2m = -2.0 * m
     row_norm2 = (m * m).sum(axis=1)[:, None]
     labels = np.arange(k)

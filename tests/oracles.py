@@ -122,19 +122,37 @@ def partitions_reference(n, max_blocks):
     return out
 
 
-def lloyd_reference(m, k, iters, seed, trace=None):
-    """One Lloyd run as a loop of its own, from the library's k-means++
-    start for ``seed``: each iteration assigns rows by the distance
-    product, reseeds empty clusters with the farthest points, and moves the
-    centers to the cluster means; it stops when the assignment repeats.
-    Returns the final assignment; ``trace``, when a list, gets the k-means
-    objective of each iteration's assignment."""
-    from pcpsketch.rng import Stream, rng_for
-    from pcpsketch.solvers import _plusplus_init
-
+def plusplus_reference(m, k, rng):
+    """k-means++ centers drawn with numpy's own weighted choice: the first
+    row uniformly (``rng.integers``), each next one by
+    ``rng.choice(n, p=d2 / total)`` over the squared distances d2 to the
+    nearest center so far, or uniformly when every distance is zero."""
     m = np.asarray(m, dtype=float)
     n = m.shape[0]
-    centers = _plusplus_init(m, k, rng_for(seed, Stream.LLOYD))
+    rows = [int(rng.integers(n))]
+    d2 = np.sum((m - m[rows[0]]) ** 2, axis=1)
+    for _ in range(1, k):
+        total = float(d2.sum())
+        rows.append(int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=d2 / total)))
+        d2 = np.minimum(d2, np.sum((m - m[rows[-1]]) ** 2, axis=1))
+    return m[rows]
+
+
+def lloyd_reference(m, k, iters, rng, trace=None):
+    """One Lloyd run as a loop of its own, from ``plusplus_reference``
+    centers drawn from ``rng``, a generator (advanced by the draw) or a seed
+    of the stream ``lloyd_kmeans`` uses: each iteration assigns rows by the
+    distance product, reseeds empty clusters with the farthest points, and
+    moves the centers to the cluster means; it stops when the assignment
+    repeats.  Returns the final assignment; ``trace``, when a list, gets the
+    k-means objective of each iteration's assignment."""
+    from pcpsketch.rng import Stream, rng_for
+
+    if not isinstance(rng, np.random.Generator):
+        rng = rng_for(rng, Stream.LLOYD)
+    m = np.asarray(m, dtype=float)
+    n = m.shape[0]
+    centers = plusplus_reference(m, k, rng)
     assignment = np.zeros(n, dtype=np.int64)
     row_norm2 = (m * m).sum(axis=1)[:, None]
     for _ in range(iters):
@@ -157,6 +175,17 @@ def lloyd_reference(m, k, iters, seed, trace=None):
         if unchanged:
             break
     return assignment
+
+
+def jl_moment_reference(m, ell, trials, seed):
+    """(estimate, stderr) of E | |x^T S|_2^2 - 1 |^ell at x = e_1 from one
+    (trials, m) standard-normal draw of the stream (seed, Stream.JL_TRIAL),
+    all rows at once: trial t is row t, scaled by 1/sqrt(m)."""
+    from pcpsketch.rng import Stream, rng_for
+
+    rows = rng_for(seed, Stream.JL_TRIAL).standard_normal((trials, m)) / math.sqrt(m)
+    vals = np.abs(np.sum(rows * rows, axis=1) - 1.0) ** ell
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
 
 
 def indices_from_uniforms_loop(probs, u):

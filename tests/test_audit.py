@@ -26,16 +26,18 @@ from pcpsketch.linalg import (
     factor,
     frob2,
     haar_subspace,
+    orthonormal_columns,
     projection_cost,
     svd,
 )
-from pcpsketch.rng import Stream, derive_seed
+from pcpsketch.rng import Stream, rng_for
 from pcpsketch.sketch import METHODS, SketchParams, gaussian_sketch, make_sketch, orthogonal_sketch, svd_sketch
-from pcpsketch.solvers import cluster_indicator_projection, lloyd_kmeans, partition_costs, partitions
+from pcpsketch.solvers import cluster_indicator_projection, partition_costs, partitions
 
 from oracles import (
     dinkelbach_distortion,
     implication_test,
+    lloyd_reference,
     partitions_reference,
     pcp_error_on_probe,
     probe_projections,
@@ -93,6 +95,22 @@ class TestGenerateProbes:
         two_block = [tag for tag in tags if tag.startswith("partition-") and tag.endswith("-2blocks")]
         assert len(two_block) == 7  # Stirling count for 4 rows in 2 blocks
         assert len(probes) == len(tags)
+
+    def test_haar_rows_are_the_same_in_a_longer_set(self):
+        # one draw for all Haar probes: the set for N is a prefix of the set
+        # for N + 7, and Haar probe i is the i-th block of the stream
+        a = rand(3, (9, 20))
+        at = a[:, :7].copy()
+        for n_random in (0, 1, 6):
+            short = generate_probes(a, at, 3, n_random, seed=8)
+            longer = generate_probes(a, at, 3, n_random + 7, seed=8)
+            assert np.array_equal(longer.tags[: len(short.tags)], short.tags)
+            assert np.array_equal(longer.bases[: len(short.tags)], short.bases)
+            haar = np.strings.startswith(longer.tags, "haar-")
+            assert haar.sum() == n_random + 7
+            g = rng_for(8, Stream.PROBE_HAAR).standard_normal((n_random + 7, 9, 3))
+            for block, basis in zip(g, longer.bases[haar]):
+                assert np.array_equal(basis, orthonormal_columns(block))
 
     def test_no_residual_probe_from_rounding_noise_at_rank_le_k(self):
         # exact rank 3 at k = 3: past the sketch's top 3 directions A's residual
@@ -484,10 +502,16 @@ class TestProbesInCoordinates:
             q = fs.u[:, :k]
             resid = svd(a - q @ (q.T @ a)).u[:, :k]
             expected = {"residual-top": resid}
-            for run in range(5):
-                for tag, m, stream in (("a", a, Stream.PROBE_LLOYD_A), ("sketch", at, Stream.PROBE_LLOYD_SKETCH)):
-                    cl = lloyd_kmeans(m, k, iters=25, seed=derive_seed(4, stream, run))
-                    expected[f"kmeans-{tag}-{run}"] = cluster_indicator_projection(cl.assignment, k, n).basis
+            # the five Lloyd runs on each matrix, one after another on its stream
+            for tag, m, stream in (("a", a, Stream.PROBE_LLOYD_A), ("sketch", at, Stream.PROBE_LLOYD_SKETCH)):
+                rng = rng_for(4, stream)
+                for run in range(5):
+                    labels = lloyd_reference(m, k, 25, rng)
+                    expected[f"kmeans-{tag}-{run}"] = cluster_indicator_projection(labels, k, n).basis
+            # the Haar probes, blocks of one draw
+            for i, block in enumerate(rng_for(4, Stream.PROBE_HAAR).standard_normal((5, n, k))):
+                expected[f"haar-{i}"] = orthonormal_columns(block)
+            assert set(expected) <= set(probes.tags.tolist())
             for tag, p in zip(probes.tags.tolist(), probe_projections(probes)):
                 if tag in expected:
                     assert np.allclose(projector(p), expected[tag] @ expected[tag].T, atol=1e-10), tag
@@ -556,6 +580,29 @@ class TestDinkelbachOracle:
             assert not v.report.zero_cost.any()
             exact = dinkelbach_distortion(a, v.sketch.a_tilde, v.sketch.c_const, k)
             assert exact >= v.report.max_abs_rel_err - 1e-12, (n, exact, v.report.max_abs_rel_err)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_exact_value_dominates_partitions_and_200_haar_probes(self, method):
+        # full-rank inputs at n = 11 and 12: the exact sup is at least the
+        # error of every partition into at most k blocks, costed by
+        # partition_costs, and of each of 200 Haar probes of one stream
+        for seed, (n, d, k) in enumerate(((11, 40, 2), (12, 30, 3))):
+            a = rand(80 + seed, (n, d))
+            params = SketchParams(k=k, eps=0.5, seed=seed, m_override=10)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", WidthNotReducingWarning)
+                v = verify_sketch(a, method, params, 200, probe_seed=seed)
+            at, c = v.sketch.a_tilde, v.sketch.c_const
+            exact = dinkelbach_distortion(a, at, c, k)
+            labels = partitions(n, k)
+            cost_a = partition_costs(a, labels)
+            assert cost_a.min() > 0.0
+            partition_err = np.abs((partition_costs(at, labels) + c - cost_a) / cost_a)
+            haar = np.strings.startswith(v.report.tags, "haar-")
+            assert haar.sum() == 200 and not v.report.zero_cost.any()
+            assert exact >= partition_err.max() - 1e-12, (n, exact, partition_err.max())
+            haar_err = np.abs(v.report.signed_rel_err[haar]).max()
+            assert exact >= haar_err - 1e-12, (n, exact, haar_err)
 
 
 class TestSvdCount:

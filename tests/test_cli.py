@@ -154,6 +154,20 @@ class TestVerifyCmd:
         assert code == 0
         assert payload["pcp"]["pass"] is True
 
+    def test_no_random_probes(self, capsys):
+        # --n-random 0 draws no Haar probe; the other probes are those of a
+        # run with Haar probes, which come last
+        argv = ["verify", "--gen", "lowrank:n=12,d=40,rank=2,noise=0.1,seed=3", "--method", "gaussian",
+                "--k", "2", "--eps", "0.5", "--m", "20", "--seed", "4"]
+        code, payload = run_json(capsys, *argv, "--n-random", "0")
+        assert code in (0, 2)
+        rows = payload["pcp"]["per_probe"]
+        assert payload["pcp"]["n_probes"] == len(rows) > 0
+        assert not [row for row in rows if row["probe"].startswith("haar-")]
+        _, with_haar = run_json(capsys, *argv, "--n-random", "3")
+        assert with_haar["pcp"]["per_probe"][: len(rows)] == rows
+        assert [row["probe"] for row in with_haar["pcp"]["per_probe"][len(rows):]] == ["haar-0", "haar-1", "haar-2"]
+
     def test_failing_sketch_exits_2(self, tmp_path, capsys):
         a_path = tmp_path / "a.csv"
         save_matrix(a_path, np.random.default_rng(6).standard_normal((8, 30)))

@@ -14,6 +14,7 @@ from pcpsketch.errors import (
     WidthNotReducingWarning,
     ZeroMatrixError,
 )
+from pcpsketch import guarantees
 from pcpsketch.guarantees import HOLDS_TOL, _holds, certify, jl_moment_estimate, spectral_approx_error
 from pcpsketch.linalg import svd, tail_index_p
 from pcpsketch.rng import Stream, rng_for
@@ -30,6 +31,7 @@ from oracles import (
     frobenius_preservation_error,
     head_tail_split,
     jacobi_eigh,
+    jl_moment_reference,
     spectral_sandwich_sides,
     subspace_embedding_error,
 )
@@ -318,6 +320,24 @@ class TestJlMoment:
         e1 = jl_moment_estimate("gaussian", 5, 20, 2, 300, seed=7)
         e2 = jl_moment_estimate("gaussian", 5, 20, 2, 300, seed=7)
         assert e1.estimate == e2.estimate and e1.stderr == e2.stderr
+
+    @pytest.mark.parametrize(
+        "m, trials, ell, chunk_entries",
+        [
+            (1600, 101, 2, None),  # five rows a chunk, and a last chunk of one row
+            (100, 200, 2, None),  # three chunks, the last one short
+            (7, 100, 4, None),  # one chunk
+            (100, 100, 3, 50),  # rows wider than a chunk: one row a chunk
+            (100, 157, 2, 250),  # two rows a chunk, and a last chunk of one row
+        ],
+    )
+    def test_chunks_equal_one_draw(self, monkeypatch, m, trials, ell, chunk_entries):
+        # trial t is row t of one draw of the JL stream, however the rows
+        # are chunked
+        if chunk_entries is not None:
+            monkeypatch.setattr(guarantees, "_JL_CHUNK_ENTRIES", chunk_entries)
+        est = jl_moment_estimate("gaussian", 5, m, ell, trials, seed=11)
+        assert (est.estimate, est.stderr) == jl_moment_reference(m, ell, trials, 11)
 
     def test_rejections(self):
         with pytest.raises(UnsupportedFamilyError):

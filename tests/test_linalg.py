@@ -22,7 +22,7 @@ from pcpsketch.linalg import (
     svd,
     tail_index_p,
 )
-from pcpsketch.rng import rng_for
+from pcpsketch.rng import Stream, rng_for
 
 from oracles import direct_projection_cost, gram_eigenvalues, head_tail_split
 
@@ -283,13 +283,21 @@ class TestHaarSubspace:
         assert not np.array_equal(a, c)
 
     def test_stack_equals_one_draw_per_seed(self):
-        seeds = [0, 1, 42, 2**63 + 7, 5]
-        for n, k in ((6, 3), (9, 1), (4, 4), (200, 5)):
-            stack = _haar_bases(n, k, seeds)
-            assert stack.shape == (len(seeds), n, k)
-            for seed, basis in zip(seeds, stack):
-                assert np.array_equal(basis, haar_subspace(n, k, seed).basis)
-        assert _haar_bases(5, 2, []).shape == (0, 5, 2)
+        # one standard-normal draw per stack: basis i is the i-th n x k block
+        # of the stream, orthonormalized as alone, and the same in any
+        # longer stack; haar_subspace is a one-basis stack of its own stream
+        for seed in (0, 1, 42, 2**63 + 7, 5):
+            for n, k in ((6, 3), (9, 1), (4, 4), (200, 5)):
+                stack = _haar_bases(n, k, 5, rng_for(seed, Stream.PROBE_HAAR))
+                assert stack.shape == (5, n, k)
+                g = rng_for(seed, Stream.PROBE_HAAR).standard_normal((5, n, k))
+                for block, basis in zip(g, stack):
+                    assert np.array_equal(basis, orthonormal_columns(block))
+                longer = _haar_bases(n, k, 12, rng_for(seed, Stream.PROBE_HAAR))
+                assert np.array_equal(longer[:5], stack)
+                want = orthonormal_columns(rng_for(seed, Stream.HAAR).standard_normal((n, k)))
+                assert np.array_equal(haar_subspace(n, k, seed).basis, want)
+        assert _haar_bases(5, 2, 0, rng_for(0, Stream.PROBE_HAAR)).shape == (0, 5, 2)
 
     def test_rejects_bad_rank(self):
         with pytest.raises(InvalidRankError):

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from pcpsketch.audit import _factor_sketch, approx_transfer_check, sketch_and_solve
 from pcpsketch.errors import InvalidInputError, InvalidRankError, TooLargeError
 from pcpsketch.linalg import factor, frob2, projection_cost, svd
+from pcpsketch.rng import Stream, rng_for
 from pcpsketch.sketch import SketchParams, gaussian_sketch, orthogonal_sketch, svd_sketch
 from pcpsketch.solvers import (
     Clustering,
     _lloyd_assignments,
+    _plusplus_init,
     best_rank_k_projection,
     cluster_indicator_projection,
     exhaustive_kmeans,
@@ -19,7 +21,7 @@ from pcpsketch.solvers import (
     partitions,
 )
 
-from oracles import gram_eigenvalues, lloyd_reference, partitions_reference, variance_kmeans_cost
+from oracles import gram_eigenvalues, lloyd_reference, partitions_reference, plusplus_reference, variance_kmeans_cost
 
 
 def rand(seed, shape):
@@ -162,7 +164,9 @@ class TestLloyd:
 
 
 class TestBatchedLloyd:
-    """One batch of R runs against R single runs with the same seeds."""
+    """A batch of R runs draws its starts from one stream, run 0 first:
+    run r is the single run started from that stream after r draws of
+    k-means++ centers, and matches the loop oracle bit for bit."""
 
     def cases(self):
         rng = np.random.default_rng(50)
@@ -175,48 +179,81 @@ class TestBatchedLloyd:
         yield "k = n", rng.standard_normal((6, 3)), 6
         yield "one column", rng.standard_normal((25, 1)), 3
 
+    @staticmethod
+    def references(m, k, iters, seed, runs, traces=None):
+        # the oracle's runs one after another on one stream: each run's
+        # start is the next draw of k-means++ centers from it
+        rng = rng_for(seed, Stream.LLOYD)
+        return [lloyd_reference(m, k, iters, rng, None if traces is None else traces[r]) for r in range(runs)]
+
     def test_batch_equals_single_runs_bit_for_bit(self):
-        seeds = [3, 17, 2**40 + 5, 0, 99, 12345, 7]
+        for seed in (3, 2**40 + 5, 0):
+            for name, m, k in self.cases():
+                batch = _lloyd_assignments(m, k, rng_for(seed, Stream.LLOYD), 7, 25)
+                assert batch.shape == (7, m.shape[0]), name
+                for got, want in zip(batch, self.references(m, k, 25, seed, 7)):
+                    assert np.array_equal(got, want), name
+                assert np.array_equal(batch[0], lloyd_kmeans(m, k, iters=25, seed=seed).assignment), name
+
+    def test_run_r_starts_after_r_inits(self):
         for name, m, k in self.cases():
-            batch = _lloyd_assignments(m, k, seeds, 25)
-            assert batch.shape == (len(seeds), m.shape[0]), name
-            for seed, got in zip(seeds, batch):
-                assert np.array_equal(got, lloyd_kmeans(m, k, iters=25, seed=seed).assignment), name
-                assert np.array_equal(got, lloyd_reference(m, k, 25, seed)), name
+            batch = _lloyd_assignments(m, k, rng_for(17, Stream.LLOYD), 5, 25)
+            for r, got in enumerate(batch):
+                rng, oracle_rng = rng_for(17, Stream.LLOYD), rng_for(17, Stream.LLOYD)
+                for _ in range(r):
+                    _plusplus_init(m, k, rng)
+                    plusplus_reference(m, k, oracle_rng)
+                assert np.array_equal(got, _lloyd_assignments(m, k, rng, 1, 25)[0]), (name, r)
+                assert np.array_equal(got, lloyd_reference(m, k, 25, oracle_rng)), (name, r)
+
+    def test_lloyd_kmeans_matches_the_choice_oracle(self):
+        # the oracle draws its starts with rng.choice, the library by its
+        # own cumulative sum and search: the same draws, bit for bit
+        for seed in (3, 17, 2**40 + 5, 0, 99, 12345, 7):
+            for name, m, k in self.cases():
+                want = lloyd_reference(m, k, 25, seed)
+                assert np.array_equal(lloyd_kmeans(m, k, iters=25, seed=seed).assignment, want), (name, seed)
+
+    def test_plusplus_draw_equals_rng_choice(self):
+        rng = np.random.default_rng(55)
+        for case in range(300):
+            n, k = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+            m = rng.standard_normal((n, int(rng.integers(1, 5)))) ** int(rng.integers(1, 4))
+            if case % 3 == 0:
+                m[rng.random(n) < 0.6] = m[0]  # repeated rows: zero distances, all-zero d2
+            got = _plusplus_init(m, k, rng_for(case, Stream.LLOYD))
+            want = plusplus_reference(m, k, rng_for(case, Stream.LLOYD))
+            assert np.array_equal(got, want), case
 
     def test_runs_stop_at_different_iterations(self):
         m = np.random.default_rng(51).standard_normal((60, 4))
-        seeds = list(range(8))
-        steps = []
-        batch = _lloyd_assignments(m, 5, seeds, 50)
-        for seed, got in zip(seeds, batch):
-            trace: list = []
-            want = lloyd_reference(m, 5, 50, seed, trace)
-            steps.append(len(trace))
+        traces: list = [[] for _ in range(8)]
+        batch = _lloyd_assignments(m, 5, rng_for(0, Stream.LLOYD), 8, 50)
+        for got, want in zip(batch, self.references(m, 5, 50, 0, 8, traces)):
             assert np.array_equal(got, want)
-            assert np.array_equal(lloyd_kmeans(m, 5, iters=50, seed=seed).assignment, want)
-        assert len(set(steps)) > 1
+        assert np.array_equal(lloyd_kmeans(m, 5, iters=50, seed=0).assignment, batch[0])
+        assert len({len(trace) for trace in traces}) > 1
 
     def test_empty_clusters_are_reseeded(self):
         # nearest-center assignment alone uses at most three labels on three
         # distinct rows; every label past those was placed by a reseed
         m = np.repeat(np.random.default_rng(52).standard_normal((3, 4)), 3, axis=0)
-        seeds = range(6)
-        for seed, got in zip(seeds, _lloyd_assignments(m, 5, seeds, 25)):
+        batch = _lloyd_assignments(m, 5, rng_for(6, Stream.LLOYD), 6, 25)
+        for got, want in zip(batch, self.references(m, 5, 25, 6, 6)):
             assert len(set(got.tolist())) > 3
-            assert np.array_equal(got, lloyd_reference(m, 5, 25, seed))
+            assert np.array_equal(got, want)
 
     def test_k_equals_n_gives_singletons(self):
         m = np.random.default_rng(53).standard_normal((6, 3))
-        for got in _lloyd_assignments(m, 6, range(4), 25):
+        for got in _lloyd_assignments(m, 6, rng_for(53, Stream.LLOYD), 4, 25):
             assert sorted(got.tolist()) == list(range(6))
 
     def test_iteration_cap(self):
         m = np.random.default_rng(54).standard_normal((50, 3))
-        seeds = range(5)
         for iters in (1, 2, 3):
-            for seed, got in zip(seeds, _lloyd_assignments(m, 4, seeds, iters)):
-                assert np.array_equal(got, lloyd_reference(m, 4, iters, seed))
+            batch = _lloyd_assignments(m, 4, rng_for(iters, Stream.LLOYD), 5, iters)
+            for got, want in zip(batch, self.references(m, 4, iters, iters, 5)):
+                assert np.array_equal(got, want)
 
 
 class TestPartitions:
