@@ -3,7 +3,8 @@
     python3 scripts/bench_pairs.py run --parent PARENT_CHECKOUT --change . \\
         --workload wide-verify --seeds 101 102 103 --runs runs.jsonl
     python3 scripts/bench_pairs.py summarize --runs runs.jsonl \\
-        --claim wide-verify:verify_s --out BENCH_<change>.json
+        --claim wide-verify:verify_s --control wide-verify:harness_trials_per_s \\
+        --out BENCH_<change>.json
 
 ``run`` runs ``python3 perfbench/run.py --workload W --seed S --seconds 52
 --trace 0`` in each checkout, one pair per seed, alternating from pair to
@@ -22,8 +23,12 @@ change's median is worse than the parent's by at most the bound.  It
 prints one line per metric.  A ``--claim`` of ``workload:metric`` is also
 tested by the gain rule: the change wins at least nine tenths of the pairs
 and the medians differ by more than the parent's distance between
-quartiles.  The machine recorded is the one ``summarize`` runs on, so run
-it where the runs were made.
+quartiles.  A ``--control`` of ``workload:metric`` names a metric the
+change should not move, such as one whose code path it does not touch; its
+wins, losses, median change and parent spread go under ``controls`` and are
+printed on each claim's line, so a claim can be read against what host load
+alone did to the same runs.  The machine recorded is the one ``summarize``
+runs on, so run it where the runs were made.
 """
 
 from __future__ import annotations
@@ -148,11 +153,24 @@ def summarize(args) -> None:
             "wins": f"{m['change_wins']}/{m['pairs']}",
             "met": m["change_wins"] >= 0.9 * m["pairs"] and gap > m["parent"]["q3"] - m["parent"]["q1"],
         })
+    controls = []
+    for control in args.control:
+        workload, name = control.split(":")
+        m = workloads[workload]["metrics"][name]
+        controls.append({
+            "workload": workload,
+            "metric": name,
+            "median_change_rel": m["median_change_rel"],
+            "wins": f"{m['change_wins']}/{m['pairs']}",
+            "losses": f"{m['change_losses']}/{m['pairs']}",
+            "parent_spread_rel": m["parent_spread_rel"],
+        })
     out = {
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
         "pairing": "one parent and one change run per seed, alternating which runs first",
         "machine": machine(),
         "claims": claims,
+        "controls": controls,
         "workloads": workloads,
     }
     Path(args.out).write_text(json.dumps(out, indent=2) + "\n")
@@ -163,6 +181,13 @@ def summarize(args) -> None:
                   f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}], "
                   f"{m['median_change_rel']:+.1%}, won {m['change_wins']}/{m['pairs']}, "
                   f"spread {m['parent_spread_rel']:.3f}, {m['status']}")
+    beside = "".join(f"; control {c['workload']}:{c['metric']} {c['median_change_rel']:+.1%}, won {c['wins']}, "
+                     f"lost {c['losses']}, spread {c['parent_spread_rel']:.3f}" for c in controls)
+    for c in claims:
+        print(f"claim {c['workload']}:{c['metric']} {c['median_change_rel']:+.1%}, won {c['wins']}, "
+              f"{'met' if c['met'] else 'not met'}{beside}")
+    if controls and not claims:
+        print(beside[2:])
 
 
 def main(argv=None) -> None:
@@ -178,6 +203,7 @@ def main(argv=None) -> None:
     p = sub.add_parser("summarize", help="write the BENCH file from the runs")
     p.add_argument("--runs", required=True)
     p.add_argument("--claim", action="append", default=[], help="workload:metric claimed to improve")
+    p.add_argument("--control", action="append", default=[], help="workload:metric the change should not move")
     p.add_argument("--out", required=True)
     p.set_defaults(func=summarize)
     args = ap.parse_args(argv)

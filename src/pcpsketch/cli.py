@@ -6,6 +6,11 @@ or flattened CSV with dotted keys.  Exit codes: 0 when the requested
 assertion passes (or nothing was asserted), 2 when it fails, 1 on errors.
 The default seed is 0, overridable by the PCP_SEED environment variable
 and per-command --seed; every report echoes the seeds it used.
+
+A call whose first argument names a command builds that command's parser
+alone; any other argv (none, a root option, a mistyped command) builds all
+seven.  Help, usage errors and exit codes are the same either way.  This
+paragraph is left out of ``pcp --help``.
 """
 
 from __future__ import annotations
@@ -58,13 +63,11 @@ def _default_seed() -> int:
         raise ConfigError(f"PCP_SEED must be an integer, got {env!r}") from None
 
 
-def _add_source(p: _Parser) -> None:
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--input", help="matrix file (CSV or PCPM)")
-    src.add_argument("--gen", help="generator spec, e.g. powerlaw:n=40,d=200,alpha=1")
-
-
-def _add_sketch_args(p: _Parser) -> None:
+def _add_sketch_args(p: _Parser, source: bool = True) -> None:
+    if source:
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--input", help="matrix file (CSV or PCPM)")
+        src.add_argument("--gen", help="generator spec, e.g. powerlaw:n=40,d=200,alpha=1")
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
@@ -283,20 +286,8 @@ def _cmd_sketch(args) -> int:
     a = _load_source(args, seed)
     sk = make_sketch(a, args.method, _params(args, seed))
     save_matrix(args.out, sk.a_tilde)
-    print(
-        json.dumps(
-            _json_safe(
-                {
-                    "command": "sketch",
-                    "method": sk.method,
-                    "m": sk.m,
-                    "c_const": sk.c_const,
-                    "seed": seed,
-                    "path": args.out,
-                }
-            )
-        )
-    )
+    summary = {"command": "sketch", "method": sk.method, "m": sk.m, "c_const": sk.c_const, "seed": seed, "path": args.out}
+    print(json.dumps(_json_safe(summary)))
     return EXIT_PASS
 
 
@@ -408,93 +399,96 @@ def _cmd_bench(args) -> int:
 def _cmd_jl_moment(args) -> int:
     seed = _resolve_seed(args)
     est = jl_moment_estimate(args.family, args.d, args.m, args.ell, args.trials, seed)
-    print(
-        json.dumps(
-            {
-                "command": "jl-moment",
-                "family": args.family,
-                "d": args.d,
-                "m": args.m,
-                "ell": est.ell,
-                "trials": est.trials,
-                "seed": seed,
-                "estimate": est.estimate,
-                "stderr": est.stderr,
-            }
-        )
-    )
+    summary = {"command": "jl-moment", "family": args.family, "d": args.d, "m": args.m, "ell": est.ell,
+               "trials": est.trials, "seed": seed, "estimate": est.estimate, "stderr": est.stderr}
+    print(json.dumps(summary))
     return EXIT_PASS
 
 
-def build_parser() -> _Parser:
-    # argparse makes a formatter for every argument it adds, and each one
-    # made without a width asks the terminal for its size: ask once, for
-    # the width the stock formatter would pick
-    fmt = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    parser = _Parser(prog="pcp", description=__doc__, formatter_class=fmt)
-    sub = parser.add_subparsers(
-        dest="command", required=True, parser_class=functools.partial(_Parser, formatter_class=fmt)
-    )
-
-    p = sub.add_parser("gen", help="write a synthetic matrix")
+def _args_gen(p: _Parser) -> None:
     p.add_argument("--spec", required=True, help="e.g. lowrank:n=60,d=500,rank=3,noise=0.02")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("sketch", help="sketch a matrix to a file")
-    _add_source(p)
+
+def _args_sketch(p: _Parser) -> None:
     _add_sketch_args(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sketch)
 
-    p = sub.add_parser("certify", help="run both sufficient-condition certificates")
-    _add_source(p)
+
+def _args_certify(p: _Parser) -> None:
     _add_sketch_args(p)
     p.add_argument("--route", choices=("matrix", "spectral", "either", "both"), default="either")
     _add_output_args(p)
-    p.set_defaults(func=_cmd_certify)
 
-    p = sub.add_parser("verify", help="audit cost preservation over a probe set")
-    _add_source(p)
+
+def _args_verify(p: _Parser) -> None:
     _add_sketch_args(p)
     p.add_argument("--n-random", type=int, default=50)
     p.add_argument("--exhaustive-probes", action="store_true")
     _add_output_args(p)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("solve", help="solve a task on the sketch, check the transfer bound")
-    _add_source(p)
+
+def _args_solve(p: _Parser) -> None:
     _add_sketch_args(p)
     p.add_argument("--task", choices=("lowrank", "kmeans"), required=True)
     p.add_argument("--solver", choices=("exhaustive", "lloyd"), default="exhaustive")
     p.add_argument("--iters", type=int, default=50)
     _add_output_args(p)
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("bench", help="repeat verify over seeded trials")
+
+def _args_bench(p: _Parser) -> None:
     p.add_argument("--gen", required=True)
-    _add_sketch_args(p)
+    _add_sketch_args(p, source=False)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--n-random", type=int, default=20)
     p.add_argument("--min-pass-rate", type=float, default=1.0)
     _add_output_args(p)
-    p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("jl-moment", help="Monte-Carlo moment of a sketch family")
+
+def _args_jl_moment(p: _Parser) -> None:
     p.add_argument("--family", default="gaussian")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--ell", type=int, default=2)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_jl_moment)
 
+
+# name -> (help line, adds the arguments, handler), in the order help lists them
+_COMMANDS = {
+    "gen": ("write a synthetic matrix", _args_gen, _cmd_gen),
+    "sketch": ("sketch a matrix to a file", _args_sketch, _cmd_sketch),
+    "certify": ("run both sufficient-condition certificates", _args_certify, _cmd_certify),
+    "verify": ("audit cost preservation over a probe set", _args_verify, _cmd_verify),
+    "solve": ("solve a task on the sketch, check the transfer bound", _args_solve, _cmd_solve),
+    "bench": ("repeat verify over seeded trials", _args_bench, _cmd_bench),
+    "jl-moment": ("Monte-Carlo moment of a sketch family", _args_jl_moment, _cmd_jl_moment),
+}
+
+
+def build_parser(commands=_COMMANDS) -> _Parser:
+    """The parser of ``pcp`` with the subcommands named in ``commands``
+    (every one by default), registered in the order help lists them."""
+    # argparse makes a formatter for every argument it adds, and each one
+    # made without a width asks the terminal for its size: ask once, for
+    # the width the stock formatter would pick
+    fmt = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = _Parser(prog="pcp", description=__doc__.rsplit("\n\n", 1)[0], formatter_class=fmt)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=functools.partial(_Parser, formatter_class=fmt)
+    )
+    for name, (help_line, add_args, handler) in _COMMANDS.items():
+        if name in commands:
+            p = sub.add_parser(name, help=help_line)
+            add_args(p)
+            p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # only the named command's parser, or every command's (see the docstring)
+    parser = build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args = parser.parse_args(argv)
         return args.func(args)

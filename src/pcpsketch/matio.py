@@ -12,6 +12,7 @@ saving picks the binary format for paths ending in .pcpm.
 
 from __future__ import annotations
 
+import io
 import itertools
 import struct
 from pathlib import Path
@@ -38,15 +39,20 @@ def save_binary(path, a) -> None:
 
 def load_binary(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise InvalidInputError(f"{path}: truncated header")
-        magic, version, n, d = _HEADER.unpack(header)
-        if magic != MAGIC:
-            raise InvalidInputError(f"{path}: bad magic {magic!r}")
-        if version != VERSION:
-            raise InvalidInputError(f"{path}: unsupported version {version}")
-        data = fh.read()
+        return _read_binary(fh, path)
+
+
+def _read_binary(fh, path) -> np.ndarray:
+    """The PCPM matrix in binary handle ``fh``; ``path`` names it in errors."""
+    header = fh.read(_HEADER.size)
+    if len(header) != _HEADER.size:
+        raise InvalidInputError(f"{path}: truncated header")
+    magic, version, n, d = _HEADER.unpack(header)
+    if magic != MAGIC:
+        raise InvalidInputError(f"{path}: bad magic {magic!r}")
+    if version != VERSION:
+        raise InvalidInputError(f"{path}: unsupported version {version}")
+    data = fh.read()
     expected = 8 * n * d
     if len(data) != expected:
         raise InvalidInputError(f"{path}: expected {expected} data bytes, got {len(data)}")
@@ -100,20 +106,25 @@ def _first_bad_row(rows) -> str | None:
 
 def load_csv(path) -> np.ndarray:
     """Read a CSV matrix; a ``# n d`` comment before the first row must match the data."""
-    header: list = []
     with open(path) as fh:
-        rows = _data_lines(fh, header)
-        first = next(rows, None)
-        if first is None:
-            raise InvalidMatrixError(f"{path}: no data rows")
-        lines = (line for _, line in itertools.chain([first], rows))
-        try:
-            a = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:
-            # loadtxt counts data rows, not file lines: find the line again
-            fh.seek(0)
-            where = _first_bad_row(_data_lines(fh, []))
-            raise InvalidInputError(f"{path}:{where}" if where else f"{path}: {exc}") from None
+        return _read_csv(fh, path)
+
+
+def _read_csv(fh, path) -> np.ndarray:
+    """The CSV matrix in text handle ``fh``; ``path`` names it in errors."""
+    header: list = []
+    rows = _data_lines(fh, header)
+    first = next(rows, None)
+    if first is None:
+        raise InvalidMatrixError(f"{path}: no data rows")
+    lines = (line for _, line in itertools.chain([first], rows))
+    try:
+        a = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        # loadtxt counts data rows, not file lines: find the line again
+        fh.seek(0)
+        where = _first_bad_row(_data_lines(fh, []))
+        raise InvalidInputError(f"{path}:{where}" if where else f"{path}: {exc}") from None
     if header and header[0] != a.shape:
         raise InvalidInputError(
             f"{path}: header says {header[0][0]} x {header[0][1]}, data is {a.shape[0]} x {a.shape[1]}"
@@ -130,12 +141,20 @@ def save_matrix(path, a) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a matrix, sniffing the binary magic regardless of extension."""
+    """Read a matrix, sniffing the binary magic regardless of extension.
+
+    The file is opened once: the magic is read and the format parsed from
+    the same handle.  A missing file is an ``InvalidInputError``; any other
+    failure to open it (a directory, no permission) stays an ``OSError``."""
     p = Path(path)
-    if not p.exists():
-        raise InvalidInputError(f"{path}: no such file")
-    with open(p, "rb") as fh:
-        head = fh.read(4)
-    if head == MAGIC:
-        return load_binary(p)
-    return load_csv(p)
+    try:
+        fh = open(p, "rb")
+    except FileNotFoundError:
+        raise InvalidInputError(f"{path}: no such file") from None
+    with fh:
+        head = fh.read(len(MAGIC))
+        fh.seek(0)
+        if head == MAGIC:
+            return _read_binary(fh, p)
+        with io.TextIOWrapper(fh) as text:
+            return _read_csv(text, p)

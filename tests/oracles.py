@@ -333,6 +333,14 @@ def dinkelbach_distortion(a, a_tilde, c, k):
     """Exact sup over rank-j projections P, j = 0..k, of the |signed error|
     (cost_sketch(P) + c - cost_a(P)) / cost_a(P), in A's own n x n
     coordinates; cost_a must be positive at every rank-<=k P (rank(A) > k).
+    The value of ``dinkelbach_witness``."""
+    return dinkelbach_witness(a, a_tilde, c, k)[0]
+
+
+def dinkelbach_witness(a, a_tilde, c, k):
+    """(value, sign, j, Q) of ``dinkelbach_distortion``: the sup, the sign s
+    and rank j of the error it is attained at, and an n x j orthonormal Q
+    whose projection QQ^T has signed error s * value.
 
     With E = A_tilde A_tilde^T - A A^T, the error at P = Q Q^T is
     s (tr E + c - tr Q^T E Q) / (tr A A^T - tr Q^T A A^T Q) for sign s.
@@ -353,18 +361,21 @@ def dinkelbach_distortion(a, a_tilde, c, k):
         cost_a = cost(a, q)
         return (cost(a_tilde, q) + c - cost_a) / cost_a
 
-    best = abs(signed(np.zeros((a.shape[0], 0))))
+    q0 = np.zeros((a.shape[0], 0))
+    err0 = signed(q0)
+    best, witness = abs(err0), (1.0 if err0 >= 0 else -1.0, 0, q0)
     for s in (1.0, -1.0):
         for j in range(1, k + 1):
-            lam = 0.0
+            lam, q_lam = 0.0, None
             for _ in range(200):
                 q = np.linalg.eigh(s * e - lam * aat)[1][:, :j]
                 nxt = s * signed(q)
                 if nxt <= lam:
                     break
-                lam = nxt
-            best = max(best, lam)
-    return best
+                lam, q_lam = nxt, q
+            if lam > best:
+                best, witness = lam, (s, j, q_lam)
+    return (best,) + witness
 
 
 def probe_projections(probes):

@@ -36,6 +36,7 @@ from pcpsketch.solvers import cluster_indicator_projection, partition_costs, par
 
 from oracles import (
     dinkelbach_distortion,
+    dinkelbach_witness,
     implication_test,
     lloyd_reference,
     partitions_reference,
@@ -580,6 +581,25 @@ class TestDinkelbachOracle:
             assert not v.report.zero_cost.any()
             exact = dinkelbach_distortion(a, v.sketch.a_tilde, v.sketch.c_const, k)
             assert exact >= v.report.max_abs_rel_err - 1e-12, (n, exact, v.report.max_abs_rel_err)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_witness_scores_its_value(self, method):
+        # full-rank inputs, n <= 10: the library's projection_cost at the
+        # witness Q, on A and on the sketch, gives the signed error s * value
+        for seed, (n, d, k) in enumerate(((4, 30, 1), (7, 25, 2), (10, 40, 3), (9, 12, 3))):
+            a = rand(70 + seed, (n, d))
+            params = SketchParams(k=k, eps=0.5, seed=seed, m_override=8)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", WidthNotReducingWarning)
+                sk = make_sketch(a, method, params)
+            at, c = sk.a_tilde, sk.c_const
+            value, sign, j, q = dinkelbach_witness(a, at, c, k)
+            assert value == dinkelbach_distortion(a, at, c, k)
+            assert sign in (1.0, -1.0) and 0 <= j <= k and q.shape == (n, j)
+            p = Projection(q)
+            cost_a = projection_cost(a, p)
+            signed = (projection_cost(at, p) + c - cost_a) / cost_a
+            assert signed == pytest.approx(sign * value, rel=1e-12, abs=0.0), (n, method, j)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_exact_value_dominates_partitions_and_200_haar_probes(self, method):

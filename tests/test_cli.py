@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pcpsketch import audit, solvers
+from pcpsketch import audit, cli, solvers
 from pcpsketch.cli import _dumps, _emit, _json_safe, _pcp_block, _Rows, build_parser, main
 from pcpsketch.generators import gen_synthetic, parse_generator_spec
 from pcpsketch.guarantees import certify, jl_moment_estimate
@@ -358,6 +358,57 @@ class TestHelpText:
             parser.formatter_class = argparse.HelpFormatter
             assert printed == parser.format_help(), argv
         assert sorted(subparsers.choices) == sorted(self.COMMANDS)
+
+
+class TestOneCommandParser:
+    """``main`` builds only the parser of the command ``argv[0]`` names; what
+    it prints and returns must be what the whole tree gives."""
+
+    GEN = "powerlaw:n=4,d=6,alpha=1"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["bogus"],
+            ["certify", "--gen", GEN],
+            ["certify", "--gen", GEN, "--method", "svd", "--k", "x", "--eps", "0.5"],
+            ["certify", "--gen", GEN, "--method", "fft", "--k", "1", "--eps", "0.5"],
+            ["certify", "--gen", GEN, "--method", "svd", "--k", "1", "--eps", "0.5", "extra"],
+        ],
+    )
+    def test_usage_errors_match_the_full_tree(self, capsys, monkeypatch, argv):
+        one = run(capsys, *argv)
+        full_tree = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda *_: full_tree())
+        assert one == run(capsys, *argv)
+        assert one[0] == 1 and one[1] == "" and one[2].startswith("error: ")
+
+    def count_parsers(self, monkeypatch) -> list:
+        progs = []
+
+        class Counting(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                progs.append(kwargs["prog"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_Parser", Counting)
+        return progs
+
+    def test_a_command_builds_two_parsers(self, tmp_path, capsys, monkeypatch):
+        progs = self.count_parsers(monkeypatch)
+        argv = ["sketch", "--gen", self.GEN, "--method", "svd", "--k", "1", "--eps", "0.5"]
+        code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "at.pcpm"))
+        assert code == 0
+        assert progs == ["pcp", "pcp sketch"]
+
+    def test_root_help_builds_all_eight(self, capsys, monkeypatch):
+        progs = self.count_parsers(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert progs == ["pcp"] + [f"pcp {c}" for c in TestHelpText.COMMANDS]
+        assert "{gen,sketch,certify,verify,solve,bench,jl-moment}" in capsys.readouterr().out
 
 
 class TestErrorPaths:

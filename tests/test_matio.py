@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pcpsketch import matio
 from pcpsketch.errors import InvalidInputError, InvalidMatrixError
 from pcpsketch.matio import (
     load_binary,
@@ -192,3 +193,41 @@ class TestDispatch:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InvalidInputError, match="no such file"):
             load_matrix(tmp_path / "absent.csv")
+
+    @pytest.mark.parametrize("name", ["a.pcpm", "a.csv"])
+    def test_opens_the_file_once(self, tmp_path, monkeypatch, name):
+        # the magic is sniffed from the handle the format is then read from
+        a = awkward_matrix()
+        path = tmp_path / name
+        save_matrix(path, a)
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(matio, "open", counting_open, raising=False)
+        assert np.array_equal(load_matrix(path), a)
+        assert opened == [path]
+
+    def test_errors_name_the_line_through_one_handle(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# 2 2\n1,2\n\n3,x\n")
+        with pytest.raises(InvalidInputError) as info:
+            load_matrix(path)
+        assert str(info.value) == f"{path}:4: unparseable row"
+
+    def test_directory_keeps_its_os_error(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            load_matrix(tmp_path)
+
+    def test_permission_error_keeps_its_os_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.csv"
+        save_matrix(path, np.eye(2))
+
+        def denied(file, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(file))
+
+        monkeypatch.setattr(matio, "open", denied, raising=False)
+        with pytest.raises(PermissionError):
+            load_matrix(path)
