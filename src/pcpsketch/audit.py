@@ -41,7 +41,7 @@ import numpy as np
 from .errors import DimensionError, InvalidInputError, InvalidMatrixError, WidthNotReducingWarning
 from .generators import GeneratorSpec, gen_synthetic
 from .guarantees import Certificate, certify
-from .linalg import RANK_TOL, Factored, SvdFactorization, _haar_bases, as_matrix, factor, frob2, projection_cost, svd
+from .linalg import RANK_TOL, Factored, SvdFactorization, as_matrix, factor, frob2, orthonormal_columns, projection_cost, svd
 from .rng import Stream, derive_seed, rng_for
 from .sketch import Sketch, SketchParams, make_sketch
 from .solvers import (
@@ -68,7 +68,7 @@ ZERO_COST_REL = 1e-12
 ZERO_CHECK_REL = 1e-8
 _PROBE_LLOYD_RUNS = 5
 _PROBE_LLOYD_ITERS = 25
-# the implication harness cycles through these per trial
+# the implication harness draws its trials from these (``_harness_trial``)
 _HARNESS_EPS = (0.3, 0.5)
 _HARNESS_KS = (1, 2, 3)
 _HARNESS_METHODS = ("gaussian", "nonoblivious", "leverage", "ridge")
@@ -254,7 +254,7 @@ def generate_probes(
     i += 2
     bases[i : i + len(labels)] = _indicators(labels, kk)
     i += len(labels)
-    bases[i:] = _haar_bases(n, kk, n_random, rng_for(seed, Stream.PROBE_HAAR))
+    bases[i:] = orthonormal_columns(rng_for(seed, Stream.PROBE_HAAR).standard_normal((n_random, n, kk)))
     return ProbeSet(bases, tags, k, partitions(n, kk) if exhaustive else None)
 
 
@@ -360,10 +360,9 @@ class HarnessSummary:
     max_err_over_trials: float
 
 
-def _harness_instance(rng, k: int, trial: int, seed: int):
+def _harness_instance(rng, k: int, family: int, trial: int, seed: int):
     n = int(rng.integers(4, 13))
     d = int(rng.integers(max(8, k + 2), 31))
-    family = trial % 4
     gseed = derive_seed(seed, Stream.HARNESS, trial, 1)
     if family == 0:
         return rng.standard_normal((n, d))
@@ -381,14 +380,36 @@ def _harness_instance(rng, k: int, trial: int, seed: int):
     return gen_synthetic(GeneratorSpec("lowrank", n=n, d=d, rank=r, noise=0.0, seed=gseed))
 
 
+def _harness_trial(t: int, seed: int):
+    """Trial ``t`` of the implication harness: its matrix, its method and
+    the sketch parameters.  With i = t % 4, j = t // 4 % 4 and
+    g = t // 16 % 4, the method is i, the width factor i ^ j and the
+    instance family j ^ g (XOR): every pair of values of two of the three
+    occurs once in every 16 trials, and every triple once in every 64."""
+    i, j, g = t % 4, t // 4 % 4, t // 16 % 4
+    k = _HARNESS_KS[t % len(_HARNESS_KS)]
+    a = _harness_instance(rng_for(seed, Stream.HARNESS, t), k, j ^ g, t, seed)
+    width = max(2, int(round(a.shape[1] * _HARNESS_WIDTH_FACTORS[i ^ j])))
+    params = SketchParams(
+        k=k,
+        eps=_HARNESS_EPS[(t // len(_HARNESS_KS)) % len(_HARNESS_EPS)],
+        delta=0.1,
+        seed=derive_seed(seed, Stream.HARNESS, t, 2),
+        m_override=width,
+    )
+    return a, _HARNESS_METHODS[i], params
+
+
 def implication_harness(trials: int, seed: int = 0, n_random_probes: int = 6) -> HarnessSummary:
     """Randomized sweep of the certificate-to-audit implication.
 
-    Instances are small random matrices of mixed character (i.i.d., planted
+    Instances are small random matrices of four families (i.i.d., planted
     low rank with and without noise, power-law spectra, exact rank <= k);
-    the operator cycles through the zero-constant constructions across a
-    width sweep from far-too-narrow to generously wide.  Returns the trial
-    summary including every implication violation found (expected: none).
+    the operator is one of the zero-constant constructions, at a width
+    from far too narrow to generously wide.  Family, method and width
+    factor follow an orthogonal array (``_harness_trial``), so each method
+    meets each family and each width.  Returns the trial summary including
+    every implication violation found (expected: none).
     """
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
@@ -396,20 +417,7 @@ def implication_harness(trials: int, seed: int = 0, n_random_probes: int = 6) ->
     t1_holds = t2_holds = 0
     worst = 0.0
     for t in range(trials):
-        rng = rng_for(seed, Stream.HARNESS, t)
-        k = _HARNESS_KS[t % len(_HARNESS_KS)]
-        eps = _HARNESS_EPS[(t // len(_HARNESS_KS)) % len(_HARNESS_EPS)]
-        method = _HARNESS_METHODS[t % len(_HARNESS_METHODS)]
-        a = _harness_instance(rng, k, t, seed)
-        d = a.shape[1]
-        width = max(2, int(round(d * _HARNESS_WIDTH_FACTORS[t % len(_HARNESS_WIDTH_FACTORS)])))
-        params = SketchParams(
-            k=k,
-            eps=eps,
-            delta=0.1,
-            seed=derive_seed(seed, Stream.HARNESS, t, 2),
-            m_override=width,
-        )
+        a, method, params = _harness_trial(t, seed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WidthNotReducingWarning)
             v = verify_sketch(
@@ -424,9 +432,9 @@ def implication_harness(trials: int, seed: int = 0, n_random_probes: int = 6) ->
                 {
                     "trial": t,
                     "method": method,
-                    "k": k,
-                    "eps": eps,
-                    "width": width,
+                    "k": params.k,
+                    "eps": params.eps,
+                    "width": params.m_override,
                     "max_abs_rel_err": report.max_abs_rel_err,
                     "t1_holds": t1.holds,
                     "t2_holds": t2.holds,

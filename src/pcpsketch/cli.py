@@ -251,17 +251,10 @@ def _pcp_block(report) -> dict:
     }
 
 
-def _base_report(sk, args, seed: int) -> dict:
+def _base_report(sk) -> dict:
     return {
         "method": sk.method,
-        "params": {
-            "k": args.k,
-            "eps": args.eps,
-            "delta": args.delta,
-            "const_c": args.const_c,
-            "seed": seed,
-            "m_override": args.m,
-        },
+        "params": dataclasses.asdict(sk.params),
         "m": sk.m,
         "c_const": sk.c_const,
         "certificate_t1": None,
@@ -297,7 +290,7 @@ def _cmd_certify(args) -> int:
     start = time.perf_counter()
     sk = make_sketch(a, args.method, _params(args, seed))
     t1, t2 = certify(a, sk.operator, args.k, args.eps)
-    report = _base_report(sk, args, seed)
+    report = _base_report(sk)
     report["certificate_t1"] = _certificate_block(t1)
     report["certificate_t2"] = _certificate_block(t2)
     report["timing_ms"] = 1e3 * (time.perf_counter() - start)
@@ -318,7 +311,7 @@ def _cmd_verify(args) -> int:
     v = audit.verify_sketch(
         a, args.method, _params(args, seed), args.n_random, seed, exhaustive=args.exhaustive_probes
     )
-    report = _base_report(v.sketch, args, seed)
+    report = _base_report(v.sketch)
     report["certificate_t1"] = _certificate_block(v.certificate_t1)
     report["certificate_t2"] = _certificate_block(v.certificate_t2)
     report["pcp"] = _pcp_block(v.report)
@@ -334,7 +327,7 @@ def _cmd_solve(args) -> int:
     sk = make_sketch(a, args.method, _params(args, seed))
     result = audit.sketch_and_solve(a, sk, args.task, solver=args.solver, iters=args.iters, seed=seed)
     check = result.transfer
-    report = _base_report(sk, args, seed)
+    report = _base_report(sk)
     # gamma is 1 for the exact solvers, the ones with a transfer check
     report["transfer"] = {"task": args.task, "gamma": None, "lhs": result.cost_on_a, "rhs": None, "holds": None}
     if check is not None:
@@ -354,6 +347,8 @@ def _cmd_solve(args) -> int:
 def _cmd_bench(args) -> int:
     if args.trials < 1:
         raise ConfigError("--trials must be at least 1")
+    if not 0.0 <= args.min_pass_rate <= 1.0:
+        raise ConfigError(f"--min-pass-rate must be in [0, 1], got {args.min_pass_rate}")
     seed = _resolve_seed(args)
     start = time.perf_counter()
     base = _params(args, seed)
@@ -475,9 +470,9 @@ def build_parser(commands=_COMMANDS) -> _Parser:
     # the width the stock formatter would pick
     fmt = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = _Parser(prog="pcp", description=__doc__.rsplit("\n\n", 1)[0], formatter_class=fmt)
-    sub = parser.add_subparsers(
-        dest="command", required=True, parser_class=functools.partial(_Parser, formatter_class=fmt)
-    )
+    # not required, so that an unknown root option is named before the
+    # missing command; main reports that one
+    sub = parser.add_subparsers(dest="command", parser_class=functools.partial(_Parser, formatter_class=fmt))
     for name, (help_line, add_args, handler) in _COMMANDS.items():
         if name in commands:
             p = sub.add_parser(name, help=help_line)
@@ -491,6 +486,8 @@ def main(argv=None) -> int:
     parser = build_parser(argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS)
     try:
         args = parser.parse_args(argv)
+        if args.command is None:
+            raise ConfigError("the following arguments are required: command")
         return args.func(args)
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -250,38 +250,24 @@ def projection_cost(a, p: Projection) -> float:
 
 
 def orthonormal_columns(g) -> np.ndarray:
-    """Orthonormalize the columns of ``g`` by Householder QR.
+    """Orthonormalize the columns of ``g``, or of each matrix of a
+    (count, n, j) stack, by Householder QR.
 
     The signs of ``diag(R)`` are moved into Q, which makes the factorization
     unique, so a standard-normal ``g`` gives a Haar-distributed basis
     (Mezzadri, arXiv:math-ph/0609050).  Numerically dependent columns
-    (``|R_jj|`` at or below 1e-12 * sqrt(n)) are an error.
+    (``|R_jj|`` at or below 1e-12 * sqrt(n)) are an error.  A stack goes
+    through one ``np.linalg.qr``, which runs LAPACK on each matrix as a
+    single call would, so each basis is bit for bit the one it gets alone.
     """
     g = np.asarray(g, dtype=float)
-    if g.ndim != 2:
-        raise InvalidMatrixError("need a tall 2-D array to orthonormalize")
-    return _orthonormal_stack(g[None])[0]
-
-
-def _orthonormal_stack(g: np.ndarray) -> np.ndarray:
-    """``orthonormal_columns`` of each matrix of a (count, n, j) stack, in one
-    stacked ``np.linalg.qr``, which runs LAPACK on each matrix as a single
-    call would, so each basis is bit for bit the one that matrix gets alone."""
-    g = np.asarray(g, dtype=float)
-    if g.shape[-1] > g.shape[-2]:
-        raise InvalidMatrixError("need a tall 2-D array to orthonormalize")
+    if g.ndim not in (2, 3) or g.shape[-1] > g.shape[-2]:
+        raise InvalidMatrixError("need a tall 2-D array or a stack of them to orthonormalize")
     q, r = np.linalg.qr(g)
-    diag = np.diagonal(r, axis1=1, axis2=2)
-    if (np.abs(diag) <= 1e-12 * np.sqrt(g.shape[1])).any():
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    if (np.abs(diag) <= 1e-12 * np.sqrt(g.shape[-2])).any():
         raise InvalidInputError("columns are numerically dependent")
-    return q * np.sign(diag)[:, None, :]
-
-
-def _haar_bases(n: int, k: int, count: int, rng) -> np.ndarray:
-    """(count, n, k) stack of Haar bases from one standard-normal draw of
-    ``rng``, orthonormalized together: basis i comes from the i-th n x k
-    block of the stream, so it is the same in any longer stack."""
-    return _orthonormal_stack(rng.standard_normal((count, n, k)))
+    return q * np.sign(diag)[..., None, :]
 
 
 def haar_subspace(n: int, k: int, seed: int = 0) -> Projection:
@@ -292,4 +278,4 @@ def haar_subspace(n: int, k: int, seed: int = 0) -> Projection:
     """
     if not 1 <= k <= n:
         raise InvalidRankError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return Projection(_haar_bases(n, k, 1, rng_for(seed, Stream.HAAR))[0])
+    return Projection(orthonormal_columns(rng_for(seed, Stream.HAAR).standard_normal((n, k))))

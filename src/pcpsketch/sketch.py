@@ -188,6 +188,20 @@ def _warn_if_not_reducing(m: int, d: int, method: str) -> None:
         )
 
 
+def _finish(a, s, method: str, params: SketchParams) -> Sketch:
+    """The sketch A_tilde = A S of operator ``s``, m = its column count.
+
+    Warns when m does not reduce A's width.  The additive constant is 0,
+    except for "svd", where it is the mass A_tilde leaves out,
+    max(|A|_F^2 - |A_tilde|_F^2, 0).
+    """
+    a_tilde = a.a @ s
+    m = s.shape[1]
+    _warn_if_not_reducing(m, a.shape[1], method)
+    c_const = max(a.frob2 - frob2(a_tilde), 0.0) if method == "svd" else 0.0
+    return Sketch(a_tilde, s, c_const, method, params, m)
+
+
 def gaussian_width(params: SketchParams) -> int:
     c = params.const_for("gaussian")
     return math.ceil(c * (params.k + math.log(1.0 / params.delta)) / params.eps**2)
@@ -200,12 +214,9 @@ def gaussian_sketch(a, params: SketchParams) -> Sketch:
     the additive constant is zero.
     """
     a = factor(a)
-    d = a.shape[1]
     m = params.m_override if params.m_override is not None else gaussian_width(params)
-    _warn_if_not_reducing(m, d, "gaussian")
     rng = rng_for(params.seed, Stream.GAUSSIAN_SKETCH)
-    s = rng.standard_normal((d, m)) / math.sqrt(m)
-    return Sketch(a.a @ s, s, 0.0, "gaussian", params, m)
+    return _finish(a, rng.standard_normal((a.shape[1], m)) / math.sqrt(m), "gaussian", params)
 
 
 def orthogonal_sketch(a, params: SketchParams) -> Sketch:
@@ -213,8 +224,7 @@ def orthogonal_sketch(a, params: SketchParams) -> Sketch:
     a = factor(a)
     d = a.shape[1]
     s = orthonormal_columns(rng_for(params.seed, Stream.ORTHOGONAL_SKETCH).standard_normal((d, d)))
-    _warn_if_not_reducing(d, d, "orthogonal")
-    return Sketch(a.a @ s, s, 0.0, "orthogonal", params, d)
+    return _finish(a, s, "orthogonal", params)
 
 
 def non_oblivious_rp(a, params: SketchParams) -> Sketch:
@@ -225,7 +235,7 @@ def non_oblivious_rp(a, params: SketchParams) -> Sketch:
     the final width is rank(Pi A) <= m'.  A zero matrix gets the one-column
     zero sketch.
     """
-    a = factor(a).a
+    a = factor(a)
     n, d = a.shape
     c = params.const_for("nonoblivious")
     m_pi = params.m_override if params.m_override is not None else math.ceil(
@@ -233,35 +243,32 @@ def non_oblivious_rp(a, params: SketchParams) -> Sketch:
     )
     rng = rng_for(params.seed, Stream.NON_OBLIVIOUS)
     pi = rng.standard_normal((m_pi, n))
-    z = svd(pi @ a).v
+    z = np.array(svd(pi @ a.a).v)
     if z.shape[1] == 0:
         z = np.zeros((d, 1))
-    _warn_if_not_reducing(z.shape[1], d, "nonoblivious")
-    return Sketch(a @ z, np.array(z), 0.0, "nonoblivious", params, z.shape[1])
+    return _finish(a, z, "nonoblivious", params)
 
 
 def _indices_from_uniforms(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF lookup: boundary hits go to the lowest positive-probability
-    interval, and zero-probability columns are never selected."""
-    cum = np.cumsum(probs)
-    idx = np.searchsorted(cum, u, side="left")
-    idx = np.minimum(idx, probs.shape[0] - 1)
-    positive = probs > 0.0
-    if not positive.all():
-        # next_pos[i] = smallest j >= i with probs[j] > 0 (last positive past the end)
-        d = probs.shape[0]
-        own = np.where(positive, np.arange(d), d)
-        next_pos = np.minimum.accumulate(own[::-1])[::-1]
-        last = int(np.nonzero(positive)[0][-1])
-        idx = np.minimum(next_pos, last)[idx]
-    return idx.astype(np.int64)
+    interval, and zero-probability columns are never selected.
+
+    The first index whose cumulative mass reaches u has positive mass,
+    except index 0 at u = 0 and the slot past the end (when rounding leaves
+    the total below u); clipping to the first and last positive columns
+    covers both.
+    """
+    positive = np.flatnonzero(probs > 0.0)
+    return np.clip(np.searchsorted(np.cumsum(probs), u, side="left"), positive[0], positive[-1])
 
 
-def _sample_columns(a: np.ndarray, probs: np.ndarray, m: int, rng) -> tuple[np.ndarray, SamplingPattern]:
-    u = rng.random(m)
-    idx = _indices_from_uniforms(probs, u)
-    pattern = SamplingPattern(idx, 1.0 / np.sqrt(m * probs[idx]), probs)
-    return a @ pattern, pattern
+def _sample(a, probs: np.ndarray, m: int, stream: Stream, method: str, params: SketchParams) -> Sketch:
+    """The sketch of m columns drawn i.i.d. from ``probs`` on the stream
+    ``(params.seed, stream)``, each rescaled by 1 / sqrt(m p_i)."""
+    if probs.shape[0] < 2:
+        raise InvalidInputError("column sampling needs at least 2 columns")
+    idx = _indices_from_uniforms(probs, rng_for(params.seed, stream).random(m))
+    return _finish(a, SamplingPattern(idx, 1.0 / np.sqrt(m * probs[idx]), probs), method, params)
 
 
 def leverage_width(params: SketchParams) -> int:
@@ -279,9 +286,6 @@ def leverage_residual_sample(a, params: SketchParams) -> Sketch:
     rescaled by 1 / sqrt(m p_i).
     """
     a = factor(a)
-    d = a.shape[1]
-    if d < 2:
-        raise InvalidInputError("column sampling needs at least 2 columns")
     k = params.k
     fact = a.fact
     v2 = fact.v * fact.v
@@ -292,12 +296,10 @@ def leverage_residual_sample(a, params: SketchParams) -> Sketch:
     elif fact.rank > 0:
         probs = lev
     else:
-        probs = np.ones(d)
+        probs = np.ones(a.shape[1])
     probs = probs / probs.sum()
     m = params.m_override if params.m_override is not None else leverage_width(params)
-    _warn_if_not_reducing(m, d, "leverage")
-    a_tilde, pattern = _sample_columns(a.a, probs, m, rng_for(params.seed, Stream.LEVERAGE_SAMPLE))
-    return Sketch(a_tilde, pattern, 0.0, "leverage", params, m)
+    return _sample(a, probs, m, Stream.LEVERAGE_SAMPLE, "leverage", params)
 
 
 def ridge_scores(a, k: int) -> RidgeScores:
@@ -334,8 +336,6 @@ def ridge_leverage_sample(a, params: SketchParams, tau_over=None) -> Sketch:
     """
     a = factor(a)
     d = a.shape[1]
-    if d < 2:
-        raise InvalidInputError("column sampling needs at least 2 columns")
     scores = ridge_scores(a, params.k)
     if tau_over is not None:
         tau_over = np.asarray(tau_over, dtype=float)
@@ -354,10 +354,8 @@ def ridge_leverage_sample(a, params: SketchParams, tau_over=None) -> Sketch:
         total = float(d)
     else:
         probs = tau / total
-    t = params.m_override if params.m_override is not None else ridge_width(params, total)
-    _warn_if_not_reducing(t, d, "ridge")
-    a_tilde, pattern = _sample_columns(a.a, probs, t, rng_for(params.seed, Stream.RIDGE_SAMPLE))
-    return Sketch(a_tilde, pattern, 0.0, "ridge", params, t)
+    m = params.m_override if params.m_override is not None else ridge_width(params, total)
+    return _sample(a, probs, m, Stream.RIDGE_SAMPLE, "ridge", params)
 
 
 def svd_sketch(a, params: SketchParams) -> Sketch:
@@ -372,13 +370,8 @@ def svd_sketch(a, params: SketchParams) -> Sketch:
     m_req = params.m_override if params.m_override is not None else math.ceil(
         params.k / params.eps
     )
-    fact = a.fact
-    m = max(min(m_req, fact.rank), 1)
-    v_m = fact.v[:, :m] if fact.rank else np.zeros((a.shape[1], 1))
-    a_tilde = a.a @ v_m
-    c_const = max(a.frob2 - frob2(a_tilde), 0.0)
-    _warn_if_not_reducing(m, a.shape[1], "svd")
-    return Sketch(a_tilde, np.array(v_m), c_const, "svd", params, m)
+    v_m = np.array(a.fact.v[:, :m_req]) if a.fact.rank else np.zeros((a.shape[1], 1))
+    return _finish(a, v_m, "svd", params)
 
 
 _CONSTRUCTORS = {

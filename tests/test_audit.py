@@ -6,9 +6,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from pcpsketch import audit
 from pcpsketch.audit import (
     ProbeSet,
     _factor_sketch,
+    _harness_trial,
     approx_transfer_check,
     generate_probes,
     implication_harness,
@@ -417,6 +419,55 @@ class TestImplicationHarness:
     def test_rejects_bad_trials(self):
         with pytest.raises(InvalidInputError):
             implication_harness(trials=0)
+
+    def test_trials_form_an_orthogonal_array(self, monkeypatch):
+        # every pair of (method, width factor, family) values once in each
+        # 16 trials, and every triple once in each 64
+        families = []
+        real = audit._harness_instance
+
+        def recording(rng, k, family, trial, seed):
+            families.append(family)
+            return real(rng, k, family, trial, seed)
+
+        monkeypatch.setattr(audit, "_harness_instance", recording)
+        factors = np.log(audit._HARNESS_WIDTH_FACTORS)
+        trials = []
+        for t in range(128):
+            a, method, params = _harness_trial(t, 5)
+            width = int(np.argmin(np.abs(np.log(params.m_override / a.shape[1]) - factors)))
+            trials.append((audit._HARNESS_METHODS.index(method), width, families[-1]))
+        for start in range(0, 128, 16):
+            block = trials[start : start + 16]
+            for x, y in ((0, 1), (0, 2), (1, 2)):
+                assert len({(trial[x], trial[y]) for trial in block}) == 16, (start, x, y)
+        for start in (0, 64):
+            assert len(set(trials[start : start + 64])) == 64
+
+
+class TestHarnessSoundness:
+    """Harness trials scored exactly: wherever a certificate holds on a
+    matrix of rank > k, the domain of the dense oracle, the sketch keeps
+    every rank-<=k cost within eps."""
+
+    def test_certified_trials_keep_every_cost_within_eps(self):
+        lossy = set()
+        for t in range(400):
+            a, method, params = _harness_trial(t, 0)
+            if svd(a).rank <= params.k:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", WidthNotReducingWarning)
+                sk = make_sketch(a, method, params)
+            t1, t2 = certify(a, sk.operator, params.k, params.eps)
+            if not (t1.holds or t2.holds):
+                continue
+            exact = dinkelbach_distortion(a, sk.a_tilde, sk.c_const, params.k)
+            assert exact <= params.eps + 1e-9, (t, method, exact)
+            if exact > 1e-6:
+                lossy.add(method)
+        # certificates endorse lossy sketches too, not only lossless ones
+        assert {"gaussian", "leverage"} <= lossy, lossy
 
 
 def costs_on_both(a, a_tilde, candidates):

@@ -289,6 +289,16 @@ class TestBenchCmd:
         assert code == 2
         assert payload["pass_rate"] < 0.5
 
+    @pytest.mark.parametrize("rate", ["5", "1.0001", "-0.1", "nan", "inf"])
+    def test_min_pass_rate_outside_0_1_rejected(self, capsys, rate):
+        code, out, err = run(
+            capsys,
+            "bench", "--gen", "powerlaw:n=10,d=24,alpha=1", "--method", "orthogonal",
+            "--k", "2", "--eps", "0.4", "--trials", "1", "--n-random", "1", "--min-pass-rate", rate,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --min-pass-rate must be in [0, 1]"), err
+
 
 class TestJlMomentCmd:
     def test_matches_library(self, capsys):
@@ -426,6 +436,10 @@ class TestErrorPaths:
             "--method", "fft", "--k", "1", "--eps", "0.5",
         )
         assert code == 1
+
+    def test_unknown_root_option_is_named(self, capsys):
+        assert run(capsys, "--bogus") == (1, "", "error: unrecognized arguments: --bogus\n")
+        assert run(capsys) == (1, "", "error: the following arguments are required: command\n")
 
     def test_missing_required_flag(self, capsys):
         code, _, _ = run(capsys, "certify", "--gen", "powerlaw:n=4,d=6,alpha=1")

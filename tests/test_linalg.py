@@ -11,8 +11,6 @@ from pcpsketch.errors import (
 )
 from pcpsketch.linalg import (
     Projection,
-    _haar_bases,
-    _orthonormal_stack,
     as_matrix,
     factor,
     frob2,
@@ -260,10 +258,15 @@ class TestOrthonormalColumns:
             with pytest.raises(InvalidInputError):
                 orthonormal_columns(g[i])
             with pytest.raises(InvalidInputError):
-                _orthonormal_stack(g[[0, i]])
+                orthonormal_columns(g[[0, i]])
         with pytest.raises(InvalidInputError):
-            _orthonormal_stack(g)
-        assert np.array_equal(_orthonormal_stack(g[:1])[0], orthonormal_columns(g[0]))
+            orthonormal_columns(g)
+        assert np.array_equal(orthonormal_columns(g[:1])[0], orthonormal_columns(g[0]))
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 2, 5, 3), (3, 5), (2, 3, 5)])
+    def test_rejects_vectors_deep_stacks_and_wide_matrices(self, shape):
+        with pytest.raises(InvalidMatrixError):
+            orthonormal_columns(np.ones(shape))
 
 
 class TestHaarSubspace:
@@ -288,16 +291,16 @@ class TestHaarSubspace:
         # longer stack; haar_subspace is a one-basis stack of its own stream
         for seed in (0, 1, 42, 2**63 + 7, 5):
             for n, k in ((6, 3), (9, 1), (4, 4), (200, 5)):
-                stack = _haar_bases(n, k, 5, rng_for(seed, Stream.PROBE_HAAR))
-                assert stack.shape == (5, n, k)
                 g = rng_for(seed, Stream.PROBE_HAAR).standard_normal((5, n, k))
+                stack = orthonormal_columns(g)
+                assert stack.shape == (5, n, k)
                 for block, basis in zip(g, stack):
                     assert np.array_equal(basis, orthonormal_columns(block))
-                longer = _haar_bases(n, k, 12, rng_for(seed, Stream.PROBE_HAAR))
+                longer = orthonormal_columns(rng_for(seed, Stream.PROBE_HAAR).standard_normal((12, n, k)))
                 assert np.array_equal(longer[:5], stack)
                 want = orthonormal_columns(rng_for(seed, Stream.HAAR).standard_normal((n, k)))
                 assert np.array_equal(haar_subspace(n, k, seed).basis, want)
-        assert _haar_bases(5, 2, 0, rng_for(0, Stream.PROBE_HAAR)).shape == (0, 5, 2)
+        assert orthonormal_columns(rng_for(0, Stream.PROBE_HAAR).standard_normal((0, 5, 2))).shape == (0, 5, 2)
 
     def test_rejects_bad_rank(self):
         with pytest.raises(InvalidRankError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcpsketch.audit import _factor_sketch, verify_sketch
+from pcpsketch.audit import _factor_sketch, sketch_and_solve, verify_sketch
 from pcpsketch.errors import (
     InvalidInputError,
     InvalidOverestimateError,
@@ -95,12 +95,19 @@ class TestGaussian:
 
     def test_width_warning_names_the_callers_line(self):
         # the warning names the first frame outside the package, whichever
-        # entry point was called; the pytest ignore filter is overridden here
-        a = wide_matrix(2, n=5, d=20)
+        # entry point was called; the pytest ignore filter is overridden here.
+        # A tall input, so that svd and nonoblivious sketches reach its width
+        a = wide_matrix(2, n=20, d=5)
         p = params(m_override=30)
         for call in (
             lambda: gaussian_sketch(a, p),
+            lambda: orthogonal_sketch(a, p),
+            lambda: non_oblivious_rp(a, p),
+            lambda: leverage_residual_sample(a, p),
+            lambda: ridge_leverage_sample(a, p),
+            lambda: svd_sketch(a, p),
             lambda: make_sketch(a, "gaussian", p),
+            lambda: sketch_and_solve(a, make_sketch(a, "svd", p), "lowrank"),
             lambda: verify_sketch(a, "gaussian", p, 2, 0),
         ):
             with warnings.catch_warnings(record=True) as caught:
@@ -382,6 +389,23 @@ class TestIndicesFromUniforms:
         assert np.array_equal(got, indices_from_uniforms_loop(probs, u))
         assert np.all(probs[got] > 0.0)
 
+    def test_matches_loop_reference_on_random_distributions(self):
+        # d from 1 to 8, about 40 % zero columns, uniforms at, just below and
+        # just above every cumulative boundary
+        rng = np.random.default_rng(1)
+        for _ in range(2000):
+            d = int(rng.integers(1, 9))
+            probs = rng.random(d) * (rng.random(d) > 0.4)
+            if not probs.any():
+                probs[rng.integers(d)] = 1.0
+            probs /= probs.sum()
+            cum = np.cumsum(probs)
+            u = np.concatenate([[0.0], cum, np.nextafter(cum, 0.0), np.nextafter(cum, 2.0), rng.random(5)])
+            u = u[u < 1.0]
+            got = _indices_from_uniforms(probs, u)
+            assert np.array_equal(got, indices_from_uniforms_loop(probs, u)), (probs, u)
+            assert np.all(probs[got] > 0.0)
+
 
 class TestOperatorApply:
     def test_sampling_pattern_apply_equals_dense_product(self):
@@ -402,7 +426,8 @@ class TestOperatorApply:
             dense = sk.operator_matrix()
             assert sk.operator.shape == dense.shape, method
             assert np.allclose(x @ sk.operator, x @ dense, atol=1e-12), method
-            assert np.allclose(a @ sk.operator, sk.a_tilde, atol=1e-12), method
+            assert np.array_equal(a @ sk.operator, sk.a_tilde), method
+            assert sk.m == sk.operator.shape[1] == sk.a_tilde.shape[1], method
 
 
 class TestFactoredInput:

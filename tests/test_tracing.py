@@ -1,5 +1,5 @@
-"""The benchmark's tracer still installs on the package and sees ``certify``
-and the transfer check.
+"""The benchmark's tracer still installs on the package and sees ``certify``,
+the transfer check and the probe QR.
 
 ``perfbench/tracing.py`` wraps every public function of the package, and
 patches ``Sketch.operator_matrix``, ``Projection.__post_init__`` and the
@@ -57,6 +57,21 @@ print(json.dumps(out))
 """
 
 
+TRACED_VERIFY = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import tracing
+from pcpsketch import cli
+
+tracer = tracing.Tracer()
+tracer.install()
+with tracer.op("verify"):
+    rc = cli.main(["verify", "--gen", "clustered:n=8,d=30,k_true=2,separation=8,noise=0.1", "--method", "gaussian",
+                   "--k", "2", "--eps", "0.5", "--seed", "1", "--n-random", "4", "--report-out", sys.argv[3]])
+print(json.dumps({"rc": rc, "qr_calls": tracer.stats["linalg.orthonormal_columns"][0]}))
+"""
+
+
 def traced(script: str, tmp_path) -> tuple:
     """The script's last stdout line as JSON, with its stderr."""
     proc = subprocess.run(
@@ -83,3 +98,11 @@ def test_traced_solves_count_transfer_candidates(tmp_path):
         assert ops[task]["rc"] in (0, 2), task
         assert ops[task]["check_calls"] == 1, task
         assert ops[task]["candidates"] == candidates, task
+
+
+def test_traced_verify_records_the_probe_qr(tmp_path):
+    # neither the clustered generator nor the gaussian sketch orthonormalizes
+    # anything: the call is the Haar probes' stacked QR
+    out, stderr = traced(TRACED_VERIFY, tmp_path)
+    assert out["rc"] in (0, 2), stderr
+    assert out["qr_calls"] >= 1
