@@ -41,7 +41,7 @@ import numpy as np
 from .errors import DimensionError, InvalidInputError, InvalidMatrixError, WidthNotReducingWarning
 from .generators import GeneratorSpec, gen_synthetic
 from .guarantees import Certificate, certify
-from .linalg import RANK_TOL, Factored, SvdFactorization, as_matrix, factor, frob2, orthonormal_columns, projection_cost, svd
+from .linalg import RANK_TOL, Factored, SvdFactorization, _eigh_desc, as_matrix, factor, frob2, orthonormal_columns, projection_cost, svd
 from .rng import Stream, derive_seed, rng_for
 from .sketch import Sketch, SketchParams, make_sketch
 from .solvers import (
@@ -318,10 +318,9 @@ def _factor_sketch(a: Factored, sk: Sketch) -> Factored:
     zero, and ``pcp_report`` keeps the energy so dropped.  The right vectors,
     which no caller reads, are not formed."""
     f = a.fact
-    lam, q = np.linalg.eigh(f.sigma[:, None] * a.gram(sk.operator) * f.sigma)  # ascending
-    tol = max(sk.a_tilde.shape) * np.finfo(float).eps * lam.max(initial=0.0)
-    rank = int(np.sum(lam > tol))
-    sigma, u = np.sqrt(lam[::-1][:rank]), f.u @ q[:, ::-1][:, :rank]
+    floor = max(sk.a_tilde.shape) * np.finfo(float).eps
+    lam, q, rank = _eigh_desc(f.sigma[:, None] * a.gram(sk.operator) * f.sigma, floor)
+    sigma, u = np.sqrt(lam[:rank]), f.u @ q[:, :rank]
     return Factored.from_factors(sk.a_tilde, SvdFactorization(u, sigma, None, rank))
 
 

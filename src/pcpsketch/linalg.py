@@ -4,6 +4,9 @@ Matrices are plain 2-D float64 numpy arrays (row-major), or ``Factored``
 instances that keep one with its SVD; this module owns the instance and
 the SVD with relative-rank truncation, the tail index used by the
 spectral certificate, projection costs, and seeded random subspaces.
+An instance's SVD is read off one eigh of its smaller Gram matrix when
+the condition number allows it, else taken from LAPACK's SVD
+(``_gram_svd``); either way each singular pair has one fixed sign.
 A sketch operator S, a dense array or a ``SamplingPattern``, is only ever
 applied as ``x @ S``, so nothing here depends on ``sketch``.
 Everything here is deterministic for fixed inputs within a build.
@@ -39,6 +42,8 @@ __all__ = [
 
 # singular values at or below RANK_TOL * sigma_1 count as zero
 RANK_TOL = 1e-10
+# largest sigma_1 / sigma_min that ``_gram_svd`` factors through the Gram
+_GRAM_KAPPA = 1e4
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -136,7 +141,8 @@ def svd(a) -> SvdFactorization:
 
     A wide matrix (n < d) is factored through its transpose,
     ``A^T = V Sigma U^T``, with the factors swapped: LAPACK's path for tall
-    inputs is the faster one, and the singular values are the same.
+    inputs is the faster one, and the singular values are the same.  The
+    sign of each singular pair is fixed as ``_signed`` says.
     """
     a = as_matrix(a)
     if a.shape[0] < a.shape[1]:
@@ -149,15 +155,61 @@ def svd(a) -> SvdFactorization:
         rank = 0
     else:
         rank = int(np.sum(s > RANK_TOL * s[0]))
-    return SvdFactorization(u[:, :rank], s[:rank], v[:, :rank], rank)
+    return _signed(u[:, :rank], s[:rank], v[:, :rank])
+
+
+def _signed(u: np.ndarray, sigma: np.ndarray, v: np.ndarray) -> SvdFactorization:
+    """The factorization with each singular pair's sign fixed: the entry of
+    largest magnitude in every column of ``u`` (the first, on a tie) is
+    positive.  Singular vectors are defined only up to that sign, and
+    LAPACK's SVD and eigensolver choose it differently."""
+    sign = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])])
+    return SvdFactorization(u * sign, sigma, v * sign, sigma.size)
+
+
+def _eigh_desc(gram: np.ndarray, floor: float) -> tuple:
+    """Eigenpairs of a symmetric positive semi-definite Gram matrix, largest
+    first, and the count of eigenvalues above ``floor * lambda_1`` (0 for a
+    zero matrix): the ones taken as resolved."""
+    lam, q = np.linalg.eigh(gram)  # ascending
+    lam, q = lam[::-1], q[:, ::-1]
+    return lam, q, int(np.sum(lam > floor * lam.max(initial=0.0)))
+
+
+def _gram_svd(a: np.ndarray) -> SvdFactorization:
+    """``svd(a)`` read off an eigendecomposition of the smaller Gram matrix
+    when that is accurate.
+
+    A wide ``a`` has ``A A^T = U Sigma^2 U^T``, so ``V = A^T U Sigma^-1``; a
+    tall one has ``A^T A = V Sigma^2 V^T`` and ``U = A V Sigma^-1``.  That
+    costs one product, one min(n, d)-square eigh and one more product,
+    against LAPACK's SVD of the whole matrix.  The Gram squares the
+    condition number, so the eigenvalues' rounding, about eps * lambda_1,
+    costs sigma_i a relative error near eps * kappa_i^2 and the recovered
+    vectors their orthogonality with it.  The Gram result is therefore taken
+    only when every eigenvalue is above ``_GRAM_KAPPA**-2 * lambda_1``;
+    anything closer to singular (an exactly low-rank or zero matrix, a
+    steeply decaying spectrum) goes to ``svd``.  Both routes return the
+    singular pairs with the signs of ``_signed``.
+    """
+    wide = a.shape[0] <= a.shape[1]
+    lam, q, rank = _eigh_desc(a @ a.T if wide else a.T @ a, _GRAM_KAPPA**-2)
+    if rank < lam.size:
+        return svd(a)
+    sigma = np.sqrt(lam)
+    other = (a.T @ q if wide else a @ q) / sigma
+    return _signed(q, sigma, other) if wide else _signed(other, sigma, q)
 
 
 class Factored:
     """A validated n x d matrix with its SVD, core and squared Frobenius norm.
 
-    Each of ``fact`` (its ``svd``), ``core`` and ``frob2`` is computed on
-    first use and kept, so a matrix that passes through sketching, both
-    certificates, the probes and a solve is factored at most once.  The array must not change afterwards.
+    Each of ``fact``, ``core`` and ``frob2`` is computed on first use and
+    kept, so a matrix that passes through sketching, both certificates, the
+    probes and a solve is factored at most once.  ``fact`` is what ``svd``
+    returns, to rounding and with the same signs, but read off an eigh of
+    the smaller Gram matrix unless sigma_1 / sigma_min exceeds about 1e4
+    (``_gram_svd``).  The array must not change afterwards.
 
     Every quantity of A that depends only on A A^T (costs |A - PA|_F^2
     of left projections P, distances between rows) is the same on the
@@ -189,7 +241,7 @@ class Factored:
     @property
     def fact(self) -> SvdFactorization:
         if self._fact is None:
-            self._fact = svd(self.a)
+            self._fact = _gram_svd(self.a)
         return self._fact
 
     @property

@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedFamilyError,
     WidthNotReducingWarning,
 )
-from .linalg import factor, frob2, orthonormal_columns, svd
+from .linalg import _gram_svd, factor, frob2, orthonormal_columns
 from .rng import Stream, rng_for
 
 __all__ = [
@@ -243,9 +243,13 @@ def non_oblivious_rp(a, params: SketchParams) -> Sketch:
     )
     rng = rng_for(params.seed, Stream.NON_OBLIVIOUS)
     pi = rng.standard_normal((m_pi, n))
-    z = np.array(svd(pi @ a.a).v)
+    z = _gram_svd(pi @ a.a).v
     if z.shape[1] == 0:
         z = np.zeros((d, 1))
+    else:
+        # read off a Gram, Z is orthonormal only to about eps * kappa(Pi A)^2;
+        # one Cholesky QR step, Z L^-T with L L^T = Z^T Z, brings it to rounding
+        z = z @ np.linalg.inv(np.linalg.cholesky(z.T @ z)).T
     return _finish(a, z, "nonoblivious", params)
 
 

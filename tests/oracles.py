@@ -12,8 +12,10 @@ worst rank-<=k projection in A's n x n coordinates, with ``np.linalg.eigh``
 as its only solver.  The per-probe audit scores one probe at a
 time, as the library did before it scored the stacked probe array, and
 the report writers are the plain row-by-row encoders that the CLI's
-columnar writer must agree with.  Slow is fine; these only see
-desk-scale inputs.
+columnar writer must agree with.  The factorization log at the end
+records the library's calls to np.linalg's SVD and eigensolver and names
+each by the matrix it factors.  Slow is fine; these only see desk-scale
+inputs.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -489,3 +492,43 @@ def csv_report_text(report: dict) -> str:
 
     walk(json_safe(report), "")
     return ",".join(flat) + "\n" + ",".join(cell(v) for v in flat.values())
+
+
+def factorization_log(monkeypatch) -> list:
+    """Patch ``np.linalg.svd`` and ``np.linalg.eigh`` to append
+    ``(driver, copy of the argument)`` to the returned list on every call."""
+    log = []
+    for driver in ("svd", "eigh"):
+        real = getattr(np.linalg, driver)
+
+        def counting(x, *args, _real=real, _driver=driver, **kwargs):
+            log.append((_driver, np.array(x)))
+            return _real(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, driver, counting)
+    return log
+
+
+def factorization_counts(log: list, named: dict) -> Counter:
+    """The calls of a ``factorization_log``, each counted by the matrix it
+    factors.  A matrix of ``named`` is factored through its smaller Gram
+    (``A A^T`` when wide, else ``A^T A``), which an eigh is counted as
+    ``(name, "gram")``, and through an SVD of it or its transpose, counted
+    as ``(name, "svd")``; the first name that fits is counted, since two
+    matrices can share a Gram (a sketch ``A S`` with orthogonal ``S`` has
+    A's).  Any other call counts as ``(driver, shape)``."""
+    counts = Counter()
+    for driver, x in log:
+        key = (driver, x.shape)
+        for name, m in named.items():
+            gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
+            if driver == "svd" and x.shape in (m.shape, m.shape[::-1]):
+                if np.array_equal(x, m if x.shape == m.shape else m.T):
+                    key = (name, "svd")
+                    break
+            elif driver == "eigh" and x.shape == gram.shape:
+                if np.allclose(x, gram, rtol=0.0, atol=1e-12 * max(np.abs(gram).max(), 1.0)):
+                    key = (name, "gram")
+                    break
+        counts[key] += 1
+    return counts

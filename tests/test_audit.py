@@ -39,6 +39,8 @@ from pcpsketch.solvers import cluster_indicator_projection, partition_costs, par
 from oracles import (
     dinkelbach_distortion,
     dinkelbach_witness,
+    factorization_counts,
+    factorization_log,
     implication_test,
     lloyd_reference,
     partitions_reference,
@@ -678,47 +680,53 @@ class TestDinkelbachOracle:
 
 class TestSvdCount:
     """``verify_sketch`` and a lowrank ``sketch_and_solve`` factor A once and
-    no n x m or n x r matrix: the sketch's SVD is read off A's and G, and
-    the residual probe is found from an r x r SVD.  The nonoblivious
-    sketcher factors Pi A on top."""
-
-    def record(self, monkeypatch) -> list:
-        shapes = []
-        real = np.linalg.svd
-
-        def counting(x, *args, **kwargs):
-            shapes.append(np.shape(x))
-            return real(x, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
-        return shapes
+    no n x m or n x r matrix: the sketch's SVD is read off A's and G by an
+    r x r eigh, and the residual probe is found from an r x r SVD.  The
+    nonoblivious sketcher factors Pi A on top.  A is factored through its
+    smaller Gram, and an exactly low-rank A, whose Gram is too close to
+    singular, through LAPACK's SVD after that eigh; each test runs one input
+    of each kind and counts both drivers."""
 
     @staticmethod
-    def factored_shape(shape):
-        # a wide matrix is factored through its transpose
-        return shape if shape[0] >= shape[1] else shape[::-1]
+    def inputs(shape) -> dict:
+        """A well-conditioned input and one of rank 3, by the branch each takes."""
+        low = rand(43, (shape[0], 3)) @ rand(44, (3, shape[1]))
+        return {"gram": rand(41, shape), "lapack": low}
+
+    @staticmethod
+    def expected_a(branch: str) -> dict:
+        return {("A", "gram"): 1, ("A", "svd"): int(branch == "lapack")}
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("shape", [(8, 30), (30, 8)])
     def test_verify_factors_a_the_residual_and_pi_a_only(self, monkeypatch, method, shape):
-        a = rand(41, shape)
-        r, m_pi = min(shape), 6
+        m_pi = 6
         params = SketchParams(k=2, eps=0.5, seed=1, m_override=m_pi)
-        shapes = self.record(monkeypatch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", WidthNotReducingWarning)
-            verify_sketch(a, method, params, 3, probe_seed=2)
-        counts = Counter(shapes)
-        assert counts.pop(self.factored_shape(shape)) == 1
-        assert counts.pop((r, r)) == 1
-        if method == "nonoblivious":
-            assert counts.pop(self.factored_shape((m_pi, shape[1]))) == 1
-        assert not counts, counts
+        log = factorization_log(monkeypatch)
+        for branch, a in self.inputs(shape).items():
+            r = np.linalg.matrix_rank(a)
+            pi_a = rng_for(params.seed, Stream.NON_OBLIVIOUS).standard_normal((m_pi, shape[0])) @ a
+            log.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", WidthNotReducingWarning)
+                verify_sketch(a, method, params, 3, probe_seed=2)
+            counts = factorization_counts(log, {"A": a, "PiA": pi_a})
+            want = {**self.expected_a(branch), ("svd", (r, r)): 1, ("eigh", (r, r)): 1}
+            if method == "nonoblivious":
+                # Pi A has rank 3 < m_pi on the low-rank input
+                want.update({("PiA", "gram"): 1, ("PiA", "svd"): int(branch == "lapack")})
+            assert +counts == +Counter(want), (branch, counts)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_lowrank_solve_factors_a_only(self, monkeypatch, method):
-        a = rand(42, (8, 30))
-        sk = make_sketch(a, method, SketchParams(k=2, eps=0.5, seed=1, m_override=12))
-        shapes = self.record(monkeypatch)
-        sketch_and_solve(a, sk, "lowrank")
-        assert shapes == [(30, 8)]
+        log = factorization_log(monkeypatch)
+        for branch, a in self.inputs((8, 30)).items():
+            r = np.linalg.matrix_rank(a)
+            sk = make_sketch(a, method, SketchParams(k=2, eps=0.5, seed=1, m_override=12))
+            log.clear()
+            sketch_and_solve(a, sk, "lowrank")
+            counts = factorization_counts(log, {"A": a, "sketch": sk.a_tilde})
+            # the rank-3 svd sketch is the 8 x 3 U_3 Sigma_3, whose Gram is the
+            # r x r Sigma G Sigma = Sigma^2 its SVD is read off
+            sketch_eigh = ("sketch", "gram") if (method, branch) == ("svd", "lapack") else ("eigh", (r, r))
+            assert +counts == +Counter({**self.expected_a(branch), sketch_eigh: 1}), (branch, counts)

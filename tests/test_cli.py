@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from pcpsketch.cli import _dumps, _emit, _json_safe, _pcp_block, _Rows, build_pa
 from pcpsketch.generators import gen_synthetic, parse_generator_spec
 from pcpsketch.guarantees import certify, jl_moment_estimate
 from pcpsketch.matio import load_matrix, save_matrix
+from pcpsketch.rng import Stream, rng_for
 from pcpsketch.sketch import METHODS, SketchParams, make_sketch
 
 import oracles
@@ -497,39 +499,50 @@ class TestZeroMatrix:
 class TestOneFactorization:
     """The input is factored once per command; the orthogonal control is
     left out, since its sketch is as wide as the input and is factored too.
-    A wide matrix is factored through its transpose, so a factorization is
-    counted by its shape either way round, and every one LAPACK sees is tall
-    or square."""
+    A factorization is an eigh of the input's smaller Gram, followed by an
+    SVD when the Gram is too close to singular (an exactly low-rank input),
+    so both drivers are counted, each call named by the matrix it factors,
+    on one input of each kind.  Every SVD LAPACK sees is tall or square."""
 
     @pytest.fixture
-    def svd_shapes(self, monkeypatch):
-        shapes = []
-        real = np.linalg.svd
+    def log(self, monkeypatch):
+        return oracles.factorization_log(monkeypatch)
 
-        def counting(x, *args, **kwargs):
-            shapes.append(np.shape(x))
-            return real(x, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting)
-        return shapes
+    @staticmethod
+    def inputs(seed: int, n: int, d: int) -> dict:
+        rng = np.random.default_rng(seed)
+        return {"gram": rng.standard_normal((n, d)), "lapack": rng.standard_normal((n, 4)) @ rng.standard_normal((4, d))}
 
     @pytest.mark.parametrize("method", ["gaussian", "leverage", "ridge", "svd", "nonoblivious"])
-    def test_one_svd_of_the_input(self, tmp_path, capsys, svd_shapes, method):
+    def test_one_svd_of_the_input(self, tmp_path, capsys, log, method):
         n, d, m = 10, 60, 12
-        a_path = tmp_path / "a.pcpm"
-        save_matrix(a_path, np.random.default_rng(12).standard_normal((n, d)))
-        base = ["--input", str(a_path), "--method", method, "--k", "2", "--eps", "0.5", "--m", str(m)]
-        # nonoblivious also factors Pi A, m x d
-        want = sorted([(d, n)] + ([(d, m)] if method == "nonoblivious" else []))
-        for cmd in (["certify"], ["verify", "--n-random", "3"], ["solve", "--task", "lowrank"]):
-            svd_shapes.clear()
-            code, _, err = run(capsys, *cmd, *base)
-            assert code in (0, 2), err
-            assert all(rows >= cols for rows, cols in svd_shapes), (cmd, svd_shapes)
-            factored = sorted(tuple(sorted(s, reverse=True)) for s in svd_shapes if d in s)
-            assert factored == want, (cmd, svd_shapes)
+        for branch, a in self.inputs(12, n, d).items():
+            a_path = tmp_path / f"{branch}.pcpm"
+            save_matrix(a_path, a)
+            r = np.linalg.matrix_rank(a)
+            params = SketchParams(k=2, eps=0.5, seed=1, m_override=m)
+            pi_a = rng_for(1, Stream.NON_OBLIVIOUS).standard_normal((m, n)) @ a
+            named = {"A": a, "PiA": pi_a, "sketch": make_sketch(a, method, params).a_tilde}
+            base = ["--input", str(a_path), "--method", method, "--k", "2", "--eps", "0.5", "--m", str(m), "--seed", "1"]
+            # the rank-4 svd sketch is U_4 Sigma_4, whose Gram is the r x r Sigma^2 its SVD is read off
+            sketch_eigh = ("sketch", "gram") if (method, branch) == ("svd", "lapack") else ("eigh", (r, r))
+            for cmd, others in (
+                (["certify"], {}),
+                (["verify", "--n-random", "3"], {("svd", (r, r)): 1, sketch_eigh: 1}),
+                (["solve", "--task", "lowrank"], {sketch_eigh: 1}),
+            ):
+                log.clear()
+                code, _, err = run(capsys, *cmd, *base)
+                assert code in (0, 2), err
+                assert all(x.shape[0] >= x.shape[1] for driver, x in log if driver == "svd"), (cmd, branch)
+                want = {("A", "gram"): 1, ("A", "svd"): int(branch == "lapack"), **others}
+                if method == "nonoblivious":
+                    # Pi A, m x d, has rank <= n < m, so it takes the SVD after its Gram
+                    want.update({("PiA", "gram"): 1, ("PiA", "svd"): 1})
+                counts = oracles.factorization_counts(log, named)
+                assert +counts == +Counter(want), (cmd, branch, counts)
 
-    def test_gaussian_sketch_runs_no_svd(self, tmp_path, capsys, svd_shapes):
+    def test_gaussian_sketch_runs_no_svd(self, tmp_path, capsys, log):
         a_path = tmp_path / "a.pcpm"
         save_matrix(a_path, np.random.default_rng(13).standard_normal((10, 60)))
         code, _, _ = run(
@@ -537,7 +550,7 @@ class TestOneFactorization:
             "--k", "2", "--eps", "0.5", "--out", str(tmp_path / "at.pcpm"),
         )
         assert code == 0
-        assert svd_shapes == []
+        assert log == []
 
 
 class TestReportWriting:

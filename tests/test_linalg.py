@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,9 @@ from pcpsketch.errors import (
     InvalidMatrixError,
     InvalidRankError,
 )
+from pcpsketch.guarantees import certify
 from pcpsketch.linalg import (
+    Factored,
     Projection,
     as_matrix,
     factor,
@@ -21,8 +25,9 @@ from pcpsketch.linalg import (
     tail_index_p,
 )
 from pcpsketch.rng import Stream, rng_for
+from pcpsketch.sketch import SketchParams, leverage_residual_sample, non_oblivious_rp, ridge_leverage_sample
 
-from oracles import direct_projection_cost, gram_eigenvalues, head_tail_split
+from oracles import direct_projection_cost, factorization_counts, factorization_log, gram_eigenvalues, head_tail_split
 
 
 def random_matrix(seed, n=None, d=None):
@@ -311,17 +316,19 @@ class TestHaarSubspace:
 
 class TestFactored:
     def test_lazy_and_computed_once(self, monkeypatch):
-        a = random_matrix(40, n=5, d=9)
-        inst = factor(a)
-        assert factor(inst) is inst
-        calls = []
-        real = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda *ar, **kw: calls.append(1) or real(*ar, **kw))
-        assert inst.frob2 == frob2(a)
-        assert calls == []
-        assert inst.fact is inst.fact
-        assert inst.core is inst.core
-        assert len(calls) == 1
+        # A is factored by one eigh of its Gram, and by LAPACK's SVD after it
+        # when that Gram is too close to singular (here: rank 2 of 5)
+        log = factorization_log(monkeypatch)
+        low = random_matrix(42, n=5, d=2) @ random_matrix(43, n=2, d=9)
+        for a, svds in ((random_matrix(40, n=5, d=9), 0), (low, 1)):
+            inst = factor(a)
+            assert factor(inst) is inst
+            log.clear()
+            assert inst.frob2 == frob2(a)
+            assert log == []
+            assert inst.fact is inst.fact
+            assert inst.core is inst.core
+            assert +factorization_counts(log, {"A": a}) == +Counter({("A", "gram"): 1, ("A", "svd"): svds})
 
     def test_core_has_the_row_gram_and_known_svd(self):
         a = random_matrix(41, n=5, d=9)
@@ -346,3 +353,94 @@ class TestFactored:
             factor(np.array([[1.0, np.nan]]))
         inst = factor([[1.0, 2.0]])
         assert as_matrix(inst) is inst.a
+
+
+def geometric(shape, floor, seed):
+    """A matrix with random singular vectors and singular values falling
+    geometrically from 1 to ``floor``."""
+    rng = np.random.default_rng(seed)
+    r = min(shape)
+    u = np.linalg.qr(rng.standard_normal((shape[0], r)))[0]
+    v = np.linalg.qr(rng.standard_normal((shape[1], r)))[0]
+    return (u * np.geomspace(1.0, floor, r)) @ v.T
+
+
+def gram_cases() -> dict:
+    """Inputs by name, with the branch ``Factored.fact`` must take: through
+    the Gram while sigma_min / sigma_1 stays above 1e-4, else LAPACK."""
+    cases = {}
+    for i, floor in enumerate((1e-2, 1e-3, 2e-4, 3e-5, 1e-6, 1e-8, 1e-12)):
+        branch = "gram" if floor > 1e-4 else "lapack"
+        for j, shape in enumerate(((30, 200), (200, 30))):
+            cases[f"geometric {floor:g} {shape[0]}x{shape[1]}"] = (geometric(shape, floor, 10 * i + j), branch)
+    rng = np.random.default_rng(60)
+    cases["rank 2"] = (rng.standard_normal((20, 2)) @ rng.standard_normal((2, 90)), "lapack")
+    cases["zero"] = (np.zeros((6, 40)), "lapack")
+    cases["row"] = (rng.standard_normal((1, 40)), "gram")
+    cases["column"] = (rng.standard_normal((40, 1)), "gram")
+    return cases
+
+
+class TestGramFactorization:
+    """``Factored.fact`` against LAPACK's SVD of the same matrix
+    (``Factored.from_factors(a, svd(a))``) on both of its branches.
+    Singular values are compared on LAPACK's own accuracy scale, relative
+    to sigma_1; the Gram branch keeps the orthogonality of the recovered
+    factor to about eps * (sigma_1 / sigma_min)^2 <= 1e-8."""
+
+    @pytest.fixture(params=list(gram_cases()))
+    def case(self, request, monkeypatch):
+        a, branch = gram_cases()[request.param]
+        log = factorization_log(monkeypatch)
+        fact = factor(a).fact
+        taken = "lapack" if any(driver == "svd" for driver, _ in log) else "gram"
+        assert taken == branch
+        monkeypatch.undo()
+        return a, branch, fact, Factored.from_factors(a, svd(a))
+
+    def test_spectrum_and_orthonormal_factors(self, case):
+        a, branch, f, ref = case
+        _, s, _ = np.linalg.svd(a, full_matrices=False)
+        assert f.rank == ref.fact.rank
+        assert np.all(np.abs(f.sigma - s[: f.rank]) <= 1e-12 * s[0])
+        tol = 1e-8 if branch == "gram" else 1e-12
+        assert np.max(np.abs(f.u.T @ f.u - np.eye(f.rank)), initial=0.0) <= tol
+        assert np.max(np.abs(f.v.T @ f.v - np.eye(f.rank)), initial=0.0) <= tol
+        # both reconstruct the same truncation of a
+        truncated = (ref.fact.u * ref.fact.sigma) @ ref.fact.v.T
+        assert np.linalg.norm((f.u * f.sigma) @ f.v.T - truncated) <= 1e-12 * max(s[0], 1.0)
+
+    def test_top_projectors_agree_across_a_gap(self, case):
+        # Davis-Kahan: a perturbation of eps * sigma_1^2 in the Gram moves the
+        # top-j singular subspaces by about that over sigma_j^2 - sigma_(j+1)^2
+        a, _, f, ref = case
+        s = np.append(ref.fact.sigma, 0.0)
+        for j in range(1, f.rank + 1):
+            gap = s[j - 1] ** 2 - s[j] ** 2
+            for mine, theirs in ((f.u, ref.fact.u), (f.v, ref.fact.v)):
+                moved = np.linalg.norm(mine[:, :j] @ mine[:, :j].T - theirs[:, :j] @ theirs[:, :j].T, 2)
+                assert moved <= 1e-12 * s[0] ** 2 / gap
+
+    def test_sign_convention(self, case):
+        # the largest-magnitude entry of each left vector is positive, on both branches
+        _, _, f, ref = case
+        for u in (f.u, ref.fact.u):
+            assert np.all(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] > 0.0)
+
+    def test_sampled_columns_and_certificates_agree(self, case):
+        a, _, f, ref = case
+        params = SketchParams(k=2, eps=0.5, seed=3, m_override=25)
+        for sample in (leverage_residual_sample, ridge_leverage_sample):
+            if f.rank and a.shape[1] >= 2:
+                assert np.array_equal(sample(factor(a), params).operator.indices, sample(ref, params).operator.indices)
+        s = rng_for(4, Stream.GAUSSIAN_SKETCH).standard_normal((a.shape[1], 12)) / np.sqrt(12)
+        for mine, theirs in zip(certify(factor(a), s, 2, 0.5), certify(ref, s, 2, 0.5)):
+            assert mine.measured.keys() == theirs.measured.keys() and mine.holds == theirs.holds
+            for key, value in mine.measured.items():
+                assert value == pytest.approx(theirs.measured[key], rel=1e-10, abs=1e-10), key
+
+    def test_nonoblivious_operator_is_orthonormal(self, case):
+        a, _, f, _ = case
+        z = non_oblivious_rp(a, SketchParams(k=2, eps=0.5, seed=5, m_override=8)).operator
+        if f.rank:
+            assert np.max(np.abs(z.T @ z - np.eye(z.shape[1]))) <= 1e-12
