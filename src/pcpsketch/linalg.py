@@ -76,26 +76,49 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class SvdFactorization:
     """Truncated thin SVD: ``u @ diag(sigma) @ v.T`` reconstructs the input.
 
     ``sigma`` holds the strictly positive singular values, non-increasing;
     columns beyond ``rank`` were dropped by the relative truncation rule
-    ``sigma_i > RANK_TOL * sigma_1``.  ``v`` is None where only the left
-    factors were formed (a sketch's, read off A's).
+    ``sigma_i > RANK_TOL * sigma_1``.  Given the input ``a`` in place of
+    ``v``, the right factor ``V = A^T U Sigma^-1`` is formed on first read
+    of ``v`` and kept, and ``v_head(m)`` forms its first m columns alone
+    (``_gram_svd`` of a wide matrix).  ``v`` is None where only the left
+    factors were formed and the input is not kept (a sketch's, read off
+    A's).  The arrays are read-only.
     """
 
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray | None
-    rank: int
+    __slots__ = ("u", "sigma", "rank", "_v", "_a")
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", _readonly(self.u))
-        object.__setattr__(self, "sigma", _readonly(self.sigma))
-        if self.v is not None:
-            object.__setattr__(self, "v", _readonly(self.v))
+    def __init__(self, u, sigma, v, rank: int, a: np.ndarray | None = None):
+        self.u = _readonly(u)
+        self.sigma = _readonly(sigma)
+        self.rank = rank
+        self._v = None if v is None else _readonly(v)
+        self._a = a
+
+    @property
+    def v(self) -> np.ndarray | None:
+        if self._v is None and self._a is not None:
+            self._v = _right_factor(self._a, self.u, self.sigma)
+        return self._v
+
+    def v_head(self, m: int) -> np.ndarray:
+        """The first ``m`` columns of ``v``: read off it once formed, else
+        ``A^T U_m Sigma_m^-1``, at m / rank of the full product's cost."""
+        if self._v is None and self._a is not None:
+            return _right_factor(self._a, self.u[:, :m], self.sigma[:m])
+        return self.v[:, :m]
+
+
+def _right_factor(a: np.ndarray, u: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """``A^T U Sigma^-1``, the right singular vectors that go with the left
+    ones ``u``, as a new read-only array."""
+    v = a.T @ u
+    v /= sigma
+    v.setflags(write=False)
+    return v
 
 
 @dataclass(frozen=True)
@@ -158,13 +181,14 @@ def svd(a) -> SvdFactorization:
     return _signed(u[:, :rank], s[:rank], v[:, :rank])
 
 
-def _signed(u: np.ndarray, sigma: np.ndarray, v: np.ndarray) -> SvdFactorization:
+def _signed(u: np.ndarray, sigma: np.ndarray, v: np.ndarray | None, a=None) -> SvdFactorization:
     """The factorization with each singular pair's sign fixed: the entry of
     largest magnitude in every column of ``u`` (the first, on a tie) is
     positive.  Singular vectors are defined only up to that sign, and
-    LAPACK's SVD and eigensolver choose it differently."""
+    LAPACK's SVD and eigensolver choose it differently.  With ``v`` None
+    and the input ``a`` given, V is left to be formed from the signed U."""
     sign = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])])
-    return SvdFactorization(u * sign, sigma, v * sign, sigma.size)
+    return SvdFactorization(u * sign, sigma, None if v is None else v * sign, sigma.size, a)
 
 
 def _eigh_desc(gram: np.ndarray, floor: float) -> tuple:
@@ -180,10 +204,11 @@ def _gram_svd(a: np.ndarray) -> SvdFactorization:
     """``svd(a)`` read off an eigendecomposition of the smaller Gram matrix
     when that is accurate.
 
-    A wide ``a`` has ``A A^T = U Sigma^2 U^T``, so ``V = A^T U Sigma^-1``; a
+    A wide ``a`` has ``A A^T = U Sigma^2 U^T``, so ``V = A^T U Sigma^-1``,
+    which is left to be formed when it is read (``SvdFactorization.v``); a
     tall one has ``A^T A = V Sigma^2 V^T`` and ``U = A V Sigma^-1``.  That
-    costs one product, one min(n, d)-square eigh and one more product,
-    against LAPACK's SVD of the whole matrix.  The Gram squares the
+    costs one product and one min(n, d)-square eigh, and on a tall ``a`` one
+    more product, against LAPACK's SVD of the whole matrix.  The Gram squares the
     condition number, so the eigenvalues' rounding, about eps * lambda_1,
     costs sigma_i a relative error near eps * kappa_i^2 and the recovered
     vectors their orthogonality with it.  The Gram result is therefore taken
@@ -197,8 +222,9 @@ def _gram_svd(a: np.ndarray) -> SvdFactorization:
     if rank < lam.size:
         return svd(a)
     sigma = np.sqrt(lam)
-    other = (a.T @ q if wide else a @ q) / sigma
-    return _signed(q, sigma, other) if wide else _signed(other, sigma, q)
+    if wide:
+        return _signed(q, sigma, None, a)
+    return _signed(a @ q / sigma, sigma, q)
 
 
 class Factored:
@@ -209,13 +235,17 @@ class Factored:
     probes and a solve is factored at most once.  ``fact`` is what ``svd``
     returns, to rounding and with the same signs, but read off an eigh of
     the smaller Gram matrix unless sigma_1 / sigma_min exceeds about 1e4
-    (``_gram_svd``).  The array must not change afterwards.
+    (``_gram_svd``); on that route for a wide A, the d x r right factor V
+    is formed only if a caller reads ``fact.v``.  The array must not change
+    afterwards.
 
     Every quantity of A that depends only on A A^T (costs |A - PA|_F^2
     of left projections P, distances between rows) is the same on the
     core ``B = A V = U Sigma``, which is n x r for rank r, as on A; the
     certificates need only ``sigma`` and how an operator S acts on the
-    row space, ``V^T S``, through its Gram ``gram(S)``.  A zero matrix has
+    row space, ``V^T S``, through its Gram ``gram(S)``.  The sketch
+    ``A S`` is ``product(S)``, kept for the last S, so that ``gram`` can
+    read ``V^T S`` off it without V.  A zero matrix has
     the n x 1 zero core, so that it stays a matrix.  Make instances with
     ``factor``, which validates the array, or ``from_factors``.
     """
@@ -226,6 +256,7 @@ class Factored:
         self._frob2: float | None = None
         self._core: np.ndarray | None = None
         self._gram: tuple | None = None
+        self._product: tuple | None = None
 
     @classmethod
     def from_factors(cls, a: np.ndarray, fact: SvdFactorization) -> Factored:
@@ -257,11 +288,27 @@ class Factored:
             self._core = f.u * f.sigma if f.rank else np.zeros((self.shape[0], 1))
         return self._core
 
+    def product(self, s) -> np.ndarray:
+        """A S for a sketch operator S, kept for the last S it was formed
+        for, which must not change afterwards."""
+        if self._product is None or self._product[0] is not s:
+            self._product = (s, self.a @ s)
+        return self._product[1]
+
     def gram(self, s) -> np.ndarray:
         """G = (V^T S)(V^T S)^T for a sketch operator S, kept for the last S
-        it was formed for, which must not change afterwards."""
+        it was formed for, which must not change afterwards.
+
+        ``V^T S`` is that product when V is formed; otherwise it is
+        ``Sigma^-1 U^T (A S)``, from ``product(S)``.  V is left unformed on
+        the Gram route of a wide A, where r = n, so that costs r n m
+        against d n r + r d m for forming V first."""
         if self._gram is None or self._gram[0] is not s:
-            w = self.fact.v.T @ s
+            f = self.fact
+            if f._v is None:
+                w = (f.u.T @ self.product(s)) / f.sigma[:, None]
+            else:
+                w = f.v.T @ s
             self._gram = (s, w @ w.T)
         return self._gram[1]
 

@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedFamilyError,
     WidthNotReducingWarning,
 )
-from .linalg import _gram_svd, factor, frob2, orthonormal_columns
+from .linalg import _gram_svd, factor, frob2, orthonormal_columns, svd
 from .rng import Stream, rng_for
 
 __all__ = [
@@ -189,13 +189,14 @@ def _warn_if_not_reducing(m: int, d: int, method: str) -> None:
 
 
 def _finish(a, s, method: str, params: SketchParams) -> Sketch:
-    """The sketch A_tilde = A S of operator ``s``, m = its column count.
+    """The sketch A_tilde = A S of operator ``s``, m = its column count,
+    kept on ``a`` as ``a.product(s)``.
 
     Warns when m does not reduce A's width.  The additive constant is 0,
     except for "svd", where it is the mass A_tilde leaves out,
     max(|A|_F^2 - |A_tilde|_F^2, 0).
     """
-    a_tilde = a.a @ s
+    a_tilde = a.product(s)
     m = s.shape[1]
     _warn_if_not_reducing(m, a.shape[1], method)
     c_const = max(a.frob2 - frob2(a_tilde), 0.0) if method == "svd" else 0.0
@@ -233,7 +234,10 @@ def non_oblivious_rp(a, params: SketchParams) -> Sketch:
     Pi is an m' x n Gaussian with m' = ceil(const * k / eps); the operator is
     an orthonormal basis Z of the row space of Pi A and the sketch is A Z, so
     the final width is rank(Pi A) <= m'.  A zero matrix gets the one-column
-    zero sketch.
+    zero sketch.  Pi A is factored through its smaller Gram (``_gram_svd``)
+    unless n < min(m', d): then its rank, at most n, falls short of that
+    Gram's order, which fails the Gram route's condition-number guard, and
+    it goes straight to ``svd``.
     """
     a = factor(a)
     n, d = a.shape
@@ -242,8 +246,8 @@ def non_oblivious_rp(a, params: SketchParams) -> Sketch:
         c * params.k / params.eps
     )
     rng = rng_for(params.seed, Stream.NON_OBLIVIOUS)
-    pi = rng.standard_normal((m_pi, n))
-    z = _gram_svd(pi @ a.a).v
+    pi_a = rng.standard_normal((m_pi, n)) @ a.a
+    z = (svd(pi_a) if n < min(pi_a.shape) else _gram_svd(pi_a)).v
     if z.shape[1] == 0:
         z = np.zeros((d, 1))
     else:
@@ -367,14 +371,15 @@ def svd_sketch(a, params: SketchParams) -> Sketch:
 
     With m = ceil(k / eps) (capped at the rank), A_tilde = A V_m = U_m S_m and
     the additive constant is the discarded mass |A - A_m|_F^2, so
-    |A_tilde|_F^2 + c = |A|_F^2 holds exactly.  A zero matrix (rank 0) gets
-    the one-column zero sketch with c = 0.
+    |A_tilde|_F^2 + c = |A|_F^2 holds exactly.  Only the m columns V_m of
+    the right factor are formed (``SvdFactorization.v_head``).  A zero
+    matrix (rank 0) gets the one-column zero sketch with c = 0.
     """
     a = factor(a)
     m_req = params.m_override if params.m_override is not None else math.ceil(
         params.k / params.eps
     )
-    v_m = np.array(a.fact.v[:, :m_req]) if a.fact.rank else np.zeros((a.shape[1], 1))
+    v_m = np.array(a.fact.v_head(m_req)) if a.fact.rank else np.zeros((a.shape[1], 1))
     return _finish(a, v_m, "svd", params)
 
 

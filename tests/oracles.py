@@ -5,17 +5,18 @@ Dinkelbach audit, the per-probe audit and the report writers at the end
 deliberately avoids np.linalg so that spectral quantities are confirmed
 through a second, unrelated route: a hand-rolled cyclic Jacobi
 eigensolver, direct entrywise residual sums, and brute-force enumeration.  The dense certificate functionals are the
-subspace embedding, product and Frobenius errors of a dense operator on
-A's own head and tail, which the tests check against those routes and
-``certify`` must agree with.  The dense Dinkelbach audit solves for the
+row-space action ``V^T S`` and the subspace embedding, product and
+Frobenius errors of a dense operator on A's own head and tail, which the
+tests check against those routes and ``certify`` must agree with.  The dense Dinkelbach audit solves for the
 worst rank-<=k projection in A's n x n coordinates, with ``np.linalg.eigh``
 as its only solver.  The per-probe audit scores one probe at a
 time, as the library did before it scored the stacked probe array, and
 the report writers are the plain row-by-row encoders that the CLI's
 columnar writer must agree with.  The factorization log at the end
 records the library's calls to np.linalg's SVD and eigensolver and names
-each by the matrix it factors.  Slow is fine; these only see desk-scale
-inputs.
+each by the matrix it factors; the right-factor log beside it records each
+right singular factor the library forms from a left one.  Slow is fine;
+these only see desk-scale inputs.
 """
 
 from __future__ import annotations
@@ -255,6 +256,15 @@ def head_tail_split(fact, m, r):
     u_r = fact.u[:, :r]
     head = u_r @ (u_r.T @ m)
     return HeadTailSplit(head, m - head, fact.v[:, :r])
+
+
+def row_space_action(m, s):
+    """``V^T S`` for V the right singular vectors of ``m``, from the
+    library's SVD (LAPACK's, with the library's signs), and a dense operator
+    or sampling pattern ``s``."""
+    from pcpsketch.linalg import svd
+
+    return svd(m).v.T @ s
 
 
 def subspace_embedding_error(m, s):
@@ -531,4 +541,31 @@ def factorization_counts(log: list, named: dict) -> Counter:
                     key = (name, "gram")
                     break
         counts[key] += 1
+    return counts
+
+
+def right_factor_log(monkeypatch) -> list:
+    """Patch ``linalg._right_factor``, where the library forms a right
+    singular factor ``A^T U Sigma^-1`` from a left one, to append
+    ``(copy of A, columns formed)`` to the returned list on every call."""
+    from pcpsketch import linalg
+
+    log = []
+    real = linalg._right_factor
+
+    def counting(a, u, sigma):
+        log.append((np.array(a), u.shape[1]))
+        return real(a, u, sigma)
+
+    monkeypatch.setattr(linalg, "_right_factor", counting)
+    return log
+
+
+def right_factor_counts(log: list, named: dict) -> Counter:
+    """The calls of a ``right_factor_log`` counted as ``(name, columns)`` by
+    the matrix of ``named`` they were made on, else as ``(shape, columns)``."""
+    counts = Counter()
+    for a, cols in log:
+        name = next((name for name, m in named.items() if m.shape == a.shape and np.array_equal(m, a)), a.shape)
+        counts[(name, cols)] += 1
     return counts

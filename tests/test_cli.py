@@ -537,10 +537,42 @@ class TestOneFactorization:
                 assert all(x.shape[0] >= x.shape[1] for driver, x in log if driver == "svd"), (cmd, branch)
                 want = {("A", "gram"): 1, ("A", "svd"): int(branch == "lapack"), **others}
                 if method == "nonoblivious":
-                    # Pi A, m x d, has rank <= n < m, so it takes the SVD after its Gram
-                    want.update({("PiA", "gram"): 1, ("PiA", "svd"): 1})
+                    # Pi A, m x d, has rank <= n < m, too few for its m x m
+                    # Gram, so it goes straight to the SVD
+                    want[("PiA", "svd")] = 1
                 counts = oracles.factorization_counts(log, named)
                 assert +counts == +Counter(want), (cmd, branch, counts)
+
+    @pytest.mark.parametrize("method", ["gaussian", "svd", "nonoblivious", "leverage", "ridge"])
+    def test_right_factor_of_the_input_formed_only_where_read(self, tmp_path, capsys, monkeypatch, method):
+        # a wide, well-conditioned A keeps U and sigma from its Gram: the
+        # samplers read all of V (d x r, r = n) once, the svd sketch its first
+        # m columns, and nothing else forms a right factor of A; the
+        # nonoblivious sketch reads the V of Pi A, m x d with m <= n
+        log = oracles.right_factor_log(monkeypatch)
+        n, d, m = 10, 60, 6
+        a = np.random.default_rng(18).standard_normal((n, d))
+        a_path = tmp_path / "a.pcpm"
+        save_matrix(a_path, a)
+        pi_a = rng_for(1, Stream.NON_OBLIVIOUS).standard_normal((m, n)) @ a
+        want = {
+            "svd": {("A", m): 1},
+            "nonoblivious": {("PiA", m): 1},
+            "leverage": {("A", n): 1},
+            "ridge": {("A", n): 1},
+        }.get(method, {})
+        base = ["--input", str(a_path), "--method", method, "--k", "2", "--eps", "0.5", "--m", str(m), "--seed", "1"]
+        for cmd in (
+            ["certify"],
+            ["verify", "--n-random", "3"],
+            ["solve", "--task", "lowrank"],
+            ["solve", "--task", "kmeans", "--solver", "lloyd"],
+        ):
+            log.clear()
+            code, _, err = run(capsys, *cmd, *base)
+            assert code in (0, 2), err
+            counts = oracles.right_factor_counts(log, {"A": a, "PiA": pi_a})
+            assert +counts == Counter(want), (cmd, counts)
 
     def test_gaussian_sketch_runs_no_svd(self, tmp_path, capsys, log):
         a_path = tmp_path / "a.pcpm"

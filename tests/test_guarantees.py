@@ -265,9 +265,12 @@ class TestCertifySpectral:
         ).operator_matrix()
         cert = certify(a, s, 2, 0.5)[1]
         f = svd(a)
-        lam = 0.5 * float((f.sigma[2:] ** 2).sum()) / (24 * 2)
+        lam = cert.measured["lambda_used"]
+        # certify reads sigma off A's Gram, LAPACK's SVD agrees to rounding
+        assert lam == pytest.approx(0.5 * float((f.sigma[2:] ** 2).sum()) / (24 * 2), rel=1e-12, abs=0.0)
         p = tail_index_p(f, 2)
-        # bit for bit: the sandwich is one shared computation on sigma and G
+        # bit for bit at certify's own lambda: the sandwich is one shared
+        # computation on sigma and G
         assert cert.measured["spectral_eps"] == spectral_approx_error(a, s, lam)
         # to rounding: the Frobenius functional on A's own p-tail and S
         split = head_tail_split(f, a, p)

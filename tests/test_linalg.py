@@ -25,9 +25,25 @@ from pcpsketch.linalg import (
     tail_index_p,
 )
 from pcpsketch.rng import Stream, rng_for
-from pcpsketch.sketch import SketchParams, leverage_residual_sample, non_oblivious_rp, ridge_leverage_sample
+from pcpsketch.sketch import (
+    SamplingPattern,
+    SketchParams,
+    leverage_residual_sample,
+    non_oblivious_rp,
+    ridge_leverage_sample,
+    svd_sketch,
+)
 
-from oracles import direct_projection_cost, factorization_counts, factorization_log, gram_eigenvalues, head_tail_split
+from oracles import (
+    direct_projection_cost,
+    factorization_counts,
+    factorization_log,
+    gram_eigenvalues,
+    head_tail_split,
+    right_factor_counts,
+    right_factor_log,
+    row_space_action,
+)
 
 
 def random_matrix(seed, n=None, d=None):
@@ -330,6 +346,41 @@ class TestFactored:
             assert inst.core is inst.core
             assert +factorization_counts(log, {"A": a}) == +Counter({("A", "gram"): 1, ("A", "svd"): svds})
 
+    def test_right_factor_formed_where_read(self, monkeypatch):
+        # a wide A on the Gram route keeps U and sigma; V = A^T U Sigma^-1 is
+        # formed on the first read of fact.v and kept, and v_head(m) forms
+        # only its first m columns.  A tall A gets V from its Gram's eigh,
+        # and a low-rank one from LAPACK, so neither forms one.
+        log = right_factor_log(monkeypatch)
+        wide = random_matrix(44, n=6, d=20)
+        inst = factor(wide)
+        f = inst.fact
+        assert inst.core.shape == (6, 6)
+        assert log == []
+        head = f.v_head(4)
+        assert head.shape == (20, 4) and not head.flags.writeable
+        assert +right_factor_counts(log, {"A": wide}) == Counter({("A", 4): 1})
+        assert f.v is f.v
+        assert +right_factor_counts(log, {"A": wide}) == Counter({("A", 4): 1, ("A", 6): 1})
+        assert not f.v.flags.writeable
+        assert np.allclose(head, f.v[:, :4], rtol=0.0, atol=1e-14)
+        assert np.array_equal(f.v_head(3), f.v[:, :3]) and len(log) == 2
+        low = random_matrix(45, n=6, d=2) @ random_matrix(46, n=2, d=20)
+        for a in (random_matrix(47, n=20, d=6), low):
+            log.clear()
+            g = factor(a).fact
+            assert g.v is g.v and g.v_head(2).shape == (a.shape[1], 2)
+            assert log == []
+
+    def test_product_kept_for_the_last_operator(self):
+        a = factor(random_matrix(48, n=6, d=20))
+        s = random_matrix(49, n=20, d=5)
+        sk = svd_sketch(a, SketchParams(k=2, eps=0.5))
+        assert a.product(sk.operator) is sk.a_tilde
+        at = a.product(s)
+        assert a.product(s) is at and np.array_equal(at, a.a @ s)
+        assert a.product(sk.operator) is not sk.a_tilde
+
     def test_core_has_the_row_gram_and_known_svd(self):
         a = random_matrix(41, n=5, d=9)
         inst = factor(a)
@@ -444,3 +495,51 @@ class TestGramFactorization:
         z = non_oblivious_rp(a, SketchParams(k=2, eps=0.5, seed=5, m_override=8)).operator
         if f.rank:
             assert np.max(np.abs(z.T @ z - np.eye(z.shape[1]))) <= 1e-12
+
+
+class TestRowSpaceGram:
+    """``Factored.gram(S)`` against ``(V^T S)(V^T S)^T`` with the oracle's
+    V, LAPACK's, for a dense S, a sampling pattern and the svd sketch's V_m.
+    A wide A on the Gram route reads ``V^T S`` off ``Sigma^-1 U^T (A S)``,
+    a tall one off its V.  Entries are compared relative to the largest.
+    For sigma_1 / sigma_min <= 1e2 they agree to 1e-12.  Nearer the Gram
+    route's guard, 1e4, the Gram route's V itself is off LAPACK's by about
+    eps * kappa^2 (item 13 of the roadmap), which bounds the comparison
+    (4e-9 measured at kappa = 1e4 against 2.2e-8); against the instance's
+    own V, formed after the fact, the two routes to ``V^T S`` agree to
+    about eps * kappa (3e-12 measured)."""
+
+    @pytest.mark.parametrize("floor", [1e-1, 1e-2, 2e-4, 1.02e-4])
+    @pytest.mark.parametrize("shape", [(30, 200), (20, 600), (200, 30)])
+    @pytest.mark.parametrize("operator", ["dense", "pattern", "v_m"])
+    def test_matches_the_oracle(self, floor, shape, operator):
+        a = geometric(shape, floor, seed=3)
+        d = shape[1]
+        rng = np.random.default_rng(shape[1])
+        inst = factor(a)
+        if operator == "dense":
+            s = rng.standard_normal((d, 12)) / np.sqrt(12)
+        elif operator == "pattern":
+            idx = rng.integers(0, d, 15)
+            probs = np.full(d, 1.0 / d)
+            s = SamplingPattern(idx, 1.0 / np.sqrt(15 * probs[idx]), probs)
+        else:
+            s = svd_sketch(inst, SketchParams(k=2, eps=0.4)).operator
+        g = inst.gram(s)
+        w = row_space_action(a, s)
+        want = w @ w.T
+        eps = np.finfo(float).eps
+        tol = 1e-12 if floor >= 1e-2 else eps / floor**2
+        assert np.max(np.abs(g - want)) <= tol * np.max(np.abs(want))
+        own = inst.fact.v.T @ s
+        assert np.max(np.abs(g - own @ own.T)) <= 100 * eps / floor * np.max(np.abs(want))
+
+    def test_svd_sketch_reads_the_head_of_v(self):
+        for shape in ((30, 200), (200, 30)):
+            a = geometric(shape, 1e-2, seed=7)
+            inst = factor(a)
+            sk = svd_sketch(inst, SketchParams(k=2, eps=0.2))
+            assert sk.m == 10
+            v = inst.fact.v
+            assert np.allclose(sk.operator, v[:, :10], rtol=0.0, atol=1e-14)
+            assert frob2(sk.a_tilde) + sk.c_const == pytest.approx(frob2(a), rel=1e-13)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from pcpsketch.errors import (
 from pcpsketch.generators import GeneratorSpec, gen_synthetic
 from pcpsketch.guarantees import certify
 from pcpsketch.linalg import factor, frob2, svd
+from pcpsketch.rng import Stream, rng_for
 from pcpsketch.sketch import (
     METHODS,
     _indices_from_uniforms,
@@ -34,7 +36,7 @@ from pcpsketch.sketch import (
     svd_sketch,
 )
 
-from oracles import gram_eigenvalues, head_tail_split, indices_from_uniforms_loop
+from oracles import factorization_counts, factorization_log, gram_eigenvalues, head_tail_split, indices_from_uniforms_loop
 
 
 def params(**kw):
@@ -141,6 +143,22 @@ class TestNonOblivious:
         sk = non_oblivious_rp(a, params(k=3))
         z = sk.operator_matrix()
         assert np.linalg.norm(a - sk.a_tilde @ z.T) <= 1e-6 * np.linalg.norm(a)
+
+    @pytest.mark.parametrize(
+        "shape, m_pi, route",
+        [((10, 60), 10, "gram"), ((10, 60), 11, "svd"), ((8, 6), 10, "gram")],
+    )
+    def test_pi_a_factored_once_by_the_route_its_rank_allows(self, monkeypatch, shape, m_pi, route):
+        # Pi A has rank at most n: past m' = n that falls short of the order
+        # of its m' x m' Gram, so it goes to the SVD alone; a tall Pi A has
+        # the d x d Gram, which rank d < n fills even with m' > n
+        a = np.random.default_rng(6).standard_normal(shape)
+        p = params(k=2, eps=0.5, seed=3, m_override=m_pi)
+        pi_a = rng_for(p.seed, Stream.NON_OBLIVIOUS).standard_normal((m_pi, shape[0])) @ a
+        log = factorization_log(monkeypatch)
+        sk = non_oblivious_rp(a, p)
+        assert +factorization_counts(log, {"PiA": pi_a}) == Counter({("PiA", route): 1})
+        assert sk.m == min(m_pi, *shape)
 
     def test_operator_orthonormal(self):
         sk = non_oblivious_rp(wide_matrix(5), params())
@@ -320,8 +338,6 @@ class TestDispatchAndDeterminism:
 
     def test_methods_use_distinct_streams(self):
         # equal seeds must not replay the same variates across methods
-        from pcpsketch.rng import Stream, rng_for
-
         draws = {
             stream: rng_for(5, stream).standard_normal(64)
             for stream in (Stream.GAUSSIAN_SKETCH, Stream.NON_OBLIVIOUS, Stream.HAAR)
