@@ -5,6 +5,7 @@
     python3 scripts/bench_pairs.py summarize --runs runs.jsonl \\
         --claim wide-verify:verify_s --control wide-verify:harness_trials_per_s \\
         --out BENCH_<change>.json
+    python3 scripts/bench_pairs.py trajectory
 
 ``run`` runs ``python3 perfbench/run.py --workload W --seed S --seconds 52
 --trace 0`` in each checkout, one pair per seed, alternating from pair to
@@ -29,6 +30,14 @@ wins, losses, median change and parent spread go under ``controls`` and are
 printed on each claim's line, so a claim can be read against what host load
 alone did to the same runs.  The machine recorded is the one ``summarize``
 runs on, so run it where the runs were made.
+
+``trajectory`` reads every ``BENCH_*.json`` at the root of the checkout, in
+the order of the commits that added them (``git log`` of each file; a file
+not yet committed comes last).  For each workload and end-to-end metric it
+prints one line per file: the change side's median, the file's status for
+the metric and, where the file claimed the metric, the claim and whether
+it was met.  The medians read as direction only: each file's pairs ran on
+a different stretch of a shared host, so their sizes do not compare.
 """
 
 from __future__ import annotations
@@ -190,6 +199,43 @@ def summarize(args) -> None:
         print(beside[2:])
 
 
+def bench_files() -> list:
+    """(commit, path) of every BENCH file, oldest commit first; commit is
+    None for a file not yet committed."""
+    log = subprocess.run(["git", "log", "--format=%H"], cwd=ROOT, capture_output=True, text=True, check=True)
+    age = {commit: i for i, commit in enumerate(reversed(log.stdout.split()))}
+    files = []
+    for path in ROOT.glob("BENCH_*.json"):
+        added = subprocess.run(["git", "log", "--diff-filter=A", "--format=%H", "--", path.name],
+                               cwd=ROOT, capture_output=True, text=True, check=True).stdout.split()
+        commit = added[-1] if added else None
+        files.append((age.get(commit, len(age)), path.name, commit, path))
+    return [(commit, path) for _, _, commit, path in sorted(files)]
+
+
+def trajectory(args) -> None:
+    lines: dict = {}
+    for commit, path in bench_files():
+        bench = json.loads(path.read_text())
+        claims = {(c["workload"], c["metric"]): c for c in bench.get("claims", [])}
+        name = f"{commit[:7] if commit else 'uncommitted'} {path.stem.removeprefix('BENCH_')}"
+        for workload, summary in bench["workloads"].items():
+            for metric, m in summary["metrics"].items():
+                # files written before ``status`` existed record ``within_bound``
+                status = m.get("status") or ("within_bound" if m["within_bound"] else "beyond_bound")
+                line = f"  {name}: {m['change']['median']:.4g}, {status}"
+                claim = claims.get((workload, metric))
+                if claim:
+                    line += (f", claimed {claim['median_change_rel']:+.1%} (won {claim['wins']}), "
+                             f"{'met' if claim['met'] else 'not met'}")
+                lines.setdefault((workload, metric, m["unit"], m["better"]), []).append(line)
+    print("change-side medians of each BENCH file in commit order; direction only, since each file's pairs "
+          "ran on a different stretch of a shared host")
+    for (workload, metric, unit, better), rows in lines.items():
+        print(f"{workload} {metric} ({unit}, {better} is better):")
+        print("\n".join(rows))
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -206,6 +252,8 @@ def main(argv=None) -> None:
     p.add_argument("--control", action="append", default=[], help="workload:metric the change should not move")
     p.add_argument("--out", required=True)
     p.set_defaults(func=summarize)
+    p = sub.add_parser("trajectory", help="print each metric across the BENCH files in commit order")
+    p.set_defaults(func=trajectory)
     args = ap.parse_args(argv)
     args.func(args)
 

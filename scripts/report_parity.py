@@ -20,7 +20,9 @@ certificate blocks, probe tags, verdicts and the other report fields must
 be equal, and ``worst_probe`` may differ only between probes whose
 |signed errors| tie within 1e-14.  Signed errors are compared probe by
 probe (matched by tag) and must agree within 1e-13; the largest change in
-a cost, relative to |A|_F^2, is reported.  ``timing_ms`` is ignored.  The
+a cost, relative to |A|_F^2, is reported, overall and apart for the
+k-means solves and for the ``partition-*`` probe rows (whose signed
+errors count there too).  ``timing_ms`` is ignored.  The
 script prints a summary and exits 1 when a check fails.
 
 ``--tol REL`` compares a change that is not meant to be bit-identical.
@@ -150,6 +152,7 @@ class Parity:
         self.failures = []
         self.signed_fixed = self.signed_random = (0.0, "")
         self.cost = (0.0, "")
+        self.kmeans = self.partition = (0.0, "")
         self.number = (0.0, "")
         self.file = (0.0, "")
         self.worst_equal = self.tag_diffs = 0
@@ -208,6 +211,8 @@ class Parity:
                     self.compare(label, old[key], new[key], scale, f"{path}.{key}")
         elif path.rsplit(".", 1)[-1] in COSTS and None not in (old, new):
             self.record("cost", abs(new - old) / scale, f"{label} {path}")
+            if label.startswith("solve kmeans"):
+                self.record("kmeans", abs(new - old) / scale, f"{label} {path}")
         elif not self.close(old, new):
             self.fail(label, f"{path} {old!r} -> {new!r}")
         elif old != new:
@@ -228,6 +233,10 @@ class Parity:
                         f"{label} {tag}")
             for key in ("cost_a", "cost_sketch"):
                 self.record("cost", abs(b[key] - a[key]) / scale, f"{label} {tag} {key}")
+            if tag.startswith("partition-"):
+                self.record("partition", max(abs(float(b["signed_rel_err"]) - float(a["signed_rel_err"])),
+                                             *(abs(b[key] - a[key]) / scale for key in ("cost_a", "cost_sketch"))),
+                            f"{label} {tag}")
         self.record(f"signed_{family(old['worst_probe'])}",
                     abs(float(new["max_abs_rel_err"]) - float(old["max_abs_rel_err"])), f"{label} max")
         for key in ("n_probes", "eps_target", "pass"):
@@ -296,6 +305,9 @@ def main(argv=None) -> int:
         if value > signed_tol:
             parity.fail(f"signed errors, {what}", f"changed by more than {signed_tol:g}")
     print(f"  largest |change| in a cost / |A|_F^2: {parity.cost[0]:.3g} ({parity.cost[1] or '-'})")
+    print(f"    in the k-means solves: {parity.kmeans[0]:.3g} ({parity.kmeans[1] or '-'})")
+    print(f"    in the partition-* probe rows, cost / |A|_F^2 or signed error: "
+          f"{parity.partition[0]:.3g} ({parity.partition[1] or '-'})")
     for line in parity.failures:
         print(f"  MISMATCH {line}")
     numbers = "certificate blocks," if args.tol is None else "certificate blocks within --tol,"

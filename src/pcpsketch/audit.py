@@ -45,7 +45,7 @@ from .linalg import RANK_TOL, Factored, SvdFactorization, _eigh_desc, as_matrix,
 from .rng import Stream, derive_seed, rng_for
 from .sketch import Sketch, SketchParams, make_sketch
 from .solvers import (
-    _exhaustive_search, _indicators, _lloyd_assignments, best_rank_k_projection,
+    _exhaustive_search, _indicators, _lloyd_assignments, _mask_costs, best_rank_k_projection,
     cluster_indicator_projection, lloyd_kmeans, partition_costs, partitions,
 )
 
@@ -497,7 +497,7 @@ def sketch_and_solve(
         solution: object = proj
     elif task == "kmeans":
         if solver == "exhaustive":
-            solution, labels, costs_sketch = _exhaustive_search(at, k)
+            solution, masks, costs_sketch = _exhaustive_search(at, k)
         elif solver == "lloyd":
             solution = lloyd_kmeans(at, k, iters=iters, seed=seed)
         else:
@@ -511,7 +511,7 @@ def sketch_and_solve(
         costs_a = [cost_on_a, projection_cost(a, best)]
         costs_sketch = [cost_on_sketch, projection_cost(at, best)]
     elif solver == "exhaustive":
-        costs_a = partition_costs(a, labels)
+        costs_a = _mask_costs(a.a, masks)
     else:
         return SolveResult(solution, cost_on_a, cost_on_sketch, None, None)
     check = approx_transfer_check(a, at, sk.c_const, eps, costs_a, costs_sketch)

@@ -90,7 +90,9 @@ def kmeans_cost(m, assignment) -> float:
     if assignment.shape != (m.shape[0],):
         raise InvalidInputError("assignment length must match row count")
     cost = 0.0
-    for j in np.unique(assignment):
+    # the labels in use, ascending; np.unique would import numpy.ma (~13 ms) on first use
+    ordered = np.sort(assignment)
+    for j in ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]:
         rows = m[assignment == j]
         cost += frob2(rows - rows.mean(axis=0))
     return cost
@@ -187,7 +189,43 @@ def partitions(n: int, max_blocks: int) -> np.ndarray:
 
     One int8 row per partition, a restricted growth string (first label 0,
     each label at most one above the largest before it), in lexicographic
-    order.  Capped at n <= 12 rows (Bell(12) is about 4.2 million).
+    order: the rows of ``_partition_masks`` as labels, assembled from the
+    same pieces with each head and tail decoded once.  Capped at n <= 12
+    rows (Bell(12) is about 4.2 million).
+    """
+    split, heads, tails, spans = _partition_parts(n, max_blocks)
+    head_labels = _mask_labels(heads, range(split))
+    tail_labels = [_mask_labels(tail, range(split, n)) for tail in tails]
+    labels = np.empty((spans[-1][2].stop, n), dtype=np.int8, order="F")
+    for head, top, rows in spans:
+        labels[rows, :split] = head_labels[head]
+        labels[rows, split:] = tail_labels[top]
+    return labels
+
+
+def _partition_masks(n: int, max_blocks: int) -> np.ndarray:
+    """Every partition of range(n) into at most ``max_blocks`` blocks as a
+    table of block bitmasks: int16, one column per block (bit i set when
+    row i is in the block, 0 for an unused block), the rows in the order of
+    ``partitions``.  Each head's rows are its tail table OR its own masks,
+    written in place."""
+    _, heads, tails, spans = _partition_parts(n, max_blocks)
+    masks = np.empty((spans[-1][2].stop, heads.shape[1]), dtype=np.int16, order="F")
+    for head, top, rows in spans:
+        np.bitwise_or(tails[top], heads[head], out=masks[rows])
+    return masks
+
+
+def _partition_parts(n: int, max_blocks: int) -> tuple:
+    """The pieces the partition tables are assembled from.
+
+    A partition is a head, the labels of the positions below
+    split = ceil(n / 3), followed by a tail; the tails that can follow a
+    head depend only on the head's largest label.  So the heads and one
+    tail table per reachable largest label are enumerated once, as block
+    masks (``_tail_masks``).  Returns (split, heads, tails, spans), where
+    spans lists for each head in order its index, its largest label and
+    its slice of the table's rows.
     """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
@@ -195,48 +233,109 @@ def partitions(n: int, max_blocks: int) -> np.ndarray:
         raise InvalidInputError(f"max_blocks must be >= 1, got {max_blocks}")
     if n > MAX_EXHAUSTIVE_ROWS:
         raise TooLargeError(f"exhaustive search capped at {MAX_EXHAUSTIVE_ROWS} rows, got {n}")
-    max_blocks = min(max_blocks, n)
-    labels = np.zeros((1, 1), dtype=np.int8)
-    for _ in range(1, n):
-        # row r extends by each label 0 .. min(max(row r) + 1, max_blocks - 1), in order
-        fanout = np.minimum(labels.max(axis=1) + 2, max_blocks)
-        parent = np.repeat(np.arange(len(labels), dtype=np.int32), fanout)
-        first = np.repeat(np.cumsum(fanout, dtype=np.int32) - fanout, fanout)
-        # column-major, so that each column is one contiguous array
-        grown = np.empty((parent.size, labels.shape[1] + 1), dtype=np.int8, order="F")
-        for i in range(labels.shape[1]):
-            grown[:, i] = labels[parent, i]
-        grown[:, -1] = np.arange(parent.size, dtype=np.int32) - first
-        labels = grown
+    width = min(max_blocks, n)
+    split = (n + 2) // 3
+    tails = _tail_masks(n, width, split)
+    heads = _tail_masks(split, width, 1)[0]
+    heads[:, 0] |= 1  # row 0 is in block 0
+    spans, start = [], 0
+    for head, top in enumerate((np.count_nonzero(heads, axis=1) - 1).tolist()):
+        spans.append((head, top, slice(start, start + len(tails[top]))))
+        start += len(tails[top])
+    return split, heads, tails, spans
+
+
+def _tail_masks(n: int, width: int, start: int) -> list:
+    """Block masks of every labelling of positions start..n-1 that can
+    follow a prefix whose largest label is t, for each reachable t
+    (t < min(start, width)): entry t is a (count, width) int16 table in
+    lexicographic order.
+
+    Built from the last position down.  The tails at a position with
+    largest label t so far are, for each label x <= min(t + 1, width - 1)
+    in turn, the tails at the next position under max(t, x) with the
+    position's bit set in block x.
+    """
+    tails = [np.zeros((1, width), dtype=np.int16, order="F")] * width
+    for pos in range(n - 1, start - 1, -1):
+        grown = []
+        for t in range(min(pos, width)):
+            parts = [tails[max(t, x)] for x in range(min(t + 2, width))]
+            table = np.empty((sum(map(len, parts)), width), dtype=np.int16, order="F")
+            np.concatenate(parts, out=table)
+            row = 0
+            for x, part in enumerate(parts):
+                table[row : row + len(part), x] |= 1 << pos
+                row += len(part)
+            grown.append(table)
+        tails = grown
+    return tails
+
+
+def _mask_labels(masks: np.ndarray, positions: range) -> np.ndarray:
+    """The int8 labels of the given positions under each row of a
+    block-mask table: position i takes the label of the block whose mask
+    has bit i."""
+    labels = np.zeros((len(masks), len(positions)), dtype=np.int8, order="F")
+    for j in range(1, masks.shape[1]):
+        for column, i in enumerate(positions):
+            labels[:, column] += ((masks[:, j] >> i) & 1).astype(np.int8) * np.int8(j)
     return labels
 
 
 def partition_costs(m, labels) -> np.ndarray:
-    """k-means cost of ``m``'s rows under each row of ``labels``.
+    """k-means cost of ``m``'s rows under each row of ``labels``, an integer
+    (count, n) table of cluster labels.
 
-    A clustering into blocks T_j costs |M|_F^2 - sum_j q[T_j] / |T_j|, where
-    q[T] sums the Gram matrix M M^T over T x T, tabulated once for all 2^n
-    row subsets (n <= 12).  Equals ``projection_cost`` of the clustering's
-    ``cluster_indicator_projection`` up to rounding, clamped at zero alike.
+    Each row's blocks are turned into bitmasks and scored by ``_mask_costs``
+    (|M|_F^2 - sum_j q[T_j] / |T_j|).  Equals ``projection_cost`` of the
+    clustering's ``cluster_indicator_projection`` up to rounding, clamped
+    at zero alike.
     """
     m = as_matrix(m)
     labels = np.asarray(labels)
     n = m.shape[0]
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise InvalidInputError(f"labels must be an integer table, got dtype {labels.dtype}")
     if labels.ndim != 2 or labels.shape[1] != n or (labels.size and labels.min() < 0):
         raise InvalidInputError(f"labels must be a nonnegative (count, {n}) table")
     if n > MAX_EXHAUSTIVE_ROWS:
         raise TooLargeError(f"exhaustive search capped at {MAX_EXHAUSTIVE_ROWS} rows, got {n}")
-    member = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
-    q = np.sum((member @ (m @ m.T)) * member, axis=1)
-    explained_by = q / np.maximum(member.sum(axis=1), 1.0)  # q = 0 for the empty block
-    explained = np.zeros(labels.shape[0])
-    for j in range(int(labels.max(initial=-1)) + 1):
+    blocks = int(labels.max()) + 1 if labels.size else 0
+    masks = np.zeros((labels.shape[0], blocks), dtype=np.int16, order="F")
+    for j in range(masks.shape[1]):
         # bitmask of block j, one column at a time: no (count, n) temporaries
-        mask = np.zeros(labels.shape[0], dtype=np.int16)
         for i in range(n):
-            mask |= (labels[:, i] == j).astype(np.int16) << i
-        explained += explained_by[mask]
-    return np.maximum(frob2(m) - explained, 0.0)
+            masks[:, j] |= (labels[:, i] == j).astype(np.int16) << i
+    return _mask_costs(m, masks)
+
+
+_COST_ROWS = 1 << 15  # rows of a block-mask table scored at a time
+
+
+def _mask_costs(m: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """k-means cost of the rows of the matrix ``m`` under each row of a
+    block-mask table (see ``_partition_masks``).
+
+    A clustering into blocks T_j costs |M|_F^2 - sum_j q[T_j] / |T_j|, where
+    q[T] sums the Gram matrix M M^T over T x T, tabulated once for all 2^n
+    row subsets (n <= 12); an empty block explains q = 0.  The table is
+    scored ``_COST_ROWS`` rows at a time, so the only full-length array
+    made is the result.
+    """
+    bits = np.arange(m.shape[0], dtype=np.int16)
+    member = ((np.arange(1 << m.shape[0], dtype=np.int16)[:, None] >> bits) & 1).astype(float)
+    q = np.sum((member @ (m @ m.T)) * member, axis=1)
+    explained_by = q / np.maximum(member.sum(axis=1), 1.0)
+    total = frob2(m)
+    costs = np.zeros(masks.shape[0])
+    for start in range(0, len(costs), _COST_ROWS):
+        block = masks[start : start + _COST_ROWS]
+        explained = costs[start : start + _COST_ROWS]
+        for j in range(block.shape[1]):
+            explained += explained_by[block[:, j].astype(np.intp)]
+        np.subtract(total, explained, out=explained)
+    return np.maximum(costs, 0.0, out=costs)
 
 
 def exhaustive_kmeans(m, k: int) -> Clustering:
@@ -249,14 +348,15 @@ def exhaustive_kmeans(m, k: int) -> Clustering:
 
 
 def _exhaustive_search(m, k: int) -> tuple:
-    """``exhaustive_kmeans`` with the partition table it searched and the
-    cost of each row: (clustering, labels, costs)."""
+    """``exhaustive_kmeans`` with the block-mask table it searched
+    (``_partition_masks``) and the cost of each row: (clustering, masks,
+    costs).  Only the winning row is decoded to labels."""
     m = as_matrix(m)
     if k < 1:
         raise InvalidRankError(f"k must be >= 1, got {k}")
-    labels = partitions(m.shape[0], k)
-    costs = partition_costs(m, labels)
+    masks = _partition_masks(m.shape[0], k)
+    costs = _mask_costs(m, masks)
     tied = costs <= costs.min() + 1e-12 * (frob2(m) + 1.0)
-    assignment = labels[int(np.argmax(tied))].astype(np.int64)
-    return Clustering(assignment, k, kmeans_cost(m, assignment)), labels, costs
-
+    best = int(np.argmax(tied))
+    assignment = _mask_labels(masks[best : best + 1], range(m.shape[0]))[0].astype(np.int64)
+    return Clustering(assignment, k, kmeans_cost(m, assignment)), masks, costs

@@ -126,6 +126,31 @@ def partitions_reference(n, max_blocks):
     return out
 
 
+def partition_costs_by_labels(m, labels):
+    """k-means cost of ``m``'s rows under each row of a label table, each
+    block's bitmask rebuilt from the labels, one block at a time.
+
+    The same arithmetic as the library's kernel, in the same order: q[T]
+    sums the Gram matrix over T x T for every subset T of rows, and a row
+    costs |M|_F^2 - sum_j q[T_j] / |T_j|, the blocks added in label order
+    to a zero start and the result clamped at zero.  So the library's costs
+    must equal these bit for bit, however it enumerates the partitions.
+    """
+    m = np.asarray(m, dtype=float)
+    labels = np.asarray(labels)
+    n = m.shape[0]
+    member = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+    q = np.sum((member @ (m @ m.T)) * member, axis=1)
+    explained_by = q / np.maximum(member.sum(axis=1), 1.0)
+    explained = np.zeros(labels.shape[0])
+    for j in range(int(labels.max(initial=-1)) + 1):
+        mask = np.zeros(labels.shape[0], dtype=np.int64)
+        for i in range(n):
+            mask |= (labels[:, i] == j).astype(np.int64) << i
+        explained += explained_by[mask]
+    return np.maximum(float(np.sum(m * m)) - explained, 0.0)
+
+
 def plusplus_reference(m, k, rng):
     """k-means++ centers drawn with numpy's own weighted choice: the first
     row uniformly (``rng.integers``), each next one by

@@ -10,8 +10,12 @@ from pcpsketch.rng import Stream, rng_for
 from pcpsketch.sketch import SketchParams, gaussian_sketch, orthogonal_sketch, svd_sketch
 from pcpsketch.solvers import (
     Clustering,
+    _exhaustive_search,
     _lloyd_assignments,
+    _mask_costs,
+    _partition_masks,
     _plusplus_init,
+    _tail_masks,
     best_rank_k_projection,
     cluster_indicator_projection,
     exhaustive_kmeans,
@@ -21,7 +25,14 @@ from pcpsketch.solvers import (
     partitions,
 )
 
-from oracles import gram_eigenvalues, lloyd_reference, partitions_reference, plusplus_reference, variance_kmeans_cost
+from oracles import (
+    gram_eigenvalues,
+    lloyd_reference,
+    partition_costs_by_labels,
+    partitions_reference,
+    plusplus_reference,
+    variance_kmeans_cost,
+)
 
 
 def rand(seed, shape):
@@ -264,11 +275,12 @@ class TestPartitions:
 
     def test_matches_reference_enumeration(self):
         # same rows in the same (lexicographic) order
-        for n in (1, 2, 3, 5, 7):
-            for kmax in (1, 2, 3, 9):
-                ours = partitions(n, kmax)
-                assert ours.dtype == np.int8
-                assert np.array_equal(ours, np.array(partitions_reference(n, kmax)).reshape(-1, n))
+        grid = [(n, kmax) for n in (1, 2, 3, 5, 7) for kmax in (1, 2, 3, 9)]
+        grid += [(n, kmax) for n in (4, 6) for kmax in range(1, n + 2)]
+        for n, kmax in grid:
+            ours = partitions(n, kmax)
+            assert ours.dtype == np.int8
+            assert np.array_equal(ours, np.array(partitions_reference(n, kmax)).reshape(-1, n))
 
     def test_count_n12_k3(self):
         assert len(partitions(12, 3)) == 88_574  # S(12,1) + S(12,2) + S(12,3)
@@ -305,6 +317,106 @@ class TestPartitionCosts:
             partition_costs(m, np.zeros((3, 5), dtype=np.int8))
         with pytest.raises(InvalidInputError):
             partition_costs(m, np.array([[0, -1, 0, 1]]))
+
+    def test_rejects_non_integer_labels(self):
+        # a fractional label would match no block and drop its row from the cost
+        with pytest.raises(InvalidInputError, match="integer"):
+            partition_costs(np.arange(12.0).reshape(3, 4), np.array([[0, 0.5, 1]]))
+        m = rand(14, (3, 2))
+        for labels in (np.zeros((2, 3)), np.zeros((2, 3), dtype=bool), np.array([["0", "1", "1"]])):
+            with pytest.raises(InvalidInputError, match="integer"):
+                partition_costs(m, labels)
+        for dtype in (np.int8, np.uint8, np.int64):
+            got = partition_costs(m, np.array([[0, 1, 1]], dtype=dtype))
+            assert np.array_equal(got, partition_costs_by_labels(m, [[0, 1, 1]]))
+
+
+def first_cheapest(m, labels, costs):
+    """The row ``exhaustive_kmeans`` keeps: the first whose cost ties the
+    least within 1e-12 (|M|_F^2 + 1)."""
+    return labels[int(np.argmax(costs <= costs.min() + 1e-12 * (frob2(m) + 1.0)))]
+
+
+class TestPartitionMasks:
+    """The search scores a table of block bitmasks built once; every number
+    it gives must equal the label-table route bit for bit."""
+
+    GRID = [(n, k) for n in range(1, 10) for k in range(1, n + 2)] + [(12, 3)]
+
+    def test_masks_are_the_partitions(self):
+        for n, k in self.GRID:
+            masks = _partition_masks(n, k)
+            labels = partitions(n, k)
+            assert masks.dtype == np.int16 and masks.shape == (len(labels), min(n, k))
+            for j in range(masks.shape[1]):
+                want = ((labels == j) << np.arange(n)).sum(axis=1)
+                assert np.array_equal(masks[:, j], want), (n, k, j)
+
+    def test_search_costs_equal_the_label_route(self):
+        rng = np.random.default_rng(21)
+        for n, k in self.GRID:
+            m = rng.standard_normal((n, 3))
+            m[n // 2] = m[0]
+            _, masks, costs = _exhaustive_search(m, k)
+            labels = partitions(n, k)
+            want = partition_costs_by_labels(m, labels)
+            assert np.array_equal(costs, want), (n, k)
+            assert np.array_equal(partition_costs(m, labels), want), (n, k)
+            assert np.array_equal(_mask_costs(m, masks), want), (n, k)
+
+    def test_winner_is_the_first_tied_row(self):
+        rng = np.random.default_rng(22)
+        for n, k in self.GRID:
+            m = rng.standard_normal((n, 2))
+            clustering, _, costs = _exhaustive_search(m, k)
+            want = first_cheapest(m, partitions(n, k), costs)
+            assert clustering.assignment.tolist() == want.tolist(), (n, k)
+            assert clustering.assignment.dtype == np.int64
+
+    def test_exact_ties_between_duplicate_rows(self):
+        # four distinct points, each twice: with k >= 5 blocks, splitting a
+        # pair keeps the cost at zero, so many partitions tie exactly
+        points = rand(23, (4, 3))
+        m = points[[0, 1, 0, 2, 3, 1, 2, 3]]
+        for k in range(4, 9):
+            clustering, _, costs = _exhaustive_search(m, k)
+            labels = partitions(8, k)
+            assert np.count_nonzero(costs <= 1e-12 * (frob2(m) + 1.0)) > (k > 4)
+            assert clustering.assignment.tolist() == first_cheapest(m, labels, costs).tolist()
+            assert clustering.assignment.tolist() == [0, 1, 0, 2, 3, 1, 2, 3]
+            assert clustering.cost <= 1e-12 * frob2(m)
+
+    def test_rounding_ties_keep_the_first_row(self):
+        # a regular hexagon splits into halves three ways at one cost; in
+        # floating point the costs of the tied rows differ in their last
+        # bits and the first is not the smallest, so only the tolerance
+        # picks it
+        angle = np.random.default_rng(12).uniform(0, 2 * np.pi, 3)
+        turn = angle[0] + 2 * np.pi * np.arange(6) / 6
+        m = np.stack([np.cos(turn), np.sin(turn)], axis=1) + 3 * angle[1:]
+        for k in (2, 3):
+            clustering, _, costs = _exhaustive_search(m, k)
+            assert clustering.assignment.tolist() == first_cheapest(m, partitions(6, k), costs).tolist()
+
+    def test_tail_tables_only_for_reachable_largest_labels(self):
+        # after `start` positions the largest label is below min(start, width);
+        # a table for any other would grow as width^(n - start) and go unused
+        for n, width in ((10, 10), (9, 3), (12, 12)):
+            labels = partitions(n, width) if n < 12 else None
+            for start in range(max(1, n - 6), n + 1):
+                tails = _tail_masks(n, width, start)
+                assert len(tails) == min(start, width)
+                for t, table in enumerate(tails if labels is not None else ()):
+                    head = [0] * (start - t) + list(range(1, t + 1))  # a head whose largest label is t
+                    assert len(table) == np.all(labels[:, :start] == head, axis=1).sum(), (n, width, start, t)
+
+    def test_largest_table_counts_every_partition(self):
+        masks = _partition_masks(11, 11)
+        assert len(masks) == 678_570  # Bell(11)
+        full = np.bitwise_or.reduce(masks, axis=1)
+        assert np.all(full == (1 << 11) - 1)
+        sizes = sum(np.bitwise_count(masks[:, j]).astype(int) for j in range(11))
+        assert np.all(sizes == 11)  # the blocks are disjoint
 
 
 class TestExhaustive:
