@@ -45,8 +45,8 @@ from .linalg import RANK_TOL, Factored, SvdFactorization, _eigh_desc, as_matrix,
 from .rng import Stream, derive_seed, rng_for
 from .sketch import Sketch, SketchParams, make_sketch
 from .solvers import (
-    _exhaustive_search, _indicators, _lloyd_assignments, _mask_costs, best_rank_k_projection,
-    cluster_indicator_projection, lloyd_kmeans, partition_costs, partitions,
+    _exhaustive_search, _indicators, _lloyd_assignments, _mask_costs, _mask_labels, _partition_masks,
+    best_rank_k_projection, cluster_indicator_projection, lloyd_kmeans,
 )
 
 __all__ = [
@@ -77,9 +77,7 @@ _HARNESS_WIDTH_FACTORS = (0.25, 1.0, 2.0, 130.0)
 
 @dataclass(frozen=True, eq=False)
 class ProbeSet:
-    """Rank-<=k probe projections as one array, with their provenance tags,
-    plus an optional table of row partitions, each one cluster-indicator
-    probe.
+    """Rank-<=k probe projections as one array, with their provenance tags.
 
     ``bases[i]`` is an n x w orthonormal basis of probe i (w <= k), whose
     columns past the probe's rank are zero; ``tags[i]`` names its family.
@@ -91,7 +89,6 @@ class ProbeSet:
     bases: np.ndarray
     tags: np.ndarray
     k: int
-    partitions: np.ndarray | None = None
 
     def __post_init__(self):
         bases = np.array(self.bases, dtype=float)
@@ -110,15 +107,12 @@ class ProbeSet:
         unit = np.diagonal(gram, axis1=1, axis2=2) > 0.5
         if gram.size and np.max(np.abs(gram - unit[:, :, None] * np.eye(bases.shape[2]))) > 1e-8:
             raise InvalidMatrixError("probe basis columns are not orthonormal")
-        if self.partitions is not None and self.partitions.max(initial=0) >= self.k:
-            raise InvalidInputError("partition probe has more than k blocks")
         bases.setflags(write=False)
         object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "tags", tags)
 
     def __len__(self) -> int:
-        extra = 0 if self.partitions is None else len(self.partitions)
-        return len(self.tags) + extra
+        return len(self.tags)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,9 +174,7 @@ class SolveResult:
     transfer: TransferCheck | None
 
 
-def generate_probes(
-    a, a_tilde, k: int, n_random: int, seed: int = 0, exhaustive: bool = False
-) -> ProbeSet:
+def generate_probes(a, a_tilde, k: int, n_random: int, seed: int = 0) -> ProbeSet:
     """Deterministic probe set targeting where cost preservation can break.
 
     Structured families: top-j singular subspaces of A and of the sketch for
@@ -190,8 +182,7 @@ def generate_probes(
     top-k directions, spans of standard basis vectors (first k, and the k
     heaviest rows), cluster indicators from seeded Lloyd runs on the rows of
     both matrices, and the rank-0 probe.  ``n_random`` Haar subspaces are
-    appended, and ``exhaustive`` adds every cluster indicator over
-    partitions into at most k blocks (n <= 12 only, else TooLargeError).
+    appended.
     The Lloyd probes are computed on the cores of A and of the sketch, the
     residual in A's coordinates, where its singular values <= RANK_TOL *
     sigma_1(A) count as zero; the heaviest rows are A's own.  The bases are
@@ -255,7 +246,7 @@ def generate_probes(
     bases[i : i + len(labels)] = _indicators(labels, kk)
     i += len(labels)
     bases[i:] = orthonormal_columns(rng_for(seed, Stream.PROBE_HAAR).standard_normal((n_random, n, kk)))
-    return ProbeSet(bases, tags, k, partitions(n, kk) if exhaustive else None)
+    return ProbeSet(bases, tags, k)
 
 
 def pcp_report(a, a_tilde, c: float, probes: ProbeSet, eps_target: float) -> PcpReport:
@@ -281,21 +272,32 @@ def pcp_report(a, a_tilde, c: float, probes: ProbeSet, eps_target: float) -> Pcp
     def costs(m: Factored) -> np.ndarray:
         explained = stacked.T @ m.core
         explained *= explained
-        out = np.maximum(m.frob2 - explained.reshape(count, width * m.core.shape[1]).sum(axis=1), 0.0)
-        if probes.partitions is None:
-            return out
-        return np.concatenate([out, partition_costs(m.core, probes.partitions) + (m.frob2 - frob2(m.core))])
+        return np.maximum(m.frob2 - explained.reshape(count, width * m.core.shape[1]).sum(axis=1), 0.0)
 
-    cost_a, cost_s, tags = costs(a), costs(at), probes.tags
-    if probes.partitions is not None:
-        tags = np.concatenate([tags, _partition_tags(probes.partitions)])
-    total = a.frob2
+    return _verdict(probes.tags, costs(a), costs(at), a.frob2, c, eps_target)
+
+
+def _verdict(tags, cost_a, cost_s, total: float, c: float, eps_target: float) -> PcpReport:
+    """The report of probes with these costs, under ``PcpReport``'s zero-cost rule."""
     zero = cost_a <= ZERO_COST_REL * total
     zero_err = np.where(np.abs(cost_s + c) <= ZERO_CHECK_REL * total, 0.0, inf)
     err = np.where(zero, zero_err, (cost_s + c - cost_a) / np.where(zero, 1.0, cost_a))
     worst = int(np.argmax(np.abs(err)))
     worst_err = abs(float(err[worst]))
     return PcpReport(tags, cost_a, cost_s, err, zero, worst_err, worst, eps_target, worst_err <= eps_target)
+
+
+def _with_partitions(report: PcpReport, a, a_tilde, c: float, masks: np.ndarray) -> PcpReport:
+    """``report`` plus the cluster indicator of each partition in the block-mask
+    table ``masks`` (``solvers._partition_masks``), costing ``_mask_costs`` of
+    each core plus the energy below its rank cut, as ``pcp_report`` scores."""
+    a, at = factor(a), factor(a_tilde, "a_tilde")
+
+    def costs(m: Factored, head: np.ndarray) -> np.ndarray:
+        return np.concatenate([head, _mask_costs(m.core, masks) + (m.frob2 - frob2(m.core))])
+
+    tags = np.concatenate([report.tags, _partition_tags(_mask_labels(masks, range(a.shape[0])))])
+    return _verdict(tags, costs(a, report.cost_a), costs(at, report.cost_sketch), a.frob2, c, report.eps_target)
 
 
 def _partition_tags(labels: np.ndarray) -> np.ndarray:
@@ -338,15 +340,18 @@ def verify_sketch(
     a, method: str, params: SketchParams, n_random: int, probe_seed: int, exhaustive: bool = False
 ) -> Verification:
     """Sketch ``a`` by ``method``, certify the operator by both routes and
-    audit the sketch over ``generate_probes(..., n_random, probe_seed,
-    exhaustive)`` at eps = params.eps.  A is factored at most once, the
+    audit the sketch over ``generate_probes(..., n_random, probe_seed)`` at
+    eps = params.eps, plus, if ``exhaustive``, every partition into at most k
+    blocks (n <= 12, else TooLargeError).  A is factored at most once, the
     sketch never: its SVD is read off A's (``_factor_sketch``)."""
     a = factor(a)
     sk = make_sketch(a, method, params)
     t1, t2 = certify(a, sk.operator, params.k, params.eps)
     at = _factor_sketch(a, sk)
-    probes = generate_probes(a, at, params.k, n_random, seed=probe_seed, exhaustive=exhaustive)
+    probes = generate_probes(a, at, params.k, n_random, seed=probe_seed)
     report = pcp_report(a, at, sk.c_const, probes, params.eps)
+    if exhaustive:
+        report = _with_partitions(report, a, at, sk.c_const, _partition_masks(a.shape[0], params.k))
     return Verification(sk, t1, t2, report)
 
 
@@ -460,6 +465,8 @@ def approx_transfer_check(a, a_tilde, c: float, eps: float, costs_a, costs_sketc
         raise InvalidInputError("need at least one candidate cost")
     if sketch_costs.shape != a_costs.shape:
         raise InvalidInputError("one sketch cost per candidate required")
+    if not (np.isfinite(a_costs).all() and np.isfinite(sketch_costs).all()):
+        raise InvalidInputError("candidate costs must be finite")
     if not 0.0 < eps < 1.0:
         raise InvalidInputError(f"eps must be in (0, 1), got {eps}")
     eligible = sketch_costs <= float(sketch_costs.min()) + 1e-12 * (frob2(at) + 1.0)

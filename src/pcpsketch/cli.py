@@ -143,8 +143,6 @@ class _Rows:
 
 
 def _json_safe(obj):
-    if isinstance(obj, _Rows):
-        return obj
     if isinstance(obj, dict):
         return {str(k): _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -167,14 +165,10 @@ def _dumps(report: dict) -> str:
     blocks: list = []
 
     def stub(obj):
-        if isinstance(obj, _Rows):
-            blocks.append(obj)
-            return f"\x00{len(blocks) - 1}"
-        if isinstance(obj, dict):
-            return {k: stub(v) for k, v in obj.items()}
-        if isinstance(obj, list):
-            return [stub(v) for v in obj]
-        return obj
+        if not isinstance(obj, _Rows):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        blocks.append(obj)
+        return f"\x00{len(blocks) - 1}"
 
     def expand(match) -> str:
         pad, head, rows = match.group(1), match.group(2), blocks[int(match.group(3))]
@@ -183,7 +177,7 @@ def _dumps(report: dict) -> str:
         body = f",\n{pad}  ".join(rows.json_lines())
         return f"{pad}{head}[\n{pad}  {body}\n{pad}]"
 
-    text = json.dumps(stub(report), indent=2, allow_nan=False)
+    text = json.dumps(report, indent=2, allow_nan=False, default=stub)
     return _ROWS_STUB.sub(expand, text) if blocks else text
 
 

@@ -39,9 +39,11 @@ class Clustering:
     cost: float
 
     def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=np.int64)
+        a = np.asarray(self.assignment)
         if a.ndim != 1 or a.size == 0:
             raise InvalidInputError("assignment must be a nonempty 1-D array")
+        _require_integer(a)
+        a = a.astype(np.int64, copy=False)
         if a.min() < 0 or a.max() >= self.k:
             raise InvalidInputError("cluster labels out of range")
         object.__setattr__(self, "assignment", a)
@@ -64,15 +66,23 @@ def cluster_indicator_projection(assignment, k: int, n: int) -> Projection:
     One column per nonempty cluster, constant 1/sqrt(|C_j|) on its members;
     empty clusters are dropped, so the rank can fall below k.
     """
-    assignment = np.asarray(assignment, dtype=np.int64)
+    assignment = np.asarray(assignment)
     if assignment.shape != (n,):
         raise InvalidInputError(f"assignment must have shape ({n},)")
+    _require_integer(assignment)
     if k < 1:
         raise InvalidRankError(f"k must be >= 1, got {k}")
     if assignment.min() < 0 or assignment.max() >= k:
         raise InvalidInputError("cluster labels out of range")
     basis = _indicators(assignment, k)
     return Projection(basis[:, basis.any(axis=0)])
+
+
+def _require_integer(labels: np.ndarray) -> None:
+    """Reject cluster labels of a non-integer dtype (bool included), which
+    a cast would silently truncate."""
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise InvalidInputError(f"cluster labels must be integers, got dtype {labels.dtype}")
 
 
 def _indicators(labels: np.ndarray, k: int) -> np.ndarray:
@@ -86,9 +96,10 @@ def _indicators(labels: np.ndarray, k: int) -> np.ndarray:
 def kmeans_cost(m, assignment) -> float:
     """Sum of squared distances of rows to their cluster means."""
     m = as_matrix(m)
-    assignment = np.asarray(assignment, dtype=np.int64)
+    assignment = np.asarray(assignment)
     if assignment.shape != (m.shape[0],):
         raise InvalidInputError("assignment length must match row count")
+    _require_integer(assignment)
     cost = 0.0
     # the labels in use, ascending; np.unique would import numpy.ma (~13 ms) on first use
     ordered = np.sort(assignment)
@@ -295,8 +306,7 @@ def partition_costs(m, labels) -> np.ndarray:
     m = as_matrix(m)
     labels = np.asarray(labels)
     n = m.shape[0]
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise InvalidInputError(f"labels must be an integer table, got dtype {labels.dtype}")
+    _require_integer(labels)
     if labels.ndim != 2 or labels.shape[1] != n or (labels.size and labels.min() < 0):
         raise InvalidInputError(f"labels must be a nonnegative (count, {n}) table")
     if n > MAX_EXHAUSTIVE_ROWS:

@@ -11,6 +11,7 @@ from pcpsketch.audit import (
     ProbeSet,
     _factor_sketch,
     _harness_trial,
+    _with_partitions,
     approx_transfer_check,
     generate_probes,
     implication_harness,
@@ -18,7 +19,7 @@ from pcpsketch.audit import (
     sketch_and_solve,
     verify_sketch,
 )
-from pcpsketch.errors import InvalidInputError, InvalidMatrixError, WidthNotReducingWarning
+from pcpsketch.errors import InvalidInputError, InvalidMatrixError, TooLargeError, WidthNotReducingWarning
 from pcpsketch.generators import GeneratorSpec, gen_synthetic
 from pcpsketch.guarantees import certify
 from pcpsketch.linalg import (
@@ -34,7 +35,7 @@ from pcpsketch.linalg import (
 )
 from pcpsketch.rng import Stream, rng_for
 from pcpsketch.sketch import METHODS, SketchParams, gaussian_sketch, make_sketch, orthogonal_sketch, svd_sketch
-from pcpsketch.solvers import cluster_indicator_projection, partition_costs, partitions
+from pcpsketch.solvers import _partition_masks, cluster_indicator_projection, partition_costs, partitions
 
 from oracles import (
     dinkelbach_distortion,
@@ -60,14 +61,26 @@ def axis_probe(n, j):
     return Projection(basis)
 
 
-def probe_set(projections, tags, k, partitions=None):
+def probe_set(projections, tags, k):
     """A ``ProbeSet`` of the given projections, each basis zero-padded to
     the widest."""
     width = max(p.rank for p in projections)
     bases = np.zeros((len(projections), projections[0].basis.shape[0], width))
     for i, p in enumerate(projections):
         bases[i, :, : p.rank] = p.basis
-    return ProbeSet(bases, tags, k, partitions)
+    return ProbeSet(bases, tags, k)
+
+
+def exhaustive_report(a, at, c, probes, eps):
+    """``pcp_report`` over ``probes`` plus every partition into at most
+    ``probes.k`` blocks, as ``verify_sketch(..., exhaustive=True)`` scores
+    them."""
+    rep = pcp_report(a, at, c, probes, eps)
+    return _with_partitions(rep, a, at, c, _partition_masks(probes.bases.shape[1], probes.k))
+
+
+def partition_tag(row):
+    return "partition-" + "".join(map(str, row)) + f"-{max(row) + 1}blocks"
 
 
 def probe_ranks(probes):
@@ -95,11 +108,12 @@ class TestGenerateProbes:
 
     def test_exhaustive_bipartition_count(self):
         a = rand(2, (4, 6))
-        probes = generate_probes(a, a.copy(), 2, 0, seed=0, exhaustive=True)
-        tags = pcp_report(a, a.copy(), 0.0, probes, 0.5).tags.tolist()
+        probes = generate_probes(a, a.copy(), 2, 0, seed=0)
+        tags = exhaustive_report(a, a.copy(), 0.0, probes, 0.5).tags.tolist()
         two_block = [tag for tag in tags if tag.startswith("partition-") and tag.endswith("-2blocks")]
         assert len(two_block) == 7  # Stirling count for 4 rows in 2 blocks
-        assert len(probes) == len(tags)
+        assert len(tags) == len(probes) + 1 + 7
+        assert tags[: len(probes)] == probes.tags.tolist()
 
     def test_haar_rows_are_the_same_in_a_longer_set(self):
         # one draw for all Haar probes: the set for N is a prefix of the set
@@ -161,8 +175,6 @@ class TestGenerateProbes:
             ProbeSet(good, ["a", "b"], k=2)  # tag count
         with pytest.raises(InvalidInputError):
             ProbeSet(good, ["a", "b", "c"], k=1)  # wider than k
-        with pytest.raises(InvalidInputError):
-            ProbeSet(good, ["a", "b", "c"], k=2, partitions=np.array([[0, 1, 2, 0, 1]], dtype=np.int8))
 
     def test_bases_are_read_only_copies(self):
         bases = np.stack([haar_subspace(5, 2, s).basis for s in range(2)])
@@ -254,9 +266,10 @@ class TestPcpReport:
         m = rand(13, (6, 4))
         full = svd(m)
         cut = Factored.from_factors(m, SvdFactorization(full.u[:, :2], full.sigma[:2], None, 2))
-        probes = generate_probes(m, m, 2, 3, seed=1, exhaustive=True)
-        got = pcp_report(m, cut, 0.0, probes, 0.5).cost_sketch
-        want = pcp_report(m, m, 0.0, probes, 0.5).cost_sketch
+        probes = generate_probes(m, m, 2, 3, seed=1)
+        got = exhaustive_report(m, cut, 0.0, probes, 0.5).cost_sketch
+        want = exhaustive_report(m, m, 0.0, probes, 0.5).cost_sketch
+        assert len(got) == len(probes) + 1 + 31  # S(6, 1) + S(6, 2) partitions
         exact = np.isin(probes.tags, ["zero-rank", "top-a-2"]).nonzero()[0]
         assert np.allclose(got[exact], want[exact], rtol=1e-12, atol=0)
         assert np.all(got - want >= -1e-12 * frob2(m))
@@ -288,21 +301,17 @@ class TestPcpReport:
         # the exact sketch keeps it at zero and the perturbed one does not
         a = np.tile(rand(19, (3, 5)), (2, 1))
         rot, _ = np.linalg.qr(rand(20, (5, 5)))
+        labels = partitions(6, 3)
         for at, c in ((a @ rot, 0.0), (a[:, :3] + 0.01 * rand(21, (6, 3)), 0.5)):
-            probes = generate_probes(a, at, 3, 2, seed=5, exhaustive=True)
+            probes = generate_probes(a, at, 3, 2, seed=5)
             one_by_one = probe_set(
-                probe_projections(probes)
-                + [cluster_indicator_projection(row, 3, 6) for row in probes.partitions],
-                probes.tags.tolist()
-                + [
-                    "partition-" + "".join(str(x) for x in row) + f"-{max(row) + 1}blocks"
-                    for row in probes.partitions.tolist()
-                ],
+                probe_projections(probes) + [cluster_indicator_projection(row, 3, 6) for row in labels],
+                probes.tags.tolist() + [partition_tag(row) for row in labels.tolist()],
                 k=3,
             )
-            assert len(probes) == len(one_by_one)
-            got = pcp_report(a, at, c, probes, 0.3)
+            got = exhaustive_report(a, at, c, probes, 0.3)
             ref = pcp_report(a, at, c, one_by_one, 0.3)
+            assert len(got.tags) == len(one_by_one)
             scale = frob2(a)
             assert np.any(ref.zero_cost & np.strings.startswith(ref.tags, "partition-"))
             assert got.tags.tolist() == ref.tags.tolist()
@@ -336,9 +345,12 @@ class TestPcpReport:
             [0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5],
         ]
         a = rand(40, (12, 15))
-        probes = probe_set([axis_probe(12, 0)], ["axis"], k=12, partitions=np.array(rows, dtype=np.int8))
-        rep = pcp_report(a, a.copy(), 0.0, probes, 0.5)
-        want = ["partition-" + "".join(map(str, row)) + f"-{max(row) + 1}blocks" for row in rows]
+        # block j's mask has bit i set when row i has label j
+        member = np.array(rows)[:, None, :] == np.arange(12)[:, None]
+        masks = (member << np.arange(12)).sum(axis=2).astype(np.int16)
+        rep = pcp_report(a, a.copy(), 0.0, probe_set([axis_probe(12, 0)], ["axis"], k=12), 0.5)
+        rep = _with_partitions(rep, a, a.copy(), 0.0, masks)
+        want = [partition_tag(row) for row in rows]
         assert rep.tags.tolist() == ["axis"] + want
         assert want[0] == "partition-01234567891011-12blocks"
 
@@ -531,6 +543,17 @@ class TestApproxTransferCheck:
         with pytest.raises(InvalidInputError):
             approx_transfer_check(np.eye(3), np.eye(3), 0.0, 0.5, [1.0, 2.0], [1.0])
 
+    def test_non_finite_costs_rejected(self):
+        # a NaN would leave no candidate of least sketch cost
+        for costs_a, costs_s in (
+            ([np.nan, 1.0], [np.nan, 1.0]),
+            ([1.0, 2.0], [np.nan, 1.0]),
+            ([np.inf, 1.0], [0.0, 1.0]),
+            ([1.0, 2.0], [1.0, -np.inf]),
+        ):
+            with pytest.raises(InvalidInputError, match="finite"):
+                approx_transfer_check(np.eye(3), np.eye(3), 0.0, 0.5, costs_a, costs_s)
+
 
 def projector(p):
     return p.basis @ p.basis.T
@@ -580,12 +603,12 @@ class TestProbesInCoordinates:
     def test_partition_costs_match_the_array_path(self):
         a = np.tile(rand(32, (3, 7)), (2, 1))
         at = a[:, :4] + 0.01 * rand(33, (6, 4))
-        probes = generate_probes(a, at, 3, 0, seed=1, exhaustive=True)
-        report = pcp_report(a, at, 0.0, probes, 0.5)
-        rows = slice(len(probes.tags), None)
+        probes = generate_probes(a, at, 3, 0, seed=1)
+        report = exhaustive_report(a, at, 0.0, probes, 0.5)
+        rows = slice(len(probes), None)
         scale = frob2(a)
-        want_a = partition_costs(a, probes.partitions)
-        want_s = partition_costs(at, probes.partitions)
+        want_a = partition_costs(a, partitions(6, 3))
+        want_s = partition_costs(at, partitions(6, 3))
         assert len(report.cost_a[rows]) == len(want_a)
         assert np.allclose(report.cost_a[rows], want_a, rtol=0, atol=1e-12 * scale)
         assert np.allclose(report.cost_sketch[rows], want_s, rtol=0, atol=1e-12 * scale)
@@ -603,6 +626,14 @@ class TestVerifySketch:
         at = _factor_sketch(a, sk)
         probes = generate_probes(a, at, 2, 4, seed=5)
         assert v.report == pcp_report(a, at, sk.c_const, probes, 0.5)
+        v = verify_sketch(a, "ridge", params, 4, probe_seed=5, exhaustive=True)
+        assert v.report == exhaustive_report(a, at, sk.c_const, probes, 0.5)
+
+    def test_exhaustive_is_capped_at_12_rows(self):
+        params = SketchParams(k=2, eps=0.5, seed=3, m_override=20)
+        verify_sketch(rand(35, (12, 30)), "gaussian", params, 0, probe_seed=5, exhaustive=True)
+        with pytest.raises(TooLargeError):
+            verify_sketch(rand(35, (13, 30)), "gaussian", params, 0, probe_seed=5, exhaustive=True)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_noise_floor_scores_as_on_the_sketch_own_svd(self, method):

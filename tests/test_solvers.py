@@ -105,8 +105,37 @@ class TestClusterIndicator:
         with pytest.raises(InvalidInputError):
             cluster_indicator_projection(np.array([0, 2]), 2, 2)
 
+    def test_rejects_non_integer_labels(self):
+        for labels in (np.array([0.5, 1.7, 0.2]), np.array([True, False, True])):
+            with pytest.raises(InvalidInputError, match="integer"):
+                cluster_indicator_projection(labels, 2, 3)
+
+
+class TestClustering:
+    def test_rejects_fractional_labels(self):
+        # a cast would truncate them to [0, 1, 0]
+        with pytest.raises(InvalidInputError, match="integer"):
+            Clustering(np.array([0.5, 1.7, 0.2]), 2, 0.0)
+
+    def test_empty_assignment_is_reported_as_empty(self):
+        # an empty list has a float dtype; the shape is what is wrong with it
+        with pytest.raises(InvalidInputError, match="nonempty 1-D"):
+            Clustering([], 2, 0.0)
+
+    def test_integer_labels_of_any_width(self):
+        for dtype in (np.int8, np.uint8, np.int64):
+            assert Clustering(np.array([0, 1, 0], dtype=dtype), 2, 0.0).assignment.tolist() == [0, 1, 0]
+
 
 class TestKmeansCost:
+    def test_rejects_non_integer_labels(self):
+        # a cast would score both as the labels [0, 1, 0], at cost 16
+        m = np.arange(6.0).reshape(3, 2)
+        for labels in ([0.5, 1.7, 0.2], [True, False, True]):
+            with pytest.raises(InvalidInputError, match="integer"):
+                kmeans_cost(m, labels)
+        assert kmeans_cost(m, [0, 1, 0]) == 16.0
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 9), st.integers(1, 4))
     def test_equals_projection_residual_and_variances(self, seed, n, k):
