@@ -16,6 +16,7 @@ paragraph is left out of ``pcp --help``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -116,6 +117,9 @@ class _Rows:
     def __len__(self) -> int:
         return len(next(iter(self.columns.values())))
 
+    def __getitem__(self, rows: slice) -> "_Rows":
+        return _Rows(**{key: column[rows] for key, column in self.columns.items()})
+
     def cells(self, quote) -> list:
         """Each column's cell texts: floats by ``float.__repr__`` (the
         spelling of the JSON encoder), booleans as true/false and strings
@@ -157,11 +161,14 @@ def _json_safe(obj):
 
 
 _ROWS_STUB = re.compile(r'^( *)(.*)"\\u0000(\d+)"', re.MULTILINE)
+_ROWS_PER_PIECE = 4096  # rows of a _Rows block rendered at a time
 
 
-def _dumps(report: dict) -> str:
-    """Indent-2 JSON of a JSON-safe report, except that each ``_Rows`` block
-    holds one row per line."""
+def _json_pieces(report: dict):
+    """Indent-2 JSON of a JSON-safe report, as an iterator of text pieces,
+    except that each ``_Rows`` block holds one row per line.  The report is
+    encoded (and checked) at once, each block's rows ``_ROWS_PER_PIECE`` at
+    a time as the pieces are read, so no text of a whole block is built."""
     blocks: list = []
 
     def stub(obj):
@@ -170,15 +177,24 @@ def _dumps(report: dict) -> str:
         blocks.append(obj)
         return f"\x00{len(blocks) - 1}"
 
-    def expand(match) -> str:
-        pad, head, rows = match.group(1), match.group(2), blocks[int(match.group(3))]
-        if not rows:
-            return f"{pad}{head}[]"
-        body = f",\n{pad}  ".join(rows.json_lines())
-        return f"{pad}{head}[\n{pad}  {body}\n{pad}]"
+    def pieces(text):
+        end = 0
+        for match in _ROWS_STUB.finditer(text):
+            pad, head, rows = match.group(1), match.group(2), blocks[int(match.group(3))]
+            yield text[end : match.start()] + f"{pad}{head}["
+            for start in range(0, len(rows), _ROWS_PER_PIECE):
+                lines = rows[start : start + _ROWS_PER_PIECE].json_lines()
+                yield ("\n" if start == 0 else ",\n") + f"{pad}  " + f",\n{pad}  ".join(lines)
+            yield f"\n{pad}]" if len(rows) else "]"
+            end = match.end()
+        yield text[end:]
 
-    text = json.dumps(report, indent=2, allow_nan=False, default=stub)
-    return _ROWS_STUB.sub(expand, text) if blocks else text
+    return pieces(json.dumps(report, indent=2, allow_nan=False, default=stub))
+
+
+def _dumps(report: dict) -> str:
+    """``_json_pieces`` of the report as one text."""
+    return "".join(_json_pieces(report))
 
 
 def _flatten(obj, prefix: str, out: dict) -> None:
@@ -199,7 +215,7 @@ def _flatten(obj, prefix: str, out: dict) -> None:
 def _emit(report: dict, args) -> None:
     report = _json_safe(report)
     if args.format == "json":
-        text = _dumps(report)
+        pieces = _json_pieces(report)
     else:
         flat: dict = {}
         _flatten(report, "", flat)
@@ -211,12 +227,10 @@ def _emit(report: dict, args) -> None:
                 return "true" if v else "false"
             return str(v)
 
-        text = ",".join(flat.keys()) + "\n" + ",".join(cell(v) for v in flat.values())
-    if args.report_out:
-        with open(args.report_out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        pieces = [",".join(flat.keys()) + "\n" + ",".join(cell(v) for v in flat.values())]
+    with open(args.report_out, "w") if args.report_out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(pieces)
+        fh.write("\n")
 
 
 def _certificate_block(cert) -> dict:

@@ -622,6 +622,21 @@ class TestReportWriting:
         text = _dumps({"pcp": {"per_probe": _Rows(probe=np.array([], dtype=str)), "n_probes": 0}})
         assert json.loads(text) == {"pcp": {"per_probe": [], "n_probes": 0}}
 
+    @pytest.mark.parametrize("per_piece", [1, 2, 3, 5, 6])
+    def test_rows_written_in_pieces(self, monkeypatch, tmp_path, capsys, per_piece):
+        # five rows cut into pieces of any size, the last piece short or full,
+        # give the text of one piece, in a file and on stdout alike
+        values = np.array([0.5, math.inf, -2.0, 1e-300, math.nan])
+        report = {"a": 1, "pcp": {"per_probe": _Rows(probe=np.array(list("vwxyz")), x=values), "n": 5}, "b": [2]}
+        whole = _dumps(report)
+        assert json.loads(whole)["pcp"]["per_probe"][1] == {"probe": "w", "x": "inf"}
+        monkeypatch.setattr(cli, "_ROWS_PER_PIECE", per_piece)
+        assert _dumps(report) == whole
+        out = tmp_path / "r.json"
+        _emit(report, argparse.Namespace(format="json", report_out=str(out)))
+        _emit(report, argparse.Namespace(format="json", report_out=None))
+        assert out.read_text() == capsys.readouterr().out == whole + "\n"
+
     def test_csv_matches_the_flattened_oracle(self, tmp_path, capsys):
         # the same seeded verify written as JSON and as CSV; the CSV must be
         # the JSON payload flattened cell by cell, all but the run time
