@@ -192,11 +192,6 @@ def _json_pieces(report: dict):
     return pieces(json.dumps(report, indent=2, allow_nan=False, default=stub))
 
 
-def _dumps(report: dict) -> str:
-    """``_json_pieces`` of the report as one text."""
-    return "".join(_json_pieces(report))
-
-
 def _flatten(obj, prefix: str, out: dict) -> None:
     if isinstance(obj, _Rows):
         for i, row in enumerate(zip(*obj.cells(str))):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pcpsketch import audit, cli, solvers
-from pcpsketch.cli import _dumps, _emit, _json_safe, _pcp_block, _Rows, build_parser, main
+from pcpsketch.cli import _emit, _json_pieces, _json_safe, _pcp_block, _Rows, build_parser, main
 from pcpsketch.generators import gen_synthetic, parse_generator_spec
 from pcpsketch.guarantees import certify, jl_moment_estimate
 from pcpsketch.matio import load_matrix, save_matrix
@@ -601,7 +601,7 @@ class TestReportWriting:
         head = {"method": "svd", "params": {"k": 3, "const_c": None}, "c_const": math.inf}
         tail = {"transfer": None, "timing_ms": 1.5}
         old = oracles.json_report_text({**head, "pcp": {**block, "per_probe": rows}, **tail})
-        new = _dumps(_json_safe({**head, "pcp": block, **tail}))
+        new = "".join(_json_pieces(_json_safe({**head, "pcp": block, **tail})))
         assert json.loads(new) == json.loads(old)
         lines = new.splitlines()
         assert lines[0] == "{" and lines[-1] == "}"
@@ -619,7 +619,7 @@ class TestReportWriting:
         assert rows.json_lines() == [json.dumps(row) for row in oracles.json_safe(want)]
 
     def test_empty_rows(self):
-        text = _dumps({"pcp": {"per_probe": _Rows(probe=np.array([], dtype=str)), "n_probes": 0}})
+        text = "".join(_json_pieces({"pcp": {"per_probe": _Rows(probe=np.array([], dtype=str)), "n_probes": 0}}))
         assert json.loads(text) == {"pcp": {"per_probe": [], "n_probes": 0}}
 
     @pytest.mark.parametrize("per_piece", [1, 2, 3, 5, 6])
@@ -628,10 +628,10 @@ class TestReportWriting:
         # give the text of one piece, in a file and on stdout alike
         values = np.array([0.5, math.inf, -2.0, 1e-300, math.nan])
         report = {"a": 1, "pcp": {"per_probe": _Rows(probe=np.array(list("vwxyz")), x=values), "n": 5}, "b": [2]}
-        whole = _dumps(report)
+        whole = "".join(_json_pieces(report))
         assert json.loads(whole)["pcp"]["per_probe"][1] == {"probe": "w", "x": "inf"}
         monkeypatch.setattr(cli, "_ROWS_PER_PIECE", per_piece)
-        assert _dumps(report) == whole
+        assert "".join(_json_pieces(report)) == whole
         out = tmp_path / "r.json"
         _emit(report, argparse.Namespace(format="json", report_out=str(out)))
         _emit(report, argparse.Namespace(format="json", report_out=None))
