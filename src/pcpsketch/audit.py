@@ -296,19 +296,29 @@ def _with_partitions(report: PcpReport, a, a_tilde, c: float, masks: np.ndarray)
     def costs(m: Factored, head: np.ndarray) -> np.ndarray:
         return np.concatenate([head, _mask_costs(m.core, masks) + (m.frob2 - frob2(m.core))])
 
-    tags = np.concatenate([report.tags, _partition_tags(_mask_labels(masks, range(a.shape[0])))])
+    tags = _partition_tags(report.tags, _mask_labels(masks, range(a.shape[0])))
     return _verdict(tags, costs(a, report.cost_a), costs(at, report.cost_sketch), a.frob2, c, report.eps_target)
 
 
-def _partition_tags(labels: np.ndarray) -> np.ndarray:
-    """``partition-<labels>-<b>blocks`` for each row of a label table, built
-    one column at a time from the decimal text of each label."""
+def _partition_tags(head: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``head`` followed by ``partition-<labels>-<b>blocks`` for each row of
+    a label table, in one array as wide as the longest tag, written in place
+    one label column and then one block count at a time: no intermediate
+    array of tags is made."""
     digits = np.array([str(j) for j in range(int(labels.max(initial=0)) + 1)])
-    tags = np.full(len(labels), "partition-")
-    for column in labels.T:
-        tags = np.strings.add(tags, digits[column])
     blocks = np.array([f"-{b}blocks" for b in range(1, len(digits) + 1)])
-    return np.strings.add(tags, blocks[labels.max(axis=1)])
+    top = labels.max(axis=1)
+    text = np.strings.str_len(digits).astype(np.uint8)[labels].sum(axis=1) + np.strings.str_len(blocks)[top]
+    width = len("partition-") + int(text.max(initial=0))
+    tags = np.empty(len(head) + len(labels), dtype=np.promote_types(head.dtype, f"U{width}"))
+    tags[: len(head)] = head
+    part = tags[len(head) :]
+    part[:] = "partition-"
+    for column in labels.T:
+        np.strings.add(part, digits[column], out=part)
+    for b, suffix in enumerate(blocks):
+        np.strings.add(part, suffix, out=part, where=top == b)
+    return tags
 
 
 def _factor_sketch(a: Factored, sk: Sketch) -> Factored:

@@ -354,6 +354,20 @@ class TestPcpReport:
         assert rep.tags.tolist() == ["axis"] + want
         assert want[0] == "partition-01234567891011-12blocks"
 
+    def test_tags_sized_by_the_longest(self):
+        # the longest tag is set by its block count: ten blocks take a
+        # two-digit "-10blocks" although no label passes 9; a longer head
+        # tag keeps its own width
+        rows = [[0] * 10, list(range(10)), [0, 1, 2, 3, 4, 5, 6, 7, 8, 8]]
+        a = rand(42, (10, 12))
+        member = np.array(rows)[:, None, :] == np.arange(10)[:, None]
+        masks = (member << np.arange(10)).sum(axis=2).astype(np.int16)
+        for head in ("axis", "a-head-tag-longer-than-any-partition-tag"):
+            rep = pcp_report(a, a.copy(), 0.0, probe_set([axis_probe(10, 0)], [head], k=10), 0.5)
+            rep = _with_partitions(rep, a, a.copy(), 0.0, masks)
+            assert rep.tags.tolist() == [head] + [partition_tag(row) for row in rows]
+            assert rep.tags.dtype == np.dtype(f"U{max(len(head), len(partition_tag(rows[1])))}")
+
     def test_worst_probe_is_the_first_max(self):
         a = rand(41, (5, 8))
         at = a[:, :4] * 1.3
