@@ -1,7 +1,11 @@
 """Randomized check that a holding certificate always means a passing audit.
 
-Exits 2 if any trial produces a certificate that holds while the probe
-audit fails, 0 otherwise.
+The audit is exact: it fails exactly when some rank-<=k projection's cost
+moves by more than eps (``generate_probes``).  So a trial whose
+certificate holds while the audit fails is a certificate endorsing a
+sketch that breaks the guarantee.  Exits 2 if any trial does, 0 otherwise.
+
+    python scripts/implication_harness.py --trials 2000
 """
 
 import argparse
@@ -11,13 +15,12 @@ from pcpsketch import implication_harness
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--trials", type=int, default=500)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--probes", type=int, default=6)
     args = ap.parse_args()
 
-    summary = implication_harness(args.trials, seed=args.seed, n_random_probes=args.probes)
+    summary = implication_harness(args.trials, seed=args.seed)
     print(f"trials:            {summary.trials}")
     print(f"matrix cert held:  {summary.t1_holds}")
     print(f"spectral cert held:{summary.t2_holds}")

@@ -35,10 +35,6 @@ largest column norm; the other sketch files within REL of their largest
 entry, and a ``leverage`` or ``ridge`` sketch must draw the same columns
 of the generated matrix.  Exit codes, tags, verdicts, ``holds`` flags,
 integers and strings stay exact, and ``gen`` files byte-identical.
-
-The largest change in a signed error is reported for the fixed probe
-families apart from the redrawn ``haar-*`` and ``kmeans-*`` rows, whose
-bases come from random draws and Lloyd runs.
 """
 
 from __future__ import annotations
@@ -62,8 +58,6 @@ import workloads  # noqa: E402
 SEED = 1
 SIGNED_TOL = 1e-13
 TIE_TOL = 1e-14
-# probe families drawn at random (Haar bases, Lloyd runs), reported apart
-RANDOM_FAMILIES = ("haar-", "kmeans-")
 # under --tol: sketch files whose columns are singular pairs, fixed only up to sign
 UP_TO_SIGN = {"svd", "nonoblivious"}
 # under --tol: sketch files whose columns are sampled columns of the input
@@ -136,10 +130,6 @@ def run_checkout(tree: Path, jobs: list, out: Path) -> list:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def family(tag: str) -> str:
-    return "random" if tag.startswith(RANDOM_FAMILIES) else "fixed"
-
-
 def sampled_columns(a: np.ndarray, sketch: np.ndarray) -> np.ndarray:
     """For each column of a sampling sketch, the column of ``a`` it rescales."""
     cosines = (a / np.linalg.norm(a, axis=0)).T @ (sketch / np.linalg.norm(sketch, axis=0))
@@ -150,7 +140,7 @@ class Parity:
     def __init__(self, tol: float | None = None):
         self.tol = tol
         self.failures = []
-        self.signed_fixed = self.signed_random = (0.0, "")
+        self.signed = (0.0, "")
         self.cost = (0.0, "")
         self.kmeans = self.partition = (0.0, "")
         self.number = (0.0, "")
@@ -229,16 +219,14 @@ class Parity:
             a, b = rows_old[tag], rows_new[tag]
             if a["zero_cost"] != b["zero_cost"]:
                 self.fail(label, f"{tag} zero_cost {a['zero_cost']} -> {b['zero_cost']}")
-            self.record(f"signed_{family(tag)}", abs(float(b["signed_rel_err"]) - float(a["signed_rel_err"])),
-                        f"{label} {tag}")
+            self.record("signed", abs(float(b["signed_rel_err"]) - float(a["signed_rel_err"])), f"{label} {tag}")
             for key in ("cost_a", "cost_sketch"):
                 self.record("cost", abs(b[key] - a[key]) / scale, f"{label} {tag} {key}")
             if tag.startswith("partition-"):
                 self.record("partition", max(abs(float(b["signed_rel_err"]) - float(a["signed_rel_err"])),
                                              *(abs(b[key] - a[key]) / scale for key in ("cost_a", "cost_sketch"))),
                             f"{label} {tag}")
-        self.record(f"signed_{family(old['worst_probe'])}",
-                    abs(float(new["max_abs_rel_err"]) - float(old["max_abs_rel_err"])), f"{label} max")
+        self.record("signed", abs(float(new["max_abs_rel_err"]) - float(old["max_abs_rel_err"])), f"{label} max")
         for key in ("n_probes", "eps_target", "pass"):
             if old[key] != new[key]:
                 self.fail(label, f"pcp.{key} {old[key]!r} -> {new[key]!r}")
@@ -299,11 +287,9 @@ def main(argv=None) -> int:
           f"within {max(TIE_TOL, args.tol or 0.0):g}; probe tag lists differ in {parity.tag_diffs}")
     for line in parity.worst_ties:
         print(f"    tie {line}")
-    for (value, where), what in ((parity.signed_fixed, "fixed probe families"),
-                                 (parity.signed_random, "haar-* and kmeans-* rows")):
-        print(f"  largest |change| in a signed error, {what}: {value:.3g} ({where or '-'})")
-        if value > signed_tol:
-            parity.fail(f"signed errors, {what}", f"changed by more than {signed_tol:g}")
+    print(f"  largest |change| in a signed error: {parity.signed[0]:.3g} ({parity.signed[1] or '-'})")
+    if parity.signed[0] > signed_tol:
+        parity.fail("signed errors", f"changed by more than {signed_tol:g}")
     print(f"  largest |change| in a cost / |A|_F^2: {parity.cost[0]:.3g} ({parity.cost[1] or '-'})")
     print(f"    in the k-means solves: {parity.kmeans[0]:.3g} ({parity.kmeans[1] or '-'})")
     print(f"    in the partition-* probe rows, cost / |A|_F^2 or signed error: "

@@ -4,8 +4,9 @@ A sketch here is a skinny stand-in for a wide matrix: Ã = AS (plus a
 fixed scalar c) such that every rank-at-most-k projection sees nearly
 the same residual cost on Ã as on A.  The package builds such sketches
 several ways, certifies them through two sufficient conditions, audits
-them empirically against adversarial probe projections, and transfers
-approximate solutions found on the sketch back to the original matrix.
+them exactly over probe projections (two of them maximize the error at
+the target eps), and transfers approximate solutions found on the sketch
+back to the original matrix.
 """
 
 from .audit import (

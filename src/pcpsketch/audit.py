@@ -2,25 +2,24 @@
 
 A sketch claims that |A_tilde - P A_tilde|_F^2 + c tracks |A - P A|_F^2
 within a relative eps for every rank-<=k projection P.  This module builds
-adversarial probe sets (singular subspaces of both matrices, residual
-directions, random subspaces, coordinate axes, cluster indicators), scores
-the signed relative error on each, ties certificates to the observed
-errors (the randomized implication harness), and checks the transfer
-bound for minimizers found on the sketch.
+probe sets (singular subspaces of both matrices, and the two exact probes
+that decide that claim at eps), scores the signed relative error on each,
+ties certificates to the observed errors (the randomized implication
+harness), and checks the transfer bound for minimizers found on the
+sketch.
 
 A probe set is columnar: a ``ProbeSet`` holds every basis in one
 (count, n, min(k, n)) array, zero-padded past each probe's rank, beside
 an array of tags, and is checked by one stacked Gram product.
-``generate_probes`` fills the array a family at a time (the Lloyd runs on
-each core as one batch, the Haar bases from one stacked QR), and
-``pcp_report`` scores all of it with one matrix product per core.
+``generate_probes`` fills the array, and ``pcp_report`` scores all of it
+with one matrix product per core.
 
 A and the sketch are ``Factored`` instances (arrays are wrapped at the
-entry).  Probe costs and the Lloyd probes run on their n x r cores
-B = U Sigma, which have the same row Gram matrix, and so the same costs
-and row distances, as the matrices themselves.  ``verify_sketch`` is the
-one sketch -> certify -> probe -> score sequence behind ``pcp verify``,
-``pcp bench`` and ``implication_harness``.
+entry).  Probe costs run on their n x r cores B = U Sigma, which have the
+same row Gram matrix, and so the same costs, as the matrices themselves;
+the exact probes are found in A's coordinates, from two r x r eighs.
+``verify_sketch`` is the one sketch -> certify -> probe -> score sequence
+behind ``pcp verify``, ``pcp bench`` and ``implication_harness``.
 
 ``sketch_and_solve``, behind ``pcp solve``, solves on the sketch, scores
 the solution on both matrices and checks the transfer bound over the
@@ -41,11 +40,11 @@ import numpy as np
 from .errors import DimensionError, InvalidInputError, InvalidMatrixError, WidthNotReducingWarning
 from .generators import GeneratorSpec, gen_synthetic
 from .guarantees import Certificate, certify
-from .linalg import RANK_TOL, Factored, SvdFactorization, _eigh_desc, as_matrix, factor, frob2, orthonormal_columns, projection_cost, svd
+from .linalg import Factored, SvdFactorization, _eigh_desc, as_matrix, factor, frob2, projection_cost
 from .rng import Stream, derive_seed, rng_for
 from .sketch import Sketch, SketchParams, make_sketch
 from .solvers import (
-    _exhaustive_search, _indicators, _lloyd_assignments, _mask_costs, _mask_labels, _partition_masks,
+    _exhaustive_search, _mask_costs, _mask_labels, _partition_masks,
     best_rank_k_projection, cluster_indicator_projection, lloyd_kmeans,
 )
 
@@ -66,8 +65,6 @@ __all__ = [
 
 ZERO_COST_REL = 1e-12
 ZERO_CHECK_REL = 1e-8
-_PROBE_LLOYD_RUNS = 5
-_PROBE_LLOYD_ITERS = 25
 # the implication harness draws its trials from these (``_harness_trial``)
 _HARNESS_EPS = (0.3, 0.5)
 _HARNESS_KS = (1, 2, 3)
@@ -174,27 +171,25 @@ class SolveResult:
     transfer: TransferCheck | None
 
 
-def generate_probes(a, a_tilde, k: int, n_random: int, seed: int = 0) -> ProbeSet:
-    """Deterministic probe set targeting where cost preservation can break.
+def generate_probes(a, a_tilde, k: int, eps: float) -> ProbeSet:
+    """Deterministic probe set whose audit at ``eps`` is exact.
 
-    Structured families: top-j singular subspaces of A and of the sketch for
-    j = 1..k, the top subspace of A's residual after removing the sketch's
-    top-k directions, spans of standard basis vectors (first k, and the k
-    heaviest rows), cluster indicators from seeded Lloyd runs on the rows of
-    both matrices, and the rank-0 probe.  ``n_random`` Haar subspaces are
-    appended.
-    The Lloyd probes are computed on the cores of A and of the sketch, the
-    residual in A's coordinates, where its singular values <= RANK_TOL *
-    sigma_1(A) count as zero; the heaviest rows are A's own.  The bases are
-    filled into one array a family at a time: the Lloyd runs on each core go
-    as one batch, and the Haar bases share one stacked QR.
-
-    Each batch of random probes takes one stream of ``seed``: the five
-    Lloyd runs on A's core draw their starts in turn from
-    ``(seed, Stream.PROBE_LLOYD_A)``, those on the sketch's from
-    ``(seed, Stream.PROBE_LLOYD_SKETCH)``, and Haar probe i is the i-th
-    n x k block of one standard-normal draw from ``(seed, Stream.PROBE_HAAR)``,
-    so the first N Haar probes are the same for every ``n_random`` >= N.
+    The rank-0 probe and the top-j singular subspaces of A and of the
+    sketch for j = 1..k are diagnostics.  The two exact probes,
+    ``exact-over`` and ``exact-under``, are for s = +1 and -1 the rank-<=k
+    projection that maximizes s * (cost_sketch + c - cost_a) - eps * cost_a,
+    as ``pcp_report`` scores the costs (c shifts it by a constant).  In A's
+    coordinates, with H = U^T B_tilde (B_tilde the sketch's core) and
+    D = H H^T - Sigma^2, a basis U Y makes that a constant minus
+    tr(Y^T M_s Y), M_s = s D - eps Sigma^2; by Ky Fan's principle the
+    maximizer Y holds the eigenvectors of the negative eigenvalues among
+    the k smallest of M_s (none: a rank-0 probe).  Directions outside A's
+    column space change neither cost when the sketch's columns lie in it,
+    as those of A S do.  Then whenever some rank-<=k projection has
+    |signed error| > eps, so does one of these two (Dinkelbach's function
+    at lambda = eps), unless that one costs zero on A, where the absolute
+    check decides; the audit's verdict at ``eps`` is exact.  Their errors
+    are no ratio maximum: the probe max only bounds the distortion below.
     """
     a = factor(a)
     at = factor(a_tilde, "a_tilde")
@@ -202,51 +197,27 @@ def generate_probes(a, a_tilde, k: int, n_random: int, seed: int = 0) -> ProbeSe
         raise DimensionError("matrix and sketch must have the same number of rows")
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
-    if n_random < 0:
-        raise InvalidInputError(f"n_random must be >= 0, got {n_random}")
-    n = a.shape[0]
-    kk = min(k, n)
-
+    if eps <= 0.0:
+        raise InvalidInputError(f"eps must be positive, got {eps}")
+    kk = min(k, a.shape[0])
     fa = a.fact
-    fs = at.fact
     spans = [
         (f"top-{name}-{j}", f.u[:, :j])
         for j in range(1, kk + 1)
-        for name, f in (("a", fa), ("sketch", fs))
+        for name, f in (("a", fa), ("sketch", at.fact))
         if j <= f.rank
     ]
-    if fs.rank > 0 and fa.rank > 0:
-        # A's core past the sketch's top-k q, in A's coordinates: U^T (B - q q^T B), c = U^T q
-        c = fa.u.T @ fs.u[:, : min(kk, fs.rank)]
-        fr = svd(np.diag(fa.sigma) - c @ (c.T * fa.sigma))
-        keep = min(kk, int(np.sum(fr.sigma > RANK_TOL * fa.sigma[0])))
-        if keep > 0:
-            spans.append(("residual-top", fa.u @ fr.u[:, :keep]))
-    heavy = np.argsort(-np.sum(a.a * a.a, axis=1), kind="stable")[:kk]
-    runs = range(_PROBE_LLOYD_RUNS)
-    # (run, core) order: kmeans-a-0, kmeans-sketch-0, kmeans-a-1, ...
-    labels = np.stack(
-        [
-            _lloyd_assignments(core, kk, rng_for(seed, stream), _PROBE_LLOYD_RUNS, _PROBE_LLOYD_ITERS)
-            for core, stream in ((a.core, Stream.PROBE_LLOYD_A), (at.core, Stream.PROBE_LLOYD_SKETCH))
-        ],
-        axis=1,
-    ).reshape(-1, n)
+    h = fa.u.T @ at.core
+    hh = h @ h.T
+    sigma2 = fa.sigma * fa.sigma
+    for s, tag in ((1.0, "exact-over"), (-1.0, "exact-under")):
+        lam, y = np.linalg.eigh(s * hh - np.diag((s + eps) * sigma2))  # ascending
+        spans.append((tag, fa.u @ y[:, : int(np.count_nonzero(lam[:kk] < 0.0))]))
 
-    tags = ["zero-rank"] + [tag for tag, _ in spans] + ["axes-first", "axes-heavy"]
-    tags += [f"kmeans-{core}-{run}" for run in runs for core in ("a", "sketch")]
-    tags += [f"haar-{i}" for i in range(n_random)]
-    bases = np.zeros((len(tags), n, kk))
+    bases = np.zeros((1 + len(spans), a.shape[0], kk))
     for i, (_, u) in enumerate(spans, start=1):
         bases[i, :, : u.shape[1]] = u
-    i = 1 + len(spans)
-    bases[i, np.arange(kk), np.arange(kk)] = 1.0
-    bases[i + 1, np.sort(heavy), np.arange(kk)] = 1.0
-    i += 2
-    bases[i : i + len(labels)] = _indicators(labels, kk)
-    i += len(labels)
-    bases[i:] = orthonormal_columns(rng_for(seed, Stream.PROBE_HAAR).standard_normal((n_random, n, kk)))
-    return ProbeSet(bases, tags, k)
+    return ProbeSet(bases, ["zero-rank"] + [tag for tag, _ in spans], k)
 
 
 def pcp_report(a, a_tilde, c: float, probes: ProbeSet, eps_target: float) -> PcpReport:
@@ -346,19 +317,17 @@ class Verification:
     report: PcpReport
 
 
-def verify_sketch(
-    a, method: str, params: SketchParams, n_random: int, probe_seed: int, exhaustive: bool = False
-) -> Verification:
+def verify_sketch(a, method: str, params: SketchParams, exhaustive: bool = False) -> Verification:
     """Sketch ``a`` by ``method``, certify the operator by both routes and
-    audit the sketch over ``generate_probes(..., n_random, probe_seed)`` at
-    eps = params.eps, plus, if ``exhaustive``, every partition into at most k
-    blocks (n <= 12, else TooLargeError).  A is factored at most once, the
+    audit the sketch over ``generate_probes`` at eps = params.eps, an exact
+    verdict, plus, if ``exhaustive``, every partition into at most k blocks
+    (n <= 12, else TooLargeError).  A is factored at most once, the
     sketch never: its SVD is read off A's (``_factor_sketch``)."""
     a = factor(a)
     sk = make_sketch(a, method, params)
     t1, t2 = certify(a, sk.operator, params.k, params.eps)
     at = _factor_sketch(a, sk)
-    probes = generate_probes(a, at, params.k, n_random, seed=probe_seed)
+    probes = generate_probes(a, at, params.k, params.eps)
     report = pcp_report(a, at, sk.c_const, probes, params.eps)
     if exhaustive:
         report = _with_partitions(report, a, at, sk.c_const, _partition_masks(a.shape[0], params.k))
@@ -414,7 +383,7 @@ def _harness_trial(t: int, seed: int):
     return a, _HARNESS_METHODS[i], params
 
 
-def implication_harness(trials: int, seed: int = 0, n_random_probes: int = 6) -> HarnessSummary:
+def implication_harness(trials: int, seed: int = 0) -> HarnessSummary:
     """Randomized sweep of the certificate-to-audit implication.
 
     Instances are small random matrices of four families (i.i.d., planted
@@ -422,8 +391,10 @@ def implication_harness(trials: int, seed: int = 0, n_random_probes: int = 6) ->
     the operator is one of the zero-constant constructions, at a width
     from far too narrow to generously wide.  Family, method and width
     factor follow an orthogonal array (``_harness_trial``), so each method
-    meets each family and each width.  Returns the trial summary including
-    every implication violation found (expected: none).
+    meets each family and each width.  The audit is exact, so a violation,
+    a holding certificate on a failing audit, is a sketch the certificate
+    endorsed that breaks eps.  Returns the trial summary including every
+    violation found (expected: none).
     """
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
@@ -434,9 +405,7 @@ def implication_harness(trials: int, seed: int = 0, n_random_probes: int = 6) ->
         a, method, params = _harness_trial(t, seed)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WidthNotReducingWarning)
-            v = verify_sketch(
-                a, method, params, n_random_probes, derive_seed(seed, Stream.HARNESS, t, 3)
-            )
+            v = verify_sketch(a, method, params)
         t1, t2, report = v.certificate_t1, v.certificate_t2, v.report
         t1_holds += t1.holds
         t2_holds += t2.holds

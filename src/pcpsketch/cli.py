@@ -311,9 +311,7 @@ def _cmd_verify(args) -> int:
     seed = _resolve_seed(args)
     a = _load_source(args, seed)
     start = time.perf_counter()
-    v = audit.verify_sketch(
-        a, args.method, _params(args, seed), args.n_random, seed, exhaustive=args.exhaustive_probes
-    )
+    v = audit.verify_sketch(a, args.method, _params(args, seed), exhaustive=args.exhaustive_probes)
     report = _base_report(v.sketch)
     report["certificate_t1"] = _certificate_block(v.certificate_t1)
     report["certificate_t2"] = _certificate_block(v.certificate_t2)
@@ -362,7 +360,7 @@ def _cmd_bench(args) -> int:
         a = gen_synthetic(spec)
         t0 = time.perf_counter()
         params = dataclasses.replace(base, seed=trial_seed)
-        v = audit.verify_sketch(a, args.method, params, args.n_random, trial_seed)
+        v = audit.verify_sketch(a, args.method, params)
         return {
             "trial": i,
             "seed": trial_seed,
@@ -422,7 +420,6 @@ def _args_certify(p: _Parser) -> None:
 
 def _args_verify(p: _Parser) -> None:
     _add_sketch_args(p)
-    p.add_argument("--n-random", type=int, default=50)
     p.add_argument("--exhaustive-probes", action="store_true")
     _add_output_args(p)
 
@@ -439,7 +436,6 @@ def _args_bench(p: _Parser) -> None:
     p.add_argument("--gen", required=True)
     _add_sketch_args(p, source=False)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--n-random", type=int, default=20)
     p.add_argument("--min-pass-rate", type=float, default=1.0)
     _add_output_args(p)
 

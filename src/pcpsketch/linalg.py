@@ -349,24 +349,21 @@ def projection_cost(a, p: Projection) -> float:
 
 
 def orthonormal_columns(g) -> np.ndarray:
-    """Orthonormalize the columns of ``g``, or of each matrix of a
-    (count, n, j) stack, by Householder QR.
+    """Orthonormalize the columns of ``g`` by Householder QR.
 
     The signs of ``diag(R)`` are moved into Q, which makes the factorization
     unique, so a standard-normal ``g`` gives a Haar-distributed basis
     (Mezzadri, arXiv:math-ph/0609050).  Numerically dependent columns
-    (``|R_jj|`` at or below 1e-12 * sqrt(n)) are an error.  A stack goes
-    through one ``np.linalg.qr``, which runs LAPACK on each matrix as a
-    single call would, so each basis is bit for bit the one it gets alone.
+    (``|R_jj|`` at or below 1e-12 * sqrt(n)) are an error.
     """
     g = np.asarray(g, dtype=float)
-    if g.ndim not in (2, 3) or g.shape[-1] > g.shape[-2]:
-        raise InvalidMatrixError("need a tall 2-D array or a stack of them to orthonormalize")
+    if g.ndim != 2 or g.shape[1] > g.shape[0]:
+        raise InvalidMatrixError("need a tall 2-D array to orthonormalize")
     q, r = np.linalg.qr(g)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    if (np.abs(diag) <= 1e-12 * np.sqrt(g.shape[-2])).any():
+    diag = np.diagonal(r)
+    if (np.abs(diag) <= 1e-12 * np.sqrt(g.shape[0])).any():
         raise InvalidInputError("columns are numerically dependent")
-    return q * np.sign(diag)[..., None, :]
+    return q * np.sign(diag)
 
 
 def haar_subspace(n: int, k: int, seed: int = 0) -> Projection:

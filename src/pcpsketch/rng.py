@@ -10,12 +10,12 @@ different operations called with the same seed never share a stream; in
 particular a synthetic matrix and a sketch of it drawn with equal seeds
 stay statistically independent.
 
-A batch of like random objects (the Haar probes, the Lloyd probe runs on
-one matrix, the JL trials) takes one stream, not one per element: its
-elements are drawn from it in order, so element i of a batch is the same
-in any longer batch with the same seed.  Philox is counter-based (Salmon
-et al., SC 2011), which makes each element's place in the stream its
-reproducible identity, without a ``SeedSequence`` per element.
+A batch of like random objects (the JL trials) takes one stream, not one
+per element: its elements are drawn from it in order, so element i of a
+batch is the same in any longer batch with the same seed.  Philox is
+counter-based (Salmon et al., SC 2011), which makes each element's place
+in the stream its reproducible identity, without a ``SeedSequence`` per
+element.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ _MASK64 = (1 << 64) - 1
 
 
 class Stream(enum.IntEnum):
-    """Registry of stream ids; append only, never renumber."""
+    """Registry of stream ids; append only, never renumber.  Ids 12-14
+    (the retired random probe families) are never reused."""
 
     HAAR = 1
     GAUSSIAN_SKETCH = 2
@@ -41,9 +42,6 @@ class Stream(enum.IntEnum):
     GEN_LOWRANK = 9
     GEN_CLUSTERED = 10
     GEN_POWERLAW = 11
-    PROBE_HAAR = 12
-    PROBE_LLOYD_A = 13
-    PROBE_LLOYD_SKETCH = 14
     BENCH_TRIAL = 15
     HARNESS = 16
 

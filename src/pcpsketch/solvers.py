@@ -74,8 +74,9 @@ def cluster_indicator_projection(assignment, k: int, n: int) -> Projection:
         raise InvalidRankError(f"k must be >= 1, got {k}")
     if assignment.min() < 0 or assignment.max() >= k:
         raise InvalidInputError("cluster labels out of range")
-    basis = _indicators(assignment, k)
-    return Projection(basis[:, basis.any(axis=0)])
+    onehot = assignment[:, None] == np.arange(k)
+    onehot = onehot[:, onehot.any(axis=0)]
+    return Projection(onehot / np.sqrt(onehot.sum(axis=0)))
 
 
 def _require_integer(labels: np.ndarray) -> None:
@@ -83,14 +84,6 @@ def _require_integer(labels: np.ndarray) -> None:
     a cast would silently truncate."""
     if not np.issubdtype(labels.dtype, np.integer):
         raise InvalidInputError(f"cluster labels must be integers, got dtype {labels.dtype}")
-
-
-def _indicators(labels: np.ndarray, k: int) -> np.ndarray:
-    """Normalized cluster indicators of a (..., n) label array, shape
-    (..., n, k): column j is 1/sqrt(|C_j|) on the members of cluster j,
-    and zero when the cluster is empty."""
-    onehot = labels[..., :, None] == np.arange(k)
-    return onehot / np.sqrt(np.maximum(onehot.sum(axis=-2), 1))[..., None, :]
 
 
 def kmeans_cost(m, assignment) -> float:
@@ -132,28 +125,15 @@ def _plusplus_init(m: np.ndarray, k: int, rng) -> np.ndarray:
 def lloyd_kmeans(m, k: int, iters: int = 50, seed: int = 0) -> Clustering:
     """Lloyd's algorithm with k-means++ seeding; deterministic per seed.
 
+    The centers are drawn from the stream ``(seed, Stream.LLOYD)``.  An
+    iteration is two matrix products: squared distances
+    ``max(|x|^2 - 2 x c^T + |c|^2, 0)``, with the row norms computed once,
+    and the cluster sums (indicators times rows) for the new centers.
     Empty clusters are reseeded with the point farthest from its current
-    center, so the objective never increases across iterations.  One run
-    of ``_lloyd_assignments`` on the stream ``(seed, Stream.LLOYD)``.
+    center, so the objective never increases across iterations; the run
+    stops when the assignment stops changing.
     """
     m = as_matrix(m)
-    assignment = _lloyd_assignments(m, k, rng_for(seed, Stream.LLOYD), 1, iters)[0]
-    return Clustering(assignment, k, kmeans_cost(m, assignment))
-
-
-def _lloyd_assignments(m: np.ndarray, k: int, rng, runs: int, iters: int) -> np.ndarray:
-    """Final assignments of ``runs`` Lloyd runs on the rows of ``m``, as a
-    (runs, n) array; the runs go through each iteration together.
-
-    The runs draw their k-means++ centers from the one generator ``rng``,
-    run 0 first, so run r is the single run started from that stream after
-    r draws of centers; each stops when its assignment stops changing.  An
-    iteration is two matrix products per run, stacked over the runs still
-    going: squared distances ``max(|x|^2 - 2 x c^T + |c|^2, 0)``, with the
-    row norms computed once, and the cluster sums (indicators times rows) for the new centers.  A
-    stacked product runs the same BLAS call on each run as a single run
-    would, so every run's assignment is bit for bit its own alone.
-    """
     n = m.shape[0]
     if k < 1:
         raise InvalidRankError(f"k must be >= 1, got {k}")
@@ -161,38 +141,31 @@ def _lloyd_assignments(m: np.ndarray, k: int, rng, runs: int, iters: int) -> np.
         raise InvalidInputError(f"need at least k={k} rows, got {n}")
     if iters < 1:
         raise InvalidInputError(f"iters must be >= 1, got {iters}")
-    centers = np.stack([_plusplus_init(m, k, rng) for _ in range(runs)])
-    assignment = np.zeros((runs, n), dtype=np.int64)
-    going = np.arange(runs)
+    centers = _plusplus_init(m, k, rng_for(seed, Stream.LLOYD))
+    assignment = np.zeros(n, dtype=np.int64)
     minus_2m = -2.0 * m
     row_norm2 = (m * m).sum(axis=1)[:, None]
-    labels = np.arange(k)
+    labels = np.arange(k)[:, None]
     for _ in range(iters):
-        c = centers[going]
-        d2 = minus_2m @ c.transpose(0, 2, 1)
+        d2 = minus_2m @ centers.T
         d2 += row_norm2
-        d2 += (c * c).sum(axis=2)[:, None, :]
+        d2 += (centers * centers).sum(axis=1)
         np.maximum(d2, 0.0, out=d2)
-        new_assignment = np.argmin(d2, axis=2)
-        member = new_assignment[:, None, :] == labels[:, None]
-        for i in np.flatnonzero(~member.any(axis=2).all(axis=1)).tolist():
-            point_d2 = d2[i, np.arange(n), new_assignment[i]]
-            for j in range(k):
-                if not (new_assignment[i] == j).any():
-                    far = int(np.argmax(point_d2))
-                    new_assignment[i, far] = j
-                    point_d2[far] = 0.0
-            member[i] = new_assignment[i] == labels[:, None]
-        unchanged = (new_assignment == assignment[going]).all(axis=1)
-        assignment[going] = new_assignment
-        counts = member.sum(axis=2)
-        sums = member.astype(float) @ m
-        filled = counts > 0
-        centers[going] = np.where(filled[:, :, None], sums / np.maximum(counts, 1)[:, :, None], c)
-        going = going[~unchanged]
-        if not going.size:
+        new_assignment = np.argmin(d2, axis=1)
+        point_d2 = d2[np.arange(n), new_assignment]
+        for j in range(k):
+            if not (new_assignment == j).any():
+                far = int(np.argmax(point_d2))
+                new_assignment[far] = j
+                point_d2[far] = 0.0
+        if np.array_equal(new_assignment, assignment):
             break
-    return assignment
+        assignment = new_assignment
+        member = assignment == labels
+        counts = member.sum(axis=1)
+        sums = member.astype(float) @ m
+        centers = np.where((counts > 0)[:, None], sums / np.maximum(counts, 1)[:, None], centers)
+    return Clustering(assignment, k, kmeans_cost(m, assignment))
 
 
 def partitions(n: int, max_blocks: int) -> np.ndarray:

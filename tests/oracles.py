@@ -447,12 +447,13 @@ class Implication:
     consistent: bool
 
 
-def implication_test(a, s, k, eps, probes=None, n_random=8, seed=0):
+def implication_test(a, s, k, eps, probes=None):
     """Certificates against the audit on one operator S.
 
     Forms A_tilde = A S with c = 0 and runs ``certify`` and the probe
-    report at eps; consistent means each certificate that holds is matched
-    by a passing report.  The certificates are sufficient conditions, so an
+    report at eps, over ``generate_probes`` at eps (an exact verdict) unless
+    ``probes`` is given; consistent means each certificate that holds is
+    matched by a passing report.  The certificates are sufficient conditions, so an
     inconsistency is a bug, not noise."""
     from pcpsketch.audit import generate_probes, pcp_report
     from pcpsketch.guarantees import certify
@@ -462,7 +463,7 @@ def implication_test(a, s, k, eps, probes=None, n_random=8, seed=0):
     a_tilde = a @ s
     t1, t2 = certify(a, s, k, eps)
     if probes is None:
-        probes = generate_probes(a, a_tilde, k, n_random, seed)
+        probes = generate_probes(a, a_tilde, k, eps)
     report = pcp_report(a, a_tilde, 0.0, probes, eps)
     consistent = (not t1.holds or report.passed) and (not t2.holds or report.passed)
     return Implication(t1, t2, report, consistent)

@@ -8,6 +8,7 @@ import pytest
 
 from pcpsketch import audit
 from pcpsketch.audit import (
+    ZERO_CHECK_REL,
     ProbeSet,
     _factor_sketch,
     _harness_trial,
@@ -29,7 +30,6 @@ from pcpsketch.linalg import (
     factor,
     frob2,
     haar_subspace,
-    orthonormal_columns,
     projection_cost,
     svd,
 )
@@ -43,7 +43,6 @@ from oracles import (
     factorization_counts,
     factorization_log,
     implication_test,
-    lloyd_reference,
     partitions_reference,
     pcp_error_on_probe,
     probe_projections,
@@ -90,7 +89,7 @@ def probe_ranks(probes):
 class TestGenerateProbes:
     def test_full_rank_probe_present(self):
         a = rand(0, (3, 7))
-        probes = generate_probes(a, a.copy(), 3, 0, seed=1)
+        probes = generate_probes(a, a.copy(), 3, 0.5)
         ranks = probe_ranks(probes)
         assert 3 in ranks
         report = pcp_report(a, a.copy(), 0.0, probes, 0.5)
@@ -100,53 +99,39 @@ class TestGenerateProbes:
     def test_deterministic(self):
         a = rand(1, (5, 9))
         at = a[:, :4].copy()
-        p1 = generate_probes(a, at, 2, 6, seed=42)
-        p2 = generate_probes(a, at, 2, 6, seed=42)
+        p1 = generate_probes(a, at, 2, 0.3)
+        p2 = generate_probes(a, at, 2, 0.3)
         assert len(p1) == len(p2)
         assert np.array_equal(p1.tags, p2.tags)
         assert np.array_equal(p1.bases, p2.bases)
 
     def test_exhaustive_bipartition_count(self):
         a = rand(2, (4, 6))
-        probes = generate_probes(a, a.copy(), 2, 0, seed=0)
+        probes = generate_probes(a, a.copy(), 2, 0.5)
         tags = exhaustive_report(a, a.copy(), 0.0, probes, 0.5).tags.tolist()
         two_block = [tag for tag in tags if tag.startswith("partition-") and tag.endswith("-2blocks")]
         assert len(two_block) == 7  # Stirling count for 4 rows in 2 blocks
         assert len(tags) == len(probes) + 1 + 7
         assert tags[: len(probes)] == probes.tags.tolist()
 
-    def test_haar_rows_are_the_same_in_a_longer_set(self):
-        # one draw for all Haar probes: the set for N is a prefix of the set
-        # for N + 7, and Haar probe i is the i-th block of the stream
+    def test_tags_in_order(self):
+        # the rank-0 probe, the top-j subspaces of A and of the sketch in
+        # turn (the rank-1 sketch has one), then the two exact probes
         a = rand(3, (9, 20))
-        at = a[:, :7].copy()
-        for n_random in (0, 1, 6):
-            short = generate_probes(a, at, 3, n_random, seed=8)
-            longer = generate_probes(a, at, 3, n_random + 7, seed=8)
-            assert np.array_equal(longer.tags[: len(short.tags)], short.tags)
-            assert np.array_equal(longer.bases[: len(short.tags)], short.bases)
-            haar = np.strings.startswith(longer.tags, "haar-")
-            assert haar.sum() == n_random + 7
-            g = rng_for(8, Stream.PROBE_HAAR).standard_normal((n_random + 7, 9, 3))
-            for block, basis in zip(g, longer.bases[haar]):
-                assert np.array_equal(basis, orthonormal_columns(block))
+        at = np.outer(a[:, 0], rand(4, 7))
+        tags = generate_probes(a, at, 3, 0.5).tags.tolist()
+        assert tags == ["zero-rank", "top-a-1", "top-sketch-1", "top-a-2", "top-a-3", "exact-over", "exact-under"]
 
-    def test_no_residual_probe_from_rounding_noise_at_rank_le_k(self):
-        # exact rank 3 at k = 3: past the sketch's top 3 directions A's residual
-        # is rounding noise, about 1e-16 sigma_1, which no probe may be built from
-        a = gen_synthetic(GeneratorSpec("lowrank", n=30, d=80, rank=3, noise=0.0, seed=13))
-        params = SketchParams(k=3, eps=0.5, seed=2, m_override=40)
-        v = verify_sketch(a, "gaussian", params, 6, probe_seed=2)
-        assert "residual-top" not in v.report.tags.tolist()
-        assert "residual-top" not in generate_probes(a, v.sketch.a_tilde, 3, 0).tags.tolist()
-        # one more direction than k leaves a real residual, which is probed
-        b = gen_synthetic(GeneratorSpec("lowrank", n=30, d=80, rank=4, noise=0.0, seed=13))
-        assert "residual-top" in verify_sketch(b, "gaussian", params, 6, probe_seed=2).report.tags.tolist()
+    def test_rejects_nonpositive_eps(self):
+        a = rand(3, (5, 9))
+        for eps in (0.0, -0.1):
+            with pytest.raises(InvalidInputError):
+                generate_probes(a, a.copy(), 2, eps)
 
     def test_probe_ranks_bounded(self):
         a = rand(3, (6, 11))
         at = a[:, :5].copy()
-        probes = generate_probes(a, at, 2, 5, seed=9)
+        probes = generate_probes(a, at, 2, 0.5)
         assert probes.bases.shape[2] == 2
         assert all(r <= 2 for r in probe_ranks(probes))
 
@@ -197,7 +182,7 @@ class TestPcpErrorOnProbe:
     def test_orthogonal_sketch_all_probes(self):
         a = rand(5, (5, 8))
         sk = orthogonal_sketch(a, SketchParams(k=2, eps=0.5, seed=1))
-        probes = generate_probes(a, sk.a_tilde, 2, 8, seed=2)
+        probes = generate_probes(a, sk.a_tilde, 2, 0.5)
         rep = pcp_report(a, sk.a_tilde, 0.0, probes, 0.5)
         for p, err in zip(probe_projections(probes), rep.signed_rel_err.tolist()):
             if projection_cost_positive(a, p):
@@ -244,7 +229,7 @@ def projection_cost_positive(a, p):
 class TestPcpReport:
     def test_identity(self):
         a = rand(9, (5, 8))
-        probes = generate_probes(a, a.copy(), 2, 5, seed=1)
+        probes = generate_probes(a, a.copy(), 2, 1e-9)
         rep = pcp_report(a, a.copy(), 0.0, probes, 1e-9)
         assert rep.max_abs_rel_err == 0.0
         assert rep.passed
@@ -252,7 +237,7 @@ class TestPcpReport:
     def test_zero_sketch_minus_one(self):
         a = rand(10, (5, 8))
         at = np.zeros((5, 3))
-        probes = generate_probes(a, at, 2, 5, seed=2)
+        probes = generate_probes(a, at, 2, 0.5)
         rep = pcp_report(a, at, 0.0, probes, 0.5)
         assert not rep.passed
         positive = rep.signed_rel_err[~rep.zero_cost].tolist()
@@ -266,7 +251,7 @@ class TestPcpReport:
         m = rand(13, (6, 4))
         full = svd(m)
         cut = Factored.from_factors(m, SvdFactorization(full.u[:, :2], full.sigma[:2], None, 2))
-        probes = generate_probes(m, m, 2, 3, seed=1)
+        probes = generate_probes(m, m, 2, 0.5)
         got = exhaustive_report(m, cut, 0.0, probes, 0.5).cost_sketch
         want = exhaustive_report(m, m, 0.0, probes, 0.5).cost_sketch
         assert len(got) == len(probes) + 1 + 31  # S(6, 1) + S(6, 2) partitions
@@ -278,7 +263,7 @@ class TestPcpReport:
     def test_max_matches_recomputation(self):
         a = rand(11, (8, 40))
         sk = gaussian_sketch(a, SketchParams(k=2, eps=0.5, seed=5, m_override=32))
-        probes = generate_probes(a, sk.a_tilde, 2, 10, seed=3)
+        probes = generate_probes(a, sk.a_tilde, 2, 0.5)
         rep = pcp_report(a, sk.a_tilde, sk.c_const, probes, 0.5)
         recomputed = max(
             abs(pcp_error_on_probe(a, sk.a_tilde, sk.c_const, p))
@@ -290,7 +275,7 @@ class TestPcpReport:
     def test_monotone_under_more_probes(self):
         a = rand(12, (6, 20))
         at = a[:, :8] * 1.1
-        full = generate_probes(a, at, 2, 12, seed=4)
+        full = generate_probes(a, at, 2, 0.5)
         sub = ProbeSet(full.bases[:5], full.tags[:5], k=2)
         r_small = pcp_report(a, at, 0.0, sub, 0.5)
         r_big = pcp_report(a, at, 0.0, full, 0.5)
@@ -303,7 +288,7 @@ class TestPcpReport:
         rot, _ = np.linalg.qr(rand(20, (5, 5)))
         labels = partitions(6, 3)
         for at, c in ((a @ rot, 0.0), (a[:, :3] + 0.01 * rand(21, (6, 3)), 0.5)):
-            probes = generate_probes(a, at, 3, 2, seed=5)
+            probes = generate_probes(a, at, 3, 0.3)
             one_by_one = probe_set(
                 probe_projections(probes) + [cluster_indicator_projection(row, 3, 6) for row in labels],
                 probes.tags.tolist() + [partition_tag(row) for row in labels.tolist()],
@@ -371,7 +356,7 @@ class TestPcpReport:
     def test_worst_probe_is_the_first_max(self):
         a = rand(41, (5, 8))
         at = a[:, :4] * 1.3
-        probes = generate_probes(a, at, 2, 6, seed=3)
+        probes = generate_probes(a, at, 2, 0.5)
         rep = pcp_report(a, at, 0.0, probes, 0.5)
         i = rep.worst_index
         assert abs(rep.signed_rel_err[i]) == rep.max_abs_rel_err == np.max(np.abs(rep.signed_rel_err))
@@ -392,7 +377,7 @@ class TestPcpReport:
     def test_equality_compares_every_column_exactly(self):
         a = rand(42, (5, 8))
         at = a[:, :4].copy()
-        probes = generate_probes(a, at, 2, 3, seed=1)
+        probes = generate_probes(a, at, 2, 0.5)
         rep = pcp_report(a, at, 0.1, probes, 0.5)
         assert rep == pcp_report(a, at, 0.1, probes, 0.5)
         assert rep != pcp_report(a, at, 0.1, probes, 0.6)
@@ -415,14 +400,14 @@ class TestImplicationTest:
     def test_orthogonal_square(self):
         a = rand(13, (5, 9))
         q, _ = np.linalg.qr(rand(14, (9, 9)))
-        res = implication_test(a, q, 2, 0.4, seed=6)
+        res = implication_test(a, q, 2, 0.4)
         assert res.certificate_t1.holds and res.certificate_t2.holds
         assert res.report.max_abs_rel_err <= 1e-10
         assert res.consistent
 
     def test_zero_sketch_vacuous(self):
         a = np.diag([3.0, 2.0, 1.0, 0.5])
-        res = implication_test(a, np.zeros((4, 2)), 1, 0.4, seed=7)
+        res = implication_test(a, np.zeros((4, 2)), 1, 0.4)
         assert not res.certificate_t1.holds
         assert not res.certificate_t2.holds
         assert res.consistent  # implications hold vacuously
@@ -430,8 +415,8 @@ class TestImplicationTest:
     def test_explicit_probes_accepted(self):
         a = rand(15, (6, 10))
         q, _ = np.linalg.qr(rand(16, (10, 10)))
-        probes = generate_probes(a, a @ q, 2, 4, seed=8)
-        res = implication_test(a, q, 2, 0.5, probes=probes, seed=8)
+        probes = generate_probes(a, a @ q, 2, 0.5)
+        res = implication_test(a, q, 2, 0.5, probes=probes)
         assert res.consistent
 
 
@@ -580,29 +565,23 @@ class TestProbesInCoordinates:
     def instances(self):
         a = rand(30, (9, 60))
         yield a, gaussian_sketch(a, SketchParams(k=3, eps=0.5, seed=2, m_override=25)).a_tilde
-        dup = np.tile(rand(31, (4, 12)), (2, 1))  # duplicate rows: ties in Lloyd and row norms
+        dup = np.tile(rand(31, (4, 12)), (2, 1))  # duplicate rows: rank 4 of 8 rows
         yield dup, svd_sketch(dup, SketchParams(k=3, eps=0.5)).a_tilde
+        low = rand(32, (7, 2)) @ rand(33, (2, 30))  # rank 2 < k = 3
+        yield low, gaussian_sketch(low, SketchParams(k=3, eps=0.5, seed=4, m_override=6)).a_tilde
 
     def test_tags_and_costs_match_the_array_path(self):
         for a, at in self.instances():
-            k, n = 3, a.shape[0]
-            probes = generate_probes(factor(a), factor(at), k, 5, seed=4)
-            assert probes.tags.tolist() == generate_probes(a, at, k, 5, seed=4).tags.tolist()
-            # the data-driven families, rebuilt on A and the sketch directly
-            fs = svd(at)
-            q = fs.u[:, :k]
-            resid = svd(a - q @ (q.T @ a)).u[:, :k]
-            expected = {"residual-top": resid}
-            # the five Lloyd runs on each matrix, one after another on its stream
-            for tag, m, stream in (("a", a, Stream.PROBE_LLOYD_A), ("sketch", at, Stream.PROBE_LLOYD_SKETCH)):
-                rng = rng_for(4, stream)
-                for run in range(5):
-                    labels = lloyd_reference(m, k, 25, rng)
-                    expected[f"kmeans-{tag}-{run}"] = cluster_indicator_projection(labels, k, n).basis
-            # the Haar probes, blocks of one draw
-            for i, block in enumerate(rng_for(4, Stream.PROBE_HAAR).standard_normal((5, n, k))):
-                expected[f"haar-{i}"] = orthonormal_columns(block)
-            assert set(expected) <= set(probes.tags.tolist())
+            k = 3
+            probes = generate_probes(factor(a), factor(at), k, 0.3)
+            assert probes.tags.tolist() == generate_probes(a, at, k, 0.3).tags.tolist()
+            # the singular subspaces, rebuilt from the SVDs of A and the sketch
+            expected = {}
+            for name, m in (("a", a), ("sketch", at)):
+                f = svd(m)
+                for j in range(1, min(k, f.rank) + 1):
+                    expected[f"top-{name}-{j}"] = f.u[:, :j]
+            assert set(expected) < set(probes.tags.tolist())
             for tag, p in zip(probes.tags.tolist(), probe_projections(probes)):
                 if tag in expected:
                     assert np.allclose(projector(p), expected[tag] @ expected[tag].T, atol=1e-10), tag
@@ -614,10 +593,29 @@ class TestProbesInCoordinates:
                 assert cost_a == pytest.approx(projection_cost(a, p), abs=1e-12 * scale)
                 assert cost_s == pytest.approx(projection_cost(at, p), abs=1e-12 * scale)
 
+    def test_exact_probes_attain_the_dense_maximum(self):
+        # for sign s the exact probe maximizes
+        # F(Q) = s (cost_sketch + c - cost_a) - eps cost_a over rank-<=k Q;
+        # in A's own n x n coordinates that maximum is
+        # s (|A_tilde|^2 + c - |A|^2) - eps |A|^2 minus the negative ones among
+        # the k smallest eigenvalues of s A_tilde A_tilde^T - (s + eps) A A^T
+        c = 0.2
+        for a, at in self.instances():
+            scale = frob2(a)
+            for k, eps in ((1, 0.1), (2, 0.3), (3, 0.5), (4, 0.05)):
+                probes = generate_probes(a, at, k, eps)
+                report = pcp_report(a, at, c, probes, eps)
+                for s, tag in ((1.0, "exact-over"), (-1.0, "exact-under")):
+                    lam = np.linalg.eigvalsh(s * (at @ at.T) - (s + eps) * (a @ a.T))[:k]
+                    dense = s * (frob2(at) + c - scale) - eps * scale - np.minimum(lam, 0.0).sum()
+                    i = probes.tags.tolist().index(tag)
+                    got = s * (report.cost_sketch[i] + c - report.cost_a[i]) - eps * report.cost_a[i]
+                    assert got == pytest.approx(dense, abs=1e-12 * scale), (tag, k, eps)
+
     def test_partition_costs_match_the_array_path(self):
         a = np.tile(rand(32, (3, 7)), (2, 1))
         at = a[:, :4] + 0.01 * rand(33, (6, 4))
-        probes = generate_probes(a, at, 3, 0, seed=1)
+        probes = generate_probes(a, at, 3, 0.5)
         report = exhaustive_report(a, at, 0.0, probes, 0.5)
         rows = slice(len(probes), None)
         scale = frob2(a)
@@ -632,31 +630,31 @@ class TestVerifySketch:
     def test_matches_the_steps_it_runs(self):
         a = rand(34, (8, 30))
         params = SketchParams(k=2, eps=0.5, seed=3, m_override=20)
-        v = verify_sketch(a, "ridge", params, 4, probe_seed=5)
+        v = verify_sketch(a, "ridge", params)
         a = factor(a)
         sk = make_sketch(a, "ridge", params)
         assert np.array_equal(v.sketch.a_tilde, sk.a_tilde)
         assert (v.certificate_t1, v.certificate_t2) == certify(a, sk.operator, 2, 0.5)
         at = _factor_sketch(a, sk)
-        probes = generate_probes(a, at, 2, 4, seed=5)
+        probes = generate_probes(a, at, 2, 0.5)
         assert v.report == pcp_report(a, at, sk.c_const, probes, 0.5)
-        v = verify_sketch(a, "ridge", params, 4, probe_seed=5, exhaustive=True)
+        v = verify_sketch(a, "ridge", params, exhaustive=True)
         assert v.report == exhaustive_report(a, at, sk.c_const, probes, 0.5)
 
     def test_exhaustive_is_capped_at_12_rows(self):
         params = SketchParams(k=2, eps=0.5, seed=3, m_override=20)
-        verify_sketch(rand(35, (12, 30)), "gaussian", params, 0, probe_seed=5, exhaustive=True)
+        verify_sketch(rand(35, (12, 30)), "gaussian", params, exhaustive=True)
         with pytest.raises(TooLargeError):
-            verify_sketch(rand(35, (13, 30)), "gaussian", params, 0, probe_seed=5, exhaustive=True)
+            verify_sketch(rand(35, (13, 30)), "gaussian", params, exhaustive=True)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_noise_floor_scores_as_on_the_sketch_own_svd(self, method):
         # noise singular values ~ 1e-6 sigma_1 carry the whole cost of the
         # top-3 probes; read off A's factors they must stay in the sketch
         a = factor(gen_synthetic(GeneratorSpec("lowrank", n=30, d=80, rank=3, noise=1e-6, seed=0)))
-        v = verify_sketch(a, method, SketchParams(k=3, eps=0.5, seed=1), 6, probe_seed=1)
+        v = verify_sketch(a, method, SketchParams(k=3, eps=0.5, seed=1))
         at = factor(v.sketch.a_tilde)
-        want = pcp_report(a, at, v.sketch.c_const, generate_probes(a, at, 3, 6, seed=1), 0.5)
+        want = pcp_report(a, at, v.sketch.c_const, generate_probes(a, at, 3, 0.5), 0.5)
         assert list(v.report.tags) == list(want.tags)
         assert np.abs(v.report.cost_sketch - want.cost_sketch).max() <= 1e-14 * a.frob2
         # that rounding, on the least nonzero cost, bounds the change in the error
@@ -675,7 +673,7 @@ class TestDinkelbachOracle:
             params = SketchParams(k=k, eps=0.5, seed=seed, m_override=8)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", WidthNotReducingWarning)
-                v = verify_sketch(a, method, params, 6, probe_seed=seed, exhaustive=True)
+                v = verify_sketch(a, method, params, exhaustive=True)
             assert not v.report.zero_cost.any()
             exact = dinkelbach_distortion(a, v.sketch.a_tilde, v.sketch.c_const, k)
             assert exact >= v.report.max_abs_rel_err - 1e-12, (n, exact, v.report.max_abs_rel_err)
@@ -703,31 +701,144 @@ class TestDinkelbachOracle:
     def test_exact_value_dominates_partitions_and_200_haar_probes(self, method):
         # full-rank inputs at n = 11 and 12: the exact sup is at least the
         # error of every partition into at most k blocks, costed by
-        # partition_costs, and of each of 200 Haar probes of one stream
+        # partition_costs, and of each of 200 Haar subspaces of rank k
         for seed, (n, d, k) in enumerate(((11, 40, 2), (12, 30, 3))):
             a = rand(80 + seed, (n, d))
             params = SketchParams(k=k, eps=0.5, seed=seed, m_override=10)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", WidthNotReducingWarning)
-                v = verify_sketch(a, method, params, 200, probe_seed=seed)
-            at, c = v.sketch.a_tilde, v.sketch.c_const
+                sk = make_sketch(a, method, params)
+            at, c = sk.a_tilde, sk.c_const
             exact = dinkelbach_distortion(a, at, c, k)
             labels = partitions(n, k)
             cost_a = partition_costs(a, labels)
             assert cost_a.min() > 0.0
             partition_err = np.abs((partition_costs(at, labels) + c - cost_a) / cost_a)
-            haar = np.strings.startswith(v.report.tags, "haar-")
-            assert haar.sum() == 200 and not v.report.zero_cost.any()
             assert exact >= partition_err.max() - 1e-12, (n, exact, partition_err.max())
-            haar_err = np.abs(v.report.signed_rel_err[haar]).max()
-            assert exact >= haar_err - 1e-12, (n, exact, haar_err)
+            haar = [haar_subspace(n, k, seed=1000 * seed + i) for i in range(200)]
+            report = pcp_report(a, at, c, probe_set(haar, [f"haar-{i}" for i in range(200)], k), 0.5)
+            assert not report.zero_cost.any()
+            assert exact >= report.max_abs_rel_err - 1e-12, (n, exact, report.max_abs_rel_err)
+
+
+class TestExactVerdict:
+    """The audit passes exactly when every rank-<=k projection keeps its
+    cost within eps: on inputs of rank > k its verdict is the dense
+    Dinkelbach oracle's, and on rank <= k the zero-cost rule decides the
+    projections that cost nothing on A."""
+
+    @staticmethod
+    def cases(count: int, seed: int):
+        """``count`` seeded small cases of rank > k, (a, method, params): the
+        six methods in turn, widths 3..d, spectra from flat to decaying."""
+        rng = np.random.default_rng(seed)
+        i = 0
+        while i < count:
+            n, k = int(rng.integers(4, 20)), int(rng.integers(1, 4))
+            d = int(rng.integers(k + 2, 40))
+            a = rng.standard_normal((n, d)) * np.arange(1, d + 1) ** -rng.uniform(0.0, 1.5)
+            if np.linalg.matrix_rank(a) <= k:
+                continue
+            eps, m = float(rng.choice([0.1, 0.3, 0.5])), int(rng.integers(3, d + 1))
+            yield a, METHODS[i % len(METHODS)], SketchParams(k=k, eps=eps, seed=i, m_override=m)
+            i += 1
+
+    @staticmethod
+    def verify(a, method, params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WidthNotReducingWarning)
+            return verify_sketch(a, method, params)
+
+    def test_verdict_equals_the_dense_oracle(self):
+        verdicts = Counter()
+        for a, method, params in self.cases(240, 21):
+            v = self.verify(a, method, params)
+            exact, sign, _, _ = dinkelbach_witness(a, v.sketch.a_tilde, v.sketch.c_const, params.k)
+            assert v.report.passed == (exact <= params.eps), (method, a.shape, params, exact)
+            # the probe max is a lower bound on the exact value
+            assert v.report.max_abs_rel_err <= exact + 1e-12
+            if exact > params.eps:
+                # the exact probe of the witness's sign breaks eps itself
+                tag = "exact-over" if sign > 0 else "exact-under"
+                assert sign * v.report.signed_rel_err[v.report.tags.tolist().index(tag)] > params.eps
+                verdicts[tag] += 1
+            verdicts[v.report.passed] += 1
+        assert min(verdicts[True], verdicts[False]) >= 40, verdicts
+        assert min(verdicts["exact-over"], verdicts["exact-under"]) >= 10, verdicts
+
+    def test_verdict_flips_at_the_exact_value(self):
+        # the sketch is fixed by its width and seed, so only eps moves
+        lossy = 0
+        for a, method, params in self.cases(120, 22):
+            v = self.verify(a, method, params)
+            exact = dinkelbach_distortion(a, v.sketch.a_tilde, v.sketch.c_const, params.k)
+            if not 1e-3 < exact < 0.9:
+                continue
+            lossy += 1
+            for factor_, passes in ((1.0 - 1e-7, False), (1.0 + 1e-7, True)):
+                w = self.verify(a, method, dataclasses.replace(params, eps=exact * factor_))
+                assert np.array_equal(w.sketch.a_tilde, v.sketch.a_tilde)
+                assert w.report.passed is passes, (method, a.shape, params, exact, factor_)
+        assert lossy >= 40, lossy
+
+    @staticmethod
+    def rank_le_k_verdict(a, at, c, eps) -> bool:
+        """The verdict the zero-cost rule defines when rank(A) = r <= k: the
+        projections onto A's column space cost nothing on A and must keep
+        |cost_sketch + c| within ZERO_CHECK_REL |A|_F^2, and every other one
+        counts as one of rank < r (what it keeps outside the column space
+        changes neither cost), which the dense oracle scores at k = r - 1."""
+        r = np.linalg.matrix_rank(a)
+        if abs(c) > ZERO_CHECK_REL * frob2(a):
+            return False
+        return r == 0 or dinkelbach_distortion(a, at, c, r - 1) <= eps
+
+    def test_degenerate_inputs_get_defined_verdicts(self):
+        rng = np.random.default_rng(23)
+        dup = np.tile(rng.standard_normal((3, 12)), (2, 1))
+        inputs = {
+            "rank 0": (np.zeros((6, 20)), 2),
+            "rank < k": (rng.standard_normal((8, 2)) @ rng.standard_normal((2, 25)), 3),
+            "rank 1 < k": (np.outer(rng.standard_normal(7), rng.standard_normal(15)), 2),
+            "rank = k": (rng.standard_normal((9, 3)) @ rng.standard_normal((3, 20)), 3),
+            "duplicate rows, rank = k": (dup, 3),
+            "duplicate rows, rank > k": (dup, 2),
+        }
+        verdicts = Counter()
+        for name, (a, k) in inputs.items():
+            for method in METHODS:
+                for m, eps in ((2, 0.3), (4, 0.5), (10, 0.2)):
+                    v = self.verify(a, method, SketchParams(k=k, eps=eps, seed=m, m_override=m))
+                    at, c = v.sketch.a_tilde, v.sketch.c_const
+                    if np.linalg.matrix_rank(a) > k:
+                        want = dinkelbach_distortion(a, at, c, k) <= eps
+                    else:
+                        want = self.rank_le_k_verdict(a, at, c, eps)
+                    assert v.report.passed == want, (name, method, m, eps)
+                    assert v.report.tags.tolist()[-2:] == ["exact-over", "exact-under"]
+                    verdicts[name, v.report.passed] += 1
+        # the zero matrix costs nothing anywhere and every sketch of it is zero
+        assert verdicts["rank 0", True] == 3 * len(METHODS)
+        for name in ("rank < k", "rank = k", "duplicate rows, rank = k"):
+            assert verdicts[name, True] and verdicts[name, False], (name, verdicts)
+
+    def test_zero_cost_projection_breaks_with_a_constant(self):
+        # rank 2 <= k: the projection onto A's column space costs nothing on
+        # A, so a constant c beyond ZERO_CHECK_REL |A|_F^2 fails the audit
+        # through it, whatever every other projection does
+        a = rand(24, (6, 2)) @ rand(25, (2, 10))
+        probes = generate_probes(a, a.copy(), 3, 0.5)
+        for c, passes in ((0.0, True), (0.5 * ZERO_CHECK_REL * frob2(a), True), (1e-6 * frob2(a), False)):
+            report = pcp_report(a, a.copy(), c, probes, 0.5)
+            assert report.passed is passes, c
+            assert report.zero_cost.any()
 
 
 class TestSvdCount:
     """``verify_sketch`` and a lowrank ``sketch_and_solve`` factor A once and
     no n x m or n x r matrix: the sketch's SVD is read off A's and G by an
-    r x r eigh, and the residual probe is found from an r x r SVD.  The
-    nonoblivious sketcher factors Pi A on top.  A is factored through its
+    r x r eigh, and each of the two exact probes takes one more r x r eigh.
+    The nonoblivious sketcher factors Pi A on top.  A is factored through its
     smaller Gram, and an exactly low-rank A, whose Gram is too close to
     singular, through LAPACK's SVD after that eigh; each test runs one input
     of each kind and counts both drivers."""
@@ -744,7 +855,7 @@ class TestSvdCount:
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("shape", [(8, 30), (30, 8)])
-    def test_verify_factors_a_the_residual_and_pi_a_only(self, monkeypatch, method, shape):
+    def test_verify_factors_a_and_pi_a_only(self, monkeypatch, method, shape):
         m_pi = 6
         params = SketchParams(k=2, eps=0.5, seed=1, m_override=m_pi)
         log = factorization_log(monkeypatch)
@@ -754,9 +865,9 @@ class TestSvdCount:
             log.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", WidthNotReducingWarning)
-                verify_sketch(a, method, params, 3, probe_seed=2)
+                verify_sketch(a, method, params)
             counts = factorization_counts(log, {"A": a, "PiA": pi_a})
-            want = {**self.expected_a(branch), ("svd", (r, r)): 1, ("eigh", (r, r)): 1}
+            want = {**self.expected_a(branch), ("eigh", (r, r)): 3}
             if method == "nonoblivious":
                 # Pi A has rank 3 < m_pi on the low-rank input
                 want.update({("PiA", "gram"): 1, ("PiA", "svd"): int(branch == "lapack")})

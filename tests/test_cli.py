@@ -139,7 +139,7 @@ class TestVerifyCmd:
         code, payload = run_json(
             capsys,
             "verify", "--input", str(a_path), "--method", "orthogonal",
-            "--k", "2", "--eps", "0.4", "--n-random", "6",
+            "--k", "2", "--eps", "0.4",
         )
         assert code == 0
         assert payload["pcp"]["pass"] is True
@@ -151,24 +151,40 @@ class TestVerifyCmd:
         code, payload = run_json(
             capsys,
             "verify", "--gen", "powerlaw:n=10,d=30,alpha=1", "--method", "svd",
-            "--k", "3", "--eps", "0.5", "--n-random", "4",
+            "--k", "3", "--eps", "0.5",
         )
         assert code == 0
         assert payload["pcp"]["pass"] is True
 
-    def test_no_random_probes(self, capsys):
-        # --n-random 0 draws no Haar probe; the other probes are those of a
-        # run with Haar probes, which come last
+    def test_probe_tags(self, capsys):
+        # the rank-0 probe, the top-j subspaces of A and of the sketch, and
+        # the two exact probes; the removed --n-random is a usage error
         argv = ["verify", "--gen", "lowrank:n=12,d=40,rank=2,noise=0.1,seed=3", "--method", "gaussian",
                 "--k", "2", "--eps", "0.5", "--m", "20", "--seed", "4"]
-        code, payload = run_json(capsys, *argv, "--n-random", "0")
+        code, payload = run_json(capsys, *argv)
         assert code in (0, 2)
-        rows = payload["pcp"]["per_probe"]
-        assert payload["pcp"]["n_probes"] == len(rows) > 0
-        assert not [row for row in rows if row["probe"].startswith("haar-")]
-        _, with_haar = run_json(capsys, *argv, "--n-random", "3")
-        assert with_haar["pcp"]["per_probe"][: len(rows)] == rows
-        assert [row["probe"] for row in with_haar["pcp"]["per_probe"][len(rows):]] == ["haar-0", "haar-1", "haar-2"]
+        tags = [row["probe"] for row in payload["pcp"]["per_probe"]]
+        assert tags == ["zero-rank", "top-a-1", "top-sketch-1", "top-a-2", "top-sketch-2", "exact-over", "exact-under"]
+        assert payload["pcp"]["n_probes"] == len(tags)
+        code, out, err = run(capsys, *argv, "--n-random", "3")
+        assert (code, out) == (1, "") and "--n-random" in err
+
+    def test_sketch_beyond_eps_exits_2(self, capsys):
+        # a sketch whose exact distortion, 0.44, exceeds eps = 0.4, while
+        # the top subspaces and 50 Haar probes of the former audit stayed
+        # under 0.30 and let it exit 0: an exact probe finds it
+        spec, k, eps, m, seed = "powerlaw:n=8,d=24,alpha=0.5", 2, 0.4, 12, 2
+        code, payload = run_json(
+            capsys, "verify", "--gen", spec, "--method", "gaussian",
+            "--k", str(k), "--eps", str(eps), "--m", str(m), "--seed", str(seed),
+        )
+        a = gen_synthetic(parse_generator_spec(spec, seed=seed))
+        sk = make_sketch(a, "gaussian", SketchParams(k=k, eps=eps, seed=seed, m_override=m))
+        exact = oracles.dinkelbach_distortion(a, sk.a_tilde, sk.c_const, k)
+        assert exact > eps + 0.04
+        assert code == 2 and payload["pcp"]["pass"] is False
+        assert payload["pcp"]["worst_probe"] in ("exact-over", "exact-under")
+        assert eps < payload["pcp"]["max_abs_rel_err"] <= exact + 1e-12
 
     def test_failing_sketch_exits_2(self, tmp_path, capsys):
         a_path = tmp_path / "a.csv"
@@ -176,7 +192,7 @@ class TestVerifyCmd:
         code, payload = run_json(
             capsys,
             "verify", "--input", str(a_path), "--method", "gaussian",
-            "--k", "2", "--eps", "0.3", "--m", "2", "--n-random", "4",
+            "--k", "2", "--eps", "0.3", "--m", "2",
         )
         assert code == 2
         assert payload["pcp"]["pass"] is False
@@ -187,7 +203,7 @@ class TestVerifyCmd:
         code, out, _ = run(
             capsys,
             "verify", "--input", str(a_path), "--method", "orthogonal",
-            "--k", "2", "--eps", "0.4", "--n-random", "2", "--format", "csv",
+            "--k", "2", "--eps", "0.4", "--format", "csv",
         )
         assert code == 0
         header, row = out.strip().split("\n")
@@ -203,7 +219,7 @@ class TestVerifyCmd:
         code, out, _ = run(
             capsys,
             "verify", "--input", str(a_path), "--method", "orthogonal",
-            "--k", "2", "--eps", "0.4", "--n-random", "2",
+            "--k", "2", "--eps", "0.4",
             "--report-out", str(report),
         )
         assert code == 0
@@ -272,7 +288,7 @@ class TestBenchCmd:
         code, payload = run_json(
             capsys,
             "bench", "--gen", "powerlaw:n=10,d=24,alpha=1", "--method", "orthogonal",
-            "--k", "2", "--eps", "0.4", "--trials", "3", "--n-random", "3", "--seed", "2",
+            "--k", "2", "--eps", "0.4", "--trials", "3", "--seed", "2",
         )
         assert code == 0
         assert payload["trials"] == 3
@@ -286,7 +302,7 @@ class TestBenchCmd:
             capsys,
             "bench", "--gen", "powerlaw:n=10,d=24,alpha=0.3", "--method", "gaussian",
             "--k", "2", "--eps", "0.3", "--m", "2", "--trials", "2",
-            "--n-random", "3", "--min-pass-rate", "0.5",
+            "--min-pass-rate", "0.5",
         )
         assert code == 2
         assert payload["pass_rate"] < 0.5
@@ -296,7 +312,7 @@ class TestBenchCmd:
         code, out, err = run(
             capsys,
             "bench", "--gen", "powerlaw:n=10,d=24,alpha=1", "--method", "orthogonal",
-            "--k", "2", "--eps", "0.4", "--trials", "1", "--n-random", "1", "--min-pass-rate", rate,
+            "--k", "2", "--eps", "0.4", "--trials", "1", "--min-pass-rate", rate,
         )
         assert (code, out) == (1, "")
         assert err.startswith("error: --min-pass-rate must be in [0, 1]"), err
@@ -487,7 +503,7 @@ class TestZeroMatrix:
         base = ["--input", str(a_path), "--method", method, "--k", "2", "--eps", "0.5"]
         for cmd in (
             ["certify"],
-            ["verify", "--n-random", "3"],
+            ["verify"],
             ["solve", "--task", "lowrank"],
             ["solve", "--task", "kmeans"],
         ):
@@ -528,7 +544,7 @@ class TestOneFactorization:
             sketch_eigh = ("sketch", "gram") if (method, branch) == ("svd", "lapack") else ("eigh", (r, r))
             for cmd, others in (
                 (["certify"], {}),
-                (["verify", "--n-random", "3"], {("svd", (r, r)): 1, sketch_eigh: 1}),
+                (["verify"], Counter({("eigh", (r, r)): 2}) + Counter({sketch_eigh: 1})),
                 (["solve", "--task", "lowrank"], {sketch_eigh: 1}),
             ):
                 log.clear()
@@ -564,7 +580,7 @@ class TestOneFactorization:
         base = ["--input", str(a_path), "--method", method, "--k", "2", "--eps", "0.5", "--m", str(m), "--seed", "1"]
         for cmd in (
             ["certify"],
-            ["verify", "--n-random", "3"],
+            ["verify"],
             ["solve", "--task", "lowrank"],
             ["solve", "--task", "kmeans", "--solver", "lloyd"],
         ):
@@ -591,7 +607,7 @@ class TestReportWriting:
         # perturbed sketch, so their errors are +inf ("inf" in the report)
         a = np.tile(np.random.default_rng(14).standard_normal((3, 5)), (2, 1))
         at = a[:, :3] + 0.01 * np.random.default_rng(15).standard_normal((6, 3))
-        probes = audit.generate_probes(a, at, 3, 2, seed=5)
+        probes = audit.generate_probes(a, at, 3, 0.3)
         rep = audit.pcp_report(a, at, 0.5, probes, 0.3)
         rep = audit._with_partitions(rep, a, at, 0.5, solvers._partition_masks(6, 3))
         rows = oracles.probe_rows(rep)
@@ -644,7 +660,7 @@ class TestReportWriting:
         save_matrix(a_path, np.tile(np.random.default_rng(17).standard_normal((3, 9)), (2, 1)))
         base = [
             "verify", "--input", str(a_path), "--method", "gaussian", "--k", "3", "--eps", "0.5",
-            "--m", "4", "--n-random", "2", "--exhaustive-probes",
+            "--m", "4", "--exhaustive-probes",
         ]
         texts = {}
         for fmt in ("json", "csv"):
@@ -668,7 +684,7 @@ class TestReportWriting:
         report = tmp_path / "r.json"
         code, _, _ = run(
             capsys, "verify", "--input", str(a_path), "--method", "svd", "--k", "2",
-            "--eps", "0.5", "--n-random", "2", "--exhaustive-probes", "--report-out", str(report),
+            "--eps", "0.5", "--exhaustive-probes", "--report-out", str(report),
         )
         payload = json.loads(report.read_text())
         assert code == (0 if payload["pcp"]["pass"] else 2)

@@ -270,21 +270,16 @@ class TestOrthonormalColumns:
         assert np.all(np.diag(r) > 0.0)
 
     def test_dependent_columns(self):
-        # a column combined from two others, a zero column, and stacks
-        # where only one matrix is dependent: every one is an error
+        # a column combined from two others, and a zero column: both errors
         g = np.random.default_rng(60).standard_normal((3, 7, 3))
         g[1, :, 2] = g[1, :, 0] - 2.0 * g[1, :, 1]
         g[2, :, 1] = 0.0
+        orthonormal_columns(g[0])
         for i in (1, 2):
             with pytest.raises(InvalidInputError):
                 orthonormal_columns(g[i])
-            with pytest.raises(InvalidInputError):
-                orthonormal_columns(g[[0, i]])
-        with pytest.raises(InvalidInputError):
-            orthonormal_columns(g)
-        assert np.array_equal(orthonormal_columns(g[:1])[0], orthonormal_columns(g[0]))
 
-    @pytest.mark.parametrize("shape", [(5,), (2, 2, 5, 3), (3, 5), (2, 3, 5)])
+    @pytest.mark.parametrize("shape", [(5,), (2, 2, 5, 3), (3, 5), (2, 3, 5), (2, 5, 3)])
     def test_rejects_vectors_deep_stacks_and_wide_matrices(self, shape):
         with pytest.raises(InvalidMatrixError):
             orthonormal_columns(np.ones(shape))
@@ -306,22 +301,13 @@ class TestHaarSubspace:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_stack_equals_one_draw_per_seed(self):
-        # one standard-normal draw per stack: basis i is the i-th n x k block
-        # of the stream, orthonormalized as alone, and the same in any
-        # longer stack; haar_subspace is a one-basis stack of its own stream
+    def test_one_draw_per_seed(self):
+        # the basis is the orthonormalized n x k standard-normal draw of the
+        # seed's own stream, bit for bit
         for seed in (0, 1, 42, 2**63 + 7, 5):
             for n, k in ((6, 3), (9, 1), (4, 4), (200, 5)):
-                g = rng_for(seed, Stream.PROBE_HAAR).standard_normal((5, n, k))
-                stack = orthonormal_columns(g)
-                assert stack.shape == (5, n, k)
-                for block, basis in zip(g, stack):
-                    assert np.array_equal(basis, orthonormal_columns(block))
-                longer = orthonormal_columns(rng_for(seed, Stream.PROBE_HAAR).standard_normal((12, n, k)))
-                assert np.array_equal(longer[:5], stack)
                 want = orthonormal_columns(rng_for(seed, Stream.HAAR).standard_normal((n, k)))
                 assert np.array_equal(haar_subspace(n, k, seed).basis, want)
-        assert orthonormal_columns(rng_for(0, Stream.PROBE_HAAR).standard_normal((0, 5, 2))).shape == (0, 5, 2)
 
     def test_rejects_bad_rank(self):
         with pytest.raises(InvalidRankError):

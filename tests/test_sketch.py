@@ -110,7 +110,7 @@ class TestGaussian:
             lambda: svd_sketch(a, p),
             lambda: make_sketch(a, "gaussian", p),
             lambda: sketch_and_solve(a, make_sketch(a, "svd", p), "lowrank"),
-            lambda: verify_sketch(a, "gaussian", p, 2, 0),
+            lambda: verify_sketch(a, "gaussian", p),
         ):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", WidthNotReducingWarning)

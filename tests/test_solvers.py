@@ -11,7 +11,6 @@ from pcpsketch.sketch import SketchParams, gaussian_sketch, orthogonal_sketch, s
 from pcpsketch.solvers import (
     Clustering,
     _exhaustive_search,
-    _lloyd_assignments,
     _mask_costs,
     _partition_masks,
     _plusplus_init,
@@ -203,10 +202,9 @@ class TestLloyd:
             lloyd_kmeans(np.eye(2), 3)
 
 
-class TestBatchedLloyd:
-    """A batch of R runs draws its starts from one stream, run 0 first:
-    run r is the single run started from that stream after r draws of
-    k-means++ centers, and matches the loop oracle bit for bit."""
+class TestLloydRuns:
+    """Each run draws its k-means++ start from the stream (seed,
+    Stream.LLOYD) and matches the loop oracle bit for bit."""
 
     def cases(self):
         rng = np.random.default_rng(50)
@@ -218,33 +216,6 @@ class TestBatchedLloyd:
         yield "duplicates", np.repeat(rng.standard_normal((3, 4)), 3, axis=0), 5
         yield "k = n", rng.standard_normal((6, 3)), 6
         yield "one column", rng.standard_normal((25, 1)), 3
-
-    @staticmethod
-    def references(m, k, iters, seed, runs, traces=None):
-        # the oracle's runs one after another on one stream: each run's
-        # start is the next draw of k-means++ centers from it
-        rng = rng_for(seed, Stream.LLOYD)
-        return [lloyd_reference(m, k, iters, rng, None if traces is None else traces[r]) for r in range(runs)]
-
-    def test_batch_equals_single_runs_bit_for_bit(self):
-        for seed in (3, 2**40 + 5, 0):
-            for name, m, k in self.cases():
-                batch = _lloyd_assignments(m, k, rng_for(seed, Stream.LLOYD), 7, 25)
-                assert batch.shape == (7, m.shape[0]), name
-                for got, want in zip(batch, self.references(m, k, 25, seed, 7)):
-                    assert np.array_equal(got, want), name
-                assert np.array_equal(batch[0], lloyd_kmeans(m, k, iters=25, seed=seed).assignment), name
-
-    def test_run_r_starts_after_r_inits(self):
-        for name, m, k in self.cases():
-            batch = _lloyd_assignments(m, k, rng_for(17, Stream.LLOYD), 5, 25)
-            for r, got in enumerate(batch):
-                rng, oracle_rng = rng_for(17, Stream.LLOYD), rng_for(17, Stream.LLOYD)
-                for _ in range(r):
-                    _plusplus_init(m, k, rng)
-                    plusplus_reference(m, k, oracle_rng)
-                assert np.array_equal(got, _lloyd_assignments(m, k, rng, 1, 25)[0]), (name, r)
-                assert np.array_equal(got, lloyd_reference(m, k, 25, oracle_rng)), (name, r)
 
     def test_lloyd_kmeans_matches_the_choice_oracle(self):
         # the oracle draws its starts with rng.choice, the library by its
@@ -268,32 +239,31 @@ class TestBatchedLloyd:
     def test_runs_stop_at_different_iterations(self):
         m = np.random.default_rng(51).standard_normal((60, 4))
         traces: list = [[] for _ in range(8)]
-        batch = _lloyd_assignments(m, 5, rng_for(0, Stream.LLOYD), 8, 50)
-        for got, want in zip(batch, self.references(m, 5, 50, 0, 8, traces)):
-            assert np.array_equal(got, want)
-        assert np.array_equal(lloyd_kmeans(m, 5, iters=50, seed=0).assignment, batch[0])
+        for seed, trace in enumerate(traces):
+            want = lloyd_reference(m, 5, 50, seed, trace)
+            assert np.array_equal(lloyd_kmeans(m, 5, iters=50, seed=seed).assignment, want), seed
         assert len({len(trace) for trace in traces}) > 1
 
     def test_empty_clusters_are_reseeded(self):
         # nearest-center assignment alone uses at most three labels on three
         # distinct rows; every label past those was placed by a reseed
         m = np.repeat(np.random.default_rng(52).standard_normal((3, 4)), 3, axis=0)
-        batch = _lloyd_assignments(m, 5, rng_for(6, Stream.LLOYD), 6, 25)
-        for got, want in zip(batch, self.references(m, 5, 25, 6, 6)):
+        for seed in range(6):
+            got = lloyd_kmeans(m, 5, iters=25, seed=seed).assignment
             assert len(set(got.tolist())) > 3
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, lloyd_reference(m, 5, 25, seed)), seed
 
     def test_k_equals_n_gives_singletons(self):
         m = np.random.default_rng(53).standard_normal((6, 3))
-        for got in _lloyd_assignments(m, 6, rng_for(53, Stream.LLOYD), 4, 25):
-            assert sorted(got.tolist()) == list(range(6))
+        for seed in range(4):
+            assert sorted(lloyd_kmeans(m, 6, iters=25, seed=seed).assignment.tolist()) == list(range(6))
 
     def test_iteration_cap(self):
         m = np.random.default_rng(54).standard_normal((50, 3))
         for iters in (1, 2, 3):
-            batch = _lloyd_assignments(m, 4, rng_for(iters, Stream.LLOYD), 5, iters)
-            for got, want in zip(batch, self.references(m, 4, iters, iters, 5)):
-                assert np.array_equal(got, want)
+            for seed in range(5):
+                want = lloyd_reference(m, 4, iters, seed)
+                assert np.array_equal(lloyd_kmeans(m, 4, iters=iters, seed=seed).assignment, want), (iters, seed)
 
 
 class TestPartitions:

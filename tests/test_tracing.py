@@ -1,5 +1,5 @@
 """The benchmark's tracer still installs on the package and sees ``certify``,
-the transfer check and the probe QR.
+the transfer check and the probe generation.
 
 ``perfbench/tracing.py`` wraps every public function of the package, and
 patches ``Sketch.operator_matrix``, ``Projection.__post_init__`` and the
@@ -67,8 +67,9 @@ tracer = tracing.Tracer()
 tracer.install()
 with tracer.op("verify"):
     rc = cli.main(["verify", "--gen", "clustered:n=8,d=30,k_true=2,separation=8,noise=0.1", "--method", "gaussian",
-                   "--k", "2", "--eps", "0.5", "--seed", "1", "--n-random", "4", "--report-out", sys.argv[3]])
-print(json.dumps({"rc": rc, "qr_calls": tracer.stats["linalg.orthonormal_columns"][0]}))
+                   "--k", "2", "--eps", "0.5", "--seed", "1", "--report-out", sys.argv[3]])
+print(json.dumps({"rc": rc, "probe_calls": tracer.stats["audit.generate_probes"][0],
+                  "probes": tracer.counters["audit.probes"]}))
 """
 
 
@@ -100,9 +101,9 @@ def test_traced_solves_count_transfer_candidates(tmp_path):
         assert ops[task]["candidates"] == candidates, task
 
 
-def test_traced_verify_records_the_probe_qr(tmp_path):
-    # neither the clustered generator nor the gaussian sketch orthonormalizes
-    # anything: the call is the Haar probes' stacked QR
+def test_traced_verify_records_the_probe_generation(tmp_path):
+    # one probe set of 7 on the rank-8 input at k = 2: the rank-0 probe, two
+    # top subspaces of each matrix and the two exact probes
     out, stderr = traced(TRACED_VERIFY, tmp_path)
     assert out["rc"] in (0, 2), stderr
-    assert out["qr_calls"] >= 1
+    assert (out["probe_calls"], out["probes"]) == (1, 7)
