@@ -1,9 +1,11 @@
 """Randomized check that a holding certificate always means a passing audit.
 
 The audit is exact: it fails exactly when some rank-<=k projection's cost
-moves by more than eps (``generate_probes``).  So a trial whose
-certificate holds while the audit fails is a certificate endorsing a
-sketch that breaks the guarantee.  Exits 2 if any trial does, 0 otherwise.
+moves by more than eps.  Its two exact probes (``generate_probes``) are
+read off the same r x r Gram of the operator that both certificates read.
+So a trial whose certificate holds while the audit fails is a certificate
+endorsing a sketch that breaks the guarantee.  Exits 2 if any trial does,
+0 otherwise.
 
     python scripts/implication_harness.py --trials 2000
 """

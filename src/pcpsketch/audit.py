@@ -2,31 +2,35 @@
 
 A sketch claims that |A_tilde - P A_tilde|_F^2 + c tracks |A - P A|_F^2
 within a relative eps for every rank-<=k projection P.  This module builds
-probe sets (singular subspaces of both matrices, and the two exact probes
-that decide that claim at eps), scores the signed relative error on each,
-ties certificates to the observed errors (the randomized implication
-harness), and checks the transfer bound for minimizers found on the
-sketch.
+probe sets (A's top singular subspaces, and the two exact probes that
+decide that claim at eps for A_tilde = A S), scores the signed relative
+error on each, ties certificates to the observed errors (the randomized
+implication harness), and checks the transfer bound for minimizers found
+on the sketch.
 
 A probe set is columnar: a ``ProbeSet`` holds every basis in one
 (count, n, min(k, n)) array, zero-padded past each probe's rank, beside
 an array of tags, and is checked by one stacked Gram product.
 ``generate_probes`` fills the array, and ``pcp_report`` scores all of it
-with one matrix product per core.
+with one matrix product per matrix.
 
-A and the sketch are ``Factored`` instances (arrays are wrapped at the
-entry).  Probe costs run on their n x r cores B = U Sigma, which have the
-same row Gram matrix, and so the same costs, as the matrices themselves;
-the exact probes are found in A's coordinates, from two r x r eighs.
-``verify_sketch`` is the one sketch -> certify -> probe -> score sequence
-behind ``pcp verify``, ``pcp bench`` and ``implication_harness``.
+A is a ``Factored`` instance (an array is wrapped at the entry).  The
+sketch acts on A's row space only through the r x r Gram G = ``a.gram(S)``
+that ``certify`` forms: A_tilde A_tilde^T = U (Sigma G Sigma) U^T.  The
+exact probes are found in A's coordinates, from two r x r eighs of
+matrices built from Sigma G Sigma, and probe costs run on A's n x r core
+B = U Sigma, which has the same row Gram matrix, and so the same costs,
+as A, and on the sketch's own array.  ``verify_sketch`` is the one
+sketch -> certify -> probe -> score sequence behind ``pcp verify``,
+``pcp bench`` and ``implication_harness``.
 
 ``sketch_and_solve``, behind ``pcp solve``, solves on the sketch, scores
 the solution on both matrices and checks the transfer bound over the
 candidates it builds itself: A's own best rank-k projection for "lowrank",
-every partition the exhaustive k-means search scored for "kmeans".  Both
-read the sketch's SVD off A's and the Gram ``certify`` forms
-(``_factor_sketch``), so the only n-row matrix either factors is A.
+every partition the exhaustive k-means search scored for "kmeans".  The
+lowrank solution, the sketch's top-k left singular subspace, is read off
+Sigma G Sigma by one r x r eigh, so the only n-row matrix either factors
+is A.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInputError, InvalidMatrixError, WidthNotReducingWarning
 from .generators import GeneratorSpec, gen_synthetic
-from .guarantees import Certificate, certify
-from .linalg import Factored, SvdFactorization, _eigh_desc, as_matrix, factor, frob2, projection_cost
+from .guarantees import Certificate, _check_operator, certify
+from .linalg import Projection, _eigh_desc, as_matrix, factor, frob2, projection_cost
 from .rng import Stream, derive_seed, rng_for
 from .sketch import Sketch, SketchParams, make_sketch
 from .solvers import (
@@ -171,47 +175,40 @@ class SolveResult:
     transfer: TransferCheck | None
 
 
-def generate_probes(a, a_tilde, k: int, eps: float) -> ProbeSet:
-    """Deterministic probe set whose audit at ``eps`` is exact.
+def generate_probes(a, s, k: int, eps: float) -> ProbeSet:
+    """Deterministic probe set whose audit at ``eps`` is exact for the sketch
+    A S of the operator ``s`` (a d x m array or a ``SamplingPattern``).
 
-    The rank-0 probe and the top-j singular subspaces of A and of the
-    sketch for j = 1..k are diagnostics.  The two exact probes,
-    ``exact-over`` and ``exact-under``, are for s = +1 and -1 the rank-<=k
-    projection that maximizes s * (cost_sketch + c - cost_a) - eps * cost_a,
-    as ``pcp_report`` scores the costs (c shifts it by a constant).  In A's
-    coordinates, with H = U^T B_tilde (B_tilde the sketch's core) and
-    D = H H^T - Sigma^2, a basis U Y makes that a constant minus
-    tr(Y^T M_s Y), M_s = s D - eps Sigma^2; by Ky Fan's principle the
+    The rank-0 probe and the top-j singular subspaces of A for
+    j = 1..min(k, rank A) are diagnostics.  The two exact probes, ``exact-over`` and ``exact-under``,
+    are for sign +1 and -1 the rank-<=k projection that maximizes
+    sign * (cost_sketch + c - cost_a) - eps * cost_a, as ``pcp_report``
+    scores the costs (c shifts it by a constant).  In A's coordinates, with
+    H H^T = Sigma G Sigma (G = ``a.gram(s)``, the Gram ``certify`` forms)
+    and D = H H^T - Sigma^2, a basis U Y makes that a constant minus
+    tr(Y^T M Y), M = sign * D - eps * Sigma^2; by Ky Fan's principle the
     maximizer Y holds the eigenvectors of the negative eigenvalues among
-    the k smallest of M_s (none: a rank-0 probe).  Directions outside A's
-    column space change neither cost when the sketch's columns lie in it,
-    as those of A S do.  Then whenever some rank-<=k projection has
-    |signed error| > eps, so does one of these two (Dinkelbach's function
-    at lambda = eps), unless that one costs zero on A, where the absolute
-    check decides; the audit's verdict at ``eps`` is exact.  Their errors
-    are no ratio maximum: the probe max only bounds the distortion below.
+    the k smallest of M (none: a rank-0 probe).  The columns of A S lie in
+    A's column space, so directions outside it change neither cost.  Then
+    whenever some rank-<=k projection has |signed error| > eps, so does one
+    of these two (Dinkelbach's function at lambda = eps), unless that one
+    costs zero on A, where the absolute check decides; the audit's verdict
+    at ``eps`` is exact.  Their errors are no ratio maximum: the probe max
+    only bounds the distortion below.
     """
     a = factor(a)
-    at = factor(a_tilde, "a_tilde")
-    if at.shape[0] != a.shape[0]:
-        raise DimensionError("matrix and sketch must have the same number of rows")
+    s = _check_operator(a, s)
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
     if eps <= 0.0:
         raise InvalidInputError(f"eps must be positive, got {eps}")
     kk = min(k, a.shape[0])
     fa = a.fact
-    spans = [
-        (f"top-{name}-{j}", f.u[:, :j])
-        for j in range(1, kk + 1)
-        for name, f in (("a", fa), ("sketch", at.fact))
-        if j <= f.rank
-    ]
-    h = fa.u.T @ at.core
-    hh = h @ h.T
+    spans = [(f"top-a-{j}", fa.u[:, :j]) for j in range(1, min(k, fa.rank) + 1)]
+    hh = fa.sigma[:, None] * a.gram(s) * fa.sigma
     sigma2 = fa.sigma * fa.sigma
-    for s, tag in ((1.0, "exact-over"), (-1.0, "exact-under")):
-        lam, y = np.linalg.eigh(s * hh - np.diag((s + eps) * sigma2))  # ascending
+    for sign, tag in ((1.0, "exact-over"), (-1.0, "exact-under")):
+        lam, y = np.linalg.eigh(sign * hh - np.diag((sign + eps) * sigma2))  # ascending
         spans.append((tag, fa.u @ y[:, : int(np.count_nonzero(lam[:kk] < 0.0))]))
 
     bases = np.zeros((1 + len(spans), a.shape[0], kk))
@@ -221,15 +218,16 @@ def generate_probes(a, a_tilde, k: int, eps: float) -> ProbeSet:
 
 
 def pcp_report(a, a_tilde, c: float, probes: ProbeSet, eps_target: float) -> PcpReport:
-    """Score every probe on the cores; pass iff max |signed error| <= eps_target.
+    """Score every probe; pass iff max |signed error| <= eps_target.
 
-    A probe with basis Q costs |M|_F^2 - |Q^T B|_F^2 on a matrix M with
-    core B, clamped at zero, so energy below the core's rank cut counts as
-    unexplained; the explained parts of all the probes come from one
-    product of the stacked bases with each core.
+    A probe with basis Q costs |M|_F^2 - |Q^T M|_F^2 on a matrix M,
+    clamped at zero.  A is scored on its core B = U Sigma, which has the
+    same costs, so energy below the core's rank cut counts as unexplained;
+    the sketch on its own array.  The explained parts of all the probes
+    come from one product of the stacked bases with each.
     """
     a = factor(a)
-    at = factor(a_tilde, "a_tilde")
+    at = as_matrix(a_tilde, "a_tilde")
     n = a.shape[0]
     if at.shape[0] != n:
         raise DimensionError("matrix and sketch must have the same number of rows")
@@ -240,12 +238,12 @@ def pcp_report(a, a_tilde, c: float, probes: ProbeSet, eps_target: float) -> Pcp
     count, _, width = probes.bases.shape
     stacked = probes.bases.transpose(1, 0, 2).reshape(n, count * width)
 
-    def costs(m: Factored) -> np.ndarray:
-        explained = stacked.T @ m.core
+    def costs(m: np.ndarray, total: float) -> np.ndarray:
+        explained = stacked.T @ m
         explained *= explained
-        return np.maximum(m.frob2 - explained.reshape(count, width * m.core.shape[1]).sum(axis=1), 0.0)
+        return np.maximum(total - explained.reshape(count, width * m.shape[1]).sum(axis=1), 0.0)
 
-    return _verdict(probes.tags, costs(a), costs(at), a.frob2, c, eps_target)
+    return _verdict(probes.tags, costs(a.core, a.frob2), costs(at, frob2(at)), a.frob2, c, eps_target)
 
 
 def _verdict(tags, cost_a, cost_s, total: float, c: float, eps_target: float) -> PcpReport:
@@ -260,15 +258,13 @@ def _verdict(tags, cost_a, cost_s, total: float, c: float, eps_target: float) ->
 
 def _with_partitions(report: PcpReport, a, a_tilde, c: float, masks: np.ndarray) -> PcpReport:
     """``report`` plus the cluster indicator of each partition in the block-mask
-    table ``masks`` (``solvers._partition_masks``), costing ``_mask_costs`` of
-    each core plus the energy below its rank cut, as ``pcp_report`` scores."""
-    a, at = factor(a), factor(a_tilde, "a_tilde")
-
-    def costs(m: Factored, head: np.ndarray) -> np.ndarray:
-        return np.concatenate([head, _mask_costs(m.core, masks) + (m.frob2 - frob2(m.core))])
-
+    table ``masks`` (``solvers._partition_masks``), each matrix scored by
+    ``_mask_costs`` on its array."""
+    a, at = factor(a), as_matrix(a_tilde, "a_tilde")
     tags = _partition_tags(report.tags, _mask_labels(masks, range(a.shape[0])))
-    return _verdict(tags, costs(a, report.cost_a), costs(at, report.cost_sketch), a.frob2, c, report.eps_target)
+    cost_a = np.concatenate([report.cost_a, _mask_costs(a.a, masks)])
+    cost_s = np.concatenate([report.cost_sketch, _mask_costs(at, masks)])
+    return _verdict(tags, cost_a, cost_s, a.frob2, c, report.eps_target)
 
 
 def _partition_tags(head: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -292,21 +288,6 @@ def _partition_tags(head: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return tags
 
 
-def _factor_sketch(a: Factored, sk: Sketch) -> Factored:
-    """The sketch A_tilde = A S as a ``Factored`` instance, its SVD read off
-    A's and G = ``a.gram(S)``: A_tilde A_tilde^T = U (Sigma G Sigma) U^T, so
-    the eigenpairs (lambda, Q) of that r x r matrix give the singular values
-    sqrt(lambda) and left vectors U Q.  Rounding in G and in the eigensolve
-    blurs lambda by about max(n, m) * eps * lambda_1; below that it counts as
-    zero, and ``pcp_report`` keeps the energy so dropped.  The right vectors,
-    which no caller reads, are not formed."""
-    f = a.fact
-    floor = max(sk.a_tilde.shape) * np.finfo(float).eps
-    lam, q, rank = _eigh_desc(f.sigma[:, None] * a.gram(sk.operator) * f.sigma, floor)
-    sigma, u = np.sqrt(lam[:rank]), f.u @ q[:, :rank]
-    return Factored.from_factors(sk.a_tilde, SvdFactorization(u, sigma, None, rank))
-
-
 @dataclass(frozen=True)
 class Verification:
     """A sketch with both certificates on its operator and its probe audit."""
@@ -322,15 +303,14 @@ def verify_sketch(a, method: str, params: SketchParams, exhaustive: bool = False
     audit the sketch over ``generate_probes`` at eps = params.eps, an exact
     verdict, plus, if ``exhaustive``, every partition into at most k blocks
     (n <= 12, else TooLargeError).  A is factored at most once, the
-    sketch never: its SVD is read off A's (``_factor_sketch``)."""
+    sketch never: the probes read the Gram ``certify`` formed."""
     a = factor(a)
     sk = make_sketch(a, method, params)
     t1, t2 = certify(a, sk.operator, params.k, params.eps)
-    at = _factor_sketch(a, sk)
-    probes = generate_probes(a, at, params.k, params.eps)
-    report = pcp_report(a, at, sk.c_const, probes, params.eps)
+    probes = generate_probes(a, sk.operator, params.k, params.eps)
+    report = pcp_report(a, sk.a_tilde, sk.c_const, probes, params.eps)
     if exhaustive:
-        report = _with_partitions(report, a, at, sk.c_const, _partition_masks(a.shape[0], params.k))
+        report = _with_partitions(report, a, sk.a_tilde, sk.c_const, _partition_masks(a.shape[0], params.k))
     return Verification(sk, t1, t2, report)
 
 
@@ -479,7 +459,13 @@ def sketch_and_solve(
         raise InvalidInputError("sketch row count does not match the matrix")
     k, eps = sk.params.k, sk.params.eps
     if task == "lowrank":
-        proj = best_rank_k_projection(_factor_sketch(a, sk), k)
+        # the sketch's top left singular vectors: A_tilde A_tilde^T =
+        # U (Sigma G Sigma) U^T, whose eigenvalues below the rounding of G and
+        # of the eigensolve, about max(n, m) * eps * lambda_1, count as zero
+        f = a.fact
+        floor = max(at.shape) * np.finfo(float).eps
+        _, q, rank = _eigh_desc(f.sigma[:, None] * a.gram(sk.operator) * f.sigma, floor)
+        proj = Projection(f.u @ q[:, : min(k, rank)])
         solution: object = proj
     elif task == "kmeans":
         if solver == "exhaustive":

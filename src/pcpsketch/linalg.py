@@ -84,9 +84,8 @@ class SvdFactorization:
     ``sigma_i > RANK_TOL * sigma_1``.  Given the input ``a`` in place of
     ``v``, the right factor ``V = A^T U Sigma^-1`` is formed on first read
     of ``v`` and kept, and ``v_head(m)`` forms its first m columns alone
-    (``_gram_svd`` of a wide matrix).  ``v`` is None where only the left
-    factors were formed and the input is not kept (a sketch's, read off
-    A's).  The arrays are read-only.
+    (``_gram_svd`` of a wide matrix).  ``v`` is None where a caller gives
+    only the left factors and not the input.  The arrays are read-only.
     """
 
     __slots__ = ("u", "sigma", "rank", "_v", "_a")

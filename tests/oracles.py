@@ -463,7 +463,7 @@ def implication_test(a, s, k, eps, probes=None):
     a_tilde = a @ s
     t1, t2 = certify(a, s, k, eps)
     if probes is None:
-        probes = generate_probes(a, a_tilde, k, eps)
+        probes = generate_probes(a, s, k, eps)
     report = pcp_report(a, a_tilde, 0.0, probes, eps)
     consistent = (not t1.holds or report.passed) and (not t2.holds or report.passed)
     return Implication(t1, t2, report, consistent)

@@ -40,14 +40,14 @@ def test_criterion_1_losslessness():
     worst = 0.0
 
     sk = orthogonal_sketch(a, SketchParams(k=3, eps=0.5, seed=1))
-    probes = generate_probes(a, sk.a_tilde, 3, 1e-8)
+    probes = generate_probes(a, sk.operator, 3, 1e-8)
     rep = pcp_report(a, sk.a_tilde, sk.c_const, probes, 1e-8)
     worst = max(worst, rep.max_abs_rel_err)
     ok = rep.passed
 
     rank = svd(a).rank
     sk = svd_sketch(a, SketchParams(k=3, eps=0.5, m_override=rank))
-    probes = generate_probes(a, sk.a_tilde, 3, 1e-8)
+    probes = generate_probes(a, sk.operator, 3, 1e-8)
     rep = pcp_report(a, sk.a_tilde, sk.c_const, probes, 1e-8)
     worst = max(worst, rep.max_abs_rel_err)
     ok = ok and rep.passed
@@ -102,7 +102,7 @@ def test_criterion_4_gaussian_width():
     passes = 0
     for seed in range(30):
         sk = gaussian_sketch(a, SketchParams(k=3, eps=0.4, delta=0.1, const_c=8.0, seed=seed))
-        probes = generate_probes(a, sk.a_tilde, 3, 0.4)
+        probes = generate_probes(a, sk.operator, 3, 0.4)
         rep = pcp_report(a, sk.a_tilde, sk.c_const, probes, 0.4)
         passes += rep.passed
     elapsed = time.perf_counter() - start
@@ -253,7 +253,7 @@ def test_criterion_9_svd_sketch_band():
         k = (1, 2, 3)[i % 3]
         eps = (0.25, 0.5)[i % 2]
         sk = svd_sketch(a, SketchParams(k=k, eps=eps))
-        probes = generate_probes(a, sk.a_tilde, k, eps + 1e-6)
+        probes = generate_probes(a, sk.operator, k, eps + 1e-6)
         rep = pcp_report(a, sk.a_tilde, sk.c_const, probes, eps + 1e-6)
         for err in rep.signed_rel_err.tolist():
             if not (-eps - 1e-6 <= err <= eps + 1e-6):

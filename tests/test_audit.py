@@ -10,7 +10,6 @@ from pcpsketch import audit
 from pcpsketch.audit import (
     ZERO_CHECK_REL,
     ProbeSet,
-    _factor_sketch,
     _harness_trial,
     _with_partitions,
     approx_transfer_check,
@@ -20,7 +19,7 @@ from pcpsketch.audit import (
     sketch_and_solve,
     verify_sketch,
 )
-from pcpsketch.errors import InvalidInputError, InvalidMatrixError, TooLargeError, WidthNotReducingWarning
+from pcpsketch.errors import DimensionError, InvalidInputError, InvalidMatrixError, TooLargeError, WidthNotReducingWarning
 from pcpsketch.generators import GeneratorSpec, gen_synthetic
 from pcpsketch.guarantees import certify
 from pcpsketch.linalg import (
@@ -34,7 +33,7 @@ from pcpsketch.linalg import (
     svd,
 )
 from pcpsketch.rng import Stream, rng_for
-from pcpsketch.sketch import METHODS, SketchParams, gaussian_sketch, make_sketch, orthogonal_sketch, svd_sketch
+from pcpsketch.sketch import METHODS, SamplingPattern, SketchParams, gaussian_sketch, make_sketch, orthogonal_sketch, svd_sketch
 from pcpsketch.solvers import _partition_masks, cluster_indicator_projection, partition_costs, partitions
 
 from oracles import (
@@ -89,7 +88,7 @@ def probe_ranks(probes):
 class TestGenerateProbes:
     def test_full_rank_probe_present(self):
         a = rand(0, (3, 7))
-        probes = generate_probes(a, a.copy(), 3, 0.5)
+        probes = generate_probes(a, np.eye(7), 3, 0.5)
         ranks = probe_ranks(probes)
         assert 3 in ranks
         report = pcp_report(a, a.copy(), 0.0, probes, 0.5)
@@ -98,16 +97,16 @@ class TestGenerateProbes:
 
     def test_deterministic(self):
         a = rand(1, (5, 9))
-        at = a[:, :4].copy()
-        p1 = generate_probes(a, at, 2, 0.3)
-        p2 = generate_probes(a, at, 2, 0.3)
+        s = np.eye(9)[:, :4]
+        p1 = generate_probes(a, s, 2, 0.3)
+        p2 = generate_probes(a, s, 2, 0.3)
         assert len(p1) == len(p2)
         assert np.array_equal(p1.tags, p2.tags)
         assert np.array_equal(p1.bases, p2.bases)
 
     def test_exhaustive_bipartition_count(self):
         a = rand(2, (4, 6))
-        probes = generate_probes(a, a.copy(), 2, 0.5)
+        probes = generate_probes(a, np.eye(6), 2, 0.5)
         tags = exhaustive_report(a, a.copy(), 0.0, probes, 0.5).tags.tolist()
         two_block = [tag for tag in tags if tag.startswith("partition-") and tag.endswith("-2blocks")]
         assert len(two_block) == 7  # Stirling count for 4 rows in 2 blocks
@@ -115,23 +114,38 @@ class TestGenerateProbes:
         assert tags[: len(probes)] == probes.tags.tolist()
 
     def test_tags_in_order(self):
-        # the rank-0 probe, the top-j subspaces of A and of the sketch in
-        # turn (the rank-1 sketch has one), then the two exact probes
+        # the rank-0 probe, the top-j subspaces of A, then the two exact
+        # probes; a rank-2 A has two top-j subspaces at k = 3
         a = rand(3, (9, 20))
-        at = np.outer(a[:, 0], rand(4, 7))
-        tags = generate_probes(a, at, 3, 0.5).tags.tolist()
-        assert tags == ["zero-rank", "top-a-1", "top-sketch-1", "top-a-2", "top-a-3", "exact-over", "exact-under"]
+        s = rand(4, (20, 7))
+        tags = generate_probes(a, s, 3, 0.5).tags.tolist()
+        assert tags == ["zero-rank", "top-a-1", "top-a-2", "top-a-3", "exact-over", "exact-under"]
+        low = rand(5, (9, 2)) @ rand(6, (2, 20))
+        tags = generate_probes(low, s, 3, 0.5).tags.tolist()
+        assert tags == ["zero-rank", "top-a-1", "top-a-2", "exact-over", "exact-under"]
 
     def test_rejects_nonpositive_eps(self):
         a = rand(3, (5, 9))
         for eps in (0.0, -0.1):
             with pytest.raises(InvalidInputError):
-                generate_probes(a, a.copy(), 2, eps)
+                generate_probes(a, np.eye(9), 2, eps)
+
+    def test_rejects_an_operator_with_the_wrong_row_count(self):
+        # the operator acts on A's columns, so it has d rows: the sketch
+        # A S of a wide or tall A (n rows) is rejected, dense or sampled
+        def pattern(rows):
+            return SamplingPattern(np.arange(4), np.ones(4), np.full(rows, 1.0 / rows))
+
+        for a in (rand(3, (5, 9)), rand(3, (9, 5))):
+            d = a.shape[1]
+            for s in (a.copy(), np.eye(d + 1)[:, :4], pattern(d + 1)):
+                with pytest.raises(DimensionError):
+                    generate_probes(a, s, 2, 0.5)
+            assert generate_probes(a, pattern(d), 2, 0.5).tags[-1] == "exact-under"
 
     def test_probe_ranks_bounded(self):
         a = rand(3, (6, 11))
-        at = a[:, :5].copy()
-        probes = generate_probes(a, at, 2, 0.5)
+        probes = generate_probes(a, np.eye(11)[:, :5], 2, 0.5)
         assert probes.bases.shape[2] == 2
         assert all(r <= 2 for r in probe_ranks(probes))
 
@@ -176,13 +190,15 @@ class TestPcpErrorOnProbe:
         a = rand(4, (5, 8))
         p = haar_subspace(5, 2, seed=3)
         assert pcp_error_on_probe(a, a.copy(), 0.0, p) == 0.0
+        # A is scored on its core and the sketch on its array: the two
+        # agree to rounding
         rep = pcp_report(a, a.copy(), 0.0, probe_set([p], ["haar"], 2), 0.5)
-        assert rep.signed_rel_err.tolist() == [0.0]
+        assert rep.signed_rel_err.tolist() == pytest.approx([0.0], abs=1e-13)
 
     def test_orthogonal_sketch_all_probes(self):
         a = rand(5, (5, 8))
         sk = orthogonal_sketch(a, SketchParams(k=2, eps=0.5, seed=1))
-        probes = generate_probes(a, sk.a_tilde, 2, 0.5)
+        probes = generate_probes(a, sk.operator, 2, 0.5)
         rep = pcp_report(a, sk.a_tilde, 0.0, probes, 0.5)
         for p, err in zip(probe_projections(probes), rep.signed_rel_err.tolist()):
             if projection_cost_positive(a, p):
@@ -229,15 +245,15 @@ def projection_cost_positive(a, p):
 class TestPcpReport:
     def test_identity(self):
         a = rand(9, (5, 8))
-        probes = generate_probes(a, a.copy(), 2, 1e-9)
+        probes = generate_probes(a, np.eye(8), 2, 1e-9)
         rep = pcp_report(a, a.copy(), 0.0, probes, 1e-9)
-        assert rep.max_abs_rel_err == 0.0
+        assert rep.max_abs_rel_err <= 1e-13  # the core's and the array's rounding
         assert rep.passed
 
     def test_zero_sketch_minus_one(self):
         a = rand(10, (5, 8))
         at = np.zeros((5, 3))
-        probes = generate_probes(a, at, 2, 0.5)
+        probes = generate_probes(a, np.zeros((8, 3)), 2, 0.5)
         rep = pcp_report(a, at, 0.0, probes, 0.5)
         assert not rep.passed
         positive = rep.signed_rel_err[~rep.zero_cost].tolist()
@@ -245,25 +261,27 @@ class TestPcpReport:
         assert all(e == pytest.approx(-1.0, abs=1e-12) for e in positive)
 
     def test_energy_below_the_core_rank_cut_counts_as_unexplained(self):
-        # a core cut to the top 2 of 4 directions is scored against the array:
-        # the rank-0 and top-2 probes cost exactly what they do on the full
-        # core, and no probe or partition costs less, nor more by the cut energy
+        # A's core cut to the top 2 of 4 directions is scored against the
+        # array: the rank-0 and top-2 probes cost exactly what they do on the
+        # full core, and no probe costs less, nor more by the cut energy;
+        # partitions are scored on the array itself
         m = rand(13, (6, 4))
         full = svd(m)
         cut = Factored.from_factors(m, SvdFactorization(full.u[:, :2], full.sigma[:2], None, 2))
-        probes = generate_probes(m, m, 2, 0.5)
-        got = exhaustive_report(m, cut, 0.0, probes, 0.5).cost_sketch
-        want = exhaustive_report(m, m, 0.0, probes, 0.5).cost_sketch
+        probes = generate_probes(m, np.eye(4), 2, 0.5)
+        got = exhaustive_report(cut, m, 0.0, probes, 0.5).cost_a
+        want = exhaustive_report(m, m, 0.0, probes, 0.5).cost_a
         assert len(got) == len(probes) + 1 + 31  # S(6, 1) + S(6, 2) partitions
         exact = np.isin(probes.tags, ["zero-rank", "top-a-2"]).nonzero()[0]
         assert np.allclose(got[exact], want[exact], rtol=1e-12, atol=0)
         assert np.all(got - want >= -1e-12 * frob2(m))
         assert np.all(got - want <= float(np.sum(full.sigma[2:] ** 2)) * (1 + 1e-12))
+        assert np.array_equal(got[len(probes) :], want[len(probes) :])
 
     def test_max_matches_recomputation(self):
         a = rand(11, (8, 40))
         sk = gaussian_sketch(a, SketchParams(k=2, eps=0.5, seed=5, m_override=32))
-        probes = generate_probes(a, sk.a_tilde, 2, 0.5)
+        probes = generate_probes(a, sk.operator, 2, 0.5)
         rep = pcp_report(a, sk.a_tilde, sk.c_const, probes, 0.5)
         recomputed = max(
             abs(pcp_error_on_probe(a, sk.a_tilde, sk.c_const, p))
@@ -274,21 +292,23 @@ class TestPcpReport:
 
     def test_monotone_under_more_probes(self):
         a = rand(12, (6, 20))
-        at = a[:, :8] * 1.1
-        full = generate_probes(a, at, 2, 0.5)
-        sub = ProbeSet(full.bases[:5], full.tags[:5], k=2)
+        s = 1.1 * np.eye(20)[:, :8]
+        at = a @ s
+        full = generate_probes(a, s, 2, 0.5)
+        sub = ProbeSet(full.bases[:3], full.tags[:3], k=2)
         r_small = pcp_report(a, at, 0.0, sub, 0.5)
         r_big = pcp_report(a, at, 0.0, full, 0.5)
         assert r_big.max_abs_rel_err >= r_small.max_abs_rel_err
 
     def test_exhaustive_probes_match_one_projection_each(self):
         # rows i and i + 3 are duplicates, so a partition costs nothing on A;
-        # the exact sketch keeps it at zero and the perturbed one does not
+        # the exact sketch keeps it at zero and the one with a constant does not
         a = np.tile(rand(19, (3, 5)), (2, 1))
         rot, _ = np.linalg.qr(rand(20, (5, 5)))
         labels = partitions(6, 3)
-        for at, c in ((a @ rot, 0.0), (a[:, :3] + 0.01 * rand(21, (6, 3)), 0.5)):
-            probes = generate_probes(a, at, 3, 0.3)
+        for s, c in ((rot, 0.0), (np.eye(5)[:, :3] + 0.01 * rand(21, (5, 3)), 0.5)):
+            at = a @ s
+            probes = generate_probes(a, s, 3, 0.3)
             one_by_one = probe_set(
                 probe_projections(probes) + [cluster_indicator_projection(row, 3, 6) for row in labels],
                 probes.tags.tolist() + [partition_tag(row) for row in labels.tolist()],
@@ -355,8 +375,9 @@ class TestPcpReport:
 
     def test_worst_probe_is_the_first_max(self):
         a = rand(41, (5, 8))
-        at = a[:, :4] * 1.3
-        probes = generate_probes(a, at, 2, 0.5)
+        s = 1.3 * np.eye(8)[:, :4]
+        at = a @ s
+        probes = generate_probes(a, s, 2, 0.5)
         rep = pcp_report(a, at, 0.0, probes, 0.5)
         i = rep.worst_index
         assert abs(rep.signed_rel_err[i]) == rep.max_abs_rel_err == np.max(np.abs(rep.signed_rel_err))
@@ -376,8 +397,9 @@ class TestPcpReport:
 
     def test_equality_compares_every_column_exactly(self):
         a = rand(42, (5, 8))
-        at = a[:, :4].copy()
-        probes = generate_probes(a, at, 2, 0.5)
+        s = np.eye(8)[:, :4]
+        at = a @ s
+        probes = generate_probes(a, s, 2, 0.5)
         rep = pcp_report(a, at, 0.1, probes, 0.5)
         assert rep == pcp_report(a, at, 0.1, probes, 0.5)
         assert rep != pcp_report(a, at, 0.1, probes, 0.6)
@@ -415,7 +437,7 @@ class TestImplicationTest:
     def test_explicit_probes_accepted(self):
         a = rand(15, (6, 10))
         q, _ = np.linalg.qr(rand(16, (10, 10)))
-        probes = generate_probes(a, a @ q, 2, 0.5)
+        probes = generate_probes(a, q, 2, 0.5)
         res = implication_test(a, q, 2, 0.5, probes=probes)
         assert res.consistent
 
@@ -559,28 +581,27 @@ def projector(p):
 
 
 class TestProbesInCoordinates:
-    """Probes and costs computed on the cores B = U Sigma agree with the
-    same families computed on A and the sketch themselves."""
+    """Probes found in A's coordinates, from A's factors and the Gram G,
+    and A's costs computed on its core B = U Sigma, agree with the same
+    quantities computed on A and the sketch themselves."""
 
     def instances(self):
+        """(A, its sketch) pairs: wide, duplicate rows, rank < k."""
         a = rand(30, (9, 60))
-        yield a, gaussian_sketch(a, SketchParams(k=3, eps=0.5, seed=2, m_override=25)).a_tilde
+        yield a, gaussian_sketch(a, SketchParams(k=3, eps=0.5, seed=2, m_override=25))
         dup = np.tile(rand(31, (4, 12)), (2, 1))  # duplicate rows: rank 4 of 8 rows
-        yield dup, svd_sketch(dup, SketchParams(k=3, eps=0.5)).a_tilde
+        yield dup, svd_sketch(dup, SketchParams(k=3, eps=0.5))
         low = rand(32, (7, 2)) @ rand(33, (2, 30))  # rank 2 < k = 3
-        yield low, gaussian_sketch(low, SketchParams(k=3, eps=0.5, seed=4, m_override=6)).a_tilde
+        yield low, gaussian_sketch(low, SketchParams(k=3, eps=0.5, seed=4, m_override=6))
 
     def test_tags_and_costs_match_the_array_path(self):
-        for a, at in self.instances():
-            k = 3
-            probes = generate_probes(factor(a), factor(at), k, 0.3)
-            assert probes.tags.tolist() == generate_probes(a, at, k, 0.3).tags.tolist()
-            # the singular subspaces, rebuilt from the SVDs of A and the sketch
-            expected = {}
-            for name, m in (("a", a), ("sketch", at)):
-                f = svd(m)
-                for j in range(1, min(k, f.rank) + 1):
-                    expected[f"top-{name}-{j}"] = f.u[:, :j]
+        for a, sk in self.instances():
+            k, at = 3, sk.a_tilde
+            probes = generate_probes(factor(a), sk.operator, k, 0.3)
+            assert probes.tags.tolist() == generate_probes(a, sk.operator, k, 0.3).tags.tolist()
+            # the singular subspaces, rebuilt from the SVD of A
+            f = svd(a)
+            expected = {f"top-a-{j}": f.u[:, :j] for j in range(1, min(k, f.rank) + 1)}
             assert set(expected) < set(probes.tags.tolist())
             for tag, p in zip(probes.tags.tolist(), probe_projections(probes)):
                 if tag in expected:
@@ -600,10 +621,10 @@ class TestProbesInCoordinates:
         # s (|A_tilde|^2 + c - |A|^2) - eps |A|^2 minus the negative ones among
         # the k smallest eigenvalues of s A_tilde A_tilde^T - (s + eps) A A^T
         c = 0.2
-        for a, at in self.instances():
-            scale = frob2(a)
+        for a, sk in self.instances():
+            at, scale = sk.a_tilde, frob2(a)
             for k, eps in ((1, 0.1), (2, 0.3), (3, 0.5), (4, 0.05)):
-                probes = generate_probes(a, at, k, eps)
+                probes = generate_probes(a, sk.operator, k, eps)
                 report = pcp_report(a, at, c, probes, eps)
                 for s, tag in ((1.0, "exact-over"), (-1.0, "exact-under")):
                     lam = np.linalg.eigvalsh(s * (at @ at.T) - (s + eps) * (a @ a.T))[:k]
@@ -614,8 +635,9 @@ class TestProbesInCoordinates:
 
     def test_partition_costs_match_the_array_path(self):
         a = np.tile(rand(32, (3, 7)), (2, 1))
-        at = a[:, :4] + 0.01 * rand(33, (6, 4))
-        probes = generate_probes(a, at, 3, 0.5)
+        s = np.eye(7)[:, :4] + 0.01 * rand(33, (7, 4))
+        at = a @ s
+        probes = generate_probes(a, s, 3, 0.5)
         report = exhaustive_report(a, at, 0.0, probes, 0.5)
         rows = slice(len(probes), None)
         scale = frob2(a)
@@ -635,11 +657,10 @@ class TestVerifySketch:
         sk = make_sketch(a, "ridge", params)
         assert np.array_equal(v.sketch.a_tilde, sk.a_tilde)
         assert (v.certificate_t1, v.certificate_t2) == certify(a, sk.operator, 2, 0.5)
-        at = _factor_sketch(a, sk)
-        probes = generate_probes(a, at, 2, 0.5)
-        assert v.report == pcp_report(a, at, sk.c_const, probes, 0.5)
+        probes = generate_probes(a, sk.operator, 2, 0.5)
+        assert v.report == pcp_report(a, sk.a_tilde, sk.c_const, probes, 0.5)
         v = verify_sketch(a, "ridge", params, exhaustive=True)
-        assert v.report == exhaustive_report(a, at, sk.c_const, probes, 0.5)
+        assert v.report == exhaustive_report(a, sk.a_tilde, sk.c_const, probes, 0.5)
 
     def test_exhaustive_is_capped_at_12_rows(self):
         params = SketchParams(k=2, eps=0.5, seed=3, m_override=20)
@@ -650,11 +671,13 @@ class TestVerifySketch:
     @pytest.mark.parametrize("method", METHODS)
     def test_noise_floor_scores_as_on_the_sketch_own_svd(self, method):
         # noise singular values ~ 1e-6 sigma_1 carry the whole cost of the
-        # top-3 probes; read off A's factors they must stay in the sketch
+        # top-3 probes; scored on the sketch's array they must cost what
+        # they do on the core of the sketch's own SVD
         a = factor(gen_synthetic(GeneratorSpec("lowrank", n=30, d=80, rank=3, noise=1e-6, seed=0)))
         v = verify_sketch(a, method, SketchParams(k=3, eps=0.5, seed=1))
         at = factor(v.sketch.a_tilde)
-        want = pcp_report(a, at, v.sketch.c_const, generate_probes(a, at, 3, 0.5), 0.5)
+        assert at.fact.rank > 3
+        want = pcp_report(a, at.core, v.sketch.c_const, generate_probes(a, v.sketch.operator, 3, 0.5), 0.5)
         assert list(v.report.tags) == list(want.tags)
         assert np.abs(v.report.cost_sketch - want.cost_sketch).max() <= 1e-14 * a.frob2
         # that rounding, on the least nonzero cost, bounds the change in the error
@@ -827,7 +850,7 @@ class TestExactVerdict:
         # A, so a constant c beyond ZERO_CHECK_REL |A|_F^2 fails the audit
         # through it, whatever every other projection does
         a = rand(24, (6, 2)) @ rand(25, (2, 10))
-        probes = generate_probes(a, a.copy(), 3, 0.5)
+        probes = generate_probes(a, np.eye(10), 3, 0.5)
         for c, passes in ((0.0, True), (0.5 * ZERO_CHECK_REL * frob2(a), True), (1e-6 * frob2(a), False)):
             report = pcp_report(a, a.copy(), c, probes, 0.5)
             assert report.passed is passes, c
@@ -836,8 +859,9 @@ class TestExactVerdict:
 
 class TestSvdCount:
     """``verify_sketch`` and a lowrank ``sketch_and_solve`` factor A once and
-    no n x m or n x r matrix: the sketch's SVD is read off A's and G by an
-    r x r eigh, and each of the two exact probes takes one more r x r eigh.
+    no n x m or n x r matrix: each of the two exact probes takes one r x r
+    eigh of a matrix built from A's factors and G, and the lowrank solve
+    reads the sketch's top subspace off A's and G by one r x r eigh.
     The nonoblivious sketcher factors Pi A on top.  A is factored through its
     smaller Gram, and an exactly low-rank A, whose Gram is too close to
     singular, through LAPACK's SVD after that eigh; each test runs one input
@@ -867,11 +891,24 @@ class TestSvdCount:
                 warnings.simplefilter("ignore", WidthNotReducingWarning)
                 verify_sketch(a, method, params)
             counts = factorization_counts(log, {"A": a, "PiA": pi_a})
-            want = {**self.expected_a(branch), ("eigh", (r, r)): 3}
+            want = {**self.expected_a(branch), ("eigh", (r, r)): 2}
             if method == "nonoblivious":
                 # Pi A has rank 3 < m_pi on the low-rank input
                 want.update({("PiA", "gram"): 1, ("PiA", "svd"): int(branch == "lapack")})
             assert +counts == +Counter(want), (branch, counts)
+
+    def test_verify_on_a_factored_a_runs_two_eighs(self, monkeypatch):
+        # with A factored beforehand, a verify factors nothing: the two
+        # exact probes' eighs read the Gram certify formed, and the sketch
+        # is never factored
+        params = SketchParams(k=2, eps=0.5, seed=1, m_override=6)
+        log = factorization_log(monkeypatch)
+        for shape in ((8, 40), (30, 8)):
+            a = factor(rand(45, shape))
+            a.fact
+            log.clear()
+            verify_sketch(a, "gaussian", params)
+            assert Counter(driver for driver, _ in log) == Counter({"eigh": 2}), shape
 
     @pytest.mark.parametrize("method", METHODS)
     def test_lowrank_solve_factors_a_only(self, monkeypatch, method):

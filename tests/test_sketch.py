@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcpsketch.audit import _factor_sketch, sketch_and_solve, verify_sketch
+from pcpsketch.audit import generate_probes, sketch_and_solve, verify_sketch
 from pcpsketch.errors import (
     InvalidInputError,
     InvalidOverestimateError,
@@ -467,9 +467,10 @@ class TestFactoredInput:
 
 
 class TestFactorSketch:
-    """``_factor_sketch`` reads the sketch's SVD off A's and G; it agrees with
-    ``svd`` of the sketch itself for every method on wide, tall, zero and
-    rank <= k inputs, and on a noise floor far below its rank cut."""
+    """The lowrank solve reads the sketch's top left singular subspace off
+    A's factors and G, by an eigh of Sigma G Sigma; it agrees with ``svd``
+    of the sketch itself for every method on wide, tall, zero and rank <= k
+    inputs, and on a noise floor far below its rank cut."""
 
     def inputs(self):
         rng = np.random.default_rng(60)
@@ -479,37 +480,47 @@ class TestFactorSketch:
         yield "rank<=k", rng.standard_normal((8, 2)) @ rng.standard_normal((2, 30))
 
     @staticmethod
-    def factors(a, method, **kw):
+    def solves(a, method, ks, **kw):
+        """The sketch of ``a``, its lowrank solve at each k of ``ks`` (one
+        operator, so one G) and ``svd`` of the sketch itself."""
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WidthNotReducingWarning)
             sk = make_sketch(a, method, params(k=3, **kw))
-        return sk, _factor_sketch(factor(a), sk).fact, svd(sk.a_tilde)
+        a = factor(a)
+        solved = {
+            k: sketch_and_solve(a, dataclasses.replace(sk, params=dataclasses.replace(sk.params, k=k)), "lowrank")
+            for k in ks
+        }
+        return sk, solved, svd(sk.a_tilde)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_matches_svd_of_the_sketch(self, method):
         for name, a in self.inputs():
-            sk, got, want = self.factors(a, method, m_override=10)
+            sk, solved, want = self.solves(a, method, range(1, 11), m_override=10)
             scale = want.sigma[0] if want.rank else 1.0
-            assert got.rank == want.rank, name
-            assert np.abs(got.sigma - want.sigma).max(initial=0.0) <= 1e-12 * scale, name
-            # top-j projectors wherever the spectrum has a gap to resolve them
             gaps = want.sigma - np.append(want.sigma[1:], 0.0)
-            for j in np.flatnonzero(gaps >= 1e-6 * scale) + 1:
-                p_got, p_want = got.u[:, :j] @ got.u[:, :j].T, want.u[:, :j] @ want.u[:, :j].T
-                assert np.abs(p_got - p_want).max() <= 1e-8, (name, j)
-            assert got.v is None
-            core = got.u * got.sigma
-            assert np.abs(core @ core.T - sk.a_tilde @ sk.a_tilde.T).max() <= 1e-10 * scale**2, name
+            for k, res in solved.items():
+                j = min(k, want.rank)
+                q = res.solution.basis
+                assert q.shape[1] == j, (name, k)
+                # what it leaves on the sketch is the energy past the top j
+                tail = float(np.sum(want.sigma[j:] ** 2))
+                assert abs(res.cost_on_sketch - tail) <= 1e-12 * scale**2, (name, k)
+                # the top-j projector wherever the spectrum has a gap to resolve it
+                if j and gaps[j - 1] >= 1e-6 * scale:
+                    assert np.abs(q @ q.T - want.u[:, :j] @ want.u[:, :j].T).max() <= 1e-8, (name, j)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_keeps_a_noise_floor_at_1e_6(self, method):
         # sigma_j ~ 1e-6 sigma_1 past the rank: lambda ~ 1e-12 lambda_1, well
         # above what the eigensolve resolves, so every direction is kept
         a = gen_synthetic(GeneratorSpec("lowrank", n=30, d=80, rank=3, noise=1e-6, seed=0))
-        _, got, want = self.factors(a, method)
-        assert got.rank == want.rank
+        _, solved, want = self.solves(a, method, (3, 5, 30))
         assert want.sigma[-1] <= 1e-5 * want.sigma[0]
-        assert np.abs(got.sigma**2 - want.sigma**2).max() <= 1e-13 * want.sigma[0] ** 2
+        for k, res in solved.items():
+            assert res.solution.rank == min(k, want.rank), k
+            tail = float(np.sum(want.sigma[k:] ** 2))
+            assert abs(res.cost_on_sketch - tail) <= 1e-13 * want.sigma[0] ** 2, k
 
     def test_reads_the_gram_certify_formed(self, monkeypatch):
         a = factor(wide_matrix(61))
@@ -519,7 +530,8 @@ class TestFactorSketch:
         monkeypatch.setattr(SamplingPattern, "__rmatmul__", lambda *ar: calls.append(1) or real(*ar))
         certify(a, sk.operator, 2, 0.5)
         g = a.gram(sk.operator)
-        assert _factor_sketch(a, sk).fact.rank == 6
+        assert sketch_and_solve(a, sk, "lowrank").solution.rank == 2
+        assert generate_probes(a, sk.operator, 2, 0.5).tags[-1] == "exact-under"
         assert a.gram(sk.operator) is g
         assert len(calls) == 1
         # kept for the operator object it was formed for, not for equal values

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcpsketch.audit import _factor_sketch, approx_transfer_check, sketch_and_solve
+from pcpsketch.audit import approx_transfer_check, sketch_and_solve
 from pcpsketch.errors import InvalidInputError, InvalidRankError, TooLargeError
-from pcpsketch.linalg import factor, frob2, projection_cost, svd
+from pcpsketch.linalg import frob2, projection_cost, svd
 from pcpsketch.rng import Stream, rng_for
 from pcpsketch.sketch import SketchParams, gaussian_sketch, orthogonal_sketch, svd_sketch
 from pcpsketch.solvers import (
@@ -513,8 +513,10 @@ class TestSketchAndSolve:
         a = rand(17, (8, 30))
         sk = gaussian_sketch(a, SketchParams(k=2, eps=0.4, seed=5, m_override=6))
         res = sketch_and_solve(a, sk, "lowrank")
-        at = _factor_sketch(factor(a), sk)
-        candidates = [best_rank_k_projection(at, 2), best_rank_k_projection(a, 2)]
+        top = best_rank_k_projection(sk.a_tilde, 2).basis
+        q = res.solution.basis
+        assert np.abs(q @ q.T - top @ top.T).max() <= 1e-8
+        candidates = [res.solution, best_rank_k_projection(a, 2)]
         want = approx_transfer_check(
             a,
             sk.a_tilde,

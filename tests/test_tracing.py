@@ -102,8 +102,8 @@ def test_traced_solves_count_transfer_candidates(tmp_path):
 
 
 def test_traced_verify_records_the_probe_generation(tmp_path):
-    # one probe set of 7 on the rank-8 input at k = 2: the rank-0 probe, two
-    # top subspaces of each matrix and the two exact probes
+    # one probe set of 5 on the rank-8 input at k = 2: the rank-0 probe, A's
+    # two top subspaces and the two exact probes
     out, stderr = traced(TRACED_VERIFY, tmp_path)
     assert out["rc"] in (0, 2), stderr
-    assert (out["probe_calls"], out["probes"]) == (1, 7)
+    assert (out["probe_calls"], out["probes"]) == (1, 5)
