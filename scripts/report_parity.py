@@ -19,7 +19,10 @@ The files ``gen`` and ``sketch`` write must be byte-identical.  Exit codes,
 certificate blocks, probe tags, verdicts and the other report fields must
 be equal, and ``worst_probe`` may differ only between probes whose
 |signed errors| tie within 1e-14.  Signed errors are compared probe by
-probe (matched by tag) and must agree within 1e-13; the largest change in
+probe (matched by tag) and must agree within 1e-13, and so must each
+verify's ``max_abs_rel_err`` where both sides name the same
+``worst_probe``; its largest change is also reported on its own line,
+whatever the worst probes.  The largest change in
 a cost, relative to |A|_F^2, is reported, overall and apart for the
 k-means solves and for the ``partition-*`` probe rows (whose signed
 errors count there too).  ``timing_ms`` is ignored.  The
@@ -141,6 +144,7 @@ class Parity:
         self.tol = tol
         self.failures = []
         self.signed = (0.0, "")
+        self.probe_max = (0.0, "")
         self.cost = (0.0, "")
         self.kmeans = self.partition = (0.0, "")
         self.number = (0.0, "")
@@ -226,11 +230,16 @@ class Parity:
                 self.record("partition", max(abs(float(b["signed_rel_err"]) - float(a["signed_rel_err"])),
                                              *(abs(b[key] - a[key]) / scale for key in ("cost_a", "cost_sketch"))),
                             f"{label} {tag}")
-        self.record("signed", abs(float(new["max_abs_rel_err"]) - float(old["max_abs_rel_err"])), f"{label} max")
+        w_old, w_new = old["worst_probe"], new["worst_probe"]
+        # the max is a signed error of a matched probe only while both sides
+        # name the same worst probe; a dropped or moved max is reported apart
+        change = abs(float(new["max_abs_rel_err"]) - float(old["max_abs_rel_err"]))
+        self.record("probe_max", change, f"{label} max")
+        if w_old == w_new:
+            self.record("signed", change, f"{label} max")
         for key in ("n_probes", "eps_target", "pass"):
             if old[key] != new[key]:
                 self.fail(label, f"pcp.{key} {old[key]!r} -> {new[key]!r}")
-        w_old, w_new = old["worst_probe"], new["worst_probe"]
         if w_old == w_new:
             self.worst_equal += 1
         elif w_old in rows_new and abs(abs(float(rows_new[w_old]["signed_rel_err"]))
@@ -288,6 +297,7 @@ def main(argv=None) -> int:
     for line in parity.worst_ties:
         print(f"    tie {line}")
     print(f"  largest |change| in a signed error: {parity.signed[0]:.3g} ({parity.signed[1] or '-'})")
+    print(f"  largest |change| in a verify's max_abs_rel_err: {parity.probe_max[0]:.3g} ({parity.probe_max[1] or '-'})")
     if parity.signed[0] > signed_tol:
         parity.fail("signed errors", f"changed by more than {signed_tol:g}")
     print(f"  largest |change| in a cost / |A|_F^2: {parity.cost[0]:.3g} ({parity.cost[1] or '-'})")

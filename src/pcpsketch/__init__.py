@@ -48,7 +48,6 @@ from .linalg import (
     Projection,
     factor,
     frob2,
-    haar_subspace,
     projection_cost,
     svd,
     tail_index_p,
@@ -121,7 +120,6 @@ __all__ = [
     "gaussian_width",
     "gen_synthetic",
     "generate_probes",
-    "haar_subspace",
     "implication_harness",
     "jl_moment_estimate",
     "kmeans_cost",

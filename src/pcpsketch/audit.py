@@ -48,7 +48,7 @@ from .linalg import Projection, _eigh_desc, as_matrix, factor, frob2, projection
 from .rng import Stream, derive_seed, rng_for
 from .sketch import Sketch, SketchParams, make_sketch
 from .solvers import (
-    _exhaustive_search, _mask_costs, _mask_labels, _partition_masks,
+    _cheapest, _exhaustive_search, _mask_costs, _mask_labels, _partition_masks,
     best_rank_k_projection, cluster_indicator_projection, lloyd_kmeans,
 )
 
@@ -411,10 +411,12 @@ def approx_transfer_check(a, a_tilde, c: float, eps: float, costs_a, costs_sketc
 
     ``costs_a[i]`` and ``costs_sketch[i]`` are the costs of candidate
     solution i on A and on the sketch (A_tilde, c).  Among the candidates
-    of least sketch cost, the one costing the most on A is the adversarial
-    choice P_tilde; the bound |A - P_tilde A|_F^2 <= (1+eps) / (1-eps) *
-    min cost on A must hold for it (hence for every minimizer).  The
-    constant c shifts every sketch cost alike and so drops out.
+    of least sketch cost (ties as ``exhaustive_kmeans`` takes them), the
+    one costing the most on A is the adversarial choice P_tilde; the bound
+    |A - P_tilde A|_F^2 <= (1+eps) / (1-eps) * min cost on A must hold for
+    it (hence for every minimizer), within 1e-8 * |A|_F^2, so that scaling
+    A changes no verdict.  The constant c shifts every sketch cost alike
+    and so drops out.
     """
     a = factor(a)
     at = as_matrix(a_tilde, "a_tilde")
@@ -428,11 +430,10 @@ def approx_transfer_check(a, a_tilde, c: float, eps: float, costs_a, costs_sketc
         raise InvalidInputError("candidate costs must be finite")
     if not 0.0 < eps < 1.0:
         raise InvalidInputError(f"eps must be in (0, 1), got {eps}")
-    eligible = sketch_costs <= float(sketch_costs.min()) + 1e-12 * (frob2(at) + 1.0)
-    lhs = float(a_costs[eligible].max())
+    lhs = float(a_costs[_cheapest(sketch_costs, frob2(at))].max())
     optimum = float(a_costs.min())
     rhs = (1.0 + eps) / (1.0 - eps) * optimum
-    return TransferCheck(lhs <= rhs + 1e-8 * max(1.0, a.frob2), lhs, rhs, optimum)
+    return TransferCheck(lhs <= rhs + 1e-8 * a.frob2, lhs, rhs, optimum)
 
 
 def sketch_and_solve(
@@ -450,8 +451,11 @@ def sketch_and_solve(
     against A's own top-k subspace; for "kmeans" the rows of the sketch are
     clustered exhaustively, checked over every partition into at most k
     blocks, or with Lloyd, which certifies no ratio and gets no check.  The
-    certified ratio is (1 + eps) / (1 - eps).  ``a`` may be a ``Factored``
-    instance; the costs on it use its array and cached Frobenius norm.
+    certified ratio is (1 + eps) / (1 - eps).  The exhaustive solution's
+    costs are read off the partition tables the check scores; Lloyd's cost
+    on A is that of its cluster-indicator projection.  ``a`` may be a
+    ``Factored`` instance; the costs on it use its array and cached
+    Frobenius norm.
     """
     a = factor(a)
     at = sk.a_tilde
@@ -465,26 +469,22 @@ def sketch_and_solve(
         f = a.fact
         floor = max(at.shape) * np.finfo(float).eps
         _, q, rank = _eigh_desc(f.sigma[:, None] * a.gram(sk.operator) * f.sigma, floor)
-        proj = Projection(f.u @ q[:, : min(k, rank)])
-        solution: object = proj
-    elif task == "kmeans":
-        if solver == "exhaustive":
-            solution, masks, costs_sketch = _exhaustive_search(at, k)
-        elif solver == "lloyd":
-            solution = lloyd_kmeans(at, k, iters=iters, seed=seed)
-        else:
-            raise InvalidInputError(f"unknown solver {solver!r}")
-        proj = cluster_indicator_projection(solution.assignment, k, a.shape[0])
-    else:
+        solution: object = Projection(f.u @ q[:, : min(k, rank)])
+        candidates = (solution, best_rank_k_projection(a, k))
+        costs_a = [projection_cost(a, p) for p in candidates]
+        costs_sketch = [projection_cost(at, p) for p in candidates]
+        cost_on_a, cost_on_sketch = costs_a[0], costs_sketch[0]
+    elif task != "kmeans":
         raise InvalidInputError(f"unknown task {task!r}")
-    cost_on_a, cost_on_sketch = projection_cost(a, proj), projection_cost(at, proj)
-    if task == "lowrank":
-        best = best_rank_k_projection(a, k)
-        costs_a = [cost_on_a, projection_cost(a, best)]
-        costs_sketch = [cost_on_sketch, projection_cost(at, best)]
     elif solver == "exhaustive":
+        solution, masks, costs_sketch, best = _exhaustive_search(at, k)
         costs_a = _mask_costs(a.a, masks)
+        cost_on_a, cost_on_sketch = float(costs_a[best]), solution.cost
+    elif solver == "lloyd":
+        solution = lloyd_kmeans(at, k, iters=iters, seed=seed)
+        proj = cluster_indicator_projection(solution.assignment, k, a.shape[0])
+        return SolveResult(solution, projection_cost(a, proj), solution.cost, None, None)
     else:
-        return SolveResult(solution, cost_on_a, cost_on_sketch, None, None)
+        raise InvalidInputError(f"unknown solver {solver!r}")
     check = approx_transfer_check(a, at, sk.c_const, eps, costs_a, costs_sketch)
     return SolveResult(solution, cost_on_a, cost_on_sketch, (1.0 + eps) / (1.0 - eps), check)

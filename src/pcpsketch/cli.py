@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
@@ -26,7 +28,7 @@ import re
 import shutil
 import sys
 import time
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -210,7 +212,7 @@ def _flatten(obj, prefix: str, out: dict) -> None:
 def _emit(report: dict, args) -> None:
     report = _json_safe(report)
     if args.format == "json":
-        pieces = _json_pieces(report)
+        pieces = chain(_json_pieces(report), ["\n"])
     else:
         flat: dict = {}
         _flatten(report, "", flat)
@@ -222,10 +224,12 @@ def _emit(report: dict, args) -> None:
                 return "true" if v else "false"
             return str(v)
 
-        pieces = [",".join(flat.keys()) + "\n" + ",".join(cell(v) for v in flat.values())]
+        # RFC 4180 quoting: a cell can hold commas (a --gen spec does)
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows([flat, map(cell, flat.values())])
+        pieces = [text.getvalue()]
     with open(args.report_out, "w") if args.report_out else contextlib.nullcontext(sys.stdout) as fh:
         fh.writelines(pieces)
-        fh.write("\n")
 
 
 def _certificate_block(cert) -> dict:

@@ -3,7 +3,7 @@
 Matrices are plain 2-D float64 numpy arrays (row-major), or ``Factored``
 instances that keep one with its SVD; this module owns the instance and
 the SVD with relative-rank truncation, the tail index used by the
-spectral certificate, projection costs, and seeded random subspaces.
+spectral certificate, projection costs and orthonormal bases.
 An instance's SVD is read off one eigh of its smaller Gram matrix when
 the condition number allows it, else taken from LAPACK's SVD
 (``_gram_svd``); either way each singular pair has one fixed sign.
@@ -24,7 +24,6 @@ from .errors import (
     InvalidMatrixError,
     InvalidRankError,
 )
-from .rng import Stream, rng_for
 
 __all__ = [
     "Factored",
@@ -36,7 +35,6 @@ __all__ = [
     "svd",
     "tail_index_p",
     "projection_cost",
-    "haar_subspace",
     "orthonormal_columns",
 ]
 
@@ -81,11 +79,11 @@ class SvdFactorization:
 
     ``sigma`` holds the strictly positive singular values, non-increasing;
     columns beyond ``rank`` were dropped by the relative truncation rule
-    ``sigma_i > RANK_TOL * sigma_1``.  Given the input ``a`` in place of
-    ``v``, the right factor ``V = A^T U Sigma^-1`` is formed on first read
-    of ``v`` and kept, and ``v_head(m)`` forms its first m columns alone
-    (``_gram_svd`` of a wide matrix).  ``v`` is None where a caller gives
-    only the left factors and not the input.  The arrays are read-only.
+    ``sigma_i > RANK_TOL * sigma_1``.  Either ``v`` or the input ``a`` is
+    given.  Given ``a`` in place of ``v``, the right factor
+    ``V = A^T U Sigma^-1`` is formed on first read of ``v`` and kept, and
+    ``v_head(m)`` forms its first m columns alone (``_gram_svd`` of a wide
+    matrix).  The arrays are read-only.
     """
 
     __slots__ = ("u", "sigma", "rank", "_v", "_a")
@@ -98,15 +96,15 @@ class SvdFactorization:
         self._a = a
 
     @property
-    def v(self) -> np.ndarray | None:
-        if self._v is None and self._a is not None:
+    def v(self) -> np.ndarray:
+        if self._v is None:
             self._v = _right_factor(self._a, self.u, self.sigma)
         return self._v
 
     def v_head(self, m: int) -> np.ndarray:
         """The first ``m`` columns of ``v``: read off it once formed, else
         ``A^T U_m Sigma_m^-1``, at m / rank of the full product's cost."""
-        if self._v is None and self._a is not None:
+        if self._v is None:
             return _right_factor(self._a, self.u[:, :m], self.sigma[:m])
         return self.v[:, :m]
 
@@ -246,7 +244,7 @@ class Factored:
     ``A S`` is ``product(S)``, kept for the last S, so that ``gram`` can
     read ``V^T S`` off it without V.  A zero matrix has
     the n x 1 zero core, so that it stays a matrix.  Make instances with
-    ``factor``, which validates the array, or ``from_factors``.
+    ``factor``, which validates the array.
     """
 
     def __init__(self, a: np.ndarray):
@@ -256,13 +254,6 @@ class Factored:
         self._core: np.ndarray | None = None
         self._gram: tuple | None = None
         self._product: tuple | None = None
-
-    @classmethod
-    def from_factors(cls, a: np.ndarray, fact: SvdFactorization) -> Factored:
-        """An instance of a validated array whose SVD ``fact`` is known."""
-        out = cls(a)
-        out._fact = fact
-        return out
 
     @property
     def shape(self) -> tuple:
@@ -363,14 +354,3 @@ def orthonormal_columns(g) -> np.ndarray:
     if (np.abs(diag) <= 1e-12 * np.sqrt(g.shape[0])).any():
         raise InvalidInputError("columns are numerically dependent")
     return q * np.sign(diag)
-
-
-def haar_subspace(n: int, k: int, seed: int = 0) -> Projection:
-    """Rank-``k`` projection onto a Haar-random subspace of R^n.
-
-    The basis is the sign-corrected QR orthonormalization of an n x k
-    standard-normal draw (``orthonormal_columns``); deterministic per seed.
-    """
-    if not 1 <= k <= n:
-        raise InvalidRankError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return Projection(orthonormal_columns(rng_for(seed, Stream.HAAR).standard_normal((n, k))))

@@ -28,10 +28,10 @@ _MASK64 = (1 << 64) - 1
 
 
 class Stream(enum.IntEnum):
-    """Registry of stream ids; append only, never renumber.  Ids 12-14
-    (the retired random probe families) are never reused."""
+    """Registry of stream ids; append only, never renumber.  Ids 1 and
+    12-14 (the retired random subspaces and probe families) are never
+    reused."""
 
-    HAAR = 1
     GAUSSIAN_SKETCH = 2
     ORTHOGONAL_SKETCH = 3
     NON_OBLIVIOUS = 4

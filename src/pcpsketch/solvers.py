@@ -324,22 +324,30 @@ def _mask_costs(m: np.ndarray, masks: np.ndarray) -> np.ndarray:
 def exhaustive_kmeans(m, k: int) -> Clustering:
     """Globally optimal k-means over all partitions into at most k clusters.
 
-    Capped at n <= 12 rows; cost ties (within 1e-12 * (|M|_F^2 + 1)) keep
-    the lexicographically smallest assignment.
+    Capped at n <= 12 rows; cost ties (within 1e-12 * |M|_F^2, see
+    ``_cheapest``) keep the lexicographically smallest assignment.
     """
     return _exhaustive_search(m, k)[0]
 
 
 def _exhaustive_search(m, k: int) -> tuple:
     """``exhaustive_kmeans`` with the block-mask table it searched
-    (``_partition_masks``) and the cost of each row: (clustering, masks,
-    costs).  Only the winning row is decoded to labels."""
+    (``_partition_masks``), the cost of each row and the winning row's
+    index: (clustering, masks, costs, best).  Only the winning row is
+    decoded to labels."""
     m = as_matrix(m)
     if k < 1:
         raise InvalidRankError(f"k must be >= 1, got {k}")
     masks = _partition_masks(m.shape[0], k)
     costs = _mask_costs(m, masks)
-    tied = costs <= costs.min() + 1e-12 * (frob2(m) + 1.0)
-    best = int(np.argmax(tied))
+    best = int(np.argmax(_cheapest(costs, frob2(m))))
     assignment = _mask_labels(masks[best : best + 1], range(m.shape[0]))[0].astype(np.int64)
-    return Clustering(assignment, k, kmeans_cost(m, assignment)), masks, costs
+    return Clustering(assignment, k, kmeans_cost(m, assignment)), masks, costs, best
+
+
+def _cheapest(costs: np.ndarray, total: float) -> np.ndarray:
+    """Which of the candidate ``costs`` tie for the least: those within
+    ``1e-12 * total`` of it, where ``total`` is the squared Frobenius norm
+    of the matrix they are costs on, so that the ties of a scaled matrix
+    are those of the matrix."""
+    return costs <= costs.min() + 1e-12 * total

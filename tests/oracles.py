@@ -9,7 +9,8 @@ row-space action ``V^T S`` and the subspace embedding, product and
 Frobenius errors of a dense operator on A's own head and tail, which the
 tests check against those routes and ``certify`` must agree with.  The dense Dinkelbach audit solves for the
 worst rank-<=k projection in A's n x n coordinates, with ``np.linalg.eigh``
-as its only solver.  The per-probe audit scores one probe at a
+as its only solver.  The Haar projection draws the random subspaces
+the tests score, with the library's QR.  The per-probe audit scores one probe at a
 time, as the library did before it scored the stacked probe array, and
 the report writers are the plain row-by-row encoders that the CLI's
 columnar writer must agree with.  The factorization log at the end
@@ -424,6 +425,17 @@ def probe_projections(probes):
     return [Projection(basis[:, np.any(basis != 0.0, axis=0)]) for basis in probes.bases]
 
 
+def haar_projection(n, k, seed):
+    """Rank-``k`` projection onto a Haar-random subspace of R^n: the
+    sign-corrected QR of an n x k standard-normal draw from the stream
+    (seed, 1), deterministic per seed.  Stream id 1 is retired from the
+    library's registry, so these draws share no bits with its own."""
+    from pcpsketch.linalg import Projection, orthonormal_columns
+    from pcpsketch.rng import rng_for
+
+    return Projection(orthonormal_columns(rng_for(seed, 1).standard_normal((n, k))))
+
+
 def pcp_error_on_probe(a, a_tilde, c, p):
     """Signed relative cost error (cost_sketch + c - cost_a) / cost_a of one
     ``Projection``, both costs on the cores by ``projection_cost``.  Raises
@@ -506,7 +518,9 @@ def json_report_text(report: dict) -> str:
 
 def csv_report_text(report: dict) -> str:
     """The report flattened to dotted keys (list items by index), a header
-    line and a value line: None empty, booleans true/false, else ``str``."""
+    line and a value line: None empty, booleans true/false, else ``str``.
+    A cell holding a comma, a double quote or a line break is quoted as
+    RFC 4180 says: wrapped in double quotes, its own doubled."""
     flat = {}
 
     def walk(obj, prefix):
@@ -526,8 +540,13 @@ def csv_report_text(report: dict) -> str:
             return "true" if v else "false"
         return str(v)
 
+    def quote(text):
+        if any(c in text for c in ',"\r\n'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
     walk(json_safe(report), "")
-    return ",".join(flat) + "\n" + ",".join(cell(v) for v in flat.values())
+    return ",".join(map(quote, flat)) + "\n" + ",".join(quote(cell(v)) for v in flat.values())
 
 
 def factorization_log(monkeypatch) -> list:

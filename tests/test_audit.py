@@ -28,7 +28,6 @@ from pcpsketch.linalg import (
     SvdFactorization,
     factor,
     frob2,
-    haar_subspace,
     projection_cost,
     svd,
 )
@@ -41,6 +40,7 @@ from oracles import (
     dinkelbach_witness,
     factorization_counts,
     factorization_log,
+    haar_projection,
     implication_test,
     partitions_reference,
     pcp_error_on_probe,
@@ -153,10 +153,10 @@ class TestGenerateProbes:
         with pytest.raises(InvalidInputError):
             ProbeSet(np.zeros((0, 4, 2)), [], k=2)
         with pytest.raises(InvalidInputError):
-            probe_set([haar_subspace(4, 3, 0)], ["x"], k=2)
+            probe_set([haar_projection(4, 3, 0)], ["x"], k=2)
 
     def test_probe_set_rejects_bad_bases_and_tags(self):
-        good = np.stack([haar_subspace(5, 2, s).basis for s in range(3)])
+        good = np.stack([haar_projection(5, 2, s).basis for s in range(3)])
         padded = good.copy()
         padded[1, :, 1] = 0.0  # a rank-1 probe in a width-2 array
         ProbeSet(padded, ["a", "b", "c"], k=2)
@@ -176,11 +176,11 @@ class TestGenerateProbes:
             ProbeSet(good, ["a", "b", "c"], k=1)  # wider than k
 
     def test_bases_are_read_only_copies(self):
-        bases = np.stack([haar_subspace(5, 2, s).basis for s in range(2)])
+        bases = np.stack([haar_projection(5, 2, s).basis for s in range(2)])
         probes = ProbeSet(bases, ["a", "b"], k=2)
         bases[0] = 0.0
         assert not probes.bases.flags.writeable
-        assert np.array_equal(probes.bases[0], haar_subspace(5, 2, 0).basis)
+        assert np.array_equal(probes.bases[0], haar_projection(5, 2, 0).basis)
 
 
 class TestPcpErrorOnProbe:
@@ -188,7 +188,7 @@ class TestPcpErrorOnProbe:
 
     def test_identity_sketch(self):
         a = rand(4, (5, 8))
-        p = haar_subspace(5, 2, seed=3)
+        p = haar_projection(5, 2, seed=3)
         assert pcp_error_on_probe(a, a.copy(), 0.0, p) == 0.0
         # A is scored on its core and the sketch on its array: the two
         # agree to rounding
@@ -221,7 +221,7 @@ class TestPcpErrorOnProbe:
     def test_rotation_invariance(self):
         a = rand(6, (6, 9))
         at = a @ rand(7, (9, 5)) / math.sqrt(5)
-        q = haar_subspace(6, 3, seed=11).basis
+        q = haar_projection(6, 3, seed=11).basis
         rot, _ = np.linalg.qr(rand(8, (3, 3)))
         e1 = pcp_error_on_probe(a, at, 0.3, Projection(q))
         e2 = pcp_error_on_probe(a, at, 0.3, Projection(q @ rot))
@@ -267,7 +267,8 @@ class TestPcpReport:
         # partitions are scored on the array itself
         m = rand(13, (6, 4))
         full = svd(m)
-        cut = Factored.from_factors(m, SvdFactorization(full.u[:, :2], full.sigma[:2], None, 2))
+        cut = Factored(m)
+        cut._fact = SvdFactorization(full.u[:, :2], full.sigma[:2], full.v[:, :2], 2)
         probes = generate_probes(m, np.eye(4), 2, 0.5)
         got = exhaustive_report(cut, m, 0.0, probes, 0.5).cost_a
         want = exhaustive_report(m, m, 0.0, probes, 0.5).cost_a
@@ -516,7 +517,7 @@ class TestApproxTransferCheck:
     def test_exact_sketch_exact_minimizer(self):
         a = rand(17, (7, 9))
         eps = 0.4
-        candidates = [haar_subspace(7, 2, seed=s) for s in range(6)]
+        candidates = [haar_projection(7, 2, seed=s) for s in range(6)]
         costs_a, costs_s = costs_on_both(a, a.copy(), candidates)
         check = approx_transfer_check(a, a.copy(), 0.0, eps, costs_a, costs_s)
         assert check.bound_holds
@@ -557,6 +558,15 @@ class TestApproxTransferCheck:
         assert check.optimum == pytest.approx(ref, rel=1e-10)
         assert check.bound_holds
         assert check.lhs <= check.rhs
+
+    def test_verdict_does_not_depend_on_scale(self):
+        # the sketch minimizer costs 1.5 times the certified 3 * optimum on A:
+        # the bound fails at every scale, and the near-minimum ties stay apart
+        for scale in (1.0, 1e-16, 1e16):
+            a = np.sqrt(scale) * np.eye(3)
+            check = approx_transfer_check(a, a, 0.0, 0.5, [4.5 * scale, scale], [0.5 * scale, scale])
+            assert not check.bound_holds, scale
+            assert check.lhs == pytest.approx(1.5 * check.rhs, rel=1e-12), scale
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -738,7 +748,7 @@ class TestDinkelbachOracle:
             assert cost_a.min() > 0.0
             partition_err = np.abs((partition_costs(at, labels) + c - cost_a) / cost_a)
             assert exact >= partition_err.max() - 1e-12, (n, exact, partition_err.max())
-            haar = [haar_subspace(n, k, seed=1000 * seed + i) for i in range(200)]
+            haar = [haar_projection(n, k, seed=1000 * seed + i) for i in range(200)]
             report = pcp_report(a, at, c, probe_set(haar, [f"haar-{i}" for i in range(200)], k), 0.5)
             assert not report.zero_cost.any()
             assert exact >= report.max_abs_rel_err - 1e-12, (n, exact, report.max_abs_rel_err)

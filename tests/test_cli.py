@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import math
 from collections import Counter
@@ -678,6 +679,24 @@ class TestReportWriting:
 
         assert texts["csv"].endswith("\n") and texts["csv"].count("\n") == 2
         assert cells(texts["csv"]) == cells(oracles.csv_report_text(payload))
+
+    def test_csv_cells_with_commas_are_quoted(self, tmp_path, capsys):
+        # a generator spec holds commas; each cell must stay one cell
+        spec = "lowrank:n=10,d=30,rank=2,noise=0.05"
+        out = tmp_path / "r.csv"
+        code, _, err = run(
+            capsys, "bench", "--gen", spec, "--method", "gaussian", "--k", "2", "--eps", "0.5",
+            "--trials", "2", "--format", "csv", "--report-out", str(out),
+        )
+        assert code == 0, err
+        with open(out, newline="") as fh:
+            keys, values = csv.reader(fh)
+        assert len(keys) == len(values)
+        cells = dict(zip(keys, values))
+        assert (cells["gen"], cells["trials"], cells["per_trial.1.trial"]) == (spec, "2", "1")
+        report = {"gen": spec, "note": 'a "b"', "rows": [{"x": None, "y": True}], "z": 1.5}
+        _emit(report, argparse.Namespace(format="csv", report_out=str(out)))
+        assert out.read_text() == oracles.csv_report_text(report) + "\n"
 
     def test_exhaustive_verify_report(self, tmp_path, capsys):
         a_path = tmp_path / "a.csv"

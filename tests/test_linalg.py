@@ -18,7 +18,6 @@ from pcpsketch.linalg import (
     as_matrix,
     factor,
     frob2,
-    haar_subspace,
     orthonormal_columns,
     projection_cost,
     svd,
@@ -39,6 +38,7 @@ from oracles import (
     factorization_counts,
     factorization_log,
     gram_eigenvalues,
+    haar_projection,
     head_tail_split,
     right_factor_counts,
     right_factor_log,
@@ -188,7 +188,7 @@ class TestHeadTailSplit:
         split = head_tail_split(svd(a), a, r)
         rng = rng_for(seed, 99)
         for _ in range(50):
-            p = haar_subspace(a.shape[0], r, int(rng.integers(2**63)))
+            p = haar_projection(a.shape[0], r, int(rng.integers(2**63)))
             assert frob2(split.tail) <= direct_projection_cost(a, p.basis) + 1e-8 * frob2(a)
 
 
@@ -236,19 +236,19 @@ class TestProjectionCost:
 
     def test_matches_direct_residual(self):
         a = np.random.default_rng(2).standard_normal((5, 4))
-        p = haar_subspace(5, 2, seed=4)
+        p = haar_projection(5, 2, seed=4)
         assert abs(projection_cost(a, p) - direct_projection_cost(a, p.basis)) <= 1e-8
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            projection_cost(np.eye(3), haar_subspace(4, 2, seed=0))
+            projection_cost(np.eye(3), haar_projection(4, 2, seed=0))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
     def test_pythagorean_identity(self, seed, k):
         a = random_matrix(seed)
         k = min(k, a.shape[0])
-        p = haar_subspace(a.shape[0], k, seed=seed ^ 0xABCD)
+        p = haar_projection(a.shape[0], k, seed=seed ^ 0xABCD)
         direct = frob2(a) - frob2(p.basis.T @ a)
         assert abs(projection_cost(a, p) - direct) <= 1e-8 * max(1.0, frob2(a))
 
@@ -283,37 +283,6 @@ class TestOrthonormalColumns:
     def test_rejects_vectors_deep_stacks_and_wide_matrices(self, shape):
         with pytest.raises(InvalidMatrixError):
             orthonormal_columns(np.ones(shape))
-
-
-class TestHaarSubspace:
-    def test_full_dimension_is_identity_projector(self):
-        q = haar_subspace(3, 3, seed=0).basis
-        assert np.max(np.abs(q @ q.T - np.eye(3))) <= 1e-8
-
-    def test_orthonormal(self):
-        q = haar_subspace(5, 2, seed=1).basis
-        assert np.max(np.abs(q.T @ q - np.eye(2))) <= 1e-8
-
-    def test_seed_determinism(self):
-        a = haar_subspace(6, 3, seed=42).basis
-        b = haar_subspace(6, 3, seed=42).basis
-        c = haar_subspace(6, 3, seed=43).basis
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-
-    def test_one_draw_per_seed(self):
-        # the basis is the orthonormalized n x k standard-normal draw of the
-        # seed's own stream, bit for bit
-        for seed in (0, 1, 42, 2**63 + 7, 5):
-            for n, k in ((6, 3), (9, 1), (4, 4), (200, 5)):
-                want = orthonormal_columns(rng_for(seed, Stream.HAAR).standard_normal((n, k)))
-                assert np.array_equal(haar_subspace(n, k, seed).basis, want)
-
-    def test_rejects_bad_rank(self):
-        with pytest.raises(InvalidRankError):
-            haar_subspace(3, 4, seed=0)
-        with pytest.raises(InvalidRankError):
-            haar_subspace(3, 0, seed=0)
 
 
 class TestFactored:
@@ -377,7 +346,7 @@ class TestFactored:
         fb = factor(b).fact
         assert np.allclose(fb.sigma, inst.fact.sigma, rtol=1e-12)
         assert np.allclose(np.abs(fb.v), np.eye(inst.fact.rank), atol=1e-12)
-        p = haar_subspace(5, 2, seed=3)
+        p = haar_projection(5, 2, seed=3)
         assert projection_cost(b, p) == pytest.approx(projection_cost(a, p), abs=1e-12 * frob2(a))
 
     def test_zero_matrix_has_one_zero_column_core(self):
@@ -420,7 +389,7 @@ def gram_cases() -> dict:
 
 class TestGramFactorization:
     """``Factored.fact`` against LAPACK's SVD of the same matrix
-    (``Factored.from_factors(a, svd(a))``) on both of its branches.
+    (an instance holding ``svd(a)``) on both of its branches.
     Singular values are compared on LAPACK's own accuracy scale, relative
     to sigma_1; the Gram branch keeps the orthogonality of the recovered
     factor to about eps * (sigma_1 / sigma_min)^2 <= 1e-8."""
@@ -433,7 +402,9 @@ class TestGramFactorization:
         taken = "lapack" if any(driver == "svd" for driver, _ in log) else "gram"
         assert taken == branch
         monkeypatch.undo()
-        return a, branch, fact, Factored.from_factors(a, svd(a))
+        ref = Factored(a)
+        ref._fact = svd(a)
+        return a, branch, fact, ref
 
     def test_spectrum_and_orthonormal_factors(self, case):
         a, branch, f, ref = case

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcpsketch import audit
 from pcpsketch.audit import approx_transfer_check, sketch_and_solve
 from pcpsketch.errors import InvalidInputError, InvalidRankError, TooLargeError
+from pcpsketch.generators import GeneratorSpec, gen_synthetic
 from pcpsketch.linalg import frob2, projection_cost, svd
 from pcpsketch.rng import Stream, rng_for
 from pcpsketch.sketch import SketchParams, gaussian_sketch, orthogonal_sketch, svd_sketch
@@ -36,6 +38,10 @@ from oracles import (
 
 def rand(seed, shape):
     return np.random.default_rng(seed).standard_normal(shape)
+
+
+def three_clusters():
+    return gen_synthetic(GeneratorSpec("clustered", n=9, d=6, k_true=3, separation=8.0, noise=0.3, seed=2))
 
 
 def spread_points():
@@ -332,8 +338,8 @@ class TestPartitionCosts:
 
 def first_cheapest(m, labels, costs):
     """The row ``exhaustive_kmeans`` keeps: the first whose cost ties the
-    least within 1e-12 (|M|_F^2 + 1)."""
-    return labels[int(np.argmax(costs <= costs.min() + 1e-12 * (frob2(m) + 1.0)))]
+    least within 1e-12 |M|_F^2."""
+    return labels[int(np.argmax(costs <= costs.min() + 1e-12 * frob2(m)))]
 
 
 class TestPartitionMasks:
@@ -356,7 +362,7 @@ class TestPartitionMasks:
         for n, k in self.GRID:
             m = rng.standard_normal((n, 3))
             m[n // 2] = m[0]
-            _, masks, costs = _exhaustive_search(m, k)
+            _, masks, costs, _ = _exhaustive_search(m, k)
             labels = partitions(n, k)
             want = partition_costs_by_labels(m, labels)
             assert np.array_equal(costs, want), (n, k)
@@ -367,9 +373,10 @@ class TestPartitionMasks:
         rng = np.random.default_rng(22)
         for n, k in self.GRID:
             m = rng.standard_normal((n, 2))
-            clustering, _, costs = _exhaustive_search(m, k)
-            want = first_cheapest(m, partitions(n, k), costs)
-            assert clustering.assignment.tolist() == want.tolist(), (n, k)
+            clustering, _, costs, best = _exhaustive_search(m, k)
+            labels = partitions(n, k)
+            want = first_cheapest(m, labels, costs)
+            assert clustering.assignment.tolist() == want.tolist() == labels[best].tolist(), (n, k)
             assert clustering.assignment.dtype == np.int64
 
     def test_exact_ties_between_duplicate_rows(self):
@@ -378,9 +385,9 @@ class TestPartitionMasks:
         points = rand(23, (4, 3))
         m = points[[0, 1, 0, 2, 3, 1, 2, 3]]
         for k in range(4, 9):
-            clustering, _, costs = _exhaustive_search(m, k)
+            clustering, _, costs, _ = _exhaustive_search(m, k)
             labels = partitions(8, k)
-            assert np.count_nonzero(costs <= 1e-12 * (frob2(m) + 1.0)) > (k > 4)
+            assert np.count_nonzero(costs <= 1e-12 * frob2(m)) > (k > 4)
             assert clustering.assignment.tolist() == first_cheapest(m, labels, costs).tolist()
             assert clustering.assignment.tolist() == [0, 1, 0, 2, 3, 1, 2, 3]
             assert clustering.cost <= 1e-12 * frob2(m)
@@ -394,7 +401,7 @@ class TestPartitionMasks:
         turn = angle[0] + 2 * np.pi * np.arange(6) / 6
         m = np.stack([np.cos(turn), np.sin(turn)], axis=1) + 3 * angle[1:]
         for k in (2, 3):
-            clustering, _, costs = _exhaustive_search(m, k)
+            clustering, _, costs, _ = _exhaustive_search(m, k)
             assert clustering.assignment.tolist() == first_cheapest(m, partitions(6, k), costs).tolist()
 
     def test_tail_tables_only_for_reachable_largest_labels(self):
@@ -442,6 +449,16 @@ class TestExhaustive:
     def test_too_large(self):
         with pytest.raises(TooLargeError):
             exhaustive_kmeans(np.zeros((13, 2)), 2)
+
+    def test_scaling_keeps_the_optimum(self):
+        # ties are relative to |M|_F^2: at 1e-8 scale every cost is below
+        # 1e-12, and an absolute tolerance would tie them all
+        m = three_clusters()
+        want = exhaustive_kmeans(m, 3)
+        for scale in (1e-8, 1e8):
+            got = exhaustive_kmeans(scale * m, 3)
+            assert got.assignment.tolist() == want.assignment.tolist(), scale
+            assert got.cost == pytest.approx(scale**2 * want.cost, rel=1e-9), scale
 
     def test_matches_brute_force_reference(self):
         for seed in range(5):
@@ -528,6 +545,33 @@ class TestSketchAndSolve:
         assert res.transfer == want
         assert res.transfer.lhs == res.cost_on_a
         assert want.optimum == pytest.approx(float((svd(a).sigma[2:] ** 2).sum()), rel=1e-10)
+
+    def test_scaled_input_transfers_alike(self):
+        a = three_clusters()
+        params = SketchParams(k=3, eps=0.5)
+        want = sketch_and_solve(a, svd_sketch(a, params), "kmeans")
+        assert want.transfer.lhs == pytest.approx(want.transfer.optimum, rel=1e-9)
+        for scale in (1e-8, 1e8):
+            got = sketch_and_solve(scale * a, svd_sketch(scale * a, params), "kmeans")
+            assert got.solution.assignment.tolist() == want.solution.assignment.tolist(), scale
+            ratio = got.transfer.lhs / got.transfer.optimum
+            assert ratio == pytest.approx(want.transfer.lhs / want.transfer.optimum, rel=1e-9), scale
+            assert got.transfer.bound_holds
+
+    def test_exhaustive_costs_read_off_the_tables(self, monkeypatch):
+        # the answer's costs are rows of the scored tables: no projection is
+        # built, and they match the indicator projection's to rounding
+        a = rand(19, (8, 10))
+        sk = gaussian_sketch(a, SketchParams(k=3, eps=0.5, seed=4, m_override=6))
+        with monkeypatch.context() as patch:
+            for name in ("cluster_indicator_projection", "projection_cost", "Projection"):
+                patch.setattr(audit, name, lambda *args: pytest.fail("built a projection"))
+            res = sketch_and_solve(a, sk, "kmeans")
+        proj = cluster_indicator_projection(res.solution.assignment, 3, 8)
+        assert res.cost_on_a == pytest.approx(projection_cost(a, proj), rel=1e-12)
+        assert res.cost_on_sketch == pytest.approx(projection_cost(sk.a_tilde, proj), rel=1e-12)
+        assert res.cost_on_sketch == res.solution.cost
+        assert res.transfer.lhs == res.cost_on_a
 
     def test_rejects_unknown_task(self):
         a = rand(10, (4, 5))
