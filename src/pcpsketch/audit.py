@@ -18,11 +18,11 @@ A is a ``Factored`` instance (an array is wrapped at the entry).  The
 sketch acts on A's row space only through the r x r Gram G = ``a.gram(S)``
 that ``certify`` forms: A_tilde A_tilde^T = U (Sigma G Sigma) U^T.  The
 exact probes are found in A's coordinates, from two r x r eighs of
-matrices built from Sigma G Sigma, and probe costs run on A's n x r core
-B = U Sigma, which has the same row Gram matrix, and so the same costs,
-as A, and on the sketch's own array.  ``verify_sketch`` is the one
-sketch -> certify -> probe -> score sequence behind ``pcp verify``,
-``pcp bench`` and ``implication_harness``.
+matrices built from Sigma G Sigma, and probe costs run on U Sigma, which
+has the same row Gram matrix, and so the same costs, as A, and on the
+sketch's own array.  ``verify_sketch`` is the one sketch -> certify ->
+probe -> score sequence behind ``pcp verify``, ``pcp bench`` and
+``implication_harness``.
 
 ``sketch_and_solve``, behind ``pcp solve``, solves on the sketch, scores
 the solution on both matrices and checks the transfer bound over the
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, fields
-from math import inf
+from math import inf, isfinite
 
 import numpy as np
 
@@ -200,8 +200,8 @@ def generate_probes(a, s, k: int, eps: float) -> ProbeSet:
     s = _check_operator(a, s)
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
-    if eps <= 0.0:
-        raise InvalidInputError(f"eps must be positive, got {eps}")
+    if not 0.0 < eps < inf:
+        raise InvalidInputError(f"eps must be finite and positive, got {eps}")
     kk = min(k, a.shape[0])
     fa = a.fact
     spans = [(f"top-a-{j}", fa.u[:, :j]) for j in range(1, min(k, fa.rank) + 1)]
@@ -221,10 +221,11 @@ def pcp_report(a, a_tilde, c: float, probes: ProbeSet, eps_target: float) -> Pcp
     """Score every probe; pass iff max |signed error| <= eps_target.
 
     A probe with basis Q costs |M|_F^2 - |Q^T M|_F^2 on a matrix M,
-    clamped at zero.  A is scored on its core B = U Sigma, which has the
-    same costs, so energy below the core's rank cut counts as unexplained;
-    the sketch on its own array.  The explained parts of all the probes
-    come from one product of the stacked bases with each.
+    clamped at zero.  A is scored on U Sigma, n x r for rank r, formed
+    here: it has the same costs, energy below the rank cut counts as
+    unexplained and a rank-0 A explains nothing.  The sketch is scored on
+    its own array.  The explained parts of all the probes come from one
+    product of the stacked bases with each.
     """
     a = factor(a)
     at = as_matrix(a_tilde, "a_tilde")
@@ -233,8 +234,10 @@ def pcp_report(a, a_tilde, c: float, probes: ProbeSet, eps_target: float) -> Pcp
         raise DimensionError("matrix and sketch must have the same number of rows")
     if probes.bases.shape[1] != n:
         raise DimensionError(f"probes on {probes.bases.shape[1]} rows, matrix has {n}")
-    if eps_target <= 0.0:
-        raise InvalidInputError(f"eps_target must be positive, got {eps_target}")
+    if not 0.0 < eps_target < inf:
+        raise InvalidInputError(f"eps_target must be finite and positive, got {eps_target}")
+    if not isfinite(c):
+        raise InvalidInputError(f"c must be finite, got {c}")
     count, _, width = probes.bases.shape
     stacked = probes.bases.transpose(1, 0, 2).reshape(n, count * width)
 
@@ -243,7 +246,8 @@ def pcp_report(a, a_tilde, c: float, probes: ProbeSet, eps_target: float) -> Pcp
         explained *= explained
         return np.maximum(total - explained.reshape(count, width * m.shape[1]).sum(axis=1), 0.0)
 
-    return _verdict(probes.tags, costs(a.core, a.frob2), costs(at, frob2(at)), a.frob2, c, eps_target)
+    fa = a.fact
+    return _verdict(probes.tags, costs(fa.u * fa.sigma, a.frob2), costs(at, frob2(at)), a.frob2, c, eps_target)
 
 
 def _verdict(tags, cost_a, cost_s, total: float, c: float, eps_target: float) -> PcpReport:

@@ -398,8 +398,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_jl_moment(args) -> int:
     seed = _resolve_seed(args)
-    est = jl_moment_estimate(args.family, args.d, args.m, args.ell, args.trials, seed)
-    summary = {"command": "jl-moment", "family": args.family, "d": args.d, "m": args.m, "ell": est.ell,
+    est = jl_moment_estimate(args.d, args.m, args.ell, args.trials, seed)
+    summary = {"command": "jl-moment", "family": "gaussian", "d": args.d, "m": args.m, "ell": est.ell,
                "trials": est.trials, "seed": seed, "estimate": est.estimate, "stderr": est.stderr}
     print(json.dumps(summary))
     return EXIT_PASS
@@ -445,7 +445,6 @@ def _args_bench(p: _Parser) -> None:
 
 
 def _args_jl_moment(p: _Parser) -> None:
-    p.add_argument("--family", default="gaussian")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--ell", type=int, default=2)
@@ -461,7 +460,7 @@ _COMMANDS = {
     "verify": ("audit cost preservation over a probe set", _args_verify, _cmd_verify),
     "solve": ("solve a task on the sketch, check the transfer bound", _args_solve, _cmd_solve),
     "bench": ("repeat verify over seeded trials", _args_bench, _cmd_bench),
-    "jl-moment": ("Monte-Carlo moment of a sketch family", _args_jl_moment, _cmd_jl_moment),
+    "jl-moment": ("Monte-Carlo moment of the gaussian sketch", _args_jl_moment, _cmd_jl_moment),
 }
 
 

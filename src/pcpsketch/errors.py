@@ -30,7 +30,7 @@ class InvalidOverestimateError(Error, ValueError):
 
 
 class UnsupportedFamilyError(Error, ValueError):
-    """Requested distribution family is not implemented."""
+    """Requested sketch method is not implemented."""
 
 
 class TooLargeError(Error, ValueError):

@@ -28,13 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    InvalidInputError,
-    InvalidRankError,
-    UnsupportedFamilyError,
-    ZeroMatrixError,
-)
+from .errors import DimensionError, InvalidInputError, InvalidRankError, ZeroMatrixError
 from .linalg import as_matrix, factor, tail_index_p
 from .rng import Stream, rng_for
 from .sketch import SamplingPattern
@@ -216,21 +210,18 @@ def _spectral(fact, g, k: int, eps: float) -> Certificate:
     return Certificate("T2", measured, thresholds, _holds(measured, thresholds))
 
 
-def jl_moment_estimate(
-    family: str, d: int, m: int, ell: int, trials: int, seed: int = 0
-) -> JlMomentEstimate:
-    """Monte-Carlo estimate of the ell-th moment E | |x^T S|_2^2 - 1 |^ell.
+def jl_moment_estimate(d: int, m: int, ell: int, trials: int, seed: int = 0) -> JlMomentEstimate:
+    """Monte-Carlo estimate of the ell-th moment E | |x^T S|_2^2 - 1 |^ell
+    for the d x m gaussian sketch S, entries N(0, 1/m).
 
-    Only the rotation-invariant gaussian family is supported, for which the
-    fixed probe x = e_1 is fully general, and x = e_1 touches only the first
-    row of S.  Trial t's row is row t of one (trials, m) standard-normal
-    draw from the stream ``(seed, Stream.JL_TRIAL)``, so trial t of seed s
-    reproduces bit for bit inside any longer run with the same seed.  The
+    The gaussian family is rotation invariant, so the fixed probe x = e_1
+    is fully general, and x = e_1 touches only the first row of S.  Trial
+    t's row is row t of one (trials, m) standard-normal draw from the
+    stream ``(seed, Stream.JL_TRIAL)``, so trial t of seed s reproduces
+    bit for bit inside any longer run with the same seed.  The
     rows are drawn and squared in place, a chunk of about 64 KB at a time,
     in one buffer: no allocation per chunk, whatever the trial count.
     """
-    if family != "gaussian":
-        raise UnsupportedFamilyError(f"unsupported family {family!r}")
     if d < 1 or m < 1:
         raise InvalidInputError(f"need d >= 1 and m >= 1, got d={d}, m={m}")
     if int(ell) != ell or ell < 2:

@@ -225,33 +225,28 @@ def _gram_svd(a: np.ndarray) -> SvdFactorization:
 
 
 class Factored:
-    """A validated n x d matrix with its SVD, core and squared Frobenius norm.
+    """A validated n x d matrix with its SVD and squared Frobenius norm.
 
-    Each of ``fact``, ``core`` and ``frob2`` is computed on first use and
-    kept, so a matrix that passes through sketching, both certificates, the
-    probes and a solve is factored at most once.  ``fact`` is what ``svd``
+    Each of ``fact`` and ``frob2`` is computed on first use and kept, so
+    a matrix that passes through sketching, both certificates, the probes
+    and a solve is factored at most once.  ``fact`` is what ``svd``
     returns, to rounding and with the same signs, but read off an eigh of
     the smaller Gram matrix unless sigma_1 / sigma_min exceeds about 1e4
     (``_gram_svd``); on that route for a wide A, the d x r right factor V
     is formed only if a caller reads ``fact.v``.  The array must not change
     afterwards.
 
-    Every quantity of A that depends only on A A^T (costs |A - PA|_F^2
-    of left projections P, distances between rows) is the same on the
-    core ``B = A V = U Sigma``, which is n x r for rank r, as on A; the
-    certificates need only ``sigma`` and how an operator S acts on the
-    row space, ``V^T S``, through its Gram ``gram(S)``.  The sketch
+    The certificates need only ``sigma`` and how an operator S acts on
+    the row space, ``V^T S``, through its Gram ``gram(S)``.  The sketch
     ``A S`` is ``product(S)``, kept for the last S, so that ``gram`` can
-    read ``V^T S`` off it without V.  A zero matrix has
-    the n x 1 zero core, so that it stays a matrix.  Make instances with
-    ``factor``, which validates the array.
+    read ``V^T S`` off it without V.  Make instances with ``factor``,
+    which validates the array.
     """
 
     def __init__(self, a: np.ndarray):
         self.a = a
         self._fact: SvdFactorization | None = None
         self._frob2: float | None = None
-        self._core: np.ndarray | None = None
         self._gram: tuple | None = None
         self._product: tuple | None = None
 
@@ -270,13 +265,6 @@ class Factored:
         if self._frob2 is None:
             self._frob2 = frob2(self.a)
         return self._frob2
-
-    @property
-    def core(self) -> np.ndarray:
-        if self._core is None:
-            f = self.fact
-            self._core = f.u * f.sigma if f.rank else np.zeros((self.shape[0], 1))
-        return self._core
 
     def product(self, s) -> np.ndarray:
         """A S for a sketch operator S, kept for the last S it was formed

@@ -62,6 +62,7 @@ class SketchParams:
 
     ``const_c`` of None picks the per-method default; ``m_override`` forces
     the sketch width (number of columns drawn) regardless of the formula.
+    ``k`` and ``m_override`` are Python or NumPy integers, bool excluded.
     """
 
     k: int
@@ -72,16 +73,17 @@ class SketchParams:
     m_override: int | None = None
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InvalidRankError(f"k must be >= 1, got {self.k}")
+        if not np.issubdtype(type(self.k), np.integer) or self.k < 1:
+            raise InvalidRankError(f"k must be an integer >= 1, got {self.k!r}")
         if not 0.0 < self.eps < 1.0:
             raise InvalidInputError(f"eps must be in (0, 1), got {self.eps}")
         if not 0.0 < self.delta < 1.0:
             raise InvalidInputError(f"delta must be in (0, 1), got {self.delta}")
         if self.const_c is not None and self.const_c <= 0.0:
             raise InvalidInputError(f"const_c must be positive, got {self.const_c}")
-        if self.m_override is not None and self.m_override < 1:
-            raise InvalidInputError(f"m_override must be >= 1, got {self.m_override}")
+        m = self.m_override
+        if m is not None and not (np.issubdtype(type(m), np.integer) and m >= 1):
+            raise InvalidInputError(f"m_override must be an integer >= 1, got {m!r}")
 
     def const_for(self, method: str) -> float:
         if self.const_c is not None:

@@ -67,6 +67,8 @@ def cluster_indicator_projection(assignment, k: int, n: int) -> Projection:
     empty clusters are dropped, so the rank can fall below k.
     """
     assignment = np.asarray(assignment)
+    if n < 1:
+        raise InvalidInputError(f"n must be >= 1, got {n}")
     if assignment.shape != (n,):
         raise InvalidInputError(f"assignment must have shape ({n},)")
     _require_integer(assignment)
@@ -110,13 +112,7 @@ def _plusplus_init(m: np.ndarray, k: int, rng) -> np.ndarray:
     d2 = np.sum((m - centers[0]) ** 2, axis=1)
     for j in range(1, k):
         total = float(d2.sum())
-        if total <= 0.0:
-            choice = int(rng.integers(n))
-        else:
-            # the steps of rng.choice(n, p=d2 / total), without its checks
-            cdf = (d2 / total).cumsum()
-            cdf /= cdf[-1]
-            choice = int(cdf.searchsorted(rng.random(), side="right"))
+        choice = int(rng.integers(n)) if not 0.0 < total < np.inf else int(rng.choice(n, p=d2 / total))
         centers[j] = m[choice]
         d2 = np.minimum(d2, np.sum((m - centers[j]) ** 2, axis=1))
     return centers
@@ -125,7 +121,9 @@ def _plusplus_init(m: np.ndarray, k: int, rng) -> np.ndarray:
 def lloyd_kmeans(m, k: int, iters: int = 50, seed: int = 0) -> Clustering:
     """Lloyd's algorithm with k-means++ seeding; deterministic per seed.
 
-    The centers are drawn from the stream ``(seed, Stream.LLOYD)``.  An
+    The centers are drawn from the stream ``(seed, Stream.LLOYD)``, each
+    uniformly when the squared distances to the centers so far sum to zero
+    or overflow, else by ``rng.choice`` weighted by those distances.  An
     iteration is two matrix products: squared distances
     ``max(|x|^2 - 2 x c^T + |c|^2, 0)``, with the row norms computed once,
     and the cluster sums (indicators times rows) for the new centers.

@@ -156,14 +156,14 @@ def plusplus_reference(m, k, rng):
     """k-means++ centers drawn with numpy's own weighted choice: the first
     row uniformly (``rng.integers``), each next one by
     ``rng.choice(n, p=d2 / total)`` over the squared distances d2 to the
-    nearest center so far, or uniformly when every distance is zero."""
+    nearest center so far, or uniformly when they sum to zero or overflow."""
     m = np.asarray(m, dtype=float)
     n = m.shape[0]
     rows = [int(rng.integers(n))]
     d2 = np.sum((m - m[rows[0]]) ** 2, axis=1)
     for _ in range(1, k):
         total = float(d2.sum())
-        rows.append(int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=d2 / total)))
+        rows.append(int(rng.integers(n)) if not 0.0 < total < np.inf else int(rng.choice(n, p=d2 / total)))
         d2 = np.minimum(d2, np.sum((m - m[rows[-1]]) ** 2, axis=1))
     return m[rows]
 
@@ -438,17 +438,17 @@ def haar_projection(n, k, seed):
 
 def pcp_error_on_probe(a, a_tilde, c, p):
     """Signed relative cost error (cost_sketch + c - cost_a) / cost_a of one
-    ``Projection``, both costs on the cores by ``projection_cost``.  Raises
+    ``Projection``, both costs on the arrays by ``projection_cost``.  Raises
     ValueError when the cost on A is (numerically) zero, where the audit
     uses its absolute check instead of a ratio."""
     from pcpsketch.linalg import factor, projection_cost
 
     a = factor(a)
     at = factor(a_tilde, "a_tilde")
-    cost_a = projection_cost(factor(a.core), p)
+    cost_a = projection_cost(a, p)
     if cost_a <= 1e-12 * a.frob2:
         raise ValueError("probe cost on A is (numerically) zero; use the absolute zero check")
-    return (projection_cost(factor(at.core), p) + c - cost_a) / cost_a
+    return (projection_cost(at, p) + c - cost_a) / cost_a
 
 
 @dataclass(frozen=True)

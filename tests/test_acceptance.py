@@ -226,7 +226,7 @@ def test_criterion_7_embedding_error_exactness():
 def test_criterion_8_jl_moment():
     start = time.perf_counter()
     m = 100
-    est = jl_moment_estimate("gaussian", 10, m, 2, 100_000, seed=8)
+    est = jl_moment_estimate(10, m, 2, 100_000, seed=8)
     oracle = 2.0 / m
     ok = abs(est.estimate - oracle) <= 0.1 * oracle
     elapsed = time.perf_counter() - start

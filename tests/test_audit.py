@@ -130,6 +130,13 @@ class TestGenerateProbes:
             with pytest.raises(InvalidInputError):
                 generate_probes(a, np.eye(9), 2, eps)
 
+    def test_rejects_non_finite_eps(self):
+        # eps weights the exact probes' eigenproblem: nan or inf makes it meaningless
+        a = rand(3, (5, 9))
+        for eps in (math.nan, math.inf):
+            with pytest.raises(InvalidInputError, match="finite"):
+                generate_probes(a, np.eye(9), 2, eps)
+
     def test_rejects_an_operator_with_the_wrong_row_count(self):
         # the operator acts on A's columns, so it has d rows: the sketch
         # A S of a wide or tall A (n rows) is rejected, dense or sampled
@@ -190,7 +197,7 @@ class TestPcpErrorOnProbe:
         a = rand(4, (5, 8))
         p = haar_projection(5, 2, seed=3)
         assert pcp_error_on_probe(a, a.copy(), 0.0, p) == 0.0
-        # A is scored on its core and the sketch on its array: the two
+        # A is scored on U Sigma and the sketch on its array: the two
         # agree to rounding
         rep = pcp_report(a, a.copy(), 0.0, probe_set([p], ["haar"], 2), 0.5)
         assert rep.signed_rel_err.tolist() == pytest.approx([0.0], abs=1e-13)
@@ -247,8 +254,24 @@ class TestPcpReport:
         a = rand(9, (5, 8))
         probes = generate_probes(a, np.eye(8), 2, 1e-9)
         rep = pcp_report(a, a.copy(), 0.0, probes, 1e-9)
-        assert rep.max_abs_rel_err <= 1e-13  # the core's and the array's rounding
+        assert rep.max_abs_rel_err <= 1e-13  # U Sigma's and the array's rounding
         assert rep.passed
+
+    def test_rejects_non_finite_eps_target_and_c(self):
+        # an infinite target passes every sketch, and a nan target or c
+        # makes every comparison false
+        a = rand(9, (5, 8))
+        probes = generate_probes(a, np.eye(8), 2, 0.5)
+        for c, eps_target in ((0.0, math.inf), (0.0, math.nan), (math.nan, 0.5), (math.inf, 0.5)):
+            with pytest.raises(InvalidInputError, match="finite"):
+                pcp_report(a, a.copy(), c, probes, eps_target)
+
+    @pytest.mark.parametrize("shape", [(4, 6), (6, 4)])
+    def test_zero_matrix_explains_nothing(self, shape):
+        # rank 0: U Sigma is n x 0, and every probe costs zero on both
+        v = verify_sketch(np.zeros(shape), "gaussian", SketchParams(k=2, eps=0.5, m_override=3))
+        assert v.report.passed and v.report.zero_cost.all()
+        assert not v.report.cost_a.any() and not v.report.cost_sketch.any()
 
     def test_zero_sketch_minus_one(self):
         a = rand(10, (5, 8))
@@ -261,9 +284,9 @@ class TestPcpReport:
         assert all(e == pytest.approx(-1.0, abs=1e-12) for e in positive)
 
     def test_energy_below_the_core_rank_cut_counts_as_unexplained(self):
-        # A's core cut to the top 2 of 4 directions is scored against the
+        # A's U Sigma cut to the top 2 of 4 directions is scored against the
         # array: the rank-0 and top-2 probes cost exactly what they do on the
-        # full core, and no probe costs less, nor more by the cut energy;
+        # full U Sigma, and no probe costs less, nor more by the cut energy;
         # partitions are scored on the array itself
         m = rand(13, (6, 4))
         full = svd(m)
@@ -592,7 +615,7 @@ def projector(p):
 
 class TestProbesInCoordinates:
     """Probes found in A's coordinates, from A's factors and the Gram G,
-    and A's costs computed on its core B = U Sigma, agree with the same
+    and A's costs computed on U Sigma, agree with the same
     quantities computed on A and the sketch themselves."""
 
     def instances(self):
@@ -682,12 +705,13 @@ class TestVerifySketch:
     def test_noise_floor_scores_as_on_the_sketch_own_svd(self, method):
         # noise singular values ~ 1e-6 sigma_1 carry the whole cost of the
         # top-3 probes; scored on the sketch's array they must cost what
-        # they do on the core of the sketch's own SVD
+        # they do on U Sigma of the sketch's own SVD
         a = factor(gen_synthetic(GeneratorSpec("lowrank", n=30, d=80, rank=3, noise=1e-6, seed=0)))
         v = verify_sketch(a, method, SketchParams(k=3, eps=0.5, seed=1))
         at = factor(v.sketch.a_tilde)
         assert at.fact.rank > 3
-        want = pcp_report(a, at.core, v.sketch.c_const, generate_probes(a, v.sketch.operator, 3, 0.5), 0.5)
+        probes = generate_probes(a, v.sketch.operator, 3, 0.5)
+        want = pcp_report(a, at.fact.u * at.fact.sigma, v.sketch.c_const, probes, 0.5)
         assert list(v.report.tags) == list(want.tags)
         assert np.abs(v.report.cost_sketch - want.cost_sketch).max() <= 1e-14 * a.frob2
         # that rounding, on the least nonzero cost, bounds the change in the error

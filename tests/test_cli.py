@@ -327,16 +327,17 @@ class TestJlMomentCmd:
             "--trials", "500", "--seed", "3",
         )
         assert code == 0
-        lib = jl_moment_estimate("gaussian", 8, 50, 2, 500, 3)
+        lib = jl_moment_estimate(8, 50, 2, 500, 3)
         assert payload["estimate"] == lib.estimate
         assert payload["stderr"] == lib.stderr
+        assert payload["family"] == "gaussian"
 
-    def test_unsupported_family_exits_1(self, capsys):
+    def test_family_option_is_gone(self, capsys):
         code, _, err = run(
-            capsys, "jl-moment", "--family", "sparse", "--d", "8", "--m", "10", "--trials", "200"
+            capsys, "jl-moment", "--family", "gaussian", "--d", "8", "--m", "10", "--trials", "200"
         )
         assert code == 1
-        assert "error:" in err
+        assert "--family" in err
 
 
 class TestSeedHandling:

@@ -10,7 +10,6 @@ from pcpsketch.errors import (
     DimensionError,
     InvalidInputError,
     InvalidRankError,
-    UnsupportedFamilyError,
     WidthNotReducingWarning,
     ZeroMatrixError,
 )
@@ -300,28 +299,28 @@ class TestHoldsTolerance:
 class TestJlMoment:
     def test_matches_chi_square_variance(self):
         m = 25
-        est = jl_moment_estimate("gaussian", 10, m, 2, 5000, seed=0)
+        est = jl_moment_estimate(10, m, 2, 5000, seed=0)
         assert abs(est.estimate - 2.0 / m) <= 0.15 * (2.0 / m)
 
     def test_monotone_in_width(self):
-        results = [jl_moment_estimate("gaussian", 8, m, 2, 3000, seed=1) for m in (25, 100, 400)]
+        results = [jl_moment_estimate(8, m, 2, 3000, seed=1) for m in (25, 100, 400)]
         assert results[0].estimate - 3 * results[0].stderr > results[1].estimate
         assert results[1].estimate - 3 * results[1].stderr > results[2].estimate
 
     def test_stderr_scaling(self):
-        small = jl_moment_estimate("gaussian", 6, 50, 2, 100, seed=2)
-        big = jl_moment_estimate("gaussian", 6, 50, 2, 10_000, seed=2)
+        small = jl_moment_estimate(6, 50, 2, 100, seed=2)
+        big = jl_moment_estimate(6, 50, 2, 10_000, seed=2)
         ratio = small.stderr / big.stderr
         assert 6.0 <= ratio <= 16.0  # expect ~sqrt(100) = 10
 
     def test_higher_moments_nonnegative(self):
-        est = jl_moment_estimate("gaussian", 5, 30, 4, 500, seed=3)
+        est = jl_moment_estimate(5, 30, 4, 500, seed=3)
         assert est.estimate >= 0.0
         assert est.stderr >= 0.0
 
     def test_determinism(self):
-        e1 = jl_moment_estimate("gaussian", 5, 20, 2, 300, seed=7)
-        e2 = jl_moment_estimate("gaussian", 5, 20, 2, 300, seed=7)
+        e1 = jl_moment_estimate(5, 20, 2, 300, seed=7)
+        e2 = jl_moment_estimate(5, 20, 2, 300, seed=7)
         assert e1.estimate == e2.estimate and e1.stderr == e2.stderr
 
     @pytest.mark.parametrize(
@@ -339,16 +338,14 @@ class TestJlMoment:
         # are chunked
         if chunk_entries is not None:
             monkeypatch.setattr(guarantees, "_JL_CHUNK_ENTRIES", chunk_entries)
-        est = jl_moment_estimate("gaussian", 5, m, ell, trials, seed=11)
+        est = jl_moment_estimate(5, m, ell, trials, seed=11)
         assert (est.estimate, est.stderr) == jl_moment_reference(m, ell, trials, 11)
 
     def test_rejections(self):
-        with pytest.raises(UnsupportedFamilyError):
-            jl_moment_estimate("rademacher", 5, 20, 2, 300, seed=0)
         with pytest.raises(InvalidInputError):
-            jl_moment_estimate("gaussian", 5, 20, 2, 99, seed=0)
+            jl_moment_estimate(5, 20, 2, 99, seed=0)
         with pytest.raises(InvalidInputError):
-            jl_moment_estimate("gaussian", 5, 20, 1, 300, seed=0)
+            jl_moment_estimate(5, 20, 1, 300, seed=0)
 
 
 def _rank4(seed, d):

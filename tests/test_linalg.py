@@ -298,7 +298,6 @@ class TestFactored:
             assert inst.frob2 == frob2(a)
             assert log == []
             assert inst.fact is inst.fact
-            assert inst.core is inst.core
             assert +factorization_counts(log, {"A": a}) == +Counter({("A", "gram"): 1, ("A", "svd"): svds})
 
     def test_right_factor_formed_where_read(self, monkeypatch):
@@ -310,7 +309,6 @@ class TestFactored:
         wide = random_matrix(44, n=6, d=20)
         inst = factor(wide)
         f = inst.fact
-        assert inst.core.shape == (6, 6)
         assert log == []
         head = f.v_head(4)
         assert head.shape == (20, 4) and not head.flags.writeable
@@ -335,24 +333,6 @@ class TestFactored:
         at = a.product(s)
         assert a.product(s) is at and np.array_equal(at, a.a @ s)
         assert a.product(sk.operator) is not sk.a_tilde
-
-    def test_core_has_the_row_gram_and_known_svd(self):
-        a = random_matrix(41, n=5, d=9)
-        inst = factor(a)
-        b = inst.core
-        assert b.shape == (5, inst.fact.rank)
-        assert np.allclose(b @ b.T, a @ a.T, atol=1e-12)
-        # B = U Sigma I_r: its own SVD has A's singular values and V = I_r up to signs
-        fb = factor(b).fact
-        assert np.allclose(fb.sigma, inst.fact.sigma, rtol=1e-12)
-        assert np.allclose(np.abs(fb.v), np.eye(inst.fact.rank), atol=1e-12)
-        p = haar_projection(5, 2, seed=3)
-        assert projection_cost(b, p) == pytest.approx(projection_cost(a, p), abs=1e-12 * frob2(a))
-
-    def test_zero_matrix_has_one_zero_column_core(self):
-        inst = factor(np.zeros((4, 6)))
-        assert inst.fact.rank == 0
-        assert inst.core.shape == (4, 1) and not inst.core.any()
 
     def test_validated_once_at_entry(self):
         with pytest.raises(InvalidMatrixError):

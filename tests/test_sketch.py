@@ -66,6 +66,23 @@ class TestSketchParams:
         with pytest.raises((InvalidInputError, InvalidRankError)):
             params(**kw)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, np.float64(2), "2"])
+    def test_k_must_be_an_integer(self, k):
+        # k slices the factors and sizes the sketch, so anything but an
+        # integer would surface later as a bare TypeError
+        with pytest.raises(InvalidRankError, match="integer"):
+            params(k=k)
+
+    @pytest.mark.parametrize("m", [3.0, 2.5, True, np.float64(3)])
+    def test_m_override_must_be_an_integer(self, m):
+        # the width sizes the draw, which needs an integer
+        with pytest.raises(InvalidInputError, match="integer"):
+            params(m_override=m)
+
+    def test_numpy_integers_accepted(self):
+        sk = make_sketch(wide_matrix(1, d=20), "gaussian", params(k=np.int64(2), m_override=np.int32(3)))
+        assert sk.a_tilde.shape == (6, 3)
+
 
 class TestGaussian:
     def test_width_formula(self):

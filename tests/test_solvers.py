@@ -110,6 +110,11 @@ class TestClusterIndicator:
         with pytest.raises(InvalidInputError):
             cluster_indicator_projection(np.array([0, 2]), 2, 2)
 
+    def test_rejects_no_rows(self):
+        # no rows, no clusters: a typed error, not numpy's empty reduction
+        with pytest.raises(InvalidInputError, match="n must be"):
+            cluster_indicator_projection(np.array([], dtype=int), 2, 0)
+
     def test_rejects_non_integer_labels(self):
         for labels in (np.array([0.5, 1.7, 0.2]), np.array([True, False, True])):
             with pytest.raises(InvalidInputError, match="integer"):
@@ -207,6 +212,14 @@ class TestLloyd:
         with pytest.raises(InvalidInputError):
             lloyd_kmeans(np.eye(2), 3)
 
+    def test_overflowing_distances_draw_uniformly(self):
+        # squared distances of rows near 1e200 overflow to inf, and d2 / inf
+        # holds nan, which rng.choice refuses as weights
+        m = np.array([[1e200], [-1e200], [0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = lloyd_kmeans(m, 2, seed=0)
+        assert res.assignment.shape == (3,) and res.cost == np.inf
+
 
 class TestLloydRuns:
     """Each run draws its k-means++ start from the stream (seed,
@@ -224,8 +237,8 @@ class TestLloydRuns:
         yield "one column", rng.standard_normal((25, 1)), 3
 
     def test_lloyd_kmeans_matches_the_choice_oracle(self):
-        # the oracle draws its starts with rng.choice, the library by its
-        # own cumulative sum and search: the same draws, bit for bit
+        # the oracle's own loop, from the same rng.choice draws: the same
+        # assignments, bit for bit
         for seed in (3, 17, 2**40 + 5, 0, 99, 12345, 7):
             for name, m, k in self.cases():
                 want = lloyd_reference(m, k, 25, seed)
