@@ -41,7 +41,9 @@ from math import inf, isfinite
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInputError, InvalidMatrixError, WidthNotReducingWarning
+from .errors import (
+    DimensionError, InvalidInputError, InvalidMatrixError, InvalidRankError, WidthNotReducingWarning, _check_count,
+)
 from .generators import GeneratorSpec, gen_synthetic
 from .guarantees import Certificate, _check_operator, certify
 from .linalg import Projection, _eigh_desc, as_matrix, factor, frob2, projection_cost
@@ -83,8 +85,8 @@ class ProbeSet:
     ``bases[i]`` is an n x w orthonormal basis of probe i (w <= k), whose
     columns past the probe's rank are zero; ``tags[i]`` names its family.
     One stacked Gram matrix checks every basis at once, to the tolerance
-    of ``Projection``: finite entries, and each column of unit or zero norm
-    and orthogonal to the others within 1e-8.
+    of ``Projection``: each column of unit or zero norm and orthogonal to
+    the others within 1e-8, which a non-finite entry fails.  ``k`` >= 1.
     """
 
     bases: np.ndarray
@@ -100,14 +102,13 @@ class ProbeSet:
             raise InvalidInputError("one provenance tag per probe required")
         if len(self) == 0:
             raise InvalidInputError("probe set must be nonempty")
-        if bases.shape[2] > self.k:
+        if bases.shape[2] > _check_count(self.k, "k", error=InvalidRankError):
             raise InvalidInputError("probe rank exceeds k")
-        if not np.isfinite(bases).all():
-            raise InvalidMatrixError("probe basis contains non-finite entries")
-        gram = bases.transpose(0, 2, 1) @ bases
-        unit = np.diagonal(gram, axis1=1, axis2=2) > 0.5
-        if gram.size and np.max(np.abs(gram - unit[:, :, None] * np.eye(bases.shape[2]))) > 1e-8:
-            raise InvalidMatrixError("probe basis columns are not orthonormal")
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite Gram fails the test
+            gram = bases.transpose(0, 2, 1) @ bases
+            unit = np.diagonal(gram, axis1=1, axis2=2) > 0.5
+            if gram.size and not np.max(np.abs(gram - unit[:, :, None] * np.eye(bases.shape[2]))) <= 1e-8:
+                raise InvalidMatrixError("probe basis columns are not orthonormal")
         bases.setflags(write=False)
         object.__setattr__(self, "bases", bases)
         object.__setattr__(self, "tags", tags)
@@ -194,12 +195,12 @@ def generate_probes(a, s, k: int, eps: float) -> ProbeSet:
     of these two (Dinkelbach's function at lambda = eps), unless that one
     costs zero on A, where the absolute check decides; the audit's verdict
     at ``eps`` is exact.  Their errors are no ratio maximum: the probe max
-    only bounds the distortion below.
+    only bounds the distortion below.  ``k`` is an integer >= 1, else
+    ``InvalidRankError``, as for every rank.
     """
     a = factor(a)
     s = _check_operator(a, s)
-    if k < 1:
-        raise InvalidInputError(f"k must be >= 1, got {k}")
+    _check_count(k, "k", error=InvalidRankError)
     if not 0.0 < eps < inf:
         raise InvalidInputError(f"eps must be finite and positive, got {eps}")
     kk = min(k, a.shape[0])
@@ -380,8 +381,7 @@ def implication_harness(trials: int, seed: int = 0) -> HarnessSummary:
     endorsed that breaks eps.  Returns the trial summary including every
     violation found (expected: none).
     """
-    if trials < 1:
-        raise InvalidInputError(f"trials must be >= 1, got {trials}")
+    _check_count(trials, "trials")
     violations = []
     t1_holds = t2_holds = 0
     worst = 0.0

@@ -34,7 +34,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import audit
-from .errors import ConfigError, Error
+from .errors import ConfigError, Error, _check_count
 from .generators import gen_synthetic, parse_generator_spec
 from .guarantees import certify, jl_moment_estimate
 from .linalg import factor
@@ -350,8 +350,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.trials < 1:
-        raise ConfigError("--trials must be at least 1")
+    _check_count(args.trials, "--trials", error=ConfigError)
     if not 0.0 <= args.min_pass_rate <= 1.0:
         raise ConfigError(f"--min-pass-rate must be in [0, 1], got {args.min_pass_rate}")
     seed = _resolve_seed(args)

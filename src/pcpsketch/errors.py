@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and
+``_check_count``, the one check of every rank, count and dimension argument."""
+
+import numbers
 
 
 class Error(Exception):
@@ -43,3 +46,12 @@ class ConfigError(Error, ValueError):
 
 class WidthNotReducingWarning(UserWarning):
     """Sketch width is at least the input width; sketch is built anyway."""
+
+
+def _check_count(value, name: str, minimum: int = 1, error: type = InvalidInputError) -> int:
+    """``value`` as an int if it is a Python or NumPy integer, not a bool,
+    of at least ``minimum``; else ``error``: ``InvalidRankError`` for a rank
+    k, ``ConfigError`` for a run configuration, by default ``InvalidInputError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_count
 from .linalg import orthonormal_columns
 from .rng import Stream, rng_for
 
@@ -39,15 +39,15 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown generator kind {self.kind!r}; choose from {KINDS}")
-        if self.n < 1 or self.d < 1:
-            raise ConfigError(f"dimensions must be positive, got n={self.n}, d={self.d}")
+        _check_count(self.n, "n", error=ConfigError)
+        _check_count(self.d, "d", error=ConfigError)
         if self.noise < 0.0:
             raise ConfigError(f"noise must be >= 0, got {self.noise}")
         if self.kind == "lowrank":
-            if self.rank is None or not 1 <= self.rank <= min(self.n, self.d):
+            if _check_count(self.rank, "rank", error=ConfigError) > min(self.n, self.d):
                 raise ConfigError(f"lowrank needs 1 <= rank <= min(n, d), got {self.rank}")
         if self.kind == "clustered":
-            if self.k_true is None or not 1 <= self.k_true <= self.n:
+            if _check_count(self.k_true, "k_true", error=ConfigError) > self.n:
                 raise ConfigError(f"clustered needs 1 <= k_true <= n, got {self.k_true}")
         if self.kind == "powerlaw" and self.alpha <= 0.0:
             raise ConfigError(f"powerlaw needs alpha > 0, got {self.alpha}")

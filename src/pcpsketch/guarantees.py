@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInputError, InvalidRankError, ZeroMatrixError
+from .errors import DimensionError, InvalidInputError, InvalidRankError, ZeroMatrixError, _check_count
 from .linalg import as_matrix, factor, tail_index_p
 from .rng import Stream, rng_for
 from .sketch import SamplingPattern
@@ -147,8 +147,7 @@ def certify(a, s, k: int, eps: float) -> tuple[Certificate, Certificate]:
     """
     a = factor(a)
     s = _check_operator(a, s)
-    if k < 1:
-        raise InvalidRankError(f"k must be >= 1, got {k}")
+    _check_count(k, "k", error=InvalidRankError)
     if not 0.0 < eps < 1.0:
         raise InvalidInputError(f"eps must be in (0, 1), got {eps}")
     g = a.gram(s)
@@ -221,14 +220,12 @@ def jl_moment_estimate(d: int, m: int, ell: int, trials: int, seed: int = 0) -> 
     bit for bit inside any longer run with the same seed.  The
     rows are drawn and squared in place, a chunk of about 64 KB at a time,
     in one buffer: no allocation per chunk, whatever the trial count.
+    d, m, ell and trials are integers of at least 1, 1, 2 and 100.
     """
-    if d < 1 or m < 1:
-        raise InvalidInputError(f"need d >= 1 and m >= 1, got d={d}, m={m}")
-    if int(ell) != ell or ell < 2:
-        raise InvalidInputError(f"moment order ell must be an integer >= 2, got {ell}")
-    if trials < 100:
-        raise InvalidInputError(f"need at least 100 trials, got {trials}")
-    ell = int(ell)
+    _check_count(d, "d")
+    _check_count(m, "m")
+    ell = _check_count(ell, "ell", minimum=2)
+    _check_count(trials, "trials", minimum=100)
     rng = rng_for(seed, Stream.JL_TRIAL)
     chunk = max(1, min(trials, _JL_CHUNK_ENTRIES // m))
     buf = np.empty((chunk, m))

@@ -23,6 +23,7 @@ from .errors import (
     InvalidInputError,
     InvalidMatrixError,
     InvalidRankError,
+    _check_count,
 )
 
 __all__ = [
@@ -132,11 +133,9 @@ class Projection:
         basis = np.asarray(self.basis, dtype=float)
         if basis.ndim != 2:
             raise InvalidMatrixError("projection basis must be 2-D")
-        if not np.isfinite(basis).all():
-            raise InvalidMatrixError("projection basis contains non-finite entries")
-        if basis.shape[1] > 0:
-            gram = basis.T @ basis
-            if np.max(np.abs(gram - np.eye(basis.shape[1]))) > 1e-8:
+        # a non-finite or huge entry makes the Gram non-finite, which fails the test
+        with np.errstate(over="ignore", invalid="ignore"):
+            if basis.shape[1] > 0 and not np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))) <= 1e-8:
                 raise InvalidMatrixError("projection basis columns are not orthonormal")
         object.__setattr__(self, "basis", _readonly(basis))
 
@@ -227,9 +226,11 @@ def _gram_svd(a: np.ndarray) -> SvdFactorization:
 class Factored:
     """A validated n x d matrix with its SVD and squared Frobenius norm.
 
-    Each of ``fact`` and ``frob2`` is computed on first use and kept, so
-    a matrix that passes through sketching, both certificates, the probes
-    and a solve is factored at most once.  ``fact`` is what ``svd``
+    ``frob2`` is computed at construction; a matrix whose |A|_F^2 overflows
+    is an ``InvalidMatrixError``, so no entry of A A^T or A^T A overflows.
+    ``fact`` is computed on first use and kept, so a matrix that passes
+    through sketching, both certificates, the probes and a solve is
+    factored at most once.  ``fact`` is what ``svd``
     returns, to rounding and with the same signs, but read off an eigh of
     the smaller Gram matrix unless sigma_1 / sigma_min exceeds about 1e4
     (``_gram_svd``); on that route for a wide A, the d x r right factor V
@@ -245,8 +246,11 @@ class Factored:
 
     def __init__(self, a: np.ndarray):
         self.a = a
+        with np.errstate(over="ignore"):
+            self.frob2 = frob2(a)
+        if not np.isfinite(self.frob2):
+            raise InvalidMatrixError("matrix entries too large: the squared Frobenius norm overflows")
         self._fact: SvdFactorization | None = None
-        self._frob2: float | None = None
         self._gram: tuple | None = None
         self._product: tuple | None = None
 
@@ -259,12 +263,6 @@ class Factored:
         if self._fact is None:
             self._fact = _gram_svd(self.a)
         return self._fact
-
-    @property
-    def frob2(self) -> float:
-        if self._frob2 is None:
-            self._frob2 = frob2(self.a)
-        return self._frob2
 
     def product(self, s) -> np.ndarray:
         """A S for a sketch operator S, kept for the last S it was formed
@@ -304,8 +302,7 @@ def tail_index_p(fact: SvdFactorization, k: int) -> int:
     Returns ``rank`` when the rank-k residual is exactly zero.  Whenever the
     residual is nonzero, p <= 2k.
     """
-    if k < 1:
-        raise InvalidRankError(f"k must be >= 1, got {k}")
+    _check_count(k, "k", error=InvalidRankError)
     sigma2 = fact.sigma * fact.sigma
     tail2 = float(np.sum(sigma2[k:]))
     if tail2 <= 0.0:

@@ -26,6 +26,7 @@ from .errors import (
     InvalidRankError,
     UnsupportedFamilyError,
     WidthNotReducingWarning,
+    _check_count,
 )
 from .linalg import _gram_svd, factor, frob2, orthonormal_columns, svd
 from .rng import Stream, rng_for
@@ -62,7 +63,8 @@ class SketchParams:
 
     ``const_c`` of None picks the per-method default; ``m_override`` forces
     the sketch width (number of columns drawn) regardless of the formula.
-    ``k`` and ``m_override`` are Python or NumPy integers, bool excluded.
+    ``k`` and ``m_override`` are Python or NumPy integers, bool excluded;
+    ``const_c`` is finite and positive.
     """
 
     k: int
@@ -73,17 +75,16 @@ class SketchParams:
     m_override: int | None = None
 
     def __post_init__(self):
-        if not np.issubdtype(type(self.k), np.integer) or self.k < 1:
-            raise InvalidRankError(f"k must be an integer >= 1, got {self.k!r}")
-        if not 0.0 < self.eps < 1.0:
-            raise InvalidInputError(f"eps must be in (0, 1), got {self.eps}")
+        _check_count(self.k, "k", error=InvalidRankError)
+        # eps**2 divides the widths, so it must not underflow to zero
+        if not (0.0 < self.eps < 1.0 and self.eps**2 > 0.0):
+            raise InvalidInputError(f"eps must be in (0, 1) with a nonzero square, got {self.eps}")
         if not 0.0 < self.delta < 1.0:
             raise InvalidInputError(f"delta must be in (0, 1), got {self.delta}")
-        if self.const_c is not None and self.const_c <= 0.0:
-            raise InvalidInputError(f"const_c must be positive, got {self.const_c}")
-        m = self.m_override
-        if m is not None and not (np.issubdtype(type(m), np.integer) and m >= 1):
-            raise InvalidInputError(f"m_override must be an integer >= 1, got {m!r}")
+        if self.const_c is not None and not 0.0 < self.const_c < math.inf:
+            raise InvalidInputError(f"const_c must be finite and positive, got {self.const_c}")
+        if self.m_override is not None:
+            _check_count(self.m_override, "m_override")
 
     def const_for(self, method: str) -> float:
         if self.const_c is not None:
@@ -173,6 +174,13 @@ def _ln_floored(x: float) -> float:
     return max(math.log(x), 1.0)
 
 
+def _width(x: float) -> int:
+    """A width formula's value rounded up; inf (delta or eps near 0) is an error."""
+    if not math.isfinite(x):
+        raise InvalidInputError(f"sketch width overflows: {x}")
+    return math.ceil(x)
+
+
 _PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__)) + os.sep
 
 
@@ -207,7 +215,7 @@ def _finish(a, s, method: str, params: SketchParams) -> Sketch:
 
 def gaussian_width(params: SketchParams) -> int:
     c = params.const_for("gaussian")
-    return math.ceil(c * (params.k + math.log(1.0 / params.delta)) / params.eps**2)
+    return _width(c * (params.k + math.log(1.0 / params.delta)) / params.eps**2)
 
 
 def gaussian_sketch(a, params: SketchParams) -> Sketch:
@@ -244,9 +252,7 @@ def non_oblivious_rp(a, params: SketchParams) -> Sketch:
     a = factor(a)
     n, d = a.shape
     c = params.const_for("nonoblivious")
-    m_pi = params.m_override if params.m_override is not None else math.ceil(
-        c * params.k / params.eps
-    )
+    m_pi = params.m_override if params.m_override is not None else _width(c * params.k / params.eps)
     rng = rng_for(params.seed, Stream.NON_OBLIVIOUS)
     pi_a = rng.standard_normal((m_pi, n)) @ a.a
     z = (svd(pi_a) if n < min(pi_a.shape) else _gram_svd(pi_a)).v
@@ -283,7 +289,7 @@ def _sample(a, probs: np.ndarray, m: int, stream: Stream, method: str, params: S
 
 def leverage_width(params: SketchParams) -> int:
     c = params.const_for("leverage")
-    return math.ceil(c * params.k * _ln_floored(params.k / params.delta) / params.eps**2)
+    return _width(c * params.k * _ln_floored(params.k / params.delta) / params.eps**2)
 
 
 def leverage_residual_sample(a, params: SketchParams) -> Sketch:
@@ -320,8 +326,7 @@ def ridge_scores(a, k: int) -> RidgeScores:
     spectral sum sum_j sigma_j^2 / (sigma_j^2 + lam) never exceeds 2k.
     """
     a = factor(a)
-    if k < 1:
-        raise InvalidRankError(f"k must be >= 1, got {k}")
+    _check_count(k, "k", error=InvalidRankError)
     fact = a.fact
     sigma2 = fact.sigma * fact.sigma
     tail2 = float(np.sum(sigma2[k:]))
@@ -335,7 +340,7 @@ def ridge_scores(a, k: int) -> RidgeScores:
 
 def ridge_width(params: SketchParams, sum_tau: float) -> int:
     c = params.const_for("ridge")
-    return math.ceil(c * _ln_floored(params.k / params.delta) / params.eps**2 * sum_tau)
+    return _width(c * _ln_floored(params.k / params.delta) / params.eps**2 * sum_tau)
 
 
 def ridge_leverage_sample(a, params: SketchParams, tau_over=None) -> Sketch:
@@ -378,9 +383,7 @@ def svd_sketch(a, params: SketchParams) -> Sketch:
     matrix (rank 0) gets the one-column zero sketch with c = 0.
     """
     a = factor(a)
-    m_req = params.m_override if params.m_override is not None else math.ceil(
-        params.k / params.eps
-    )
+    m_req = params.m_override if params.m_override is not None else _width(params.k / params.eps)
     v_m = np.array(a.fact.v_head(m_req)) if a.fact.rank else np.zeros((a.shape[1], 1))
     return _finish(a, v_m, "svd", params)
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidRankError, TooLargeError
-from .linalg import Projection, as_matrix, factor, frob2
+from .errors import InvalidInputError, InvalidRankError, TooLargeError, _check_count
+from .linalg import Projection, factor, frob2
 from .rng import Stream, rng_for
 
 __all__ = [
@@ -54,8 +54,7 @@ def best_rank_k_projection(m, k: int) -> Projection:
     """Projection onto the top-k left singular subspace of ``m`` (an array,
     or a ``Factored`` instance whose SVD is reused)."""
     m = factor(m)
-    if k < 1:
-        raise InvalidRankError(f"k must be >= 1, got {k}")
+    _check_count(k, "k", error=InvalidRankError)
     fact = m.fact
     return Projection(fact.u[:, : min(k, fact.rank)])
 
@@ -67,13 +66,11 @@ def cluster_indicator_projection(assignment, k: int, n: int) -> Projection:
     empty clusters are dropped, so the rank can fall below k.
     """
     assignment = np.asarray(assignment)
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
+    _check_count(n, "n")
     if assignment.shape != (n,):
         raise InvalidInputError(f"assignment must have shape ({n},)")
     _require_integer(assignment)
-    if k < 1:
-        raise InvalidRankError(f"k must be >= 1, got {k}")
+    _check_count(k, "k", error=InvalidRankError)
     if assignment.min() < 0 or assignment.max() >= k:
         raise InvalidInputError("cluster labels out of range")
     onehot = assignment[:, None] == np.arange(k)
@@ -90,7 +87,7 @@ def _require_integer(labels: np.ndarray) -> None:
 
 def kmeans_cost(m, assignment) -> float:
     """Sum of squared distances of rows to their cluster means."""
-    m = as_matrix(m)
+    m = factor(m).a
     assignment = np.asarray(assignment)
     if assignment.shape != (m.shape[0],):
         raise InvalidInputError("assignment length must match row count")
@@ -131,14 +128,11 @@ def lloyd_kmeans(m, k: int, iters: int = 50, seed: int = 0) -> Clustering:
     center, so the objective never increases across iterations; the run
     stops when the assignment stops changing.
     """
-    m = as_matrix(m)
+    m = factor(m).a
     n = m.shape[0]
-    if k < 1:
-        raise InvalidRankError(f"k must be >= 1, got {k}")
-    if n < k:
+    if n < _check_count(k, "k", error=InvalidRankError):
         raise InvalidInputError(f"need at least k={k} rows, got {n}")
-    if iters < 1:
-        raise InvalidInputError(f"iters must be >= 1, got {iters}")
+    _check_count(iters, "iters")
     centers = _plusplus_init(m, k, rng_for(seed, Stream.LLOYD))
     assignment = np.zeros(n, dtype=np.int64)
     minus_2m = -2.0 * m
@@ -209,10 +203,8 @@ def _partition_parts(n: int, max_blocks: int) -> tuple:
     spans lists for each head in order its index, its largest label and
     its slice of the table's rows.
     """
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
-    if max_blocks < 1:
-        raise InvalidInputError(f"max_blocks must be >= 1, got {max_blocks}")
+    _check_count(n, "n")
+    _check_count(max_blocks, "max_blocks")
     if n > MAX_EXHAUSTIVE_ROWS:
         raise TooLargeError(f"exhaustive search capped at {MAX_EXHAUSTIVE_ROWS} rows, got {n}")
     width = min(max_blocks, n)
@@ -274,7 +266,7 @@ def partition_costs(m, labels) -> np.ndarray:
     clustering's ``cluster_indicator_projection`` up to rounding, clamped
     at zero alike.
     """
-    m = as_matrix(m)
+    m = factor(m).a
     labels = np.asarray(labels)
     n = m.shape[0]
     _require_integer(labels)
@@ -333,9 +325,8 @@ def _exhaustive_search(m, k: int) -> tuple:
     (``_partition_masks``), the cost of each row and the winning row's
     index: (clustering, masks, costs, best).  Only the winning row is
     decoded to labels."""
-    m = as_matrix(m)
-    if k < 1:
-        raise InvalidRankError(f"k must be >= 1, got {k}")
+    m = factor(m).a
+    _check_count(k, "k", error=InvalidRankError)
     masks = _partition_masks(m.shape[0], k)
     costs = _mask_costs(m, masks)
     best = int(np.argmax(_cheapest(costs, frob2(m))))

@@ -169,6 +169,7 @@ class TestGenerateProbes:
         ProbeSet(padded, ["a", "b", "c"], k=2)
         bad = {
             "non-finite": (InvalidMatrixError, np.where(np.arange(2) == 1, np.nan, good)),
+            "infinite": (InvalidMatrixError, np.where(np.arange(2) == 1, np.inf, good)),
             "columns not orthogonal": (InvalidMatrixError, np.concatenate([good[:, :, :1]] * 2, axis=2)),
             "column not unit": (InvalidMatrixError, good * np.array([1.0, 1.01])),
             "padding not zero": (InvalidMatrixError, np.where(padded == 0.0, 1e-4, padded)),
@@ -694,6 +695,13 @@ class TestVerifySketch:
         assert v.report == pcp_report(a, sk.a_tilde, sk.c_const, probes, 0.5)
         v = verify_sketch(a, "ridge", params, exhaustive=True)
         assert v.report == exhaustive_report(a, sk.a_tilde, sk.c_const, probes, 0.5)
+
+    def test_overflowing_matrix_is_a_typed_error(self):
+        # every entry is finite, but |A|_F^2 overflows: refused where A is
+        # factored, before any product of A with itself can overflow
+        a = 1e160 * rand(36, (6, 20))
+        with pytest.raises(InvalidMatrixError, match="overflows"):
+            verify_sketch(a, "gaussian", SketchParams(k=2, eps=0.5, seed=1))
 
     def test_exhaustive_is_capped_at_12_rows(self):
         params = SketchParams(k=2, eps=0.5, seed=3, m_override=20)

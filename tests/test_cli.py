@@ -450,6 +450,22 @@ class TestErrorPaths:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        ("command", "flag", "value", "named"),
+        [
+            ("verify", "--const-c", "nan", "const_c must be finite"),
+            ("certify", "--const-c", "inf", "const_c must be finite"),
+            ("verify", "--eps", "1e-200", "eps must be in (0, 1)"),
+            ("bench", "--trials", "0", "--trials must be an integer >= 1"),
+        ],
+    )
+    def test_bad_numbers_are_errors_not_tracebacks(self, capsys, command, flag, value, named):
+        argv = [command, "--gen", "powerlaw:n=8,d=24,alpha=0.5", "--method", "gaussian", "--k", "2"]
+        if flag != "--eps":
+            argv += ["--eps", "0.4"]
+        code, out, err = run(capsys, *argv, flag, value)
+        assert (code, out) == (1, "") and err.startswith("error: ") and named in err
+
     def test_unknown_method_rejected_by_parser(self, capsys):
         code, _, err = run(
             capsys, "certify", "--gen", "powerlaw:n=4,d=6,alpha=1",

@@ -255,8 +255,10 @@ class TestProjectionCost:
 
 class TestProjection:
     def test_validates_orthonormality(self):
-        with pytest.raises(InvalidMatrixError):
-            Projection(np.array([[1.0], [1.0]]))
+        # a non-finite or huge entry fails the same Gram test, without a warning
+        for basis in ([[1.0], [1.0]], [[np.nan], [0.0]], [[1.0, 0.0], [0.0, np.inf]], [[1e200], [0.0]]):
+            with pytest.raises(InvalidMatrixError, match="not orthonormal"):
+                Projection(np.array(basis))
 
 
 
@@ -337,6 +339,10 @@ class TestFactored:
     def test_validated_once_at_entry(self):
         with pytest.raises(InvalidMatrixError):
             factor(np.array([[1.0, np.nan]]))
+        # finite entries whose squared norm overflows: typed, and no warning
+        for a in (np.full((2, 3), 1e160), np.array([[1e300, -1e300]])):
+            with pytest.raises(InvalidMatrixError, match="overflows"):
+                factor(a)
         inst = factor([[1.0, 2.0]])
         assert as_matrix(inst) is inst.a
 

@@ -59,12 +59,31 @@ class TestSketchParams:
             dict(delta=0.0),
             dict(delta=1.0),
             dict(const_c=0.0),
+            dict(const_c=math.nan),
+            dict(const_c=math.inf),
+            dict(eps=math.nan),
+            dict(eps=1e-200),  # eps**2 underflows to zero
             dict(m_override=0),
         ],
     )
     def test_rejects_invalid(self, kw):
         with pytest.raises((InvalidInputError, InvalidRankError)):
             params(**kw)
+
+    @pytest.mark.parametrize(
+        ("method", "kw"),
+        [
+            ("gaussian", dict(delta=5e-324)),
+            ("leverage", dict(delta=5e-324)),
+            ("ridge", dict(delta=5e-324)),
+            ("nonoblivious", dict(const_c=1e308, eps=0.1)),
+            ("svd", dict(k=10**300, eps=1e-10)),
+        ],
+    )
+    def test_overflowing_width_is_a_typed_error(self, method, kw):
+        # the width formula overflows to inf, which has no ceiling
+        with pytest.raises(InvalidInputError, match="width overflows"):
+            make_sketch(wide_matrix(1, d=20), method, params(**kw))
 
     @pytest.mark.parametrize("k", [2.5, 2.0, True, np.float64(2), "2"])
     def test_k_must_be_an_integer(self, k):

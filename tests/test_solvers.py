@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from pcpsketch import audit
 from pcpsketch.audit import approx_transfer_check, sketch_and_solve
-from pcpsketch.errors import InvalidInputError, InvalidRankError, TooLargeError
+from pcpsketch.errors import InvalidInputError, InvalidMatrixError, InvalidRankError, TooLargeError
 from pcpsketch.generators import GeneratorSpec, gen_synthetic
 from pcpsketch.linalg import frob2, projection_cost, svd
 from pcpsketch.rng import Stream, rng_for
@@ -212,13 +212,19 @@ class TestLloyd:
         with pytest.raises(InvalidInputError):
             lloyd_kmeans(np.eye(2), 3)
 
-    def test_overflowing_distances_draw_uniformly(self):
-        # squared distances of rows near 1e200 overflow to inf, and d2 / inf
-        # holds nan, which rng.choice refuses as weights
+    def test_overflowing_matrix_is_rejected(self):
+        # squared distances of rows near 1e200 would overflow to inf and
+        # every clustering would cost inf; the matrix's squared norm
+        # overflows first, so each solver entry refuses it, without a warning
         m = np.array([[1e200], [-1e200], [0.0]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = lloyd_kmeans(m, 2, seed=0)
-        assert res.assignment.shape == (3,) and res.cost == np.inf
+        for solve in (
+            lambda: lloyd_kmeans(m, 2, seed=0),
+            lambda: exhaustive_kmeans(m, 2),
+            lambda: kmeans_cost(m, [0, 1, 0]),
+            lambda: partition_costs(m, [[0, 1, 0]]),
+        ):
+            with pytest.raises(InvalidMatrixError, match="overflows"):
+                solve()
 
 
 class TestLloydRuns:
